@@ -20,9 +20,9 @@ import numpy as np
 from icleq import RngStream, TaskDistributionSpec, qam4_constellation
 from icleq.estimators import (
     ChannelPrior,
-    bayes_mmse_discrete_batch,
+    bayes_mmse_discrete,
     lmmse_known_task,
-    mmse_known_task_batch,
+    mmse_known_task,
 )
 from icleq.experiments import Equalizer, EvalProtocol, EvalSet, evaluate
 
@@ -52,13 +52,13 @@ ys = evalset.test_ys[0]
 decoys = RngStream(99).complex_normal((7, 2, 2))
 prior_channels = np.concatenate([task.h[None], decoys])
 q = protocol.quantizer
-est_disc = bayes_mmse_discrete_batch(
+est_disc = bayes_mmse_discrete(
     ChannelPrior.discrete(prior_channels), task.sigma2, q, const, ctx, ys
 )
-est_mmse = mmse_known_task_batch(task, q, const, ys)
+est_mmse = mmse_known_task(task, q, const, ys)
 gap = np.max(np.abs(est_disc - est_mmse))
 print(f"\ndiscrete prior holding the true channel (+7 decoys), N=20 pilots:")
 print(f"  max deviation from known-task MMSE estimates: {gap:.2e}")
 
-est_lin = lmmse_known_task(task, ys, 2)
+est_lin = lmmse_known_task(task, ys)
 print(f"  (linear estimator differs by {np.max(np.abs(est_lin - est_mmse)):.2} on the same draws)")

@@ -11,18 +11,15 @@ from .channel import (
     Quantizer,
     Task,
     TaskDistributionSpec,
-    apply_channel,
     cell_bounds,
     log_likelihood,
     qam4_constellation,
     quantize,
-    sample_context,
+    sample_pairs,
     sample_task,
     snr_of,
 )
 from .numerics import (
-    cmatmul,
-    gauss_cdf,
     hermitian,
     log_gauss_cell_prob,
     logsumexp,
@@ -38,17 +35,14 @@ __all__ = [
     "RngStream",
     "Task",
     "TaskDistributionSpec",
-    "apply_channel",
     "cell_bounds",
-    "cmatmul",
-    "gauss_cdf",
     "hermitian",
     "log_gauss_cell_prob",
     "log_likelihood",
     "logsumexp",
     "qam4_constellation",
     "quantize",
-    "sample_context",
+    "sample_pairs",
     "sample_task",
     "snr_of",
     "solve_hpd",

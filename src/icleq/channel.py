@@ -32,9 +32,8 @@ __all__ = [
     "sample_task",
     "quantize",
     "cell_bounds",
-    "apply_channel",
+    "sample_pairs",
     "log_likelihood",
-    "sample_context",
 ]
 
 
@@ -248,15 +247,6 @@ def _quantize_complex(q: Quantizer, z: np.ndarray) -> np.ndarray:
     return re + 1j * im
 
 
-def apply_channel(task: Task, q: Quantizer, x: np.ndarray, rng: RngStream) -> np.ndarray:
-    """One use of the channel: ``y = Q_b(H x + z)`` with fresh noise."""
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (task.n_t,):
-        raise ValueError(f"expected input of shape ({task.n_t},), got {x.shape}")
-    z = standard_complex_normal(rng, size=task.n_r) * np.sqrt(task.sigma2)
-    return _quantize_complex(q, task.h @ x + z)
-
-
 @dataclass(frozen=True)
 class ContextSet:
     """N pilot pairs from one task; ``x_idx`` caches joint-input indices."""
@@ -285,22 +275,31 @@ def empty_context(n_t: int, n_r: int) -> ContextSet:
     )
 
 
-def sample_context(
-    task: Task,
+def sample_pairs(
+    h: np.ndarray,
+    sigma2,
     q: Quantizer,
     constellation: Constellation,
     n: int,
     rng: RngStream,
-) -> ContextSet:
-    """n i.i.d. pilot pairs: inputs uniform over the joint set, outputs
-    through :func:`apply_channel`'s law (vectorized)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n i.i.d. channel uses: the input index, then the noise, then
+    ``y = Q_b(H x + z)``; returns ``(xs, ys, x_idx)``.
+
+    ``h`` is one channel (n_r, n_t) or a stack (B, n_r, n_t), with ``sigma2``
+    a scalar or one noise power per channel.  Outputs gain the leading
+    axes of ``h``: xs (..., n, n_t), ys (..., n, n_r), x_idx (..., n).
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    idx = np.asarray(rng.integers(0, constellation.n_joint, size=n), dtype=int)
+    h = np.asarray(h, dtype=complex)
+    lead = h.shape[:-2]
+    idx = np.asarray(rng.integers(0, constellation.n_joint, size=lead + (n,)), dtype=int)
     xs = constellation.joint[idx]
-    z = standard_complex_normal(rng, size=(n, task.n_r)) * np.sqrt(task.sigma2)
-    ys = _quantize_complex(q, xs @ task.h.T + z)
-    return ContextSet(xs=xs, ys=ys, x_idx=idx)
+    z = standard_complex_normal(rng, size=lead + (n, h.shape[-2]))
+    z = z * np.sqrt(np.asarray(sigma2, dtype=float))[..., None, None]
+    ys = _quantize_complex(q, xs @ np.swapaxes(h, -1, -2) + z)
+    return xs, ys, idx
 
 
 # ---------------------------------------------------------------------------

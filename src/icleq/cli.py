@@ -12,7 +12,8 @@ Usage examples:
 Config files are flat ``key = value`` text; every key of
 :class:`icleq.experiments.ExperimentConfig` is accepted.  ``--seed``
 overrides the config seed, which makes reruns byte-identical for identical
-(config, seed) pairs.
+(config, seed) pairs.  The BLAS thread count is set through the environment,
+e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -51,28 +52,10 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _apply_threads(args) -> None:
-    n = 1 if getattr(args, "deterministic", False) else getattr(args, "threads", None)
-    if n is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=int(n))
-    except ImportError:  # pragma: no cover
-        log.warning("threadpoolctl unavailable; --threads ignored")
-
-
 def _add_common(p: argparse.ArgumentParser, checkpoint=False) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread limit")
-    p.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="single-threaded BLAS for byte-stable reruns",
-    )
     if checkpoint:
         p.add_argument("--checkpoint", required=True, help="model checkpoint path")
 
@@ -162,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    _apply_threads(args)
     return args.fn(args)
 
 

@@ -17,6 +17,9 @@ Four estimators of the transmitted vector x from a received y:
 unquantized receiver the CN(0,1) prior is conjugate, so the full posterior
 predictive over inputs is available in closed form.
 
+Every estimator takes one observation ``y`` of shape (n_r,) or a stack of
+shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t).
+
 All posterior arithmetic runs in the log domain; quantized pilot
 likelihoods at high SNR underflow otherwise.
 """
@@ -50,14 +53,9 @@ class DegenerateEvidenceError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelPrior:
-    """Channel prior: the true continuous CN(0,1) law, or a uniform discrete
-    law over a stored set of channel matrices."""
+    """Uniform discrete channel prior over a stored set of channel matrices."""
 
-    channels: np.ndarray | None = None
-
-    @classmethod
-    def continuous(cls) -> "ChannelPrior":
-        return cls(channels=None)
+    channels: np.ndarray
 
     @classmethod
     def discrete(cls, channels) -> "ChannelPrior":
@@ -66,70 +64,39 @@ class ChannelPrior:
             raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
         return cls(channels=ch)
 
-    @property
-    def is_discrete(self) -> bool:
-        return self.channels is not None
-
-    @property
-    def n_channels(self) -> int:
-        if self.channels is None:
-            raise ValueError("continuous prior has no channel list")
-        return self.channels.shape[0]
-
 
 # ---------------------------------------------------------------------------
 # known-task MMSE and LMMSE
 # ---------------------------------------------------------------------------
 
 
-def _posteriors_for_channel(
-    h: np.ndarray,
-    sigma2,
-    q: Quantizer,
-    constellation: Constellation,
-    ys: np.ndarray,
-) -> np.ndarray:
-    """Input posteriors for a batch of observations under one channel.
-
-    ``ys`` is (n, n_r); returns (n, n_joint) rows summing to 1.
-    """
-    means = constellation.joint @ h.T  # (n_joint, n_r)
-    ll = loglik_means(q, means[None, :, :], sigma2, ys[:, None, :])  # (n, n_joint)
-    norm = logsumexp(ll, axis=1)
-    if np.any(np.isneginf(norm)):
-        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
-    return np.exp(ll - np.asarray(norm)[:, None])
-
-
 def input_posterior(
     task: Task, q: Quantizer, constellation: Constellation, y: np.ndarray
 ) -> np.ndarray:
-    """Posterior over the joint input set given y, uniform input prior."""
+    """Posterior over the joint input set given y, uniform input prior;
+    rows (..., n_joint) sum to 1."""
     y = np.asarray(y, dtype=complex)
-    return _posteriors_for_channel(task.h, task.sigma2, q, constellation, y[None, :])[0]
+    means = constellation.joint @ task.h.T  # (n_joint, n_r)
+    ll = loglik_means(q, means, task.sigma2, y[..., None, :])  # (..., n_joint)
+    norm = logsumexp(ll, axis=-1)
+    if np.any(np.isneginf(norm)):
+        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
+    return np.exp(ll - np.asarray(norm)[..., None])
 
 
 def mmse_known_task(
     task: Task, q: Quantizer, constellation: Constellation, y: np.ndarray
 ) -> np.ndarray:
     """Posterior-mean equalizer for a known task (exact MMSE)."""
-    probs = input_posterior(task, q, constellation, y)
-    return probs @ constellation.joint
+    return input_posterior(task, q, constellation, y) @ constellation.joint
 
 
-def mmse_known_task_batch(
-    task: Task, q: Quantizer, constellation: Constellation, ys: np.ndarray
-) -> np.ndarray:
-    probs = _posteriors_for_channel(task.h, task.sigma2, q, constellation, ys)
-    return probs @ constellation.joint
-
-
-def lmmse_known_task(task: Task, y: np.ndarray, n_t: int) -> np.ndarray:
+def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
     """Linear MMSE under a Gaussian input model, quantizer ignored.
 
     x_hat = (sigma2 * n_t * I + H^H H)^{-1} H^H y, applied to y as received.
     """
-    h = task.h
+    h, n_t = task.h, task.n_t
     a = task.sigma2 * n_t * np.eye(n_t) + hermitian(h) @ h
     y = np.asarray(y, dtype=complex)
     rhs = hermitian(h) @ (y.T if y.ndim == 2 else y)
@@ -160,8 +127,6 @@ def channel_log_posterior_weights(
     """Log weights of Eq.-style channel posterior: prior uniform over the
     stored channels, likelihood the product over context pairs.  Caller
     normalizes (e.g. via logsumexp)."""
-    if not prior.is_discrete:
-        raise ValueError("channel posterior weights need a discrete prior")
     return _context_log_weights(prior.channels, sigma2, q, context)
 
 
@@ -171,7 +136,7 @@ def _mixture_estimate(
     sigma2,
     q: Quantizer,
     constellation: Constellation,
-    ys: np.ndarray,
+    y: np.ndarray,
     prune_tol: float,
 ) -> np.ndarray:
     """Posterior-weighted average of per-channel MMSE estimates.
@@ -179,6 +144,8 @@ def _mixture_estimate(
     Channels whose normalized weight is below ``prune_tol`` (or exactly
     zero) are skipped; kept weights are renormalized.
     """
+    y = np.asarray(y, dtype=complex)
+    ys = y.reshape(-1, y.shape[-1])
     keep = weights > max(prune_tol, 0.0)
     if not np.any(keep):
         keep = weights == weights.max()
@@ -192,23 +159,8 @@ def _mixture_estimate(
     norm = logsumexp(ll, axis=2)
     probs = np.exp(ll - norm[:, :, None])
     est = probs @ constellation.joint  # (Mk, n, n_t)
-    return np.einsum("m,mnt->nt", w, est)
-
-
-def bayes_mmse_discrete_batch(
-    prior: ChannelPrior,
-    sigma2: float,
-    q: Quantizer,
-    constellation: Constellation,
-    context: ContextSet,
-    ys: np.ndarray,
-    prune_tol: float = 0.0,
-) -> np.ndarray:
-    lw = channel_log_posterior_weights(prior, sigma2, q, context)
-    w = np.exp(lw - logsumexp(lw))
-    return _mixture_estimate(
-        prior.channels, w, sigma2, q, constellation, ys, prune_tol
-    )
+    est = np.einsum("m,mnt->nt", w, est)
+    return est.reshape(y.shape[:-1] + est.shape[-1:])
 
 
 def bayes_mmse_discrete(
@@ -222,40 +174,9 @@ def bayes_mmse_discrete(
 ) -> np.ndarray:
     """MMSE equalizer under a uniform prior over stored channels:
     channel-posterior average of per-channel MMSE estimates (exact)."""
-    y = np.asarray(y, dtype=complex)
-    return bayes_mmse_discrete_batch(
-        prior, sigma2, q, constellation, context, y[None, :], prune_tol
-    )[0]
-
-
-def bayes_mmse_continuous_mc_batch(
-    sigma2: float,
-    q: Quantizer,
-    constellation: Constellation,
-    context: ContextSet,
-    ys: np.ndarray,
-    k: int,
-    rng: RngStream,
-    prune_tol: float = 1e-13,
-) -> tuple[np.ndarray, float]:
-    """Importance-sampling approximation of the continuous-prior MMSE.
-
-    Draws ``k`` channels from the CN(0,1) prior (the proposal), weights them
-    by the context likelihood, and averages the per-channel MMSE estimates.
-    Returns the estimates for all rows of ``ys`` plus the effective sample
-    size 1 / sum(w^2); a small ESS means the context has concentrated the
-    posterior far from the prior and the estimate is noisy.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n_r = ys.shape[1]
-    n_t = constellation.n_t
-    channels = standard_complex_normal(rng, size=(k, n_r, n_t))
-    lw = _context_log_weights(channels, sigma2, q, context)
+    lw = channel_log_posterior_weights(prior, sigma2, q, context)
     w = np.exp(lw - logsumexp(lw))
-    ess = float(1.0 / np.sum(w**2))
-    est = _mixture_estimate(channels, w, sigma2, q, constellation, ys, prune_tol)
-    return est, ess
+    return _mixture_estimate(prior.channels, w, sigma2, q, constellation, y, prune_tol)
 
 
 def bayes_mmse_continuous_mc(
@@ -268,11 +189,23 @@ def bayes_mmse_continuous_mc(
     rng: RngStream,
     prune_tol: float = 1e-13,
 ) -> tuple[np.ndarray, float]:
-    y = np.asarray(y, dtype=complex)
-    est, ess = bayes_mmse_continuous_mc_batch(
-        sigma2, q, constellation, context, y[None, :], k, rng, prune_tol
-    )
-    return est[0], ess
+    """Importance-sampling approximation of the continuous-prior MMSE.
+
+    Draws ``k`` channels from the CN(0,1) prior (the proposal), weights them
+    by the context likelihood, and averages the per-channel MMSE estimates.
+    Returns the estimates plus the effective sample size 1 / sum(w^2); a
+    small ESS means the context has concentrated the posterior far from the
+    prior and the estimate is noisy.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n_r = np.shape(y)[-1]
+    channels = standard_complex_normal(rng, size=(k, n_r, constellation.n_t))
+    lw = _context_log_weights(channels, sigma2, q, context)
+    w = np.exp(lw - logsumexp(lw))
+    ess = float(1.0 / np.sum(w**2))
+    est = _mixture_estimate(channels, w, sigma2, q, constellation, y, prune_tol)
+    return est, ess
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +234,6 @@ def _gaussian_predictive_stats(
     return pred_mean, pred_var
 
 
-def bayes_mmse_gaussian_exact_batch(
-    sigma2: float,
-    constellation: Constellation,
-    context: ContextSet,
-    ys: np.ndarray,
-    quantizer: Quantizer | None = None,
-) -> np.ndarray:
-    if quantizer is not None and quantizer.quantized:
-        raise ValueError("conjugate oracle requires unquantized observations")
-    pred_mean, pred_var = _gaussian_predictive_stats(sigma2, constellation, context)
-    n_r = ys.shape[1]
-    d2 = np.sum(np.abs(ys[:, None, :] - pred_mean[None, :, :]) ** 2, axis=2)
-    ll = -n_r * np.log(np.pi * pred_var)[None, :] - d2 / pred_var[None, :]
-    norm = logsumexp(ll, axis=1)
-    probs = np.exp(ll - np.asarray(norm)[:, None])
-    return probs @ constellation.joint
-
-
 def bayes_mmse_gaussian_exact(
     sigma2: float,
     constellation: Constellation,
@@ -333,7 +248,12 @@ def bayes_mmse_gaussian_exact(
     each candidate input is Gaussian in closed form; the input posterior
     and its mean follow by enumeration.
     """
+    if quantizer is not None and quantizer.quantized:
+        raise ValueError("conjugate oracle requires unquantized observations")
     y = np.asarray(y, dtype=complex)
-    return bayes_mmse_gaussian_exact_batch(
-        sigma2, constellation, context, y[None, :], quantizer
-    )[0]
+    pred_mean, pred_var = _gaussian_predictive_stats(sigma2, constellation, context)
+    d2 = np.sum(np.abs(y[..., None, :] - pred_mean) ** 2, axis=-1)  # (..., n_joint)
+    ll = -y.shape[-1] * np.log(np.pi * pred_var) - d2 / pred_var
+    norm = logsumexp(ll, axis=-1)
+    probs = np.exp(ll - np.asarray(norm)[..., None])
+    return probs @ constellation.joint

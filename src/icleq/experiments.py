@@ -30,16 +30,17 @@ from .channel import (
     Quantizer,
     Task,
     TaskDistributionSpec,
-    _quantize_complex,
     qam4_constellation,
+    sample_pairs,
+    sample_task,
 )
 from .estimators import (
     ChannelPrior,
-    bayes_mmse_continuous_mc_batch,
-    bayes_mmse_discrete_batch,
-    bayes_mmse_gaussian_exact_batch,
+    bayes_mmse_continuous_mc,
+    bayes_mmse_discrete,
+    bayes_mmse_gaussian_exact,
     lmmse_known_task,
-    mmse_known_task_batch,
+    mmse_known_task,
 )
 from .rng import RngStream
 from .training import PretrainTaskSet, TrainConfig, pretrain
@@ -113,28 +114,16 @@ class EvalSet:
         constellation = constellation or qam4_constellation(p.tasks.n_t)
         q = p.quantizer
         root = RngStream(p.seed)
-        nt, nr, n, s = p.tasks.n_t, p.tasks.n_r, p.n_context, p.n_test_symbols_per_task
-        t_ = p.n_test_tasks
-        hs = np.empty((t_, nr, nt), dtype=complex)
-        sigma2s = np.empty(t_)
-        ctx_xs = np.empty((t_, n, nt), dtype=complex)
-        ctx_ys = np.empty((t_, n, nr), dtype=complex)
-        test_xs = np.empty((t_, s, nt), dtype=complex)
-        test_ys = np.empty((t_, s, nr), dtype=complex)
-        for i in range(t_):
+        draws = []
+        for i in range(p.n_test_tasks):
             st = root.derive(i)
-            hs[i] = st.complex_normal((nr, nt))
-            u = st.uniform(p.tasks.sigma2_db_min, p.tasks.sigma2_db_max)
-            sigma2s[i] = 10.0 ** (u / 10.0)
-            ci = np.atleast_1d(st.integers(0, constellation.n_joint, size=n))
-            ctx_xs[i] = constellation.joint[ci]
-            zc = st.complex_normal((n, nr)) * np.sqrt(sigma2s[i])
-            ctx_ys[i] = _quantize_complex(q, ctx_xs[i] @ hs[i].T + zc)
-            ti = np.atleast_1d(st.integers(0, constellation.n_joint, size=s))
-            test_xs[i] = constellation.joint[ti]
-            zt = st.complex_normal((s, nr)) * np.sqrt(sigma2s[i])
-            test_ys[i] = _quantize_complex(q, test_xs[i] @ hs[i].T + zt)
-        out = cls(p, hs, sigma2s, ctx_xs, ctx_ys, test_xs, test_ys)
+            task = sample_task(p.tasks, st)
+            ctx_xs, ctx_ys, _ = sample_pairs(task.h, task.sigma2, q, constellation, p.n_context, st)
+            test_xs, test_ys, _ = sample_pairs(
+                task.h, task.sigma2, q, constellation, p.n_test_symbols_per_task, st
+            )
+            draws.append((task.h, task.sigma2, ctx_xs, ctx_ys, test_xs, test_ys))
+        out = cls(p, *(np.array(column) for column in zip(*draws)))
         log.info("evaluation draws ready: hash %s", out.draw_hash())
         return out
 
@@ -210,54 +199,65 @@ class Equalizer:
         return cls(kind="bayes_exact")
 
 
-def _icl_estimates(eq: Equalizer, ev: EvalSet, constellation: Constellation, i: int):
-    p = ev.protocol
-    s = p.n_test_symbols_per_task
-    n = p.n_context
-    nt = constellation.n_t
-    xs = np.empty((s, n + 1, nt), dtype=complex)
-    ys = np.empty((s, n + 1, ev.hs.shape[1]), dtype=complex)
-    xs[:, :n] = ev.ctx_xs[i][None]
-    ys[:, :n] = ev.ctx_ys[i][None]
-    xs[:, n] = ev.test_xs[i]
-    ys[:, n] = ev.test_ys[i]
-    tokens = build_tokens(eq.model, xs, ys)
-    _, est = forward_batch(eq.params, eq.model, constellation, tokens)
-    return est[:, -1, :]
+def _icl_estimates(
+    eq: Equalizer, task: Task, q: Quantizer, c: Constellation, ctx: ContextSet,
+    ys: np.ndarray, rng: RngStream,
+) -> tuple[np.ndarray, None]:
+    """One sequence per test symbol: the task's pilots, then that symbol."""
+    s, n = ys.shape[0], len(ctx)
+    xs_seq = np.zeros((s, n + 1, c.n_t), dtype=complex)  # last slot is never a token
+    ys_seq = np.empty((s, n + 1, ys.shape[1]), dtype=complex)
+    xs_seq[:, :n] = ctx.xs
+    ys_seq[:, :n] = ctx.ys
+    ys_seq[:, n] = ys
+    _, est = forward_batch(eq.params, eq.model, c, build_tokens(eq.model, xs_seq, ys_seq))
+    return est[:, -1, :], None
 
 
-def _task_estimates(
-    eq: Equalizer, ev: EvalSet, constellation: Constellation, i: int, rng: RngStream
-) -> tuple[np.ndarray, float | None]:
-    """Estimates for every test symbol of task i; returns (est, ess)."""
-    p = ev.protocol
-    q = p.quantizer
-    task = ev.task(i)
-    ys = ev.test_ys[i]
-    if eq.kind == "icl":
-        return _icl_estimates(eq, ev, constellation, i), None
-    if eq.kind == "mmse_known":
-        return mmse_known_task_batch(task, q, constellation, ys), None
-    if eq.kind == "lmmse":
-        return lmmse_known_task(task, ys, constellation.n_t), None
-    if eq.kind == "bayes_discrete":
-        est = bayes_mmse_discrete_batch(
-            eq.prior, task.sigma2, q, constellation, ev.context(i), ys,
-            prune_tol=MIXTURE_PRUNE_TOL,
+# kind -> (estimates, ess) for the test observations ys of one task
+_TASK_ESTIMATES = {
+    "icl": _icl_estimates,
+    "mmse_known": lambda eq, task, q, c, ctx, ys, rng: (mmse_known_task(task, q, c, ys), None),
+    "lmmse": lambda eq, task, q, c, ctx, ys, rng: (lmmse_known_task(task, ys), None),
+    "bayes_discrete": lambda eq, task, q, c, ctx, ys, rng: (
+        bayes_mmse_discrete(eq.prior, task.sigma2, q, c, ctx, ys, prune_tol=MIXTURE_PRUNE_TOL),
+        None,
+    ),
+    "bayes_mc": lambda eq, task, q, c, ctx, ys, rng: bayes_mmse_continuous_mc(
+        task.sigma2, q, c, ctx, ys, eq.k, rng, prune_tol=MIXTURE_PRUNE_TOL
+    ),
+    "bayes_exact": lambda eq, task, q, c, ctx, ys, rng: (
+        bayes_mmse_gaussian_exact(task.sigma2, c, ctx, ys, quantizer=q),
+        None,
+    ),
+}
+
+
+def _draw_errors(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, list[float]]:
+    """Squared error of every draw (n_tasks, n_symbols) plus the per-task
+    effective sample sizes of a Monte-Carlo reference."""
+    p = evalset.protocol
+    if equalizer.kind == "bayes_exact" and p.quantizer.quantized:
+        raise ValueError("the conjugate reference requires an unquantized protocol")
+    constellation = qam4_constellation(p.tasks.n_t)
+    root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
+    estimates = _TASK_ESTIMATES[equalizer.kind]
+    errs = np.empty((p.n_test_tasks, p.n_test_symbols_per_task))
+    esss = []
+    for i in range(p.n_test_tasks):
+        est, ess = estimates(
+            equalizer, evalset.task(i), p.quantizer, constellation, evalset.context(i),
+            evalset.test_ys[i], root.derive(i),
         )
-        return est, None
-    if eq.kind == "bayes_mc":
-        est, ess = bayes_mmse_continuous_mc_batch(
-            task.sigma2, q, constellation, ev.context(i), ys, eq.k, rng,
-            prune_tol=MIXTURE_PRUNE_TOL,
-        )
-        return est, ess
-    if eq.kind == "bayes_exact":
-        est = bayes_mmse_gaussian_exact_batch(
-            task.sigma2, constellation, ev.context(i), ys, quantizer=q
-        )
-        return est, None
-    raise AssertionError(eq.kind)
+        errs[i] = np.sum(np.abs(est - evalset.test_xs[i]) ** 2, axis=1)
+        if ess is not None:
+            esss.append(ess)
+    return errs, esss
+
+
+def per_draw_errors(equalizer: Equalizer, evalset: EvalSet) -> np.ndarray:
+    """Per-draw squared errors (n_tasks, n_symbols); for paired tests."""
+    return _draw_errors(equalizer, evalset)[0]
 
 
 def evaluate(
@@ -277,20 +277,7 @@ def evaluate(
         if protocol is None:
             raise ValueError("need a protocol or a prebuilt evalset")
         evalset = EvalSet.build(protocol)
-    p = evalset.protocol
-    if equalizer.kind == "bayes_exact" and p.quantizer.quantized:
-        raise ValueError("the conjugate reference requires an unquantized protocol")
-    if equalizer.kind == "icl" and p.n_context > equalizer.model.n_max:
-        raise ValueError("protocol context length exceeds the model's n_max")
-    constellation = qam4_constellation(p.tasks.n_t)
-    root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
-    errs = np.empty((p.n_test_tasks, p.n_test_symbols_per_task))
-    esss = []
-    for i in range(p.n_test_tasks):
-        est, ess = _task_estimates(equalizer, evalset, constellation, i, root.derive(i))
-        errs[i] = np.sum(np.abs(est - evalset.test_xs[i]) ** 2, axis=1)
-        if ess is not None:
-            esss.append(ess)
+    errs, esss = _draw_errors(equalizer, evalset)
     flat = errs.ravel()
     mse = float(flat.mean())
     half = float(1.96 * flat.std(ddof=1) / np.sqrt(flat.size))
@@ -309,27 +296,18 @@ def evaluate(
         ci_high=mse + half,
         n_samples=flat.size,
         ess=med_ess,
-        seed=p.seed,
+        seed=evalset.protocol.seed,
     )
 
 
-def per_draw_errors(equalizer: Equalizer, evalset: EvalSet) -> np.ndarray:
-    """Per-draw squared errors (n_tasks, n_symbols); for paired tests."""
-    p = evalset.protocol
-    constellation = qam4_constellation(p.tasks.n_t)
-    root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
-    errs = np.empty((p.n_test_tasks, p.n_test_symbols_per_task))
-    for i in range(p.n_test_tasks):
-        est, _ = _task_estimates(equalizer, evalset, constellation, i, root.derive(i))
-        errs[i] = np.sum(np.abs(est - evalset.test_xs[i]) ** 2, axis=1)
-    return errs
-
-
 def assert_test_isolation(evalset: EvalSet, taskset: PretrainTaskSet) -> None:
-    """No evaluation channel may coincide with a pre-training channel."""
+    """No evaluation channel may coincide with a pre-training channel.
+
+    Raises AssertionError explicitly, so the check also runs under ``python -O``.
+    """
     for h in evalset.hs:
-        same = np.all(taskset.hs == h[None], axis=(1, 2))
-        assert not np.any(same), "evaluation task collides with a pre-training channel"
+        if np.any(np.all(taskset.hs == h[None], axis=(1, 2))):
+            raise AssertionError("evaluation task collides with a pre-training channel")
 
 
 # ---------------------------------------------------------------------------

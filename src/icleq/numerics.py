@@ -14,28 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.special import erf, log_ndtr, ndtr
+from scipy.special import erf, log_ndtr
 from scipy.special import logsumexp as _scipy_logsumexp
 
 __all__ = [
-    "cmatmul",
     "hermitian",
     "solve_hpd",
-    "gauss_cdf",
     "log_gauss_cell_prob",
     "logsumexp",
 ]
-
-
-def cmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with an explicit dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"expected 2-D matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:
@@ -58,11 +45,6 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"matrix is not positive definite: {exc}") from exc
     return cho_solve((c, low), b, check_finite=False)
-
-
-def gauss_cdf(x):
-    """Standard normal CDF, evaluated via the complementary error function."""
-    return ndtr(x)
 
 
 def _logdiffexp(la, lb):

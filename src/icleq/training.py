@@ -24,16 +24,22 @@ import numpy as np
 from .autodiff import GraphNumericsError, Tape
 from .channel import (
     Constellation,
-    ContextSet,
     Quantizer,
     Task,
     TaskDistributionSpec,
-    _quantize_complex,
     qam4_constellation,
     realify_obs,
+    sample_pairs,
 )
 from .rng import RngStream
-from .transformer import ModelConfig, build_tokens, forward_graph, init_params, leaf_params
+from .transformer import (
+    ModelConfig,
+    build_tokens,
+    forward_graph,
+    init_params,
+    leaf_params,
+    param_shapes,
+)
 
 __all__ = [
     "TrainConfig",
@@ -88,6 +94,10 @@ class TrainConfig:
             raise ValueError("m_tasks and batch_size must be >= 1")
         if self.loss_positions not in (ALL_Y, FINAL_ONLY):
             raise ValueError(f"unknown loss_positions {self.loss_positions!r}")
+        if self.n_context > self.model.n_max:
+            raise ValueError(
+                f"n_context={self.n_context} exceeds the model's n_max={self.model.n_max}"
+            )
 
     @property
     def quantizer(self) -> Quantizer:
@@ -131,28 +141,6 @@ class TrainBatch:
         targets = np.moveaxis(realify_obs(xs), -1, 0)
         return cls(tokens=tokens, targets=targets)
 
-    @classmethod
-    def from_pairs(
-        cls, config: ModelConfig, triples: list[tuple[ContextSet, np.ndarray, np.ndarray]]
-    ) -> "TrainBatch":
-        """Build from (context, test x, test y) triples of equal length."""
-        if not triples:
-            raise ValueError("batch must be non-empty")
-        n = len(triples[0][0])
-        n_t = triples[0][1].shape[0]
-        n_r = triples[0][2].shape[0]
-        b = len(triples)
-        xs = np.zeros((b, n + 1, n_t), dtype=complex)
-        ys = np.zeros((b, n + 1, n_r), dtype=complex)
-        for i, (ctx, x, y) in enumerate(triples):
-            if len(ctx) != n:
-                raise ValueError("all contexts in a batch must share one length")
-            xs[i, :n] = ctx.xs
-            ys[i, :n] = ctx.ys
-            xs[i, n] = x
-            ys[i, n] = y
-        return cls.from_arrays(config, xs, ys)
-
     @property
     def size(self) -> int:
         return self.tokens.shape[1]
@@ -165,14 +153,10 @@ def sample_train_batch(
     stream: RngStream,
 ) -> TrainBatch:
     """Fresh pilots, noise, and test pair for a uniform draw of tasks."""
-    b, n = cfg.batch_size, cfg.n_context
-    ti = np.atleast_1d(stream.integers(0, len(taskset), size=b))
-    hs = taskset.hs[ti]
-    s2 = taskset.sigma2s[ti]
-    xi = stream.integers(0, constellation.n_joint, size=(b, n + 1))
-    xs = constellation.joint[xi]
-    z = stream.complex_normal((b, n + 1, hs.shape[1])) * np.sqrt(s2)[:, None, None]
-    ys = _quantize_complex(cfg.quantizer, np.einsum("brt,bnt->bnr", hs, xs) + z)
+    ti = np.atleast_1d(stream.integers(0, len(taskset), size=cfg.batch_size))
+    xs, ys, _ = sample_pairs(
+        taskset.hs[ti], taskset.sigma2s[ti], cfg.quantizer, constellation, cfg.n_context + 1, stream
+    )
     return TrainBatch.from_arrays(cfg.model, xs, ys)
 
 
@@ -454,10 +438,12 @@ def load_checkpoint(
         train = TrainConfig(model=model, tasks=TaskDistributionSpec(**task_kw), **train_kw)
     if expect is not None and model != expect:
         raise CheckpointError(f"checkpoint architecture {model} != expected {expect}")
+    shapes = param_shapes(model)
+    if set(params) != set(shapes):
+        missing = sorted(set(shapes) - set(params))
+        extra = sorted(set(params) - set(shapes))
+        raise CheckpointError(f"checkpoint tensors: missing {missing}, unexpected {extra}")
     for name, arr in params.items():
-        from .transformer import param_shapes
-
-        want = param_shapes(model).get(name)
-        if want is not None and tuple(arr.shape) != want:
-            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {want}")
+        if tuple(arr.shape) != shapes[name]:
+            raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shapes[name]}")
     return params, model, train

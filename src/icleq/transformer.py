@@ -27,17 +27,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Node, Tape
-from .channel import Constellation, ContextSet
+from .channel import Constellation
 from .rng import RngStream
 
 __all__ = [
     "ModelConfig",
+    "param_shapes",
     "init_params",
-    "realify",
-    "embed",
-    "attention_layer",
-    "forward",
-    "soft_estimate",
+    "build_tokens",
+    "forward_graph",
+    "forward_batch",
 ]
 
 MASK_NEG = -1e9  # additive mask constant; exact zero probability after exp
@@ -108,23 +107,13 @@ def init_params(config: ModelConfig, rng: RngStream, scale: float = 0.02) -> dic
 # ---------------------------------------------------------------------------
 
 
-def realify(v: np.ndarray, d_s: int) -> np.ndarray:
-    """Complex vector -> [Re, Im] zero-padded to length d_s."""
-    v = np.asarray(v, dtype=complex)
-    if 2 * v.size > d_s:
-        raise ValueError(f"vector of length {v.size} does not fit d_s={d_s}")
-    out = np.zeros(d_s)
-    out[: v.size] = v.real
-    out[v.size : 2 * v.size] = v.imag
-    return out
-
-
 def build_tokens(config: ModelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Interleaved token columns for a batch, shape (d_s, B, 2N+1).
 
     ``xs`` is (B, N+1, n_t) with the test input in the last slot (used only
     as a training target, never as a token); ``ys`` is (B, N+1, n_r) with
     the query observation last.  Column layout: y_1, x_1, ..., y_N, x_N, y.
+    Each column is [Re; Im] of its vector, zero-padded to d_s.
     """
     b, np1, n_t = xs.shape
     n_r = ys.shape[2]
@@ -132,6 +121,8 @@ def build_tokens(config: ModelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     t = 2 * n + 1
     if 2 * max(n_t, n_r) > config.d_s:
         raise ValueError("d_s too small for the antenna counts")
+    if n > config.n_max:
+        raise ValueError(f"context length {n} exceeds n_max={config.n_max}")
     tok = np.zeros((config.d_s, b, t))
     tok[:n_r, :, 0::2] = np.moveaxis(ys.real, -1, 0)
     tok[n_r : 2 * n_r, :, 0::2] = np.moveaxis(ys.imag, -1, 0)
@@ -139,21 +130,6 @@ def build_tokens(config: ModelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndar
         tok[:n_t, :, 1::2] = np.moveaxis(xs[:, :n].real, -1, 0)
         tok[n_t : 2 * n_t, :, 1::2] = np.moveaxis(xs[:, :n].imag, -1, 0)
     return tok
-
-
-def tokens_from_context(config: ModelConfig, context: ContextSet, y: np.ndarray) -> np.ndarray:
-    """Single-instance token matrix (d_s, 1, 2N+1)."""
-    n = len(context)
-    if n > config.n_max:
-        raise ValueError(f"context length {n} exceeds n_max={config.n_max}")
-    y = np.asarray(y, dtype=complex)
-    xs = np.zeros((1, n + 1, context.xs.shape[1]), dtype=complex)
-    ys = np.zeros((1, n + 1, y.size), dtype=complex)
-    if n:
-        xs[0, :n] = context.xs
-        ys[0, :n] = context.ys
-    ys[0, n] = y
-    return build_tokens(config, xs, ys)
 
 
 # ---------------------------------------------------------------------------
@@ -263,55 +239,3 @@ def forward_batch(
     ev = est.value
     cplx = (ev[:n_t] + 1j * ev[n_t:]).transpose(1, 2, 0)
     return probs.value, cplx
-
-
-# ---------------------------------------------------------------------------
-# single-instance operations
-# ---------------------------------------------------------------------------
-
-
-def embed(params: dict, config: ModelConfig, context: ContextSet, y: np.ndarray) -> np.ndarray:
-    """Embedded token matrix (d_e, 2N+1) including positional columns."""
-    tokens = tokens_from_context(config, context, y)
-    e = params["embed"] @ tokens[:, 0, :]
-    if config.use_positional:
-        e = e + params["pos"][:, : e.shape[1]]
-    return e
-
-
-def attention_layer(
-    e_prev: np.ndarray, params: dict, config: ModelConfig, layer: int = 0
-) -> np.ndarray:
-    """Apply one attention + feed-forward layer to a (d_e, T) sequence."""
-    tape = Tape()
-    p = leaf_params(tape, params)
-    e = tape.constant(e_prev[:, None, :])
-    out = _attention_block(tape, p, config, layer, e)
-    return out.value[:, 0, :]
-
-
-def forward(
-    params: dict,
-    config: ModelConfig,
-    constellation: Constellation,
-    context: ContextSet,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Soft equalization of one query given its pilot context.
-
-    Returns ``(class_probs, soft_estimates)`` with shapes (N+1, n_classes)
-    and (N+1, n_t); row i is the prediction at the i-th received-signal
-    position (i context pairs visible), so the last row is the equalizer
-    output for ``y``.
-    """
-    tokens = tokens_from_context(config, context, y)
-    probs, est = forward_batch(params, config, constellation, tokens)
-    return probs[:, 0, :].T, est[0]
-
-
-def soft_estimate(probs: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Probability-weighted constellation average (posterior-mean form)."""
-    probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-6 or np.any(probs < -1e-12):
-        raise ValueError("probs must be a normalized distribution")
-    return probs @ constellation.joint

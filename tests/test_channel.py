@@ -7,15 +7,15 @@ import pytest
 
 from icleq.channel import (
     UNQUANTIZED,
+    ContextSet,
     Quantizer,
     Task,
     TaskDistributionSpec,
-    apply_channel,
     cell_bounds,
     log_likelihood,
     qam4_constellation,
     quantize,
-    sample_context,
+    sample_pairs,
     sample_task,
     snr_of,
 )
@@ -155,22 +155,15 @@ class TestApplyChannel:
     def test_noiseless_unquantized_limit(self):
         t = self._task(sigma2=1e-30)
         c = qam4_constellation(2)
-        x = c.joint[5]
-        y = apply_channel(t, UNQUANTIZED, x, RngStream(16))
-        np.testing.assert_allclose(y, t.h @ x, atol=1e-12)
+        xs, ys, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 16, RngStream(16))
+        np.testing.assert_allclose(ys, xs @ t.h.T, atol=1e-12)
 
     def test_noise_power(self):
         t = self._task(sigma2=0.25)
         c = qam4_constellation(2)
-        x = c.joint[3]
-        rng = RngStream(17)
-        n = 100_000
-        ys = np.array([apply_channel(t, UNQUANTIZED, x, rng.derive(i)) for i in range(200)])
-        # vectorized check on the same law via sample_context
-        from icleq.channel import sample_context
-
-        ctx = sample_context(t, UNQUANTIZED, c, n, RngStream(18))
-        err = ctx.ys - ctx.xs @ t.h.T
+        _, ys, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 200, RngStream(17))
+        xs, big, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 100_000, RngStream(18))
+        err = big - xs @ t.h.T
         power = np.mean(np.sum(np.abs(err) ** 2, axis=1))
         assert abs(power - t.n_r * t.sigma2) < 0.02 * t.n_r * t.sigma2
         assert ys.shape == (200, 2)
@@ -180,11 +173,21 @@ class TestApplyChannel:
         c = qam4_constellation(2)
         q = Quantizer(bits=4)
         levels = q.levels()
-        rng = RngStream(19)
-        for i in range(50):
-            y = apply_channel(t, q, c.joint[i % 16], rng.derive(i))
-            for v in np.concatenate([y.real, y.imag]):
-                assert np.min(np.abs(levels - v)) < 1e-12
+        _, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 50, RngStream(19))
+        for v in np.concatenate([ys.real, ys.imag]).ravel():
+            assert np.min(np.abs(levels - v)) < 1e-12
+
+    def test_stacked_channels_get_their_own_noise_power(self):
+        """A (B, n_r, n_t) stack with one noise power per channel."""
+        c = qam4_constellation(2)
+        hs = RngStream(20).complex_normal((3, 2, 2))
+        s2 = np.array([0.1, 1.0, 10.0])
+        xs, ys, idx = sample_pairs(hs, s2, UNQUANTIZED, c, 4000, RngStream(21))
+        assert xs.shape == (3, 4000, 2) and ys.shape == (3, 4000, 2) and idx.shape == (3, 4000)
+        np.testing.assert_array_equal(xs, c.joint[idx])
+        err = ys - np.einsum("brt,bnt->bnr", hs, xs)
+        power = np.mean(np.sum(np.abs(err) ** 2, axis=2), axis=1)
+        np.testing.assert_allclose(power, 2 * s2, rtol=0.1)
 
 
 class TestLogLikelihood:
@@ -215,8 +218,8 @@ class TestLogLikelihood:
         c = qam4_constellation(2)
         q = Quantizer(bits=1)
         t = Task(h=RngStream(22).complex_normal((2, 2)), sigma2=0.3)
-        x = c.joint[9]
-        y = apply_channel(t, q, x, RngStream(23))
+        xs, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 1, RngStream(23))
+        x, y = xs[0], ys[0]
         assert abs(log_likelihood(t, q, x, y) - log_likelihood(t, q, -x, -y)) < 1e-12
 
     def test_off_grid_observation_rejected(self):
@@ -231,14 +234,16 @@ class TestLogLikelihood:
         c = qam4_constellation(2)
         q = Quantizer(bits=10)
         t = Task(h=RngStream(24).complex_normal((2, 2)), sigma2=0.5)
-        rng = RngStream(25)
-        for i in range(20):
-            x = c.joint[int(rng.derive(i).integers(0, 16))]
-            y = apply_channel(t, q, x, rng.derive(i, 1))
+        xs, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 20, RngStream(25))
+        for x, y in zip(xs, ys):
             lq = log_likelihood(t, q, x, y)
             lu = log_likelihood(t, UNQUANTIZED, x, y)
             want = lu + 2 * t.n_r * np.log(q.step)
             assert abs(lq - want) < 1e-3 * abs(want)
+
+
+def pilots(t, q, c, n, rng):
+    return ContextSet(*sample_pairs(t.h, t.sigma2, q, c, n, rng))
 
 
 class TestSampleContext:
@@ -249,14 +254,14 @@ class TestSampleContext:
 
     def test_empty(self):
         c, t = self._setup()
-        ctx = sample_context(t, UNQUANTIZED, c, 0, RngStream(27))
+        ctx = pilots(t, UNQUANTIZED, c, 0, RngStream(27))
         assert len(ctx) == 0
 
     def test_paper_context_length_and_uniform_marginal(self):
         c, t = self._setup()
-        ctx = sample_context(t, Quantizer(bits=4), c, 20, RngStream(28))
+        ctx = pilots(t, Quantizer(bits=4), c, 20, RngStream(28))
         assert len(ctx) == 20
-        big = sample_context(t, Quantizer(bits=4), c, 100_000, RngStream(29))
+        big = pilots(t, Quantizer(bits=4), c, 100_000, RngStream(29))
         counts = np.bincount(big.x_idx, minlength=16)
         expected = len(big) / 16
         chi2 = np.sum((counts - expected) ** 2 / expected)
@@ -265,7 +270,7 @@ class TestSampleContext:
 
     def test_determinism(self):
         c, t = self._setup()
-        a = sample_context(t, Quantizer(bits=3), c, 10, RngStream(30, 5))
-        b = sample_context(t, Quantizer(bits=3), c, 10, RngStream(30, 5))
+        a = pilots(t, Quantizer(bits=3), c, 10, RngStream(30, 5))
+        b = pilots(t, Quantizer(bits=3), c, 10, RngStream(30, 5))
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.ys, b.ys)

@@ -10,7 +10,7 @@ from icleq.channel import (
     empty_context,
     qam4_constellation,
     quantize,
-    sample_context,
+    sample_pairs,
     sample_task,
 )
 from icleq.estimators import (
@@ -23,7 +23,6 @@ from icleq.estimators import (
     input_posterior,
     lmmse_known_task,
     mmse_known_task,
-    mmse_known_task_batch,
 )
 from icleq.numerics import logsumexp
 from icleq.rng import RngStream, standard_complex_normal
@@ -35,6 +34,39 @@ SPEC22 = TaskDistributionSpec(2, 2, -10.0, -10.0)
 def rand_task(seed, sigma2=0.1, n_r=2, n_t=2):
     h = RngStream(seed, 1000).complex_normal((n_r, n_t))
     return Task(h=h, sigma2=sigma2)
+
+
+def pilots(t, q, c, n, rng):
+    return ContextSet(*sample_pairs(t.h, t.sigma2, q, c, n, rng))
+
+
+class TestObservationShapes:
+    """Every estimator takes one observation (n_r,) or a stack (n, n_r);
+    row i of a stacked call equals the call on observation i."""
+
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_stack_matches_rows(self, bits):
+        q = Quantizer(bits=bits)
+        t = rand_task(60)
+        ctx = pilots(t, q, C2, 6, RngStream(61))
+        _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
+        prior = ChannelPrior.discrete(standard_complex_normal(RngStream(63), (4, 2, 2)))
+        estimators = {
+            "input_posterior": lambda y: input_posterior(t, q, C2, y),
+            "mmse_known": lambda y: mmse_known_task(t, q, C2, y),
+            "lmmse": lambda y: lmmse_known_task(t, y),
+            "bayes_discrete": lambda y: bayes_mmse_discrete(prior, t.sigma2, q, C2, ctx, y),
+            "bayes_mc": lambda y: bayes_mmse_continuous_mc(
+                t.sigma2, q, C2, ctx, y, 256, RngStream(64)
+            )[0],
+        }
+        if bits is None:
+            estimators["bayes_exact"] = lambda y: bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
+        for name, est in estimators.items():
+            stacked = est(ys)
+            rows = np.array([est(y) for y in ys])
+            assert stacked.shape == rows.shape and rows.ndim == 2, name
+            np.testing.assert_allclose(stacked, rows, atol=1e-12, err_msg=name)
 
 
 class TestInputPosterior:
@@ -147,15 +179,15 @@ class TestMmseKnownTask:
         d = []
         for i in range(100):
             t = sample_task(SPEC22, rng.derive(i))
-            ctx = sample_context(t, q, C2, 20, rng.derive(i, 1))
+            ctx = pilots(t, q, C2, 20, rng.derive(i, 1))
             xs = C2.joint[np.asarray(rng.derive(i, 2).integers(0, 16, size=20))]
             noise = standard_complex_normal(rng.derive(i, 3), size=(20, 2))
             raw = xs @ t.h.T + noise * np.sqrt(t.sigma2)
             _, re = quantize(q, raw.real)
             _, im = quantize(q, raw.imag)
             ys = re + 1j * im
-            mm = mmse_known_task_batch(t, q, C2, ys)
-            lm = lmmse_known_task(t, ys, 2)
+            mm = mmse_known_task(t, q, C2, ys)
+            lm = lmmse_known_task(t, ys)
             d.append(
                 np.sum(np.abs(mm - xs) ** 2, axis=1)
                 - np.sum(np.abs(lm - xs) ** 2, axis=1)
@@ -173,20 +205,20 @@ class TestLmmse:
         want = np.linalg.solve(
             2 * t.sigma2 * np.eye(2) + t.h.conj().T @ t.h, t.h.conj().T @ y
         )
-        np.testing.assert_allclose(lmmse_known_task(t, y, 2), want, atol=1e-13)
+        np.testing.assert_allclose(lmmse_known_task(t, y), want, atol=1e-13)
 
     def test_identity_channel_reduction(self):
         t = Task(h=np.eye(2, dtype=complex), sigma2=0.25)
         y = np.array([1.0 + 2.0j, -0.5 + 0.1j])
         np.testing.assert_allclose(
-            lmmse_known_task(t, y, 2), y / (1 + 2 * t.sigma2), atol=1e-13
+            lmmse_known_task(t, y), y / (1 + 2 * t.sigma2), atol=1e-13
         )
 
     def test_zero_forcing_limit(self):
         t = rand_task(10, sigma2=1e-12)
         y = standard_complex_normal(RngStream(11), size=2)
         np.testing.assert_allclose(
-            lmmse_known_task(t, y, 2), np.linalg.solve(t.h, y), atol=1e-6
+            lmmse_known_task(t, y), np.linalg.solve(t.h, y), atol=1e-6
         )
 
 
@@ -199,7 +231,7 @@ class TestChannelPosteriorWeights:
     def test_reorder_invariance(self):
         q = Quantizer(bits=4)
         t = rand_task(13)
-        ctx = sample_context(t, q, C2, 10, RngStream(14))
+        ctx = pilots(t, q, C2, 10, RngStream(14))
         prior = ChannelPrior.discrete(standard_complex_normal(RngStream(15), (4, 2, 2)))
         w = channel_log_posterior_weights(prior, t.sigma2, q, ctx)
         perm = RngStream(16)._gen.permutation(10)
@@ -218,7 +250,7 @@ class TestChannelPosteriorWeights:
             h1 = standard_complex_normal(rng.derive(i, 0), (2, 2))
             h2 = standard_complex_normal(rng.derive(i, 1), (2, 2))
             t = Task(h=h1, sigma2=0.1)
-            ctx = sample_context(t, q, C2, 20, rng.derive(i, 2))
+            ctx = pilots(t, q, C2, 20, rng.derive(i, 2))
             prior = ChannelPrior.discrete(np.stack([h1, h2]))
             lw = channel_log_posterior_weights(prior, t.sigma2, q, ctx)
             w = np.exp(lw - logsumexp(lw))
@@ -230,7 +262,7 @@ class TestBayesMmseDiscrete:
     def test_single_channel_collapse(self):
         q = Quantizer(bits=3)
         t = rand_task(18)
-        ctx = sample_context(t, q, C2, 20, RngStream(19))
+        ctx = pilots(t, q, C2, 20, RngStream(19))
         prior = ChannelPrior.discrete(t.h[None])
         rng = RngStream(20)
         for i in range(5):
@@ -256,7 +288,7 @@ class TestBayesMmseDiscrete:
         t = Task(h=standard_complex_normal(rng, (2, 2)), sigma2=0.01)
         others = standard_complex_normal(rng, (7, 2, 2))
         prior = ChannelPrior.discrete(np.concatenate([t.h[None], others]))
-        ctx = sample_context(t, q, C2, 20, rng.derive(1))
+        ctx = pilots(t, q, C2, 20, rng.derive(1))
         y = ctx.ys[0]
         a = bayes_mmse_discrete(prior, t.sigma2, q, C2, ctx, y)
         b = mmse_known_task(t, q, C2, y)
@@ -276,7 +308,7 @@ class TestBayesMmseContinuousMc:
     def test_k_equal_one_degenerates_to_single_channel(self):
         rng = RngStream(26)
         t = rand_task(27)
-        ctx = sample_context(t, UNQUANTIZED, C2, 4, rng)
+        ctx = pilots(t, UNQUANTIZED, C2, 4, rng)
         y = standard_complex_normal(rng, size=2)
         draw_rng = rng.derive(9)
         est, ess = bayes_mmse_continuous_mc(
@@ -293,7 +325,7 @@ class TestBayesMmseContinuousMc:
         errs = {10: [], 14: []}
         for trial in range(12):
             t = sample_task(SPEC22, rng.derive(trial))
-            ctx = sample_context(t, UNQUANTIZED, C2, 4, rng.derive(trial, 1))
+            ctx = pilots(t, UNQUANTIZED, C2, 4, rng.derive(trial, 1))
             y = ctx.ys[0]
             ref = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
             for lk in errs:
@@ -320,7 +352,7 @@ class TestGaussianExactOracle:
     def test_concentrates_to_known_task_mmse(self):
         rng = RngStream(30)
         t = Task(h=standard_complex_normal(rng, (2, 2)), sigma2=0.01)
-        ctx = sample_context(t, UNQUANTIZED, C2, 64, rng.derive(1))
+        ctx = pilots(t, UNQUANTIZED, C2, 64, rng.derive(1))
         ys = standard_complex_normal(rng.derive(2), size=(10, 2))
         for y in ys:
             a = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
@@ -340,7 +372,7 @@ class TestGaussianExactOracle:
     def test_rotation_equivariance_through_context(self):
         rng = RngStream(31)
         t = rand_task(32, sigma2=0.2)
-        ctx = sample_context(t, UNQUANTIZED, C2, 6, rng)
+        ctx = pilots(t, UNQUANTIZED, C2, 6, rng)
         y = standard_complex_normal(rng, size=2)
         base = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
         u = np.array([1j, -1.0])
@@ -355,7 +387,7 @@ class TestGaussianExactOracle:
         rng = RngStream(34)
         sigma2 = 0.5
         t = Task(h=standard_complex_normal(rng, (2, 1)), sigma2=sigma2)
-        ctx = sample_context(t, UNQUANTIZED, c1, 3, rng.derive(1))
+        ctx = pilots(t, UNQUANTIZED, c1, 3, rng.derive(1))
         y = standard_complex_normal(rng.derive(2), size=2)
 
         nodes, weights = np.polynomial.hermite.hermgauss(150)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import icleq
 from icleq.channel import TaskDistributionSpec, qam4_constellation
-from icleq.estimators import mmse_known_task_batch
+from icleq.estimators import mmse_known_task
 from icleq.experiments import (
     CSV_HEADER,
     Equalizer,
@@ -63,6 +70,14 @@ class TestEvalSet:
         assert a.draw_hash() == b.draw_hash()
         np.testing.assert_array_equal(a.test_ys, b.test_ys)
 
+    @pytest.mark.parametrize(
+        "bits, digest",
+        [(1, "66fdc94a2bbd1fc8"), (4, "48661465313ef30f"), (None, "6a27cd32b2c582e9")],
+    )
+    def test_draw_hash_pinned(self, bits, digest):
+        """Any change of the evaluation draw order must be a deliberate re-pin."""
+        assert EvalSet.build(small_protocol(bits=bits)).draw_hash() == digest
+
     def test_seed_changes_draws(self):
         a = EvalSet.build(small_protocol())
         b = EvalSet.build(small_protocol(seed=4))
@@ -78,6 +93,32 @@ class TestEvalSet:
         )
         with pytest.raises(AssertionError):
             assert_test_isolation(ev, bad)
+
+    def test_isolation_check_runs_under_optimize_flag(self):
+        code = textwrap.dedent(
+            """
+            from icleq.channel import TaskDistributionSpec
+            from icleq.experiments import EvalProtocol, EvalSet, assert_test_isolation
+            from icleq.training import PretrainTaskSet
+
+            spec = TaskDistributionSpec(2, 2, -10.0, -10.0)
+            ev = EvalSet.build(EvalProtocol(n_test_tasks=2, n_context=1, tasks=spec, seed=3))
+            try:
+                assert_test_isolation(ev, PretrainTaskSet(hs=ev.hs, sigma2s=ev.sigma2s))
+            except AssertionError:
+                raise SystemExit(0)
+            raise SystemExit("collision not reported")
+            """
+        )
+        src = str(Path(icleq.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestEvaluate:
@@ -125,7 +166,7 @@ class TestEvaluate:
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
         errs = per_draw_errors(Equalizer.mmse(), ev)
         for i in range(2):
-            est = mmse_known_task_batch(ev.task(i), ev.protocol.quantizer, C2, ev.test_ys[i])
+            est = mmse_known_task(ev.task(i), ev.protocol.quantizer, C2, ev.test_ys[i])
             want = np.sum(np.abs(est - ev.test_xs[i]) ** 2, axis=1)
             np.testing.assert_allclose(errs[i], want, atol=1e-12)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
+from icleq.channel import UNQUANTIZED, Constellation, qam4_constellation, sample_pairs
 from icleq.numerics import (
-    cmatmul,
-    gauss_cdf,
     hermitian,
     log_gauss_cell_prob,
     logsumexp,
@@ -22,30 +21,39 @@ LOG_CELL_30_31 = -454.32124395634325204
 LOG_CELL_NEAR_UNDERFLOW = -707.66900165397526425
 
 
+def noiseless(h, constellation, n, seed):
+    """Noiseless unquantized channel uses: ys is exactly the product H x."""
+    return sample_pairs(h, 0.0, UNQUANTIZED, constellation, n, RngStream(seed))
+
+
 class TestComplexLinalg:
+    """The complex channel product inside :func:`sample_pairs`."""
+
     def test_identity_product(self):
-        rng = RngStream(0)
-        h = standard_complex_normal(rng, size=(2, 2))
-        np.testing.assert_array_equal(cmatmul(np.eye(2), h), h)
+        xs, ys, _ = noiseless(np.eye(2), qam4_constellation(2), 8, 0)
+        np.testing.assert_array_equal(ys, xs)
 
     def test_i_squared(self):
-        out = cmatmul(np.array([[1j]]), np.array([[1j]]))
-        np.testing.assert_allclose(out, [[-1.0 + 0j]])
+        one_j = Constellation(n_t=1, per_antenna=np.array([1j]), joint=np.array([[1j]]))
+        _, ys, _ = noiseless(np.array([[1j]]), one_j, 1, 0)
+        np.testing.assert_allclose(ys, [[-1.0 + 0j]])
 
     def test_random_pair_matches_triple_loop(self):
+        """One channel and a stack of channels, against an explicit loop."""
         rng = RngStream(1)
-        a = standard_complex_normal(rng, size=(2, 2))
-        b = standard_complex_normal(rng, size=(2, 2))
-        ref = np.zeros((2, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
+        c = qam4_constellation(2)
+        for shape in ((2, 2), (3, 2, 2)):
+            h = standard_complex_normal(rng, size=shape)
+            xs, ys, _ = noiseless(h, c, 5, 2)
+            ref = np.zeros(ys.shape, dtype=complex)
+            for *lead, i, r in np.ndindex(ys.shape):
                 for k in range(2):
-                    ref[i, j] += a[i, k] * b[k, j]
-        np.testing.assert_allclose(cmatmul(a, b), ref, atol=1e-12)
+                    ref[(*lead, i, r)] += h[(*lead, r, k)] * xs[(*lead, i, k)]
+            np.testing.assert_allclose(ys, ref, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            cmatmul(np.zeros((2, 3)), np.zeros((2, 2)))
+            noiseless(np.zeros((2, 3)), qam4_constellation(2), 4, 0)
 
     def test_hermitian_real_diagonal(self):
         d = np.diag([1.0, 2.0]).astype(complex)
@@ -97,20 +105,25 @@ class TestSolveHpd:
             solve_hpd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
+def normal_cdf(x):
+    """Standard normal CDF as the mass of the cell (-inf, x]."""
+    return np.exp(log_gauss_cell_prob(-np.inf, x, 0.0, 1.0))
+
+
 class TestGaussCdf:
     def test_symmetry_at_zero(self):
-        assert gauss_cdf(0.0) == 0.5
+        assert normal_cdf(0.0) == 0.5
 
     def test_reflection_identity(self):
         x = np.linspace(-10, 10, 2001)
-        np.testing.assert_allclose(gauss_cdf(-x) + gauss_cdf(x), 1.0, atol=1e-14)
+        np.testing.assert_allclose(normal_cdf(-x) + normal_cdf(x), 1.0, atol=1e-14)
 
     def test_against_mpmath_value(self):
-        assert abs(gauss_cdf(1.96) - PHI_196) <= 1e-14
+        assert abs(normal_cdf(1.96) - PHI_196) <= 1e-14
 
     def test_monotone_on_dense_grid(self):
         x = np.linspace(-12, 12, 50_001)
-        assert np.all(np.diff(gauss_cdf(x)) >= 0)
+        assert np.all(np.diff(normal_cdf(x)) >= 0)
 
 
 class TestLogGaussCellProb:

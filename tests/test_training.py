@@ -3,10 +3,9 @@ import pytest
 
 from icleq.autodiff import GraphNumericsError
 from icleq.channel import (
-    Quantizer,
     TaskDistributionSpec,
     qam4_constellation,
-    sample_context,
+    sample_pairs,
 )
 from icleq.rng import RngStream
 from icleq.training import (
@@ -50,9 +49,23 @@ def tiny_cfg(**kw):
     return TrainConfig(**base)
 
 
+def one_class_batch(cfg, x, ctx_ys, y, b):
+    """b copies of one sequence whose inputs (pilots and test) all equal x."""
+    xs = np.tile(x, (b, cfg.n_context + 1, 1))
+    ys = np.tile(np.concatenate([ctx_ys, y[None]]), (b, 1, 1))
+    return TrainBatch.from_arrays(cfg.model, xs, ys)
+
+
 def tiny_batch(cfg, seed=1):
     ts = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, RngStream(seed))
     return sample_train_batch(ts, cfg, C2, RngStream(seed, 1))
+
+
+class TestTrainConfig:
+    def test_context_longer_than_n_max_rejected(self):
+        with pytest.raises(ValueError, match="n_context=5.*n_max=4"):
+            tiny_cfg(n_context=TINY.n_max + 1)
+        assert tiny_cfg(n_context=TINY.n_max).n_context == TINY.n_max
 
 
 class TestBatchLoss:
@@ -74,16 +87,11 @@ class TestBatchLoss:
         params["head.w"] = np.zeros_like(params["head.w"])
         params["head.b"] = np.zeros_like(params["head.b"])
         params["head.b"][7] = 200.0  # one-hot on class 7 everywhere
-        ctx_task = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(4)).task(0)
-        ctx = sample_context(ctx_task, cfg.quantizer, C2, cfg.n_context, RngStream(5))
+        t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(4)).task(0)
+        _, ctx_ys, _ = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(5))
+        # every input, pilots and test alike, is class 7
         x = C2.joint[7]
-        triples = [(ctx, x, ctx_task.h @ x) for _ in range(3)]
-        # contexts whose inputs are all class 7 as well
-        from icleq.channel import ContextSet
-
-        ctx7 = ContextSet(xs=np.tile(x, (cfg.n_context, 1)), ys=ctx.ys)
-        triples = [(ctx7, x, ctx_task.h @ x) for _ in range(3)]
-        batch = TrainBatch.from_pairs(cfg.model, triples)
+        batch = one_class_batch(cfg, x, ctx_ys, t.h @ x, 3)
         loss = batch_loss(params, cfg, batch, C2)
         assert loss < 1e-9
 
@@ -147,15 +155,10 @@ class TestGradient:
         params["head.w"] = np.zeros_like(params["head.w"])
         params["head.b"] = np.zeros_like(params["head.b"])
         params["head.b"][5] = 200.0
-        from icleq.channel import ContextSet
-
         x = C2.joint[5]
         t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(14)).task(0)
-        ctx = ContextSet(
-            xs=np.tile(x, (cfg.n_context, 1)),
-            ys=sample_context(t, cfg.quantizer, C2, cfg.n_context, RngStream(15)).ys,
-        )
-        batch = TrainBatch.from_pairs(cfg.model, [(ctx, x, t.h @ x)] * 2)
+        _, ctx_ys, _ = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(15))
+        batch = one_class_batch(cfg, x, ctx_ys, t.h @ x, 2)
         loss, grads = gradient(params, cfg, batch, C2)
         assert loss < 1e-9
         assert max(np.abs(g).max() for g in grads.values()) < 1e-8
@@ -271,6 +274,23 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda p: p.pop("head.b"), r"missing \['head.b'\]"),
+            (lambda p: p.__setitem__("bogus", np.zeros(3)), r"unexpected \['bogus'\]"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_tensor_set_mismatch_rejected(self, tmp_path, edit, message):
+        cfg = tiny_cfg()
+        params = init_params(cfg.model, RngStream(22))
+        edit(params)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg.model, str(path))
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
     def test_architecture_mismatch_rejected(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from icleq.autodiff import Tape
 from icleq.channel import (
     UNQUANTIZED,
     ContextSet,
@@ -8,19 +9,17 @@ from icleq.channel import (
     Task,
     empty_context,
     qam4_constellation,
-    sample_context,
+    sample_pairs,
 )
 from icleq.estimators import input_posterior, mmse_known_task
 from icleq.rng import RngStream
 from icleq.transformer import (
     ModelConfig,
-    attention_layer,
-    embed,
-    forward,
+    build_tokens,
+    forward_batch,
+    forward_graph,
     init_params,
-    realify,
-    soft_estimate,
-    tokens_from_context,
+    leaf_params,
 )
 
 C2 = qam4_constellation(2)
@@ -30,64 +29,115 @@ SMALL = ModelConfig(n_layers=2, n_heads=4, d_e=16, d_f=32, d_s=4, n_max=20, n_cl
 
 def make_context(seed, n, bits=4, sigma2=0.1):
     t = Task(h=RngStream(seed).complex_normal((2, 2)), sigma2=sigma2)
-    ctx = sample_context(t, Quantizer(bits=bits), C2, n, RngStream(seed, 1))
+    ctx = ContextSet(*sample_pairs(t.h, t.sigma2, Quantizer(bits=bits), C2, n, RngStream(seed, 1)))
     return t, ctx
 
 
+def tokens(config, context, y):
+    """Token batch of one sequence: the pilot pairs of ``context``, then ``y``."""
+    xs = np.concatenate([context.xs, np.zeros((1, context.xs.shape[1]))])[None]
+    ys = np.concatenate([context.ys, np.asarray(y, dtype=complex)[None]])[None]
+    return build_tokens(config, xs, ys)
+
+
+def run_model(params, config, context, y):
+    """Class probabilities (N+1, n_classes) and soft estimates (N+1, n_t),
+    one row per received-signal position; the last row is the output for y."""
+    probs, est = forward_batch(params, config, C2, tokens(config, context, y))
+    return probs[:, 0, :].T, est[0]
+
+
+def token_column(v, d_s=4):
+    """The token column of one observation vector."""
+    v = np.asarray(v, dtype=complex)
+    return build_tokens(TINY.replace(d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
+
+
+class HeadInputTape(Tape):
+    """Tape that keeps the operand of the readout head: the final hidden
+    sequence at every position."""
+
+    def matmul(self, a, b):
+        if a.name == "head.w":
+            self.hidden = b.value
+        return super().matmul(a, b)
+
+
+def hidden_states(params, config, tok):
+    """Final hidden sequence (d_e, B, T) of the model on a token batch."""
+    tape = HeadInputTape()
+    forward_graph(tape, leaf_params(tape, params), config, tok, C2)
+    return tape.hidden.reshape((config.d_e,) + tok.shape[1:])
+
+
+def first_layer(e, params, config):
+    """Layer 0 applied to a hidden sequence e (d_e, T): a one-layer model
+    whose embedding is the identity and which adds no positions."""
+    one_layer = config.replace(n_layers=1, d_s=config.d_e, use_positional=False)
+    p = dict(params, embed=np.eye(config.d_e))
+    return hidden_states(p, one_layer, e[:, None, :])[:, 0, :]
+
+
 class TestRealify:
+    """Token columns are [Re; Im] zero-padded to d_s."""
+
     def test_definition(self):
-        np.testing.assert_array_equal(realify(np.array([1 + 2j]), 4), [1, 2, 0, 0])
+        np.testing.assert_array_equal(token_column(np.array([1 + 2j])), [1, 2, 0, 0])
 
     def test_zero(self):
-        np.testing.assert_array_equal(realify(np.zeros(2, complex), 4), np.zeros(4))
+        np.testing.assert_array_equal(token_column(np.zeros(2, complex)), np.zeros(4))
 
     def test_no_padding_when_equal(self):
         v = np.array([1 + 2j, 3 - 4j])
-        np.testing.assert_array_equal(realify(v, 4), [1, 3, 2, -4])
+        np.testing.assert_array_equal(token_column(v), [1, 3, 2, -4])
 
     def test_too_long_rejected(self):
         with pytest.raises(ValueError):
-            realify(np.ones(3, complex), 4)
+            token_column(np.ones(3, complex))
 
 
 class TestEmbed:
+    """The embedded sequence, read as the hidden state of a zero-layer model."""
+
     def test_empty_context_single_token(self):
         params = init_params(TINY, RngStream(1))
         y = RngStream(2).complex_normal(2)
-        e = embed(params, TINY, empty_context(2, 2), y)
-        assert e.shape == (TINY.d_e, 1)
-        want = params["embed"] @ realify(y, 4) + params["pos"][:, 0]
-        np.testing.assert_allclose(e[:, 0], want, atol=1e-12)
+        e = hidden_states(params, TINY.replace(n_layers=0), tokens(TINY, empty_context(2, 2), y))
+        assert e.shape == (TINY.d_e, 1, 1)
+        want = params["embed"] @ token_column(y) + params["pos"][:, 0]
+        np.testing.assert_allclose(e[:, 0, 0], want, atol=1e-12)
 
     def test_twenty_pairs_make_41_tokens(self):
         params = init_params(SMALL, RngStream(3))
         _, ctx = make_context(4, 20)
         y = RngStream(5).complex_normal(2)
-        assert embed(params, SMALL, ctx, y).shape == (SMALL.d_e, 41)
+        e = hidden_states(params, SMALL.replace(n_layers=0), tokens(SMALL, ctx, y))
+        assert e.shape == (SMALL.d_e, 1, 41)
 
     def test_zero_embedding_without_positional(self):
-        cfg = TINY.replace(use_positional=False)
+        cfg = TINY.replace(use_positional=False, n_layers=0)
         params = init_params(cfg, RngStream(6))
         params["embed"] = np.zeros_like(params["embed"])
         _, ctx = make_context(7, 3)
         y = RngStream(8).complex_normal(2)
-        np.testing.assert_array_equal(embed(params, cfg, ctx, y), np.zeros((8, 7)))
+        np.testing.assert_array_equal(
+            hidden_states(params, cfg, tokens(cfg, ctx, y)), np.zeros((8, 1, 7))
+        )
 
     def test_context_too_long_rejected(self):
-        params = init_params(TINY, RngStream(9))
         _, ctx = make_context(10, TINY.n_max + 1)
-        with pytest.raises(ValueError):
-            embed(params, TINY, ctx, ctx.ys[0])
+        with pytest.raises(ValueError, match="n_max"):
+            tokens(TINY, ctx, ctx.ys[0])
 
     def test_interleaving_order(self):
         _, ctx = make_context(11, 2)
         y = RngStream(12).complex_normal(2)
-        tok = tokens_from_context(SMALL, ctx, y)[:, 0, :]
-        np.testing.assert_allclose(tok[:, 0], realify(ctx.ys[0], 4))
-        np.testing.assert_allclose(tok[:, 1], realify(ctx.xs[0], 4))
-        np.testing.assert_allclose(tok[:, 2], realify(ctx.ys[1], 4))
-        np.testing.assert_allclose(tok[:, 3], realify(ctx.xs[1], 4))
-        np.testing.assert_allclose(tok[:, 4], realify(y, 4))
+        tok = tokens(SMALL, ctx, y)[:, 0, :]
+        np.testing.assert_allclose(tok[:, 0], token_column(ctx.ys[0]))
+        np.testing.assert_allclose(tok[:, 1], token_column(ctx.xs[0]))
+        np.testing.assert_allclose(tok[:, 2], token_column(ctx.ys[1]))
+        np.testing.assert_allclose(tok[:, 3], token_column(ctx.xs[1]))
+        np.testing.assert_allclose(tok[:, 4], token_column(y))
 
 
 class TestAttentionLayer:
@@ -98,7 +148,7 @@ class TestAttentionLayer:
         params = init_params(cfg, RngStream(13))
         params["l0.w1"] = np.zeros_like(params["l0.w1"])  # silence the FFN branch
         e = RngStream(14).normal((cfg.d_e, 1))
-        out = attention_layer(e, params, cfg, 0)
+        out = first_layer(e, params, cfg)
         stacked = (params["l0.wv"].reshape(-1, cfg.d_e) @ e[:, 0]).reshape(-1)
         a = params["l0.wo"].T @ stacked
         np.testing.assert_allclose(out[:, 0], a + e[:, 0], atol=1e-12)
@@ -107,10 +157,10 @@ class TestAttentionLayer:
         cfg = SMALL
         params = init_params(cfg, RngStream(15))
         e = RngStream(16).normal((cfg.d_e, 9))
-        base = attention_layer(e, params, cfg, 0)
+        base = first_layer(e, params, cfg)
         e2 = e.copy()
         e2[:, 5:] += RngStream(17).normal((cfg.d_e, 4))
-        pert = attention_layer(e2, params, cfg, 0)
+        pert = first_layer(e2, params, cfg)
         np.testing.assert_allclose(pert[:, :5], base[:, :5], atol=1e-12)
         assert not np.allclose(pert[:, 5:], base[:, 5:])
 
@@ -118,10 +168,10 @@ class TestAttentionLayer:
         cfg = SMALL.replace(use_causal_mask=False)
         params = init_params(cfg, RngStream(18))
         e = RngStream(19).normal((cfg.d_e, 5))
-        base = attention_layer(e, params, cfg, 0)
+        base = first_layer(e, params, cfg)
         e2 = e.copy()
         e2[:, 4] += 1.0
-        pert = attention_layer(e2, params, cfg, 0)
+        pert = first_layer(e2, params, cfg)
         assert not np.allclose(pert[:, 0], base[:, 0])
 
 
@@ -131,7 +181,7 @@ class TestForward:
         for n in range(TINY.n_max + 1):
             _, ctx = make_context(21 + n, n)
             y = RngStream(22, n).complex_normal(2)
-            probs, est = forward(params, TINY, C2, ctx, y)
+            probs, est = run_model(params, TINY, ctx, y)
             assert probs.shape == (n + 1, 16)
             assert est.shape == (n + 1, 2)
             np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
@@ -140,7 +190,7 @@ class TestForward:
         params = init_params(SMALL, RngStream(23))
         _, ctx = make_context(24, 10)
         y = RngStream(25).complex_normal(2)
-        _, est = forward(params, SMALL, C2, ctx, y)
+        _, est = run_model(params, SMALL, ctx, y)
         m = np.abs(C2.joint.real).max()
         assert np.all(np.abs(est.real) <= m + 1e-12)
         assert np.all(np.abs(est.imag) <= m + 1e-12)
@@ -149,12 +199,10 @@ class TestForward:
         """Mean soft estimate over random inputs stays near zero at init."""
         params = init_params(SMALL, RngStream(26))
         rng = RngStream(27)
-        ests = []
-        for i in range(1000):
-            y = rng.derive(i).complex_normal(2)
-            _, est = forward(params, SMALL, C2, empty_context(2, 2), y)
-            ests.append(est[-1])
-        mean = np.mean(ests, axis=0)
+        ys = np.array([rng.derive(i).complex_normal(2) for i in range(1000)])[:, None, :]
+        tok = build_tokens(SMALL, np.zeros((1000, 1, 2)), ys)
+        _, est = forward_batch(params, SMALL, C2, tok)
+        mean = np.mean(est[:, -1], axis=0)
         assert np.linalg.norm(mean) <= 0.1
 
     def test_causality_position_by_position(self):
@@ -162,7 +210,7 @@ class TestForward:
         n = 6
         _, ctx = make_context(29, n)
         y = RngStream(30).complex_normal(2)
-        base_probs, _ = forward(params, SMALL, C2, ctx, y)
+        base_probs, _ = run_model(params, SMALL, ctx, y)
         rng = RngStream(31)
         for i in range(n):
             # perturb everything after pair i; positions 0..i must not move
@@ -170,7 +218,7 @@ class TestForward:
             ys = ctx.ys.copy()
             xs[i:] = C2.joint[np.asarray(rng.derive(i).integers(0, 16, size=n - i))]
             ys[i:] += rng.derive(i, 1).complex_normal((n - i, 2))
-            probs, _ = forward(params, SMALL, C2, ContextSet(xs=xs, ys=ys), y)
+            probs, _ = run_model(params, SMALL, ContextSet(xs=xs, ys=ys), y)
             np.testing.assert_allclose(probs[:i], base_probs[:i], atol=1e-12)
 
     def test_pair_permutation_invariance_without_mask_or_positions(self):
@@ -178,10 +226,10 @@ class TestForward:
         params = init_params(cfg, RngStream(32))
         _, ctx = make_context(33, 8)
         y = RngStream(34).complex_normal(2)
-        base_probs, base_est = forward(params, cfg, C2, ctx, y)
+        base_probs, base_est = run_model(params, cfg, ctx, y)
         perm = RngStream(35)._gen.permutation(8)
         ctx2 = ContextSet(xs=ctx.xs[perm], ys=ctx.ys[perm])
-        probs, est = forward(params, cfg, C2, ctx2, y)
+        probs, est = run_model(params, cfg, ctx2, y)
         np.testing.assert_allclose(probs[-1], base_probs[-1], atol=1e-9)
         np.testing.assert_allclose(est[-1], base_est[-1], atol=1e-9)
 
@@ -189,30 +237,26 @@ class TestForward:
         params = init_params(SMALL, RngStream(36))
         _, ctx = make_context(37, 5)
         y = RngStream(38).complex_normal(2)
-        p1, e1 = forward(params, SMALL, C2, ctx, y)
-        p2, e2 = forward(params, SMALL, C2, ctx, y)
+        p1, e1 = run_model(params, SMALL, ctx, y)
+        p2, e2 = run_model(params, SMALL, ctx, y)
         assert np.array_equal(p1, p2) and np.array_equal(e1, e2)
 
 
 class TestSoftEstimate:
+    """The soft estimate is the probability-weighted constellation average."""
+
     def test_one_hot_recovers_constellation_point(self):
         probs = np.zeros(16)
         probs[9] = 1.0
-        np.testing.assert_array_equal(soft_estimate(probs, C2), C2.joint[9])
+        np.testing.assert_array_equal(probs @ C2.joint, C2.joint[9])
 
     def test_uniform_gives_zero(self):
-        np.testing.assert_allclose(
-            soft_estimate(np.full(16, 1 / 16), C2), np.zeros(2), atol=1e-15
-        )
+        np.testing.assert_allclose(np.full(16, 1 / 16) @ C2.joint, np.zeros(2), atol=1e-15)
 
     def test_exact_posterior_reproduces_mmse(self):
         t, _ = make_context(39, 0)
         y = RngStream(40).complex_normal(2)
         probs = input_posterior(t, UNQUANTIZED, C2, y)
-        a = soft_estimate(probs, C2)
+        a = probs @ C2.joint
         b = mmse_known_task(t, UNQUANTIZED, C2, y)
         np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            soft_estimate(np.full(16, 0.1), C2)
