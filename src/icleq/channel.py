@@ -42,20 +42,21 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+RANGE_LO = -4.0
+RANGE_HI = 4.0
+
+
 @dataclass(frozen=True)
 class Quantizer:
-    """Mid-rise uniform quantizer with ``2**bits`` levels; ``bits=None`` is a
-    pass-through (unquantized receiver)."""
+    """Mid-rise uniform quantizer with ``2**bits`` levels on
+    [RANGE_LO, RANGE_HI]; ``bits=None`` is a pass-through (unquantized
+    receiver)."""
 
     bits: int | None
-    range_lo: float = -4.0
-    range_hi: float = 4.0
 
     def __post_init__(self):
         if self.bits is not None and self.bits < 1:
             raise ValueError("bits must be >= 1 or None")
-        if not self.range_lo < self.range_hi:
-            raise ValueError("range_lo must be below range_hi")
 
     @property
     def quantized(self) -> bool:
@@ -69,12 +70,12 @@ class Quantizer:
 
     @property
     def step(self) -> float:
-        return (self.range_hi - self.range_lo) / self.n_levels
+        return (RANGE_HI - RANGE_LO) / self.n_levels
 
     def levels(self) -> np.ndarray:
         """All output levels, midpoints of the cells."""
         k = np.arange(self.n_levels)
-        return self.range_lo + self.step * (k + 0.5)
+        return RANGE_LO + self.step * (k + 0.5)
 
 
 UNQUANTIZED = Quantizer(bits=None)
@@ -93,8 +94,8 @@ def quantize(q: Quantizer, v):
             return -1, float(v)
         return idx, v.copy()
     step = q.step
-    idx = np.clip(np.floor((v - q.range_lo) / step), 0, q.n_levels - 1).astype(int)
-    val = q.range_lo + step * (idx + 0.5)
+    idx = np.clip(np.floor((v - RANGE_LO) / step), 0, q.n_levels - 1).astype(int)
+    val = RANGE_LO + step * (idx + 0.5)
     if v.ndim == 0:
         return int(idx), float(val)
     return idx, val
@@ -108,7 +109,7 @@ def cell_bounds(q: Quantizer, level_index: int) -> tuple[float, float]:
     if not 0 <= level_index < q.n_levels:
         raise ValueError(f"level index {level_index} out of range [0, {q.n_levels})")
     step = q.step
-    lo = q.range_lo + level_index * step
+    lo = RANGE_LO + level_index * step
     hi = lo + step
     if level_index == 0:
         lo = -np.inf
@@ -124,9 +125,9 @@ def level_index_of(q: Quantizer, v) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     step = q.step
-    idx = np.rint((v - q.range_lo) / step - 0.5).astype(int)
+    idx = np.rint((v - RANGE_LO) / step - 0.5).astype(int)
     ok = (idx >= 0) & (idx < q.n_levels)
-    ok &= np.abs(q.range_lo + step * (idx + 0.5) - v) <= 1e-9
+    ok &= np.abs(RANGE_LO + step * (idx + 0.5) - v) <= 1e-9
     if not np.all(ok):
         raise ValueError("value not on a quantizer output level")
     return idx
@@ -321,7 +322,7 @@ def observation_cells(q: Quantizer, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     y_ri = realify_obs(np.asarray(y, dtype=complex))
     idx = level_index_of(q, y_ri)
     step = q.step
-    lo = q.range_lo + idx * step
+    lo = RANGE_LO + idx * step
     hi = lo + step
     lo = np.where(idx == 0, -np.inf, lo)
     hi = np.where(idx == q.n_levels - 1, np.inf, hi)

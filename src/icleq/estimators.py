@@ -7,10 +7,10 @@ Four estimators of the transmitted vector x from a received y:
 * :func:`lmmse_known_task` - the linear MMSE solution derived under a
   Gaussian input assumption, ignoring the quantizer.
 * :func:`bayes_mmse_discrete` - channel unknown but drawn from a known
-  finite set: mixes per-channel MMSE estimates under the channel posterior
-  given the pilot context.
+  finite set: posterior mean under the joint posterior over (channel,
+  input) given the pilots and y.
 * :func:`bayes_mmse_continuous_mc` - channel prior is the true continuous
-  CN(0,1) law; the channel posterior average is approximated by
+  CN(0,1) law; the same joint posterior mean is approximated by
   self-normalized importance sampling with the prior as proposal.
 
 :func:`bayes_mmse_gaussian_exact` closes the loop for validation: with an
@@ -48,7 +48,8 @@ __all__ = [
 
 
 class DegenerateEvidenceError(ValueError):
-    """Every candidate input has zero likelihood for the observation."""
+    """Zero evidence: every candidate input has zero likelihood for the
+    observation, or every channel has zero likelihood for the pilots."""
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,44 @@ class ChannelPrior:
 
 
 # ---------------------------------------------------------------------------
+# joint channel-and-input posterior
+# ---------------------------------------------------------------------------
+
+
+def _joint_input_posterior(
+    channels: np.ndarray,
+    log_w: np.ndarray,
+    sigma2,
+    q: Quantizer,
+    constellation: Constellation,
+    y: np.ndarray,
+    prune_tol: float = 0.0,
+) -> np.ndarray:
+    """P(x | y) over the joint input set, rows (..., n_joint) summing to 1.
+
+    ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
+    input, then summed over channels.  Channels whose normalized weight is at
+    most ``prune_tol`` are skipped (the largest is kept if none passes).
+    """
+    y = np.asarray(y, dtype=complex)
+    total = logsumexp(log_w)
+    if np.isneginf(total):
+        raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
+    log_w = log_w - total
+    keep = np.exp(log_w) > prune_tol
+    if not np.any(keep):
+        keep = log_w == log_w.max()
+    means = constellation.joint @ np.swapaxes(channels[keep], -1, -2)  # (Mk, C, n_r)
+    ll = loglik_means(q, means, sigma2, y[..., None, None, :])  # (..., Mk, C)
+    ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
+    norm = logsumexp(ll, axis=-1)
+    if np.any(np.isneginf(norm)):
+        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
+    probs = np.exp(ll - np.asarray(norm)[..., None])
+    return probs.reshape(y.shape[:-1] + means.shape[:2]).sum(axis=-2)
+
+
+# ---------------------------------------------------------------------------
 # known-task MMSE and LMMSE
 # ---------------------------------------------------------------------------
 
@@ -75,13 +114,7 @@ def input_posterior(
 ) -> np.ndarray:
     """Posterior over the joint input set given y, uniform input prior;
     rows (..., n_joint) sum to 1."""
-    y = np.asarray(y, dtype=complex)
-    means = constellation.joint @ task.h.T  # (n_joint, n_r)
-    ll = loglik_means(q, means, task.sigma2, y[..., None, :])  # (..., n_joint)
-    norm = logsumexp(ll, axis=-1)
-    if np.any(np.isneginf(norm)):
-        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
-    return np.exp(ll - np.asarray(norm)[..., None])
+    return _joint_input_posterior(task.h[None], np.zeros(1), task.sigma2, q, constellation, y)
 
 
 def mmse_known_task(
@@ -105,62 +138,22 @@ def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# channel-posterior mixtures
+# Bayesian channel-prior references
 # ---------------------------------------------------------------------------
 
 
-def _context_log_weights(
+def channel_log_posterior_weights(
     channels: np.ndarray, sigma2, q: Quantizer, context: ContextSet
 ) -> np.ndarray:
-    """Unnormalized log posterior weight of each channel given the context."""
+    """Unnormalized log posterior weight of each channel of an (M, n_r, n_t)
+    stack given the context: prior uniform over the stack, likelihood the
+    product over context pairs.  Caller normalizes (e.g. via logsumexp)."""
     m = channels.shape[0]
     if len(context) == 0:
         return np.zeros(m)
     means = np.einsum("mrt,nt->mnr", channels, context.xs)  # (M, N, n_r)
     ll = loglik_means(q, means, sigma2, context.ys[None, :, :])  # (M, N)
     return np.sum(ll, axis=1)
-
-
-def channel_log_posterior_weights(
-    prior: ChannelPrior, sigma2: float, q: Quantizer, context: ContextSet
-) -> np.ndarray:
-    """Log weights of Eq.-style channel posterior: prior uniform over the
-    stored channels, likelihood the product over context pairs.  Caller
-    normalizes (e.g. via logsumexp)."""
-    return _context_log_weights(prior.channels, sigma2, q, context)
-
-
-def _mixture_estimate(
-    channels: np.ndarray,
-    weights: np.ndarray,
-    sigma2,
-    q: Quantizer,
-    constellation: Constellation,
-    y: np.ndarray,
-    prune_tol: float,
-) -> np.ndarray:
-    """Posterior-weighted average of per-channel MMSE estimates.
-
-    Channels whose normalized weight is below ``prune_tol`` (or exactly
-    zero) are skipped; kept weights are renormalized.
-    """
-    y = np.asarray(y, dtype=complex)
-    ys = y.reshape(-1, y.shape[-1])
-    keep = weights > max(prune_tol, 0.0)
-    if not np.any(keep):
-        keep = weights == weights.max()
-    ch = channels[keep]
-    w = weights[keep]
-    w = w / w.sum()
-    means = np.einsum("mrt,ct->mcr", ch, constellation.joint)  # (Mk, C, n_r)
-    ll = loglik_means(
-        q, means[:, None, :, :], sigma2, ys[None, :, None, :]
-    )  # (Mk, n, C)
-    norm = logsumexp(ll, axis=2)
-    probs = np.exp(ll - norm[:, :, None])
-    est = probs @ constellation.joint  # (Mk, n, n_t)
-    est = np.einsum("m,mnt->nt", w, est)
-    return est.reshape(y.shape[:-1] + est.shape[-1:])
 
 
 def bayes_mmse_discrete(
@@ -172,11 +165,12 @@ def bayes_mmse_discrete(
     y: np.ndarray,
     prune_tol: float = 0.0,
 ) -> np.ndarray:
-    """MMSE equalizer under a uniform prior over stored channels:
-    channel-posterior average of per-channel MMSE estimates (exact)."""
-    lw = channel_log_posterior_weights(prior, sigma2, q, context)
-    w = np.exp(lw - logsumexp(lw))
-    return _mixture_estimate(prior.channels, w, sigma2, q, constellation, y, prune_tol)
+    """MMSE equalizer under a uniform prior over stored channels: posterior
+    mean under the joint posterior over (channel, input) given the pilots
+    and y (exact)."""
+    lw = channel_log_posterior_weights(prior.channels, sigma2, q, context)
+    probs = _joint_input_posterior(prior.channels, lw, sigma2, q, constellation, y, prune_tol)
+    return probs @ constellation.joint
 
 
 def bayes_mmse_continuous_mc(
@@ -192,20 +186,20 @@ def bayes_mmse_continuous_mc(
     """Importance-sampling approximation of the continuous-prior MMSE.
 
     Draws ``k`` channels from the CN(0,1) prior (the proposal), weights them
-    by the context likelihood, and averages the per-channel MMSE estimates.
-    Returns the estimates plus the effective sample size 1 / sum(w^2); a
-    small ESS means the context has concentrated the posterior far from the
-    prior and the estimate is noisy.
+    by the context likelihood, and returns the posterior mean under the
+    joint posterior over (drawn channel, input) given the pilots and y.
+    Also returns the effective sample size 1 / sum(w^2) of the pilot
+    weights; a small ESS means the context has concentrated the posterior
+    far from the prior and the estimate is noisy.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     n_r = np.shape(y)[-1]
     channels = standard_complex_normal(rng, size=(k, n_r, constellation.n_t))
-    lw = _context_log_weights(channels, sigma2, q, context)
-    w = np.exp(lw - logsumexp(lw))
-    ess = float(1.0 / np.sum(w**2))
-    est = _mixture_estimate(channels, w, sigma2, q, constellation, y, prune_tol)
-    return est, ess
+    lw = channel_log_posterior_weights(channels, sigma2, q, context)
+    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y, prune_tol)
+    ess = float(1.0 / np.sum(np.exp(lw - logsumexp(lw)) ** 2))
+    return probs @ constellation.joint, ess
 
 
 # ---------------------------------------------------------------------------

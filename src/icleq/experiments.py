@@ -237,8 +237,6 @@ def _draw_errors(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, li
     """Squared error of every draw (n_tasks, n_symbols) plus the per-task
     effective sample sizes of a Monte-Carlo reference."""
     p = evalset.protocol
-    if equalizer.kind == "bayes_exact" and p.quantizer.quantized:
-        raise ValueError("the conjugate reference requires an unquantized protocol")
     constellation = qam4_constellation(p.tasks.n_t)
     root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
     estimates = _TASK_ESTIMATES[equalizer.kind]

@@ -16,6 +16,7 @@ reproduces parameters bit for bit.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass, field, fields
 
@@ -415,8 +416,7 @@ def load_checkpoint(
         name = r.text()
         rank = r.u32()
         dims = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        count = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(r.take(8 * count), dtype="<f8").reshape(dims).copy()
+        arr = np.frombuffer(r.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
         params[name] = arr
     model_kw = {
         f.name: _parse_literal(entries[f"model.{f.name}"])

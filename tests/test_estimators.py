@@ -8,6 +8,7 @@ from icleq.channel import (
     Task,
     TaskDistributionSpec,
     empty_context,
+    log_likelihood,
     qam4_constellation,
     quantize,
     sample_pairs,
@@ -38,6 +39,12 @@ def rand_task(seed, sigma2=0.1, n_r=2, n_t=2):
 
 def pilots(t, q, c, n, rng):
     return ContextSet(*sample_pairs(t.h, t.sigma2, q, c, n, rng))
+
+
+def log_evidence(h, sigma2, q, y):
+    """log p(y | h) under the uniform input prior, up to the constant -log |X|."""
+    t = Task(h=h, sigma2=sigma2)
+    return logsumexp([log_likelihood(t, q, x, y) for x in C2.joint])
 
 
 class TestObservationShapes:
@@ -225,7 +232,9 @@ class TestLmmse:
 class TestChannelPosteriorWeights:
     def test_empty_context_keeps_prior(self):
         prior = ChannelPrior.discrete(standard_complex_normal(RngStream(12), (3, 2, 2)))
-        w = channel_log_posterior_weights(prior, 0.1, Quantizer(bits=4), empty_context(2, 2))
+        w = channel_log_posterior_weights(
+            prior.channels, 0.1, Quantizer(bits=4), empty_context(2, 2)
+        )
         np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_reorder_invariance(self):
@@ -233,10 +242,10 @@ class TestChannelPosteriorWeights:
         t = rand_task(13)
         ctx = pilots(t, q, C2, 10, RngStream(14))
         prior = ChannelPrior.discrete(standard_complex_normal(RngStream(15), (4, 2, 2)))
-        w = channel_log_posterior_weights(prior, t.sigma2, q, ctx)
+        w = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx)
         perm = RngStream(16)._gen.permutation(10)
         ctx2 = ContextSet(xs=ctx.xs[perm], ys=ctx.ys[perm])
-        w2 = channel_log_posterior_weights(prior, t.sigma2, q, ctx2)
+        w2 = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx2)
         np.testing.assert_allclose(w, w2, atol=1e-9)
 
     def test_posterior_consistency(self):
@@ -252,7 +261,7 @@ class TestChannelPosteriorWeights:
             t = Task(h=h1, sigma2=0.1)
             ctx = pilots(t, q, C2, 20, rng.derive(i, 2))
             prior = ChannelPrior.discrete(np.stack([h1, h2]))
-            lw = channel_log_posterior_weights(prior, t.sigma2, q, ctx)
+            lw = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx)
             w = np.exp(lw - logsumexp(lw))
             hits += w[0] >= 0.99
         assert hits >= 0.95 * trials
@@ -280,7 +289,38 @@ class TestBayesMmseDiscrete:
         got = bayes_mmse_discrete(prior, 0.1, UNQUANTIZED, C2, empty_context(2, 2), y)
         a = mmse_known_task(Task(h=t.h, sigma2=0.1), UNQUANTIZED, C2, y)
         b = mmse_known_task(Task(h=h2, sigma2=0.1), UNQUANTIZED, C2, y)
-        np.testing.assert_allclose(got, 0.5 * (a + b), atol=1e-12)
+        # without pilots each channel is weighted by the evidence p(y | h) alone
+        ev = np.exp([log_evidence(h, 0.1, UNQUANTIZED, y) for h in (t.h, h2)])
+        np.testing.assert_allclose(got, (ev[0] * a + ev[1] * b) / ev.sum(), atol=1e-12)
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("n_pilots", [0, 1, 3])
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_joint_enumeration(self, bits, n_pilots, m):
+        """Posterior mean over every (channel, input) pair, each weighted by
+        its pilot likelihood times p(y | x, h), built from the scalar
+        log_likelihood at 10 dB."""
+        q = Quantizer(bits=bits)
+        sigma2 = 0.1
+        rng = RngStream(90).derive(m, n_pilots)
+        channels = standard_complex_normal(rng.derive(0), (m, 2, 2))
+        t = Task(h=channels[0], sigma2=sigma2)
+        ctx = pilots(t, q, C2, n_pilots, rng.derive(1))
+        _, ys, _ = sample_pairs(t.h, sigma2, q, C2, 4, rng.derive(2))
+        got = bayes_mmse_discrete(ChannelPrior.discrete(channels), sigma2, q, C2, ctx, ys)
+        tasks = [Task(h=h, sigma2=sigma2) for h in channels]
+        pilot_ll = [
+            sum(log_likelihood(tm, q, x, y) for x, y in zip(ctx.xs, ctx.ys)) for tm in tasks
+        ]
+        for y, g in zip(ys, got):
+            logp = np.array(
+                [
+                    [lp + log_likelihood(tm, q, x, y) for x in C2.joint]
+                    for tm, lp in zip(tasks, pilot_ll)
+                ]
+            )  # (channel, input)
+            p = np.exp(logp - logsumexp(logp))
+            np.testing.assert_allclose(g, p.sum(axis=0) @ C2.joint, rtol=0, atol=1e-12)
 
     def test_concentrates_on_true_channel(self):
         q = Quantizer(bits=4)
@@ -296,6 +336,21 @@ class TestBayesMmseDiscrete:
 
 
 class TestBayesMmseContinuousMc:
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_equals_discrete_over_drawn_channels(self, bits):
+        """The IS estimate is the discrete-prior estimate over the channels
+        it drew, with the same pruning."""
+        q = Quantizer(bits=bits)
+        t = rand_task(35)
+        ctx = pilots(t, q, C2, 3, RngStream(36))
+        _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(37))
+        est, _ = bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(38))
+        channels = standard_complex_normal(RngStream(38), size=(64, 2, 2))
+        want = bayes_mmse_discrete(
+            ChannelPrior.discrete(channels), t.sigma2, q, C2, ctx, ys, prune_tol=1e-13
+        )
+        np.testing.assert_array_equal(est, want)
+
     def test_symmetry_without_context(self):
         rng = RngStream(25)
         y = standard_complex_normal(rng, size=2)
@@ -421,3 +476,23 @@ class TestDegenerateEvidence:
         y = np.array([1e200 + 0j, 0j])
         with pytest.raises((DegenerateEvidenceError, FloatingPointError)):
             input_posterior(t, UNQUANTIZED, C2, y)
+
+    def test_mixtures_raise_on_impossible_observation(self):
+        t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
+        y = np.array([1e200 + 0j, 0j])
+        ctx = empty_context(2, 2)
+        prior = ChannelPrior.discrete(np.stack([t.h, 2 * t.h]))
+        with pytest.raises(DegenerateEvidenceError):
+            bayes_mmse_discrete(prior, t.sigma2, UNQUANTIZED, C2, ctx, y)
+        with pytest.raises(DegenerateEvidenceError):
+            bayes_mmse_continuous_mc(t.sigma2, UNQUANTIZED, C2, ctx, y, 16, RngStream(39))
+
+    def test_mixtures_raise_on_impossible_pilots(self):
+        t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
+        ctx = ContextSet(xs=C2.joint[:1], ys=np.array([[1e200 + 0j, 0j]]))
+        y = np.zeros(2, dtype=complex)
+        prior = ChannelPrior.discrete(np.stack([t.h, 2 * t.h]))
+        with pytest.raises(DegenerateEvidenceError, match="pilots"):
+            bayes_mmse_discrete(prior, t.sigma2, UNQUANTIZED, C2, ctx, y)
+        with pytest.raises(DegenerateEvidenceError, match="pilots"):
+            bayes_mmse_continuous_mc(t.sigma2, UNQUANTIZED, C2, ctx, y, 16, RngStream(40))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -273,6 +275,21 @@ class TestCheckpoint:
         save_checkpoint(params, cfg.model, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(str(path))
+
+    def test_overflowing_dims_rejected(self, tmp_path):
+        """Dims whose product wraps in 64 bits still read as truncated."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint({"w": np.zeros((1, 1))}, cfg.model, str(path))
+        header = struct.pack("<H", 1) + b"w" + struct.pack("<I", 2)
+        raw = path.read_bytes()
+        assert raw.count(header + struct.pack("<2Q", 1, 1)) == 1
+        raw = raw.replace(
+            header + struct.pack("<2Q", 1, 1), header + struct.pack("<2Q", 2**32, 2**32)
+        )
+        path.write_bytes(raw)
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(str(path))
 
