@@ -25,7 +25,7 @@ from .numerics import (
     logsumexp,
     solve_hpd,
 )
-from .rng import RngStream, standard_complex_normal
+from .rng import RngStream
 
 __all__ = [
     "UNQUANTIZED",
@@ -46,7 +46,6 @@ __all__ = [
     "sample_task",
     "snr_of",
     "solve_hpd",
-    "standard_complex_normal",
 ]
 
 __version__ = "0.1.0"

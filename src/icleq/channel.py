@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import _log_cell_prob_std
-from .rng import RngStream, standard_complex_normal
+from .rng import RngStream
 
 __all__ = [
     "Quantizer",
@@ -230,7 +230,7 @@ def snr_of(task: Task) -> float:
 
 
 def sample_task(spec: TaskDistributionSpec, rng: RngStream) -> Task:
-    h = standard_complex_normal(rng, size=(spec.n_r, spec.n_t))
+    h = rng.complex_normal(size=(spec.n_r, spec.n_t))
     u = rng.uniform(spec.sigma2_db_min, spec.sigma2_db_max)
     return Task(h=h, sigma2=float(10.0 ** (u / 10.0)))
 
@@ -297,7 +297,7 @@ def sample_pairs(
     lead = h.shape[:-2]
     idx = np.asarray(rng.integers(0, constellation.n_joint, size=lead + (n,)), dtype=int)
     xs = constellation.joint[idx]
-    z = standard_complex_normal(rng, size=lead + (n, h.shape[-2]))
+    z = rng.complex_normal(size=lead + (n, h.shape[-2]))
     z = z * np.sqrt(np.asarray(sigma2, dtype=float))[..., None, None]
     ys = _quantize_complex(q, xs @ np.swapaxes(h, -1, -2) + z)
     return xs, ys, idx

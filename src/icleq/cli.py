@@ -65,7 +65,9 @@ def cmd_train(args) -> int:
     train_cfg = cfg.train_config(seed=cfg.seed)
     params, curve, _ = pretrain(train_cfg, verbose=True)
     save_checkpoint(params, train_cfg.model, args.out, train_config=train_cfg)
-    log.info("final loss %.5f; checkpoint written to %s", curve[-1][1], args.out)
+    if curve:
+        log.info("final loss %.5f", curve[-1][1])
+    log.info("checkpoint written to %s", args.out)
     if args.curve:
         with open(args.curve, "w") as f:
             f.write("step,loss\n")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import Constellation, ContextSet, Quantizer, Task, loglik_means
 from .numerics import hermitian, logsumexp, solve_hpd
-from .rng import RngStream, standard_complex_normal
+from .rng import RngStream
 
 __all__ = [
     "ChannelPrior",
@@ -195,7 +195,7 @@ def bayes_mmse_continuous_mc(
     if k < 1:
         raise ValueError("k must be >= 1")
     n_r = np.shape(y)[-1]
-    channels = standard_complex_normal(rng, size=(k, n_r, constellation.n_t))
+    channels = rng.complex_normal(size=(k, n_r, constellation.n_t))
     lw = channel_log_posterior_weights(channels, sigma2, q, context)
     probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y, prune_tol)
     ess = float(1.0 / np.sum(np.exp(lw - logsumexp(lw)) ** 2))

@@ -20,7 +20,7 @@ import csv
 import hashlib
 import io
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -400,8 +400,6 @@ def _parse_scalar(text: str):
     low = t.lower()
     if low in ("none", "unquantized", "inf"):
         return None
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(t)
     except ValueError:
@@ -412,10 +410,28 @@ def _parse_scalar(text: str):
         return t
 
 
+def _field_value(lineno: int, key: str, text: str, want: type):
+    """Parse one value and check it fits its field: ints widen to float, and
+    None is allowed only for the quantizer resolution."""
+    value = _parse_scalar(text)
+    if value is None and key in ("bits", "bits_grid"):
+        return None
+    if want is float and type(value) is int:
+        return float(value)
+    if type(value) is not want:
+        raise ValueError(
+            f"config line {lineno}: {key} takes {want.__name__} values, got {text.strip()!r}"
+        )
+    return value
+
+
 def parse_config_file(text: str) -> ExperimentConfig:
-    """Flat ``key = value`` lines; '#' comments; lists are comma-separated."""
-    tuple_keys = {"m_grid", "snr_db_grid", "bits_grid"}
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Flat ``key = value`` lines; '#' comments; lists are comma-separated.
+
+    Each value must have the type of its field's default (a grid's elements
+    that of its first default element); a mismatch raises ValueError.
+    """
+    defaults = asdict(ExperimentConfig())
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -424,12 +440,14 @@ def parse_config_file(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in known:
+        if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in tuple_keys:
-            out[key] = tuple(_parse_scalar(v) for v in val.split(","))
+        default = defaults[key]
+        if isinstance(default, tuple):
+            want = type(default[0])
+            out[key] = tuple(_field_value(lineno, key, v, want) for v in val.split(","))
         else:
-            out[key] = _parse_scalar(val)
+            out[key] = _field_value(lineno, key, val, type(default))
     return ExperimentConfig(**out)
 
 

@@ -78,8 +78,3 @@ class RngStream:
             return complex(re, im) * np.sqrt(0.5)
         z = self._gen.standard_normal(tuple(np.atleast_1d(size)) + (2,))
         return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-
-
-def standard_complex_normal(rng: RngStream, size=None):
-    """Draw CN(0, 1) values: independent real/imag parts with variance 1/2."""
-    return rng.complex_normal(size=size)

@@ -15,10 +15,10 @@ reproduces parameters bit for bit.
 
 from __future__ import annotations
 
+import json
 import logging
-import math
-import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from zipfile import BadZipFile
 
 import numpy as np
 
@@ -93,6 +93,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.m_tasks < 1 or self.batch_size < 1:
             raise ValueError("m_tasks and batch_size must be >= 1")
+        for name in ("n_steps", "warmup_steps"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.loss_positions not in (ALL_Y, FINAL_ONLY):
             raise ValueError(f"unknown loss_positions {self.loss_positions!r}")
         if self.n_context > self.model.n_max:
@@ -316,81 +319,27 @@ def pretrain(
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ICLEQCK1"
-_VERSION = 1
-
 
 class CheckpointError(ValueError):
     pass
 
 
-def _config_entries(model: ModelConfig, train: TrainConfig | None) -> dict[str, str]:
-    out = {f"model.{f.name}": repr(getattr(model, f.name)) for f in fields(ModelConfig)}
-    if train is not None:
-        for f in fields(TrainConfig):
-            if f.name in ("model", "tasks"):
-                continue
-            out[f"train.{f.name}"] = repr(getattr(train, f.name))
-        for f in fields(TaskDistributionSpec):
-            out[f"task.{f.name}"] = repr(getattr(train.tasks, f.name))
-    return out
-
-
-def _parse_literal(s: str):
-    import ast
-
-    return ast.literal_eval(s)
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise CheckpointError("string field too long")
-    return struct.pack("<H", len(raw)) + raw
-
-
 def save_checkpoint(
     params: dict, config: ModelConfig, path: str, train_config: TrainConfig | None = None
 ) -> None:
-    """Self-describing binary container: magic, version, config entries,
-    then named float64 tensors (rank, dims, little-endian payload)."""
-    entries = _config_entries(config, train_config)
+    """Write a numpy ``.npz`` archive that ``np.load(path)`` opens.
+
+    The archive holds one little-endian float64 array per tensor and a
+    string array ``__config__``: the JSON of ``{"model": ..., "train": ...}``
+    (``"train"`` only when ``train_config`` is given).  ``path`` is used as
+    given; no ``.npz`` suffix is appended.
+    """
+    meta = {"model": asdict(config)}
+    if train_config is not None:
+        meta["train"] = asdict(train_config)
+    tensors = {name: np.asarray(arr, dtype="<f8") for name, arr in params.items()}
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", _VERSION))
-        f.write(struct.pack("<I", len(entries)))
-        for k in sorted(entries):
-            f.write(_pack_str(k))
-            f.write(_pack_str(entries[k]))
-        f.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            f.write(_pack_str(name))
-            f.write(struct.pack("<I", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            f.write(arr.tobytes())
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("truncated checkpoint file")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
+        np.savez(f, __config__=np.array(json.dumps(meta)), **tensors)
 
 
 def load_checkpoint(
@@ -398,44 +347,29 @@ def load_checkpoint(
 ) -> tuple[dict, ModelConfig, TrainConfig | None]:
     """Read a checkpoint back; bit-exact tensors.
 
-    With ``expect`` given, any architecture mismatch raises CheckpointError.
+    A missing file raises FileNotFoundError.  Anything else that is not an
+    intact checkpoint of a consistent architecture, including any archive
+    member that fails its CRC-32, raises CheckpointError; so does any
+    architecture mismatch with ``expect``, when given.
     """
     with open(path, "rb") as f:
-        r = _Reader(f.read())
-    if r.take(len(_MAGIC)) != _MAGIC:
-        raise CheckpointError("bad magic: not a checkpoint file")
-    version = r.u32()
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    entries = {}
-    for _ in range(r.u32()):
-        k = r.text()
-        entries[k] = r.text()
-    params = {}
-    for _ in range(r.u32()):
-        name = r.text()
-        rank = r.u32()
-        dims = struct.unpack(f"<{rank}Q", r.take(8 * rank))
-        arr = np.frombuffer(r.take(8 * math.prod(dims)), dtype="<f8").reshape(dims).copy()
-        params[name] = arr
-    model_kw = {
-        f.name: _parse_literal(entries[f"model.{f.name}"])
-        for f in fields(ModelConfig)
-        if f"model.{f.name}" in entries
-    }
-    model = ModelConfig(**model_kw)
-    train = None
-    if any(k.startswith("train.") for k in entries):
-        task_kw = {
-            f.name: _parse_literal(entries[f"task.{f.name}"])
-            for f in fields(TaskDistributionSpec)
-        }
-        train_kw = {
-            f.name: _parse_literal(entries[f"train.{f.name}"])
-            for f in fields(TrainConfig)
-            if f"train.{f.name}" in entries
-        }
-        train = TrainConfig(model=model, tasks=TaskDistributionSpec(**task_kw), **train_kw)
+        if f.read(4) != b"PK\x03\x04":
+            raise CheckpointError(f"{path} is not an .npz archive (bad magic)")
+        f.seek(0)
+        try:
+            with np.load(f, allow_pickle=False) as archive:
+                params = {name: archive[name] for name in archive.files}
+            meta = json.loads(str(params.pop("__config__")))
+            model = ModelConfig(**meta["model"])
+            train = None
+            if "train" in meta:
+                kw = meta["train"]
+                tasks = TaskDistributionSpec(**kw["tasks"])
+                train = TrainConfig(**{**kw, "model": model, "tasks": tasks})
+        # damaged bytes surface as any of these from zipfile (CRC-32 included),
+        # the npy reader, json or the config checks
+        except (BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError, ValueError) as e:
+            raise CheckpointError(f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
     if expect is not None and model != expect:
         raise CheckpointError(f"checkpoint architecture {model} != expected {expect}")
     shapes = param_shapes(model)
@@ -444,6 +378,8 @@ def load_checkpoint(
         extra = sorted(set(params) - set(shapes))
         raise CheckpointError(f"checkpoint tensors: missing {missing}, unexpected {extra}")
     for name, arr in params.items():
-        if tuple(arr.shape) != shapes[name]:
+        if arr.dtype != np.dtype("<f8"):
+            raise CheckpointError(f"tensor {name} has dtype {arr.dtype}, expected float64")
+        if arr.shape != shapes[name]:
             raise CheckpointError(f"tensor {name} has shape {arr.shape}, expected {shapes[name]}")
     return params, model, train

@@ -57,6 +57,8 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
         if self.d_e % self.n_heads:
             raise ValueError("d_e must be divisible by n_heads")
 

@@ -26,7 +26,7 @@ from icleq.estimators import (
     mmse_known_task,
 )
 from icleq.numerics import logsumexp
-from icleq.rng import RngStream, standard_complex_normal
+from icleq.rng import RngStream
 
 C2 = qam4_constellation(2)
 SPEC22 = TaskDistributionSpec(2, 2, -10.0, -10.0)
@@ -57,7 +57,7 @@ class TestObservationShapes:
         t = rand_task(60)
         ctx = pilots(t, q, C2, 6, RngStream(61))
         _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
-        prior = ChannelPrior.discrete(standard_complex_normal(RngStream(63), (4, 2, 2)))
+        prior = ChannelPrior.discrete(RngStream(63).complex_normal((4, 2, 2)))
         estimators = {
             "input_posterior": lambda y: input_posterior(t, q, C2, y),
             "mmse_known": lambda y: mmse_known_task(t, q, C2, y),
@@ -93,7 +93,7 @@ class TestInputPosterior:
         t = rand_task(3)
         rng = RngStream(33)
         for i in range(10):
-            y = standard_complex_normal(rng.derive(i), size=2)
+            y = rng.derive(i).complex_normal(size=2)
             probs = input_posterior(t, UNQUANTIZED, C2, y)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
@@ -107,7 +107,7 @@ class TestInputPosterior:
         n = 1_000_000
         idx = np.asarray(rng.integers(0, 16, size=n))
         means = C2.joint[idx] @ t.h.T
-        noise = standard_complex_normal(rng, size=(n, 2)) * np.sqrt(t.sigma2)
+        noise = rng.complex_normal(size=(n, 2)) * np.sqrt(t.sigma2)
         raw = means + noise
         li_re, _ = quantize(q, raw.real)
         li_im, _ = quantize(q, raw.imag)
@@ -135,9 +135,9 @@ class TestInputPosterior:
         q = Quantizer(bits=4)
         rng = RngStream(55)
         n = 2000
-        hs = standard_complex_normal(rng, size=(n, 2, 2))
+        hs = rng.complex_normal(size=(n, 2, 2))
         idx = np.asarray(rng.integers(0, 16, size=n))
-        w = standard_complex_normal(rng, size=(n, 2))
+        w = rng.complex_normal(size=(n, 2))
         sigmas = [1.0, 0.3, 0.1, 0.03]
         avg_ent = []
         for s2 in sigmas:
@@ -173,7 +173,7 @@ class TestMmseKnownTask:
         rng = RngStream(77)
         for trial in range(10):
             u = 1j ** np.asarray(rng.integers(0, 4, size=2))
-            y = standard_complex_normal(rng.derive(trial), size=2)
+            y = rng.derive(trial).complex_normal(size=2)
             base = mmse_known_task(t, UNQUANTIZED, C2, y)
             rot_task = Task(h=t.h @ np.diag(u.conj()), sigma2=t.sigma2)
             got = mmse_known_task(rot_task, UNQUANTIZED, C2, y)
@@ -188,7 +188,7 @@ class TestMmseKnownTask:
             t = sample_task(SPEC22, rng.derive(i))
             ctx = pilots(t, q, C2, 20, rng.derive(i, 1))
             xs = C2.joint[np.asarray(rng.derive(i, 2).integers(0, 16, size=20))]
-            noise = standard_complex_normal(rng.derive(i, 3), size=(20, 2))
+            noise = rng.derive(i, 3).complex_normal(size=(20, 2))
             raw = xs @ t.h.T + noise * np.sqrt(t.sigma2)
             _, re = quantize(q, raw.real)
             _, im = quantize(q, raw.imag)
@@ -208,7 +208,7 @@ class TestMmseKnownTask:
 class TestLmmse:
     def test_printed_two_sigma_form(self):
         t = rand_task(8, sigma2=0.37)
-        y = standard_complex_normal(RngStream(9), size=2)
+        y = RngStream(9).complex_normal(size=2)
         want = np.linalg.solve(
             2 * t.sigma2 * np.eye(2) + t.h.conj().T @ t.h, t.h.conj().T @ y
         )
@@ -223,7 +223,7 @@ class TestLmmse:
 
     def test_zero_forcing_limit(self):
         t = rand_task(10, sigma2=1e-12)
-        y = standard_complex_normal(RngStream(11), size=2)
+        y = RngStream(11).complex_normal(size=2)
         np.testing.assert_allclose(
             lmmse_known_task(t, y), np.linalg.solve(t.h, y), atol=1e-6
         )
@@ -231,7 +231,7 @@ class TestLmmse:
 
 class TestChannelPosteriorWeights:
     def test_empty_context_keeps_prior(self):
-        prior = ChannelPrior.discrete(standard_complex_normal(RngStream(12), (3, 2, 2)))
+        prior = ChannelPrior.discrete(RngStream(12).complex_normal((3, 2, 2)))
         w = channel_log_posterior_weights(
             prior.channels, 0.1, Quantizer(bits=4), empty_context(2, 2)
         )
@@ -241,7 +241,7 @@ class TestChannelPosteriorWeights:
         q = Quantizer(bits=4)
         t = rand_task(13)
         ctx = pilots(t, q, C2, 10, RngStream(14))
-        prior = ChannelPrior.discrete(standard_complex_normal(RngStream(15), (4, 2, 2)))
+        prior = ChannelPrior.discrete(RngStream(15).complex_normal((4, 2, 2)))
         w = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx)
         perm = RngStream(16)._gen.permutation(10)
         ctx2 = ContextSet(xs=ctx.xs[perm], ys=ctx.ys[perm])
@@ -256,8 +256,8 @@ class TestChannelPosteriorWeights:
         hits = 0
         trials = 200
         for i in range(trials):
-            h1 = standard_complex_normal(rng.derive(i, 0), (2, 2))
-            h2 = standard_complex_normal(rng.derive(i, 1), (2, 2))
+            h1 = rng.derive(i, 0).complex_normal((2, 2))
+            h2 = rng.derive(i, 1).complex_normal((2, 2))
             t = Task(h=h1, sigma2=0.1)
             ctx = pilots(t, q, C2, 20, rng.derive(i, 2))
             prior = ChannelPrior.discrete(np.stack([h1, h2]))
@@ -283,9 +283,9 @@ class TestBayesMmseDiscrete:
 
     def test_empty_context_mixes_prior_evenly(self):
         t = rand_task(21)
-        h2 = standard_complex_normal(RngStream(22), (2, 2))
+        h2 = RngStream(22).complex_normal((2, 2))
         prior = ChannelPrior.discrete(np.stack([t.h, h2]))
-        y = standard_complex_normal(RngStream(23), size=2)
+        y = RngStream(23).complex_normal(size=2)
         got = bayes_mmse_discrete(prior, 0.1, UNQUANTIZED, C2, empty_context(2, 2), y)
         a = mmse_known_task(Task(h=t.h, sigma2=0.1), UNQUANTIZED, C2, y)
         b = mmse_known_task(Task(h=h2, sigma2=0.1), UNQUANTIZED, C2, y)
@@ -303,7 +303,7 @@ class TestBayesMmseDiscrete:
         q = Quantizer(bits=bits)
         sigma2 = 0.1
         rng = RngStream(90).derive(m, n_pilots)
-        channels = standard_complex_normal(rng.derive(0), (m, 2, 2))
+        channels = rng.derive(0).complex_normal((m, 2, 2))
         t = Task(h=channels[0], sigma2=sigma2)
         ctx = pilots(t, q, C2, n_pilots, rng.derive(1))
         _, ys, _ = sample_pairs(t.h, sigma2, q, C2, 4, rng.derive(2))
@@ -325,8 +325,8 @@ class TestBayesMmseDiscrete:
     def test_concentrates_on_true_channel(self):
         q = Quantizer(bits=4)
         rng = RngStream(24)
-        t = Task(h=standard_complex_normal(rng, (2, 2)), sigma2=0.01)
-        others = standard_complex_normal(rng, (7, 2, 2))
+        t = Task(h=rng.complex_normal((2, 2)), sigma2=0.01)
+        others = rng.complex_normal((7, 2, 2))
         prior = ChannelPrior.discrete(np.concatenate([t.h[None], others]))
         ctx = pilots(t, q, C2, 20, rng.derive(1))
         y = ctx.ys[0]
@@ -345,7 +345,7 @@ class TestBayesMmseContinuousMc:
         ctx = pilots(t, q, C2, 3, RngStream(36))
         _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(37))
         est, _ = bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(38))
-        channels = standard_complex_normal(RngStream(38), size=(64, 2, 2))
+        channels = RngStream(38).complex_normal(size=(64, 2, 2))
         want = bayes_mmse_discrete(
             ChannelPrior.discrete(channels), t.sigma2, q, C2, ctx, ys, prune_tol=1e-13
         )
@@ -353,7 +353,7 @@ class TestBayesMmseContinuousMc:
 
     def test_symmetry_without_context(self):
         rng = RngStream(25)
-        y = standard_complex_normal(rng, size=2)
+        y = rng.complex_normal(size=2)
         est, ess = bayes_mmse_continuous_mc(
             0.5, UNQUANTIZED, C2, empty_context(2, 2), y, 2**14, rng.derive(1)
         )
@@ -364,12 +364,12 @@ class TestBayesMmseContinuousMc:
         rng = RngStream(26)
         t = rand_task(27)
         ctx = pilots(t, UNQUANTIZED, C2, 4, rng)
-        y = standard_complex_normal(rng, size=2)
+        y = rng.complex_normal(size=2)
         draw_rng = rng.derive(9)
         est, ess = bayes_mmse_continuous_mc(
             t.sigma2, UNQUANTIZED, C2, ctx, y, 1, draw_rng
         )
-        h = standard_complex_normal(RngStream(26).derive(9), size=(1, 2, 2))[0]
+        h = RngStream(26).derive(9).complex_normal(size=(1, 2, 2))[0]
         want = mmse_known_task(Task(h=h, sigma2=t.sigma2), UNQUANTIZED, C2, y)
         np.testing.assert_allclose(est, want, atol=1e-12)
         assert ess == 1.0
@@ -393,7 +393,7 @@ class TestBayesMmseContinuousMc:
 
 class TestGaussianExactOracle:
     def test_empty_context_is_symmetric(self):
-        y = standard_complex_normal(RngStream(29), size=2)
+        y = RngStream(29).complex_normal(size=2)
         est = bayes_mmse_gaussian_exact(0.5, C2, empty_context(2, 2), y)
         # prior predictive variance is identical for all candidates, so the
         # posterior depends on y only through the means; symmetry of the
@@ -406,9 +406,9 @@ class TestGaussianExactOracle:
 
     def test_concentrates_to_known_task_mmse(self):
         rng = RngStream(30)
-        t = Task(h=standard_complex_normal(rng, (2, 2)), sigma2=0.01)
+        t = Task(h=rng.complex_normal((2, 2)), sigma2=0.01)
         ctx = pilots(t, UNQUANTIZED, C2, 64, rng.derive(1))
-        ys = standard_complex_normal(rng.derive(2), size=(10, 2))
+        ys = rng.derive(2).complex_normal(size=(10, 2))
         for y in ys:
             a = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
             b = mmse_known_task(t, UNQUANTIZED, C2, y)
@@ -428,7 +428,7 @@ class TestGaussianExactOracle:
         rng = RngStream(31)
         t = rand_task(32, sigma2=0.2)
         ctx = pilots(t, UNQUANTIZED, C2, 6, rng)
-        y = standard_complex_normal(rng, size=2)
+        y = rng.complex_normal(size=2)
         base = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
         u = np.array([1j, -1.0])
         ctx_rot = ContextSet(xs=ctx.xs * u[None, :], ys=ctx.ys)
@@ -441,9 +441,9 @@ class TestGaussianExactOracle:
         c1 = qam4_constellation(1)
         rng = RngStream(34)
         sigma2 = 0.5
-        t = Task(h=standard_complex_normal(rng, (2, 1)), sigma2=sigma2)
+        t = Task(h=rng.complex_normal((2, 1)), sigma2=sigma2)
         ctx = pilots(t, UNQUANTIZED, c1, 3, rng.derive(1))
-        y = standard_complex_normal(rng.derive(2), size=2)
+        y = rng.derive(2).complex_normal(size=2)
 
         nodes, weights = np.polynomial.hermite.hermgauss(150)
         hu, hv = np.meshgrid(nodes, nodes, indexing="ij")

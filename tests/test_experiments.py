@@ -199,6 +199,35 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="expected"):
             parse_config_file("just some words")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("d_e = abc", "line 1: d_e takes int values, got 'abc'"),
+            ("seed = 1\nn_steps = 1e3", "line 2: n_steps takes int values"),
+            ("sigma2_db_min = none", "line 1: sigma2_db_min takes float values"),
+            ("lr = fast", "line 1: lr takes float values"),
+            ("loss_positions = 3", "line 1: loss_positions takes str values"),
+            ("m_grid = 1, x", "line 1: m_grid takes int values, got 'x'"),
+            ("snr_db_grid = 0, none", "line 1: snr_db_grid takes float values"),
+            ("bits_grid = 1, 2.5", "line 1: bits_grid takes int values, got '2.5'"),
+            ("n_heads = 0", "n_heads must be >= 1, got 0"),
+        ],
+        ids=[
+            "int-word",
+            "int-float-line-2",
+            "float-none",
+            "float-word",
+            "str-int",
+            "int-grid-word",
+            "float-grid-none",
+            "int-grid-float",
+            "zero-heads",
+        ],
+    )
+    def test_ill_typed_values_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config_file(text).model_config()
+
 
 class TestThresholdSweepMicro:
     @pytest.fixture(scope="class")

@@ -1,6 +1,6 @@
 import numpy as np
 
-from icleq.rng import RngStream, standard_complex_normal
+from icleq.rng import RngStream
 
 
 def test_same_key_reproduces_sequence():
@@ -35,7 +35,7 @@ def test_derive_is_deterministic_and_injective_in_practice():
 
 
 def test_complex_normal_moments():
-    z = standard_complex_normal(RngStream(7), size=1_000_000)
+    z = RngStream(7).complex_normal(size=1_000_000)
     # CN(0,1): zero mean within a 4 sigma band, unit second moment
     se = 1.0 / np.sqrt(z.size)
     assert abs(z.real.mean()) < 4 * se
@@ -47,5 +47,5 @@ def test_complex_normal_moments():
 
 
 def test_scalar_draw_matches_array_draw_type():
-    z = standard_complex_normal(RngStream(1))
+    z = RngStream(1).complex_normal()
     assert isinstance(z, complex)

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -68,6 +66,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="n_context=5.*n_max=4"):
             tiny_cfg(n_context=TINY.n_max + 1)
         assert tiny_cfg(n_context=TINY.n_max).n_context == TINY.n_max
+
+    @pytest.mark.parametrize("name", ["n_steps", "warmup_steps"])
+    def test_negative_step_counts_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            tiny_cfg(**{name: -1})
+        assert getattr(tiny_cfg(**{name: 0}), name) == 0
 
 
 class TestBatchLoss:
@@ -248,6 +252,8 @@ class TestCheckpoint:
         loaded, model, train = load_checkpoint(str(path))
         assert model == cfg.model
         assert train == cfg
+        with np.load(path, allow_pickle=False) as archive:
+            assert set(archive.files) == set(params) | {"__config__"}
         assert set(loaded) == set(params)
         for k in params:
             assert np.array_equal(loaded[k], params[k])
@@ -265,7 +271,7 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(CheckpointError, match=r"not an \.npz archive \(bad magic\)"):
             load_checkpoint(str(path))
 
     def test_truncated_file_rejected(self, tmp_path):
@@ -275,22 +281,56 @@ class TestCheckpoint:
         save_checkpoint(params, cfg.model, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CheckpointError, match="truncated"):
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
             load_checkpoint(str(path))
 
-    def test_overflowing_dims_rejected(self, tmp_path):
-        """Dims whose product wraps in 64 bits still read as truncated."""
+    def test_flipped_payload_byte_rejected(self, tmp_path):
+        """A changed tensor byte fails the archive's CRC-32."""
+        cfg = tiny_cfg()
+        params = init_params(cfg.model, RngStream(23))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg.model, str(path))
+        raw = bytearray(path.read_bytes())
+        payload = params["embed"].tobytes()
+        assert raw.count(payload) == 1
+        raw[raw.index(payload) + len(payload) // 2] ^= 0x01
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="CRC"):
+            load_checkpoint(str(path))
+
+    def test_byte_flips_load_identical_or_raise(self, tmp_path):
+        """Corruption anywhere either leaves the loaded data unchanged
+        (zip timestamps, header padding) or raises CheckpointError."""
+        cfg = tiny_cfg()
+        params = init_params(cfg.model, RngStream(24))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, cfg.model, str(path), train_config=cfg)
+        raw = path.read_bytes()
+        for i in range(0, len(raw), 7):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << (i % 8)
+            path.write_bytes(bytes(flipped))
+            try:
+                loaded, model, train = load_checkpoint(str(path))
+            except CheckpointError:
+                continue
+            assert model == cfg.model and train == cfg, f"byte {i}"
+            assert all(np.array_equal(loaded[k], params[k]) for k in params), f"byte {i}"
+
+    def test_missing_file_raises_file_not_found(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(str(tmp_path / "absent.ckpt"))
+
+    def test_wrong_dtype_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint({"w": np.zeros((1, 1))}, cfg.model, str(path))
-        header = struct.pack("<H", 1) + b"w" + struct.pack("<I", 2)
-        raw = path.read_bytes()
-        assert raw.count(header + struct.pack("<2Q", 1, 1)) == 1
-        raw = raw.replace(
-            header + struct.pack("<2Q", 1, 1), header + struct.pack("<2Q", 2**32, 2**32)
-        )
-        path.write_bytes(raw)
-        with pytest.raises(CheckpointError, match="truncated"):
+        save_checkpoint(init_params(cfg.model, RngStream(25)), cfg.model, str(path))
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        arrays["head.b"] = arrays["head.b"].astype(np.float32)
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(CheckpointError, match="head.b has dtype float32"):
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize(
