@@ -56,7 +56,7 @@ ll = np.array([log_likelihood(task, q, x, y) for y in all_y])
 print(f"b=2: sum over all {len(all_y)} outputs of P(y|x) = {np.exp(logsumexp(ll)):.12f}")
 
 # Pilot contexts are i.i.d. uses of the same channel.
-xs, ys, _ = sample_pairs(task.h, task.sigma2, q, const, 5, rng.derive(1))
+xs, ys = sample_pairs(task.h, task.sigma2, q, const, 5, rng.derive(1))
 print("\n5 pilot pairs (b=2): every received component lies on the grid")
 for x, y in zip(xs, ys):
     print(f"  x = {np.round(x, 3)}   y = {y}")

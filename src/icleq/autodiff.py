@@ -63,21 +63,14 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
 class Tape:
     """Computation graph: node list in construction (= topological) order."""
 
-    def __init__(self, check_finite: bool = False):
+    def __init__(self):
         self.nodes: list[Node] = []
-        self.check_finite = check_finite
 
     # -- node creation ------------------------------------------------------
 
     def _push(self, op, parents, value, vjp, name=None, needs_grad=None):
         if needs_grad is None:
             needs_grad = any(p.needs_grad for p in parents)
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise GraphNumericsError(
-                f"non-finite value in node {len(self.nodes)} (op={op}"
-                + (f", name={name}" if name else "")
-                + ")"
-            )
         node = Node(op, parents, value, needs_grad, len(self.nodes), name, vjp)
         self.nodes.append(node)
         return node

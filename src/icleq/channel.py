@@ -101,36 +101,26 @@ def quantize(q: Quantizer, v):
     return idx, val
 
 
-def cell_bounds(q: Quantizer, level_index: int) -> tuple[float, float]:
+def cell_bounds(q: Quantizer, level_index):
     """Quantization cell of a level: ``[lo, hi)``; the extreme cells are
-    half-open to -inf / +inf because the quantizer saturates."""
+    half-open to -inf / +inf because the quantizer saturates.
+
+    A scalar index gives two floats; an index array gives two arrays of its
+    shape.
+    """
     if not q.quantized:
         raise ValueError("unquantized: no cells")
-    if not 0 <= level_index < q.n_levels:
+    idx = np.asarray(level_index)
+    if np.any((idx < 0) | (idx >= q.n_levels)):
         raise ValueError(f"level index {level_index} out of range [0, {q.n_levels})")
     step = q.step
-    lo = RANGE_LO + level_index * step
+    lo = RANGE_LO + idx * step
     hi = lo + step
-    if level_index == 0:
-        lo = -np.inf
-    if level_index == q.n_levels - 1:
-        hi = np.inf
+    lo = np.where(idx == 0, -np.inf, lo)
+    hi = np.where(idx == q.n_levels - 1, np.inf, hi)
+    if idx.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
-
-
-def level_index_of(q: Quantizer, v) -> np.ndarray:
-    """Recover level indices of value(s) assumed to lie on the output grid.
-
-    Raises ValueError for any value that is not a quantizer output level.
-    """
-    v = np.asarray(v, dtype=float)
-    step = q.step
-    idx = np.rint((v - RANGE_LO) / step - 0.5).astype(int)
-    ok = (idx >= 0) & (idx < q.n_levels)
-    ok &= np.abs(RANGE_LO + step * (idx + 0.5) - v) <= 1e-9
-    if not np.all(ok):
-        raise ValueError("value not on a quantizer output level")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +240,10 @@ def _quantize_complex(q: Quantizer, z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContextSet:
-    """N pilot pairs from one task; ``x_idx`` caches joint-input indices."""
+    """N pilot pairs from one task."""
 
     xs: np.ndarray
     ys: np.ndarray
-    x_idx: np.ndarray | None = None
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=complex)
@@ -272,7 +261,6 @@ def empty_context(n_t: int, n_r: int) -> ContextSet:
     return ContextSet(
         xs=np.zeros((0, n_t), dtype=complex),
         ys=np.zeros((0, n_r), dtype=complex),
-        x_idx=np.zeros(0, dtype=int),
     )
 
 
@@ -283,24 +271,23 @@ def sample_pairs(
     constellation: Constellation,
     n: int,
     rng: RngStream,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """n i.i.d. channel uses: the input index, then the noise, then
-    ``y = Q_b(H x + z)``; returns ``(xs, ys, x_idx)``.
+    ``y = Q_b(H x + z)``; returns ``(xs, ys)``.
 
     ``h`` is one channel (n_r, n_t) or a stack (B, n_r, n_t), with ``sigma2``
     a scalar or one noise power per channel.  Outputs gain the leading
-    axes of ``h``: xs (..., n, n_t), ys (..., n, n_r), x_idx (..., n).
+    axes of ``h``: xs (..., n, n_t), ys (..., n, n_r).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     h = np.asarray(h, dtype=complex)
     lead = h.shape[:-2]
-    idx = np.asarray(rng.integers(0, constellation.n_joint, size=lead + (n,)), dtype=int)
-    xs = constellation.joint[idx]
+    xs = constellation.joint[rng.integers(0, constellation.n_joint, size=lead + (n,))]
     z = rng.complex_normal(size=lead + (n, h.shape[-2]))
     z = z * np.sqrt(np.asarray(sigma2, dtype=float))[..., None, None]
     ys = _quantize_complex(q, xs @ np.swapaxes(h, -1, -2) + z)
-    return xs, ys, idx
+    return xs, ys
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +305,13 @@ def observation_cells(q: Quantizer, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     ``y`` is complex (..., n_r) with components on the output grid; returns
     ``(lo, hi)`` arrays of shape (..., 2 n_r) with +-inf on the extreme cells.
+    Raises ValueError for any component that is not a quantizer output level.
     """
     y_ri = realify_obs(np.asarray(y, dtype=complex))
-    idx = level_index_of(q, y_ri)
-    step = q.step
-    lo = RANGE_LO + idx * step
-    hi = lo + step
-    lo = np.where(idx == 0, -np.inf, lo)
-    hi = np.where(idx == q.n_levels - 1, np.inf, hi)
-    return lo, hi
+    idx, levels = quantize(q, y_ri)
+    if not np.all(np.abs(levels - y_ri) <= 1e-9):
+        raise ValueError("value not on a quantizer output level")
+    return cell_bounds(q, idx)
 
 
 def cell_loglik(lo, hi, means_ri, sigma2):

@@ -78,16 +78,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     params, model, _ = load_checkpoint(args.checkpoint)
-    protocol = cfg.protocol(seed=cfg.seed)
-    evalset = EvalSet.build(protocol)
+    evalset = EvalSet.build(cfg.protocol(seed=cfg.seed))
     snr_mid = -0.5 * (cfg.sigma2_db_min + cfg.sigma2_db_max)
     results = [
-        evaluate(eq, evalset=evalset, sweep="eval", value=snr_mid, estimator_name=name)
-        for name, eq in (
-            ("icl", Equalizer.icl(params, model)),
-            ("mmse_known", Equalizer.mmse()),
-            ("lmmse", Equalizer.lmmse()),
-        )
+        evaluate(eq, evalset=evalset, sweep="eval", value=snr_mid)
+        for eq in (Equalizer.icl(params, model), Equalizer.mmse(), Equalizer.lmmse())
     ]
     write_results(results, args.out)
     for r in results:

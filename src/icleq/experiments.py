@@ -109,17 +109,17 @@ class EvalSet:
     test_ys: np.ndarray  # (T, S, n_r)
 
     @classmethod
-    def build(cls, protocol: EvalProtocol, constellation: Constellation | None = None) -> "EvalSet":
+    def build(cls, protocol: EvalProtocol) -> "EvalSet":
         p = protocol
-        constellation = constellation or qam4_constellation(p.tasks.n_t)
+        constellation = qam4_constellation(p.tasks.n_t)
         q = p.quantizer
         root = RngStream(p.seed)
         draws = []
         for i in range(p.n_test_tasks):
             st = root.derive(i)
             task = sample_task(p.tasks, st)
-            ctx_xs, ctx_ys, _ = sample_pairs(task.h, task.sigma2, q, constellation, p.n_context, st)
-            test_xs, test_ys, _ = sample_pairs(
+            ctx_xs, ctx_ys = sample_pairs(task.h, task.sigma2, q, constellation, p.n_context, st)
+            test_xs, test_ys = sample_pairs(
                 task.h, task.sigma2, q, constellation, p.n_test_symbols_per_task, st
             )
             draws.append((task.h, task.sigma2, ctx_xs, ctx_ys, test_xs, test_ys))
@@ -260,8 +260,7 @@ def per_draw_errors(equalizer: Equalizer, evalset: EvalSet) -> np.ndarray:
 
 def evaluate(
     equalizer: Equalizer,
-    protocol: EvalProtocol | None = None,
-    evalset: EvalSet | None = None,
+    evalset: EvalSet,
     sweep: str = "eval",
     value: float = 0.0,
     estimator_name: str | None = None,
@@ -269,12 +268,9 @@ def evaluate(
     """Mean squared error of one equalizer over a frozen evaluation set.
 
     Pass the same ``evalset`` to every equalizer of a comparison so all of
-    them consume identical draws.
+    them consume identical draws.  The row is named by ``estimator_name``,
+    else by the equalizer's kind.
     """
-    if evalset is None:
-        if protocol is None:
-            raise ValueError("need a protocol or a prebuilt evalset")
-        evalset = EvalSet.build(protocol)
     errs, esss = _draw_errors(equalizer, evalset)
     flat = errs.ravel()
     mse = float(flat.mean())
@@ -348,6 +344,15 @@ class ExperimentConfig:
     bits_grid: tuple = (1, 2, 3, 4, 6, 8, None)
     seed: int = 0
 
+    def __post_init__(self):
+        # checked here so that a bad grid point fails before any earlier point trains
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for key in ("m_grid", "bits_grid"):
+            for entry in getattr(self, key):
+                if entry is not None and entry < 1:
+                    raise ValueError(f"{key} entry {entry} must be >= 1")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             n_layers=self.n_layers,
@@ -359,20 +364,15 @@ class ExperimentConfig:
             n_classes=4**self.n_t,
         )
 
-    def task_spec(self, sigma2_db_min=None, sigma2_db_max=None) -> TaskDistributionSpec:
-        return TaskDistributionSpec(
-            self.n_t,
-            self.n_r,
-            self.sigma2_db_min if sigma2_db_min is None else sigma2_db_min,
-            self.sigma2_db_max if sigma2_db_max is None else sigma2_db_max,
-        )
+    def task_spec(self) -> TaskDistributionSpec:
+        return TaskDistributionSpec(self.n_t, self.n_r, self.sigma2_db_min, self.sigma2_db_max)
 
-    def train_config(self, *, seed: int, m_tasks=None, bits="cfg", spec=None) -> TrainConfig:
+    def train_config(self, *, seed: int) -> TrainConfig:
         return TrainConfig(
             model=self.model_config(),
-            tasks=spec or self.task_spec(),
-            bits=self.bits if bits == "cfg" else bits,
-            m_tasks=self.m_tasks if m_tasks is None else m_tasks,
+            tasks=self.task_spec(),
+            bits=self.bits,
+            m_tasks=self.m_tasks,
             n_context=self.n_context,
             batch_size=self.batch_size,
             n_steps=self.n_steps,
@@ -383,13 +383,13 @@ class ExperimentConfig:
             seed=seed,
         )
 
-    def protocol(self, *, seed: int, bits="cfg", spec=None) -> EvalProtocol:
+    def protocol(self, *, seed: int) -> EvalProtocol:
         return EvalProtocol(
             n_test_tasks=self.n_test_tasks,
             n_context=self.n_context,
             n_test_symbols_per_task=self.n_test_symbols_per_task,
-            bits=self.bits if bits == "cfg" else bits,
-            tasks=spec or self.task_spec(),
+            bits=self.bits,
+            tasks=self.task_spec(),
             seed=seed,
             mc_samples=self.mc_samples,
         )
@@ -470,8 +470,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[Ev
     evaluation set.
     """
     root = RngStream(cfg.seed)
-    protocol = cfg.protocol(seed=_seed_int(root, 90))
-    evalset = EvalSet.build(protocol)
+    evalset = EvalSet.build(cfg.protocol(seed=_seed_int(root, 90)))
     true_prior = (
         Equalizer.bayes_exact()
         if cfg.bits is None
@@ -482,7 +481,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[Ev
     ref = evaluate(true_prior, evalset=evalset, sweep=sweep, value=0.0)
     out: list[EvalResult] = []
     for j, m in enumerate(cfg.m_grid):
-        train_cfg = cfg.train_config(seed=_seed_int(root, 10, j), m_tasks=int(m))
+        train_cfg = replace(cfg, m_tasks=int(m)).train_config(seed=_seed_int(root, 10, j))
         if verbose:
             log.info("threshold sweep: training M=%d", m)
         params, _, taskset = pretrain(train_cfg, verbose=verbose)
@@ -512,22 +511,23 @@ def run_snr_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResu
     """
     root = RngStream(cfg.seed)
     trained: dict[str, tuple[dict, ModelConfig]] = {}
-    specs = {
-        "icl_fixed0db": cfg.task_spec(0.0, 0.0),
-        "icl_fixed30db": cfg.task_spec(-30.0, -30.0),
-        "icl_range": cfg.task_spec(-30.0, 0.0),
+    noise_db = {
+        "icl_fixed0db": (0.0, 0.0),
+        "icl_fixed30db": (-30.0, -30.0),
+        "icl_range": (-30.0, 0.0),
     }
-    for j, (name, spec) in enumerate(specs.items()):
+    for j, (name, (lo, hi)) in enumerate(noise_db.items()):
         if verbose:
             log.info("snr sweep: training %s", name)
-        tc = cfg.train_config(seed=_seed_int(root, 20, j), spec=spec)
+        point = replace(cfg, sigma2_db_min=lo, sigma2_db_max=hi)
+        tc = point.train_config(seed=_seed_int(root, 20, j))
         params, _, _ = pretrain(tc, verbose=verbose)
         trained[name] = (params, tc.model)
     out: list[EvalResult] = []
     for snr_db in cfg.snr_db_grid:
-        spec = cfg.task_spec(-float(snr_db), -float(snr_db))
-        protocol = cfg.protocol(seed=_seed_int(root, 91, int(round(10 * snr_db))), spec=spec)
-        evalset = EvalSet.build(protocol)
+        point = replace(cfg, sigma2_db_min=-float(snr_db), sigma2_db_max=-float(snr_db))
+        seed = _seed_int(root, 91, int(round(10 * snr_db)))
+        evalset = EvalSet.build(point.protocol(seed=seed))
         for name, (params, model) in trained.items():
             out.append(
                 evaluate(
@@ -551,10 +551,10 @@ def run_quantization_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list
         value = float("inf") if bits is None else float(bits)
         if verbose:
             log.info("quantization sweep: training b=%s", bits)
-        tc = cfg.train_config(seed=_seed_int(root, 30, j), bits=bits)
+        point = replace(cfg, bits=bits)
+        tc = point.train_config(seed=_seed_int(root, 30, j))
         params, _, _ = pretrain(tc, verbose=verbose)
-        protocol = cfg.protocol(seed=_seed_int(root, 92, j), bits=bits)
-        evalset = EvalSet.build(protocol)
+        evalset = EvalSet.build(point.protocol(seed=_seed_int(root, 92, j)))
         out.append(
             evaluate(
                 Equalizer.icl(params, tc.model),

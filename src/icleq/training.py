@@ -93,6 +93,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.m_tasks < 1 or self.batch_size < 1:
             raise ValueError("m_tasks and batch_size must be >= 1")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         for name in ("n_steps", "warmup_steps"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -158,7 +160,7 @@ def sample_train_batch(
 ) -> TrainBatch:
     """Fresh pilots, noise, and test pair for a uniform draw of tasks."""
     ti = np.atleast_1d(stream.integers(0, len(taskset), size=cfg.batch_size))
-    xs, ys, _ = sample_pairs(
+    xs, ys = sample_pairs(
         taskset.hs[ti], taskset.sigma2s[ti], cfg.quantizer, constellation, cfg.n_context + 1, stream
     )
     return TrainBatch.from_arrays(cfg.model, xs, ys)
@@ -202,14 +204,14 @@ def gradient(
     batch: TrainBatch,
     constellation: Constellation | None = None,
 ) -> tuple[float, dict]:
-    """Loss and its exact reverse-mode gradient for every parameter."""
+    """Loss and its exact reverse-mode gradient for every parameter; a
+    non-finite loss raises GraphNumericsError naming the first non-finite node."""
     constellation = constellation or qam4_constellation(cfg.tasks.n_t)
     tape = Tape()
     loss = _loss_graph(tape, params, cfg, batch, constellation)
     if not np.isfinite(loss.value):
-        # rebuild with per-node checking to name the first bad node
-        _loss_graph(Tape(check_finite=True), params, cfg, batch, constellation)
-        raise GraphNumericsError("non-finite loss with finite intermediates")
+        bad = next(n for n in tape.nodes if not np.all(np.isfinite(n.value)))
+        raise GraphNumericsError(f"non-finite value in {bad!r}")
     grads = tape.backward(loss)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
@@ -224,41 +226,37 @@ def gradient(
 
 @dataclass
 class AdamState:
+    """Adam's moment estimates and step count; its settings live in TrainConfig."""
+
     m: dict
     v: dict
     t: int
-    lr: float
-    beta1: float
-    beta2: float
-    epsilon: float
-    clip_norm: float | None
 
     @classmethod
-    def init(cls, params: dict, lr=1e-4, beta1=0.9, beta2=0.999, epsilon=1e-8, clip_norm=1.0):
+    def init(cls, params: dict) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
             t=0,
-            lr=lr,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-            clip_norm=clip_norm,
         )
 
 
 def adam_step(
-    params: dict, grads: dict, state: AdamState, lr: float | None = None
+    params: dict, grads: dict, state: AdamState, cfg: TrainConfig
 ) -> tuple[dict, AdamState]:
-    """One Adam update with bias correction; global-norm clipping first."""
-    if state.clip_norm is not None:
+    """One Adam update with bias correction; global-norm clipping first.
+
+    The learning rate ``cfg.lr`` ramps up linearly over the first
+    ``cfg.warmup_steps`` updates, counted by ``state.t``.
+    """
+    if cfg.clip_norm is not None:
         gn = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        if gn > state.clip_norm:
-            s = state.clip_norm / gn
+        if gn > cfg.clip_norm:
+            s = cfg.clip_norm / gn
             grads = {k: g * s for k, g in grads.items()}
     state.t += 1
-    step_lr = state.lr if lr is None else lr
-    b1, b2 = state.beta1, state.beta2
+    step_lr = cfg.lr * min(1.0, state.t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
+    b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     out = {}
@@ -268,7 +266,7 @@ def adam_step(
         state.v[k] = b2 * state.v[k] + (1 - b2) * (g * g)
         mhat = state.m[k] / c1
         vhat = state.v[k] / c2
-        out[k] = p - step_lr * mhat / (np.sqrt(vhat) + state.epsilon)
+        out[k] = p - step_lr * mhat / (np.sqrt(vhat) + cfg.epsilon)
     return out, state
 
 
@@ -289,14 +287,7 @@ def pretrain(
     taskset = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, root.derive(0))
     constellation = qam4_constellation(cfg.tasks.n_t)
     params = init_params(cfg.model, root.derive(1), scale=cfg.init_scale)
-    state = AdamState.init(
-        params,
-        lr=cfg.lr,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        epsilon=cfg.epsilon,
-        clip_norm=cfg.clip_norm,
-    )
+    state = AdamState.init(params)
     curve: list[tuple[int, float]] = []
     for step in range(cfg.n_steps):
         batch = sample_train_batch(taskset, cfg, constellation, root.derive(2, step))
@@ -306,8 +297,7 @@ def pretrain(
             raise TrainingDivergedError(f"step {step}: {exc}") from exc
         if not np.isfinite(loss) or loss > 1e3:
             raise TrainingDivergedError(f"loss {loss} at step {step}")
-        warm = min(1.0, (step + 1) / cfg.warmup_steps) if cfg.warmup_steps else 1.0
-        params, state = adam_step(params, grads, state, lr=cfg.lr * warm)
+        params, state = adam_step(params, grads, state, cfg)
         curve.append((step, loss))
         if verbose and (step % max(1, cfg.n_steps // 20) == 0 or step == cfg.n_steps - 1):
             recent = np.mean([l for _, l in curve[-200:]])

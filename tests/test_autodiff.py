@@ -1,8 +1,16 @@
+import re
+
 import numpy as np
 import pytest
 
 from icleq.autodiff import GraphNumericsError, Tape
+from icleq.channel import qam4_constellation
 from icleq.rng import RngStream
+from icleq.training import PretrainTaskSet, TrainConfig, gradient, sample_train_batch
+from icleq.transformer import ModelConfig, init_params
+
+C2 = qam4_constellation(2)
+TINY = ModelConfig(n_layers=1, n_heads=2, d_e=8, d_f=16, d_s=4, n_max=4, n_classes=16)
 
 
 def fd_check(build, params, h=1e-6, rtol=1e-6, atol=1e-9):
@@ -148,10 +156,18 @@ class TestTapeMechanics:
             tape.backward(tape.square(a))
 
     def test_check_finite_names_the_node(self):
-        tape = Tape(check_finite=True)
-        a = tape.leaf(np.array([[1e308]]), "a")
-        with np.errstate(over="ignore"), pytest.raises(GraphNumericsError, match="op=square"):
-            tape.square(a)
+        """A non-finite loss names the first non-finite node: a NaN in a
+        later parameter is named by its leaf, not by an op downstream."""
+        cfg = TrainConfig(model=TINY, bits=4, m_tasks=2, n_context=3, batch_size=2, seed=5)
+        params = init_params(TINY, RngStream(26))
+        name = list(params)[-1]
+        params[name][0] = np.nan
+        nid = len(params) - 1  # the leaves come first, in params order
+        ts = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, RngStream(27))
+        batch = sample_train_batch(ts, cfg, C2, RngStream(28))
+        named = rf"in Node\({nid}:leaf/{re.escape(name)}, shape="
+        with pytest.raises(GraphNumericsError, match=named):
+            gradient(params, cfg, batch, C2)
 
     def test_topological_order_by_construction(self):
         tape = Tape()

@@ -23,6 +23,14 @@ from icleq.numerics import logsumexp
 from icleq.rng import RngStream
 
 
+def joint_index(c, xs):
+    """Index into ``c.joint`` of every input vector in xs (..., n_t); each
+    must equal exactly one joint input."""
+    hits = np.all(xs[..., None, :] == c.joint, axis=-1)
+    assert np.all(hits.sum(axis=-1) == 1)
+    return np.argmax(hits, axis=-1)
+
+
 class TestSnr:
     def test_paper_operating_point(self):
         t = Task(h=np.eye(2, dtype=complex), sigma2=0.1)
@@ -155,14 +163,14 @@ class TestApplyChannel:
     def test_noiseless_unquantized_limit(self):
         t = self._task(sigma2=1e-30)
         c = qam4_constellation(2)
-        xs, ys, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 16, RngStream(16))
+        xs, ys = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 16, RngStream(16))
         np.testing.assert_allclose(ys, xs @ t.h.T, atol=1e-12)
 
     def test_noise_power(self):
         t = self._task(sigma2=0.25)
         c = qam4_constellation(2)
-        _, ys, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 200, RngStream(17))
-        xs, big, _ = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 100_000, RngStream(18))
+        _, ys = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 200, RngStream(17))
+        xs, big = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 100_000, RngStream(18))
         err = big - xs @ t.h.T
         power = np.mean(np.sum(np.abs(err) ** 2, axis=1))
         assert abs(power - t.n_r * t.sigma2) < 0.02 * t.n_r * t.sigma2
@@ -173,7 +181,7 @@ class TestApplyChannel:
         c = qam4_constellation(2)
         q = Quantizer(bits=4)
         levels = q.levels()
-        _, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 50, RngStream(19))
+        _, ys = sample_pairs(t.h, t.sigma2, q, c, 50, RngStream(19))
         for v in np.concatenate([ys.real, ys.imag]).ravel():
             assert np.min(np.abs(levels - v)) < 1e-12
 
@@ -182,7 +190,8 @@ class TestApplyChannel:
         c = qam4_constellation(2)
         hs = RngStream(20).complex_normal((3, 2, 2))
         s2 = np.array([0.1, 1.0, 10.0])
-        xs, ys, idx = sample_pairs(hs, s2, UNQUANTIZED, c, 4000, RngStream(21))
+        xs, ys = sample_pairs(hs, s2, UNQUANTIZED, c, 4000, RngStream(21))
+        idx = joint_index(c, xs)
         assert xs.shape == (3, 4000, 2) and ys.shape == (3, 4000, 2) and idx.shape == (3, 4000)
         np.testing.assert_array_equal(xs, c.joint[idx])
         err = ys - np.einsum("brt,bnt->bnr", hs, xs)
@@ -218,7 +227,7 @@ class TestLogLikelihood:
         c = qam4_constellation(2)
         q = Quantizer(bits=1)
         t = Task(h=RngStream(22).complex_normal((2, 2)), sigma2=0.3)
-        xs, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 1, RngStream(23))
+        xs, ys = sample_pairs(t.h, t.sigma2, q, c, 1, RngStream(23))
         x, y = xs[0], ys[0]
         assert abs(log_likelihood(t, q, x, y) - log_likelihood(t, q, -x, -y)) < 1e-12
 
@@ -234,7 +243,7 @@ class TestLogLikelihood:
         c = qam4_constellation(2)
         q = Quantizer(bits=10)
         t = Task(h=RngStream(24).complex_normal((2, 2)), sigma2=0.5)
-        xs, ys, _ = sample_pairs(t.h, t.sigma2, q, c, 20, RngStream(25))
+        xs, ys = sample_pairs(t.h, t.sigma2, q, c, 20, RngStream(25))
         for x, y in zip(xs, ys):
             lq = log_likelihood(t, q, x, y)
             lu = log_likelihood(t, UNQUANTIZED, x, y)
@@ -262,7 +271,7 @@ class TestSampleContext:
         ctx = pilots(t, Quantizer(bits=4), c, 20, RngStream(28))
         assert len(ctx) == 20
         big = pilots(t, Quantizer(bits=4), c, 100_000, RngStream(29))
-        counts = np.bincount(big.x_idx, minlength=16)
+        counts = np.bincount(joint_index(c, big.xs), minlength=16)
         expected = len(big) / 16
         chi2 = np.sum((counts - expected) ** 2 / expected)
         # chi-square with 15 dof: 99.9th percentile ~ 37.7

@@ -56,7 +56,7 @@ class TestObservationShapes:
         q = Quantizer(bits=bits)
         t = rand_task(60)
         ctx = pilots(t, q, C2, 6, RngStream(61))
-        _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
         prior = ChannelPrior.discrete(RngStream(63).complex_normal((4, 2, 2)))
         estimators = {
             "input_posterior": lambda y: input_posterior(t, q, C2, y),
@@ -306,7 +306,7 @@ class TestBayesMmseDiscrete:
         channels = rng.derive(0).complex_normal((m, 2, 2))
         t = Task(h=channels[0], sigma2=sigma2)
         ctx = pilots(t, q, C2, n_pilots, rng.derive(1))
-        _, ys, _ = sample_pairs(t.h, sigma2, q, C2, 4, rng.derive(2))
+        _, ys = sample_pairs(t.h, sigma2, q, C2, 4, rng.derive(2))
         got = bayes_mmse_discrete(ChannelPrior.discrete(channels), sigma2, q, C2, ctx, ys)
         tasks = [Task(h=h, sigma2=sigma2) for h in channels]
         pilot_ll = [
@@ -343,7 +343,7 @@ class TestBayesMmseContinuousMc:
         q = Quantizer(bits=bits)
         t = rand_task(35)
         ctx = pilots(t, q, C2, 3, RngStream(36))
-        _, ys, _ = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(37))
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(37))
         est, _ = bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(38))
         channels = RngStream(38).complex_normal(size=(64, 2, 2))
         want = bayes_mmse_discrete(

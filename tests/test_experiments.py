@@ -2,12 +2,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import icleq
+from icleq import experiments
 from icleq.channel import TaskDistributionSpec, qam4_constellation
 from icleq.estimators import mmse_known_task
 from icleq.experiments import (
@@ -22,6 +24,8 @@ from icleq.experiments import (
     parse_config_file,
     per_draw_errors,
     results_to_csv,
+    run_quantization_sweep,
+    run_snr_sweep,
     run_threshold_sweep,
 )
 from icleq.rng import RngStream
@@ -124,7 +128,7 @@ class TestEvalSet:
 class TestEvaluate:
     def test_mmse_uninformative_limit(self):
         noisy = small_protocol(tasks=TaskDistributionSpec(2, 2, 60.0, 60.0), bits=None)
-        r = evaluate(Equalizer.mmse(), protocol=noisy)
+        r = evaluate(Equalizer.mmse(), evalset=EvalSet.build(noisy))
         assert abs(r.mse - 1.0) < 0.05
         assert r.ci_low <= r.mse <= r.ci_high
 
@@ -143,19 +147,20 @@ class TestEvaluate:
         assert flat.mean() + 1.96 * se < 0
 
     def test_exact_reference_requires_unquantized(self):
+        ev = EvalSet.build(small_protocol(bits=4))
         with pytest.raises(ValueError, match="unquantized"):
-            evaluate(Equalizer.bayes_exact(), protocol=small_protocol(bits=4))
+            evaluate(Equalizer.bayes_exact(), evalset=ev)
 
     def test_mc_reference_reports_ess(self):
         r = evaluate(
-            Equalizer.bayes_mc(128), protocol=small_protocol(n_test_tasks=3)
+            Equalizer.bayes_mc(128), evalset=EvalSet.build(small_protocol(n_test_tasks=3))
         )
         assert r.ess is not None and 1.0 <= r.ess <= 128.0
 
     def test_ci_width_shrinks_with_samples(self):
-        narrow = evaluate(Equalizer.mmse(), protocol=small_protocol(n_test_tasks=8))
+        narrow = evaluate(Equalizer.mmse(), evalset=EvalSet.build(small_protocol(n_test_tasks=8)))
         wide = evaluate(
-            Equalizer.mmse(), protocol=small_protocol(n_test_tasks=32)
+            Equalizer.mmse(), evalset=EvalSet.build(small_protocol(n_test_tasks=32))
         )
         w1 = narrow.ci_high - narrow.ci_low
         w2 = wide.ci_high - wide.ci_low
@@ -227,6 +232,83 @@ class TestConfigFile:
     def test_ill_typed_values_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_config_file(text).model_config()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m_grid = 4, 0", "m_grid entry 0 must be >= 1"),
+            ("bits_grid = 1, 0", "bits_grid entry 0 must be >= 1"),
+            ("bits_grid = none, -2", "bits_grid entry -2 must be >= 1"),
+            ("lr = 0", "lr must be > 0, got 0.0"),
+            ("lr = -1", "lr must be > 0, got -1.0"),
+        ],
+        ids=["m-grid-zero", "bits-grid-zero", "bits-grid-negative", "lr-zero", "lr-negative"],
+    )
+    def test_out_of_range_values_rejected_at_parse_time(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_config_file(text)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every TrainConfig the sweeps pre-train on and every EvalProtocol they
+    build an EvalSet from; the original functions still run."""
+    trained, protocols = [], []
+    pretrain, build = experiments.pretrain, EvalSet.build
+
+    def record_pretrain(cfg, *args, **kwargs):
+        trained.append(cfg)
+        return pretrain(cfg, *args, **kwargs)
+
+    def record_build(protocol):
+        protocols.append(protocol)
+        return build(protocol)
+
+    monkeypatch.setattr(experiments, "pretrain", record_pretrain)
+    monkeypatch.setattr(EvalSet, "build", staticmethod(record_build))
+    return trained, protocols
+
+
+def noise_db(spec):
+    return (spec.sigma2_db_min, spec.sigma2_db_max)
+
+
+class TestSweepGridPoints:
+    def test_threshold_sweep_trains_each_m_on_one_evalset(self, recorded):
+        trained, protocols = recorded
+        run_threshold_sweep(MICRO)
+        assert [tc.m_tasks for tc in trained] == list(MICRO.m_grid)
+        for tc in trained:
+            assert tc == replace(MICRO, m_tasks=tc.m_tasks).train_config(seed=tc.seed)
+        assert protocols == [MICRO.protocol(seed=protocols[0].seed)]
+
+    def test_snr_sweep_noise_powers(self, recorded):
+        trained, protocols = recorded
+        cfg = replace(MICRO, snr_db_grid=(0.0, 10.0))
+        results = run_snr_sweep(cfg)
+        assert [noise_db(tc.tasks) for tc in trained] == [(0.0, 0.0), (-30.0, -30.0), (-30.0, 0.0)]
+        for tc in trained:
+            lo, hi = noise_db(tc.tasks)
+            assert tc == replace(cfg, sigma2_db_min=lo, sigma2_db_max=hi).train_config(seed=tc.seed)
+        assert [noise_db(p.tasks) for p in protocols] == [(-s, -s) for s in cfg.snr_db_grid]
+        for p in protocols:
+            lo, hi = noise_db(p.tasks)
+            assert p == replace(cfg, sigma2_db_min=lo, sigma2_db_max=hi).protocol(seed=p.seed)
+        names = ["icl_fixed0db", "icl_fixed30db", "icl_range", "mmse_known", "lmmse"]
+        assert [r.estimator for r in results] == names * 2
+        assert [r.value for r in results] == [0.0] * 5 + [10.0] * 5
+
+    def test_quantization_sweep_bits(self, recorded):
+        trained, protocols = recorded
+        cfg = replace(MICRO, bits_grid=(1, 4, None))
+        results = run_quantization_sweep(cfg)
+        assert [tc.bits for tc in trained] == [1, 4, None]
+        assert [p.bits for p in protocols] == [1, 4, None]
+        for tc, p in zip(trained, protocols):
+            assert tc == replace(cfg, bits=tc.bits).train_config(seed=tc.seed)
+            assert p == replace(cfg, bits=p.bits).protocol(seed=p.seed)
+        assert [r.estimator for r in results] == ["icl", "mmse_known", "lmmse"] * 3
+        assert [r.value for r in results] == [1.0] * 3 + [4.0] * 3 + [float("inf")] * 3
 
 
 class TestThresholdSweepMicro:

@@ -73,6 +73,11 @@ class TestTrainConfig:
             tiny_cfg(**{name: -1})
         assert getattr(tiny_cfg(**{name: 0}), name) == 0
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_non_positive_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"lr must be > 0, got {lr}"):
+            tiny_cfg(lr=lr)
+
 
 class TestBatchLoss:
     def test_uniform_head_gives_unit_loss(self):
@@ -94,7 +99,7 @@ class TestBatchLoss:
         params["head.b"] = np.zeros_like(params["head.b"])
         params["head.b"][7] = 200.0  # one-hot on class 7 everywhere
         t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(4)).task(0)
-        _, ctx_ys, _ = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(5))
+        _, ctx_ys = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(5))
         # every input, pilots and test alike, is class 7
         x = C2.joint[7]
         batch = one_class_batch(cfg, x, ctx_ys, t.h @ x, 3)
@@ -163,7 +168,7 @@ class TestGradient:
         params["head.b"][5] = 200.0
         x = C2.joint[5]
         t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(14)).task(0)
-        _, ctx_ys, _ = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(15))
+        _, ctx_ys = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(15))
         batch = one_class_batch(cfg, x, ctx_ys, t.h @ x, 2)
         loss, grads = gradient(params, cfg, batch, C2)
         assert loss < 1e-9
@@ -181,24 +186,27 @@ class TestGradient:
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         params = {"w": RngStream(17).normal((3, 3))}
-        state = AdamState.init(params, lr=1e-2)
-        out, _ = adam_step(params, {"w": np.zeros((3, 3))}, state)
+        state = AdamState.init(params)
+        out, _ = adam_step(params, {"w": np.zeros((3, 3))}, state, tiny_cfg(lr=1e-2))
         np.testing.assert_allclose(out["w"], params["w"], atol=1e-12)
 
     def test_constant_gradient_descends(self):
         params = {"w": np.zeros(4)}
-        state = AdamState.init(params, lr=1e-3, clip_norm=None)
+        state = AdamState.init(params)
+        cfg = tiny_cfg(lr=1e-3, clip_norm=None)
         g = np.array([1.0, -2.0, 0.5, -0.1])
         for _ in range(50):
-            params, state = adam_step(params, {"w": g}, state)
+            params, state = adam_step(params, {"w": g}, state, cfg)
         assert np.all(np.sign(params["w"]) == -np.sign(g))
 
     def test_global_norm_clipping(self):
         params = {"w": np.zeros(1)}
-        state = AdamState.init(params, lr=1.0, clip_norm=1.0)
-        out_clipped, _ = adam_step(params, {"w": np.array([10.0])}, state)
-        state2 = AdamState.init(params, lr=1.0, clip_norm=None)
-        out_free, _ = adam_step(params, {"w": np.array([1.0])}, state2)
+        out_clipped, _ = adam_step(
+            params, {"w": np.array([10.0])}, AdamState.init(params), tiny_cfg(lr=1.0, clip_norm=1.0)
+        )
+        out_free, _ = adam_step(
+            params, {"w": np.array([1.0])}, AdamState.init(params), tiny_cfg(lr=1.0, clip_norm=None)
+        )
         # a clipped gradient of 10 becomes exactly a gradient of 1
         np.testing.assert_allclose(out_clipped["w"], out_free["w"], atol=1e-15)
 
