@@ -18,12 +18,7 @@ Run:  python demos/02_reference_equalizers.py   (~1 minute)
 import numpy as np
 
 from icleq import RngStream, TaskDistributionSpec, qam4_constellation
-from icleq.estimators import (
-    ChannelPrior,
-    bayes_mmse_discrete,
-    lmmse_known_task,
-    mmse_known_task,
-)
+from icleq.estimators import bayes_mmse_discrete, lmmse_known_task, mmse_known_task
 from icleq.experiments import Equalizer, EvalProtocol, EvalSet, evaluate
 
 spec = TaskDistributionSpec(2, 2, -10.0, -10.0)
@@ -52,9 +47,7 @@ ys = evalset.test_ys[0]
 decoys = RngStream(99).complex_normal((7, 2, 2))
 prior_channels = np.concatenate([task.h[None], decoys])
 q = protocol.quantizer
-est_disc = bayes_mmse_discrete(
-    ChannelPrior.discrete(prior_channels), task.sigma2, q, const, ctx, ys
-)
+est_disc = bayes_mmse_discrete(prior_channels, task.sigma2, q, const, ctx, ys)
 est_mmse = mmse_known_task(task, q, const, ys)
 gap = np.max(np.abs(est_disc - est_mmse))
 print(f"\ndiscrete prior holding the true channel (+7 decoys), N=20 pilots:")

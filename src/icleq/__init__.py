@@ -5,7 +5,6 @@ from . import _malloc
 _malloc.tune()
 
 from .channel import (
-    UNQUANTIZED,
     Constellation,
     ContextSet,
     Quantizer,
@@ -17,7 +16,6 @@ from .channel import (
     quantize,
     sample_pairs,
     sample_task,
-    snr_of,
 )
 from .numerics import (
     hermitian,
@@ -28,7 +26,6 @@ from .numerics import (
 from .rng import RngStream
 
 __all__ = [
-    "UNQUANTIZED",
     "Constellation",
     "ContextSet",
     "Quantizer",
@@ -44,7 +41,6 @@ __all__ = [
     "quantize",
     "sample_pairs",
     "sample_task",
-    "snr_of",
     "solve_hpd",
 ]
 

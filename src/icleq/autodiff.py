@@ -101,17 +101,6 @@ class Tape:
 
         return self._push("sub", (a, b), out, vjp)
 
-    def mul(self, a: Node, b: Node) -> Node:
-        out = a.value * b.value
-
-        def vjp(g):
-            return (
-                _unbroadcast(g * b.value, a.value.shape),
-                _unbroadcast(g * a.value, b.value.shape),
-            )
-
-        return self._push("mul", (a, b), out, vjp)
-
     def scale(self, a: Node, c: float) -> Node:
         out = a.value * c
 

@@ -28,7 +28,6 @@ __all__ = [
     "Task",
     "TaskDistributionSpec",
     "ContextSet",
-    "snr_of",
     "sample_task",
     "quantize",
     "cell_bounds",
@@ -76,9 +75,6 @@ class Quantizer:
         """All output levels, midpoints of the cells."""
         k = np.arange(self.n_levels)
         return RANGE_LO + self.step * (k + 0.5)
-
-
-UNQUANTIZED = Quantizer(bits=None)
 
 
 def quantize(q: Quantizer, v):
@@ -214,11 +210,6 @@ class TaskDistributionSpec:
             raise ValueError("sigma2_db_min must be <= sigma2_db_max")
 
 
-def snr_of(task: Task) -> float:
-    """Per-receive-antenna SNR as a linear ratio (unit transmit power)."""
-    return 1.0 / task.sigma2
-
-
 def sample_task(spec: TaskDistributionSpec, rng: RngStream) -> Task:
     h = rng.complex_normal(size=(spec.n_r, spec.n_t))
     u = rng.uniform(spec.sigma2_db_min, spec.sigma2_db_max)
@@ -255,13 +246,6 @@ class ContextSet:
 
     def __len__(self) -> int:
         return self.xs.shape[0]
-
-
-def empty_context(n_t: int, n_r: int) -> ContextSet:
-    return ContextSet(
-        xs=np.zeros((0, n_t), dtype=complex),
-        ys=np.zeros((0, n_r), dtype=complex),
-    )
 
 
 def sample_pairs(

@@ -30,7 +30,6 @@ from .experiments import (
     emit_plot_data,
     evaluate,
     parse_config_file,
-    results_to_csv,
     run_quantization_sweep,
     run_snr_sweep,
     run_threshold_sweep,

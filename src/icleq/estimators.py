@@ -26,8 +26,6 @@ likelihoods at high SNR underflow otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import Constellation, ContextSet, Quantizer, Task, loglik_means
@@ -35,7 +33,6 @@ from .numerics import hermitian, logsumexp, solve_hpd
 from .rng import RngStream
 
 __all__ = [
-    "ChannelPrior",
     "DegenerateEvidenceError",
     "input_posterior",
     "mmse_known_task",
@@ -50,20 +47,6 @@ __all__ = [
 class DegenerateEvidenceError(ValueError):
     """Zero evidence: every candidate input has zero likelihood for the
     observation, or every channel has zero likelihood for the pilots."""
-
-
-@dataclass(frozen=True)
-class ChannelPrior:
-    """Uniform discrete channel prior over a stored set of channel matrices."""
-
-    channels: np.ndarray
-
-    @classmethod
-    def discrete(cls, channels) -> "ChannelPrior":
-        ch = np.asarray(channels, dtype=complex)
-        if ch.ndim != 3 or ch.shape[0] == 0:
-            raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
-        return cls(channels=ch)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +140,7 @@ def channel_log_posterior_weights(
 
 
 def bayes_mmse_discrete(
-    prior: ChannelPrior,
+    channels: np.ndarray,
     sigma2: float,
     q: Quantizer,
     constellation: Constellation,
@@ -165,11 +148,14 @@ def bayes_mmse_discrete(
     y: np.ndarray,
     prune_tol: float = 0.0,
 ) -> np.ndarray:
-    """MMSE equalizer under a uniform prior over stored channels: posterior
-    mean under the joint posterior over (channel, input) given the pilots
-    and y (exact)."""
-    lw = channel_log_posterior_weights(prior.channels, sigma2, q, context)
-    probs = _joint_input_posterior(prior.channels, lw, sigma2, q, constellation, y, prune_tol)
+    """MMSE equalizer under a uniform prior over a non-empty (M, n_r, n_t)
+    stack of channels: posterior mean under the joint posterior over
+    (channel, input) given the pilots and y (exact)."""
+    channels = np.asarray(channels, dtype=complex)
+    if channels.ndim != 3 or channels.shape[0] == 0:
+        raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
+    lw = channel_log_posterior_weights(channels, sigma2, q, context)
+    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y, prune_tol)
     return probs @ constellation.joint
 
 

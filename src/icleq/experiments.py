@@ -20,12 +20,12 @@ import csv
 import hashlib
 import io
 import logging
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .channel import (
-    Constellation,
     ContextSet,
     Quantizer,
     Task,
@@ -35,7 +35,6 @@ from .channel import (
     sample_task,
 )
 from .estimators import (
-    ChannelPrior,
     bayes_mmse_continuous_mc,
     bayes_mmse_discrete,
     bayes_mmse_gaussian_exact,
@@ -160,13 +159,16 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class Equalizer:
-    """A named estimator: either the trained model or one of the references."""
+    """A named estimator: either the trained model or one of the references.
+
+    ``estimate(task, q, constellation, context, ys, rng)`` returns the
+    estimates of one task's test observations ``ys`` and, for a Monte-Carlo
+    reference, the effective sample size (else None).  Each factory binds
+    its own settings into it.
+    """
 
     kind: str
-    params: dict | None = None
-    model: ModelConfig | None = None
-    prior: ChannelPrior | None = None
-    k: int | None = None
+    estimate: Callable[..., tuple[np.ndarray, float | None]]
 
     KINDS = ("icl", "mmse_known", "lmmse", "bayes_discrete", "bayes_mc", "bayes_exact")
 
@@ -176,61 +178,48 @@ class Equalizer:
 
     @classmethod
     def icl(cls, params: dict, model: ModelConfig) -> "Equalizer":
-        return cls(kind="icl", params=params, model=model)
+        def estimate(t, q, c, ctx, ys, rng):
+            # one sequence per test symbol: the task's pilots, then that symbol
+            s, n = ys.shape[0], len(ctx)
+            xs_seq = np.zeros((s, n + 1, c.n_t), dtype=complex)  # last slot is never a token
+            ys_seq = np.empty((s, n + 1, ys.shape[1]), dtype=complex)
+            xs_seq[:, :n] = ctx.xs
+            ys_seq[:, :n] = ctx.ys
+            ys_seq[:, n] = ys
+            _, est = forward_batch(params, model, c, build_tokens(model, xs_seq, ys_seq))
+            return est[:, -1, :], None
+
+        return cls("icl", estimate)
 
     @classmethod
     def mmse(cls) -> "Equalizer":
-        return cls(kind="mmse_known")
+        return cls("mmse_known", lambda t, q, c, ctx, ys, rng: (mmse_known_task(t, q, c, ys), None))
 
     @classmethod
     def lmmse(cls) -> "Equalizer":
-        return cls(kind="lmmse")
+        return cls("lmmse", lambda t, q, c, ctx, ys, rng: (lmmse_known_task(t, ys), None))
 
     @classmethod
     def bayes_discrete(cls, channels) -> "Equalizer":
-        return cls(kind="bayes_discrete", prior=ChannelPrior.discrete(channels))
+        def estimate(t, q, c, ctx, ys, rng):
+            est = bayes_mmse_discrete(channels, t.sigma2, q, c, ctx, ys, MIXTURE_PRUNE_TOL)
+            return est, None
+
+        return cls("bayes_discrete", estimate)
 
     @classmethod
     def bayes_mc(cls, k: int) -> "Equalizer":
-        return cls(kind="bayes_mc", k=k)
+        def estimate(t, q, c, ctx, ys, rng):
+            return bayes_mmse_continuous_mc(t.sigma2, q, c, ctx, ys, k, rng, MIXTURE_PRUNE_TOL)
+
+        return cls("bayes_mc", estimate)
 
     @classmethod
     def bayes_exact(cls) -> "Equalizer":
-        return cls(kind="bayes_exact")
+        def estimate(t, q, c, ctx, ys, rng):
+            return bayes_mmse_gaussian_exact(t.sigma2, c, ctx, ys, quantizer=q), None
 
-
-def _icl_estimates(
-    eq: Equalizer, task: Task, q: Quantizer, c: Constellation, ctx: ContextSet,
-    ys: np.ndarray, rng: RngStream,
-) -> tuple[np.ndarray, None]:
-    """One sequence per test symbol: the task's pilots, then that symbol."""
-    s, n = ys.shape[0], len(ctx)
-    xs_seq = np.zeros((s, n + 1, c.n_t), dtype=complex)  # last slot is never a token
-    ys_seq = np.empty((s, n + 1, ys.shape[1]), dtype=complex)
-    xs_seq[:, :n] = ctx.xs
-    ys_seq[:, :n] = ctx.ys
-    ys_seq[:, n] = ys
-    _, est = forward_batch(eq.params, eq.model, c, build_tokens(eq.model, xs_seq, ys_seq))
-    return est[:, -1, :], None
-
-
-# kind -> (estimates, ess) for the test observations ys of one task
-_TASK_ESTIMATES = {
-    "icl": _icl_estimates,
-    "mmse_known": lambda eq, task, q, c, ctx, ys, rng: (mmse_known_task(task, q, c, ys), None),
-    "lmmse": lambda eq, task, q, c, ctx, ys, rng: (lmmse_known_task(task, ys), None),
-    "bayes_discrete": lambda eq, task, q, c, ctx, ys, rng: (
-        bayes_mmse_discrete(eq.prior, task.sigma2, q, c, ctx, ys, prune_tol=MIXTURE_PRUNE_TOL),
-        None,
-    ),
-    "bayes_mc": lambda eq, task, q, c, ctx, ys, rng: bayes_mmse_continuous_mc(
-        task.sigma2, q, c, ctx, ys, eq.k, rng, prune_tol=MIXTURE_PRUNE_TOL
-    ),
-    "bayes_exact": lambda eq, task, q, c, ctx, ys, rng: (
-        bayes_mmse_gaussian_exact(task.sigma2, c, ctx, ys, quantizer=q),
-        None,
-    ),
-}
+        return cls("bayes_exact", estimate)
 
 
 def _draw_errors(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, list[float]]:
@@ -239,12 +228,11 @@ def _draw_errors(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, li
     p = evalset.protocol
     constellation = qam4_constellation(p.tasks.n_t)
     root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
-    estimates = _TASK_ESTIMATES[equalizer.kind]
     errs = np.empty((p.n_test_tasks, p.n_test_symbols_per_task))
     esss = []
     for i in range(p.n_test_tasks):
-        est, ess = estimates(
-            equalizer, evalset.task(i), p.quantizer, constellation, evalset.context(i),
+        est, ess = equalizer.estimate(
+            evalset.task(i), p.quantizer, constellation, evalset.context(i),
             evalset.test_ys[i], root.derive(i),
         )
         errs[i] = np.sum(np.abs(est - evalset.test_xs[i]) ** 2, axis=1)
@@ -345,9 +333,9 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # checked here so that a bad grid point fails before any earlier point trains
-        if not self.lr > 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        # every nested check runs here, so a bad value fails before any sweep trains
+        self.train_config(seed=self.seed)
+        self.protocol(seed=self.seed)
         for key in ("m_grid", "bits_grid"):
             for entry in getattr(self, key):
                 if entry is not None and entry < 1:
@@ -429,7 +417,8 @@ def parse_config_file(text: str) -> ExperimentConfig:
     """Flat ``key = value`` lines; '#' comments; lists are comma-separated.
 
     Each value must have the type of its field's default (a grid's elements
-    that of its first default element); a mismatch raises ValueError.
+    that of its first default element); a mismatch, a repeated key or a value
+    out of range raises ValueError.
     """
     defaults = asdict(ExperimentConfig())
     out = {}
@@ -442,6 +431,8 @@ def parse_config_file(text: str) -> ExperimentConfig:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in defaults:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ValueError(f"config line {lineno}: repeated key {key!r}")
         default = defaults[key]
         if isinstance(default, tuple):
             want = type(default[0])

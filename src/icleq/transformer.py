@@ -22,7 +22,7 @@ the same graph without a backward pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class ModelConfig:
     @property
     def d_w(self) -> int:
         return self.d_e // self.n_heads
-
-    def replace(self, **kw) -> "ModelConfig":
-        return replace(self, **kw)
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple]:

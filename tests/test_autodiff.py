@@ -59,13 +59,16 @@ class TestOpGradients:
         params = {"a": rnd(5, 3, 4), "b": rnd(6, 2, 4, 2)}
         fd_check(lambda t, p: t.sum_all(t.square(t.matmul(p["a"], p["b"]))), params)
 
-    def test_add_sub_mul_broadcast(self):
+    def test_add_sub_matmul_broadcast(self):
         params = {"a": rnd(7, 2, 3), "b": rnd(8, 1, 3), "c": rnd(9, 2, 1)}
 
         def build(t, p):
             s = t.add(p["a"], p["b"])
             s = t.sub(s, p["c"])
-            s = t.mul(s, p["b"])
+            # the outer product c b makes the gradient of each broadcast
+            # operand depend on the other's values
+            s = t.add(s, t.matmul(p["c"], p["b"]))
+            s = t.add(t.matmul(s, t.transpose(p["b"], (1, 0))), p["b"])
             return t.sum_all(t.square(s))
 
         fd_check(build, params)
@@ -136,7 +139,7 @@ class TestTapeMechanics:
         tape = Tape()
         a = tape.leaf(rnd(20, 2, 2), "a")
         c = tape.constant(np.ones((2, 2)))
-        loss = tape.sum_all(tape.square(tape.mul(a, c)))
+        loss = tape.sum_all(tape.square(tape.matmul(a, c)))
         grads = tape.backward(loss)
         assert set(grads) == {"a"}
         assert c.grad is None

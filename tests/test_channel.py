@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from icleq.channel import (
-    UNQUANTIZED,
     ContextSet,
     Quantizer,
     Task,
@@ -17,7 +16,6 @@ from icleq.channel import (
     quantize,
     sample_pairs,
     sample_task,
-    snr_of,
 )
 from icleq.numerics import logsumexp
 from icleq.rng import RngStream
@@ -29,18 +27,6 @@ def joint_index(c, xs):
     hits = np.all(xs[..., None, :] == c.joint, axis=-1)
     assert np.all(hits.sum(axis=-1) == 1)
     return np.argmax(hits, axis=-1)
-
-
-class TestSnr:
-    def test_paper_operating_point(self):
-        t = Task(h=np.eye(2, dtype=complex), sigma2=0.1)
-        assert abs(snr_of(t) - 10.0) < 1e-15
-
-    def test_unit(self):
-        assert snr_of(Task(h=np.eye(2, dtype=complex), sigma2=1.0)) == 1.0
-
-    def test_30db(self):
-        assert abs(snr_of(Task(h=np.eye(2, dtype=complex), sigma2=0.001)) - 1000.0) < 1e-9
 
 
 class TestSampleTask:
@@ -84,7 +70,7 @@ class TestQuantizer:
         assert (idx, val) == (0, -2.0)
 
     def test_unquantized_passthrough(self):
-        idx, val = quantize(UNQUANTIZED, 1.2345)
+        idx, val = quantize(Quantizer(bits=None), 1.2345)
         assert idx == -1 and val == 1.2345
 
     def test_cell_bounds_examples(self):
@@ -163,14 +149,14 @@ class TestApplyChannel:
     def test_noiseless_unquantized_limit(self):
         t = self._task(sigma2=1e-30)
         c = qam4_constellation(2)
-        xs, ys = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 16, RngStream(16))
+        xs, ys = sample_pairs(t.h, t.sigma2, Quantizer(bits=None), c, 16, RngStream(16))
         np.testing.assert_allclose(ys, xs @ t.h.T, atol=1e-12)
 
     def test_noise_power(self):
         t = self._task(sigma2=0.25)
         c = qam4_constellation(2)
-        _, ys = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 200, RngStream(17))
-        xs, big = sample_pairs(t.h, t.sigma2, UNQUANTIZED, c, 100_000, RngStream(18))
+        _, ys = sample_pairs(t.h, t.sigma2, Quantizer(bits=None), c, 200, RngStream(17))
+        xs, big = sample_pairs(t.h, t.sigma2, Quantizer(bits=None), c, 100_000, RngStream(18))
         err = big - xs @ t.h.T
         power = np.mean(np.sum(np.abs(err) ** 2, axis=1))
         assert abs(power - t.n_r * t.sigma2) < 0.02 * t.n_r * t.sigma2
@@ -190,7 +176,7 @@ class TestApplyChannel:
         c = qam4_constellation(2)
         hs = RngStream(20).complex_normal((3, 2, 2))
         s2 = np.array([0.1, 1.0, 10.0])
-        xs, ys = sample_pairs(hs, s2, UNQUANTIZED, c, 4000, RngStream(21))
+        xs, ys = sample_pairs(hs, s2, Quantizer(bits=None), c, 4000, RngStream(21))
         idx = joint_index(c, xs)
         assert xs.shape == (3, 4000, 2) and ys.shape == (3, 4000, 2) and idx.shape == (3, 4000)
         np.testing.assert_array_equal(xs, c.joint[idx])
@@ -219,7 +205,7 @@ class TestLogLikelihood:
         c = qam4_constellation(2)
         t = Task(h=RngStream(21).complex_normal((2, 2)), sigma2=0.2)
         x = c.joint[7]
-        got = log_likelihood(t, UNQUANTIZED, x, t.h @ x)
+        got = log_likelihood(t, Quantizer(bits=None), x, t.h @ x)
         want = 2 * t.n_r * np.log(1.0 / np.sqrt(np.pi * t.sigma2))
         assert abs(got - want) < 1e-12
 
@@ -246,7 +232,7 @@ class TestLogLikelihood:
         xs, ys = sample_pairs(t.h, t.sigma2, q, c, 20, RngStream(25))
         for x, y in zip(xs, ys):
             lq = log_likelihood(t, q, x, y)
-            lu = log_likelihood(t, UNQUANTIZED, x, y)
+            lu = log_likelihood(t, Quantizer(bits=None), x, y)
             want = lu + 2 * t.n_r * np.log(q.step)
             assert abs(lq - want) < 1e-3 * abs(want)
 
@@ -263,7 +249,7 @@ class TestSampleContext:
 
     def test_empty(self):
         c, t = self._setup()
-        ctx = pilots(t, UNQUANTIZED, c, 0, RngStream(27))
+        ctx = pilots(t, Quantizer(bits=None), c, 0, RngStream(27))
         assert len(ctx) == 0
 
     def test_paper_context_length_and_uniform_marginal(self):

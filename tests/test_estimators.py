@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from icleq.channel import (
-    UNQUANTIZED,
     ContextSet,
     Quantizer,
     Task,
     TaskDistributionSpec,
-    empty_context,
     log_likelihood,
     qam4_constellation,
     quantize,
@@ -15,7 +13,6 @@ from icleq.channel import (
     sample_task,
 )
 from icleq.estimators import (
-    ChannelPrior,
     DegenerateEvidenceError,
     bayes_mmse_continuous_mc,
     bayes_mmse_discrete,
@@ -41,6 +38,10 @@ def pilots(t, q, c, n, rng):
     return ContextSet(*sample_pairs(t.h, t.sigma2, q, c, n, rng))
 
 
+def empty_context(n_t, n_r):
+    return ContextSet(xs=np.zeros((0, n_t)), ys=np.zeros((0, n_r)))
+
+
 def log_evidence(h, sigma2, q, y):
     """log p(y | h) under the uniform input prior, up to the constant -log |X|."""
     t = Task(h=h, sigma2=sigma2)
@@ -57,12 +58,12 @@ class TestObservationShapes:
         t = rand_task(60)
         ctx = pilots(t, q, C2, 6, RngStream(61))
         _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
-        prior = ChannelPrior.discrete(RngStream(63).complex_normal((4, 2, 2)))
+        channels = RngStream(63).complex_normal((4, 2, 2))
         estimators = {
             "input_posterior": lambda y: input_posterior(t, q, C2, y),
             "mmse_known": lambda y: mmse_known_task(t, q, C2, y),
             "lmmse": lambda y: lmmse_known_task(t, y),
-            "bayes_discrete": lambda y: bayes_mmse_discrete(prior, t.sigma2, q, C2, ctx, y),
+            "bayes_discrete": lambda y: bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, y),
             "bayes_mc": lambda y: bayes_mmse_continuous_mc(
                 t.sigma2, q, C2, ctx, y, 256, RngStream(64)
             )[0],
@@ -80,13 +81,13 @@ class TestInputPosterior:
     def test_noiseless_identifiability(self):
         t = rand_task(1, sigma2=1e-9)
         x = C2.joint[6]
-        probs = input_posterior(t, UNQUANTIZED, C2, t.h @ x)
+        probs = input_posterior(t, Quantizer(bits=None), C2, t.h @ x)
         assert probs[6] >= 0.999
 
     def test_uninformative_limit(self):
         t = rand_task(2, sigma2=1e12)
         y = np.array([0.3 + 0.1j, -0.2 + 0.5j])
-        probs = input_posterior(t, UNQUANTIZED, C2, y)
+        probs = input_posterior(t, Quantizer(bits=None), C2, y)
         np.testing.assert_allclose(probs, 1 / 16, atol=1e-6)
 
     def test_normalization(self):
@@ -94,7 +95,7 @@ class TestInputPosterior:
         rng = RngStream(33)
         for i in range(10):
             y = rng.derive(i).complex_normal(size=2)
-            probs = input_posterior(t, UNQUANTIZED, C2, y)
+            probs = input_posterior(t, Quantizer(bits=None), C2, y)
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs >= 0)
 
@@ -157,13 +158,13 @@ class TestInputPosterior:
 class TestMmseKnownTask:
     def test_uniform_posterior_gives_zero(self):
         t = rand_task(5, sigma2=1e12)
-        x_hat = mmse_known_task(t, UNQUANTIZED, C2, np.array([0.1 + 0j, 0.2 + 0j]))
+        x_hat = mmse_known_task(t, Quantizer(bits=None), C2, np.array([0.1 + 0j, 0.2 + 0j]))
         assert np.linalg.norm(x_hat) < 1e-4
 
     def test_noiseless_limit_recovers_input(self):
         t = rand_task(6, sigma2=1e-9)
         x = C2.joint[11]
-        x_hat = mmse_known_task(t, UNQUANTIZED, C2, t.h @ x)
+        x_hat = mmse_known_task(t, Quantizer(bits=None), C2, t.h @ x)
         assert np.linalg.norm(x_hat - x) < 1e-3
 
     def test_rotation_equivariance(self):
@@ -174,9 +175,9 @@ class TestMmseKnownTask:
         for trial in range(10):
             u = 1j ** np.asarray(rng.integers(0, 4, size=2))
             y = rng.derive(trial).complex_normal(size=2)
-            base = mmse_known_task(t, UNQUANTIZED, C2, y)
+            base = mmse_known_task(t, Quantizer(bits=None), C2, y)
             rot_task = Task(h=t.h @ np.diag(u.conj()), sigma2=t.sigma2)
-            got = mmse_known_task(rot_task, UNQUANTIZED, C2, y)
+            got = mmse_known_task(rot_task, Quantizer(bits=None), C2, y)
             np.testing.assert_allclose(got, u * base, atol=1e-10)
 
     def test_beats_lmmse_on_average(self):
@@ -231,9 +232,9 @@ class TestLmmse:
 
 class TestChannelPosteriorWeights:
     def test_empty_context_keeps_prior(self):
-        prior = ChannelPrior.discrete(RngStream(12).complex_normal((3, 2, 2)))
+        channels = RngStream(12).complex_normal((3, 2, 2))
         w = channel_log_posterior_weights(
-            prior.channels, 0.1, Quantizer(bits=4), empty_context(2, 2)
+            channels, 0.1, Quantizer(bits=4), empty_context(2, 2)
         )
         np.testing.assert_array_equal(w, np.zeros(3))
 
@@ -241,11 +242,11 @@ class TestChannelPosteriorWeights:
         q = Quantizer(bits=4)
         t = rand_task(13)
         ctx = pilots(t, q, C2, 10, RngStream(14))
-        prior = ChannelPrior.discrete(RngStream(15).complex_normal((4, 2, 2)))
-        w = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx)
+        channels = RngStream(15).complex_normal((4, 2, 2))
+        w = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
         perm = RngStream(16)._gen.permutation(10)
         ctx2 = ContextSet(xs=ctx.xs[perm], ys=ctx.ys[perm])
-        w2 = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx2)
+        w2 = channel_log_posterior_weights(channels, t.sigma2, q, ctx2)
         np.testing.assert_allclose(w, w2, atol=1e-9)
 
     def test_posterior_consistency(self):
@@ -260,8 +261,8 @@ class TestChannelPosteriorWeights:
             h2 = rng.derive(i, 1).complex_normal((2, 2))
             t = Task(h=h1, sigma2=0.1)
             ctx = pilots(t, q, C2, 20, rng.derive(i, 2))
-            prior = ChannelPrior.discrete(np.stack([h1, h2]))
-            lw = channel_log_posterior_weights(prior.channels, t.sigma2, q, ctx)
+            channels = np.stack([h1, h2])
+            lw = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
             w = np.exp(lw - logsumexp(lw))
             hits += w[0] >= 0.99
         assert hits >= 0.95 * trials
@@ -272,25 +273,31 @@ class TestBayesMmseDiscrete:
         q = Quantizer(bits=3)
         t = rand_task(18)
         ctx = pilots(t, q, C2, 20, RngStream(19))
-        prior = ChannelPrior.discrete(t.h[None])
+        channels = t.h[None]
         rng = RngStream(20)
         for i in range(5):
             y = ctx.ys[i]
-            a = bayes_mmse_discrete(prior, t.sigma2, q, C2, ctx, y)
+            a = bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, y)
             b = mmse_known_task(t, q, C2, y)
             np.testing.assert_allclose(a, b, atol=1e-12)
         del rng
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 2)], ids=["empty", "not-a-stack"])
+    def test_rejects_bad_channel_stack(self, shape):
+        ctx = pilots(rand_task(26), Quantizer(bits=4), C2, 2, RngStream(27))
+        with pytest.raises(ValueError, match="non-empty"):
+            bayes_mmse_discrete(np.zeros(shape), 0.1, Quantizer(bits=4), C2, ctx, ctx.ys[0])
+
     def test_empty_context_mixes_prior_evenly(self):
         t = rand_task(21)
         h2 = RngStream(22).complex_normal((2, 2))
-        prior = ChannelPrior.discrete(np.stack([t.h, h2]))
+        channels = np.stack([t.h, h2])
         y = RngStream(23).complex_normal(size=2)
-        got = bayes_mmse_discrete(prior, 0.1, UNQUANTIZED, C2, empty_context(2, 2), y)
-        a = mmse_known_task(Task(h=t.h, sigma2=0.1), UNQUANTIZED, C2, y)
-        b = mmse_known_task(Task(h=h2, sigma2=0.1), UNQUANTIZED, C2, y)
+        got = bayes_mmse_discrete(channels, 0.1, Quantizer(bits=None), C2, empty_context(2, 2), y)
+        a = mmse_known_task(Task(h=t.h, sigma2=0.1), Quantizer(bits=None), C2, y)
+        b = mmse_known_task(Task(h=h2, sigma2=0.1), Quantizer(bits=None), C2, y)
         # without pilots each channel is weighted by the evidence p(y | h) alone
-        ev = np.exp([log_evidence(h, 0.1, UNQUANTIZED, y) for h in (t.h, h2)])
+        ev = np.exp([log_evidence(h, 0.1, Quantizer(bits=None), y) for h in (t.h, h2)])
         np.testing.assert_allclose(got, (ev[0] * a + ev[1] * b) / ev.sum(), atol=1e-12)
 
     @pytest.mark.parametrize("bits", [4, None])
@@ -307,7 +314,7 @@ class TestBayesMmseDiscrete:
         t = Task(h=channels[0], sigma2=sigma2)
         ctx = pilots(t, q, C2, n_pilots, rng.derive(1))
         _, ys = sample_pairs(t.h, sigma2, q, C2, 4, rng.derive(2))
-        got = bayes_mmse_discrete(ChannelPrior.discrete(channels), sigma2, q, C2, ctx, ys)
+        got = bayes_mmse_discrete(channels, sigma2, q, C2, ctx, ys)
         tasks = [Task(h=h, sigma2=sigma2) for h in channels]
         pilot_ll = [
             sum(log_likelihood(tm, q, x, y) for x, y in zip(ctx.xs, ctx.ys)) for tm in tasks
@@ -327,10 +334,10 @@ class TestBayesMmseDiscrete:
         rng = RngStream(24)
         t = Task(h=rng.complex_normal((2, 2)), sigma2=0.01)
         others = rng.complex_normal((7, 2, 2))
-        prior = ChannelPrior.discrete(np.concatenate([t.h[None], others]))
+        channels = np.concatenate([t.h[None], others])
         ctx = pilots(t, q, C2, 20, rng.derive(1))
         y = ctx.ys[0]
-        a = bayes_mmse_discrete(prior, t.sigma2, q, C2, ctx, y)
+        a = bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, y)
         b = mmse_known_task(t, q, C2, y)
         np.testing.assert_allclose(a, b, atol=1e-6)
 
@@ -347,7 +354,7 @@ class TestBayesMmseContinuousMc:
         est, _ = bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(38))
         channels = RngStream(38).complex_normal(size=(64, 2, 2))
         want = bayes_mmse_discrete(
-            ChannelPrior.discrete(channels), t.sigma2, q, C2, ctx, ys, prune_tol=1e-13
+            channels, t.sigma2, q, C2, ctx, ys, prune_tol=1e-13
         )
         np.testing.assert_array_equal(est, want)
 
@@ -355,7 +362,7 @@ class TestBayesMmseContinuousMc:
         rng = RngStream(25)
         y = rng.complex_normal(size=2)
         est, ess = bayes_mmse_continuous_mc(
-            0.5, UNQUANTIZED, C2, empty_context(2, 2), y, 2**14, rng.derive(1)
+            0.5, Quantizer(bits=None), C2, empty_context(2, 2), y, 2**14, rng.derive(1)
         )
         assert np.mean(np.abs(est)) <= 0.05
         assert ess > 2**13  # uniform weights without evidence
@@ -363,14 +370,14 @@ class TestBayesMmseContinuousMc:
     def test_k_equal_one_degenerates_to_single_channel(self):
         rng = RngStream(26)
         t = rand_task(27)
-        ctx = pilots(t, UNQUANTIZED, C2, 4, rng)
+        ctx = pilots(t, Quantizer(bits=None), C2, 4, rng)
         y = rng.complex_normal(size=2)
         draw_rng = rng.derive(9)
         est, ess = bayes_mmse_continuous_mc(
-            t.sigma2, UNQUANTIZED, C2, ctx, y, 1, draw_rng
+            t.sigma2, Quantizer(bits=None), C2, ctx, y, 1, draw_rng
         )
         h = RngStream(26).derive(9).complex_normal(size=(1, 2, 2))[0]
-        want = mmse_known_task(Task(h=h, sigma2=t.sigma2), UNQUANTIZED, C2, y)
+        want = mmse_known_task(Task(h=h, sigma2=t.sigma2), Quantizer(bits=None), C2, y)
         np.testing.assert_allclose(est, want, atol=1e-12)
         assert ess == 1.0
 
@@ -380,12 +387,12 @@ class TestBayesMmseContinuousMc:
         errs = {10: [], 14: []}
         for trial in range(12):
             t = sample_task(SPEC22, rng.derive(trial))
-            ctx = pilots(t, UNQUANTIZED, C2, 4, rng.derive(trial, 1))
+            ctx = pilots(t, Quantizer(bits=None), C2, 4, rng.derive(trial, 1))
             y = ctx.ys[0]
             ref = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
             for lk in errs:
                 est, _ = bayes_mmse_continuous_mc(
-                    t.sigma2, UNQUANTIZED, C2, ctx, y, 2**lk, rng.derive(trial, 2, lk)
+                    t.sigma2, Quantizer(bits=None), C2, ctx, y, 2**lk, rng.derive(trial, 2, lk)
                 )
                 errs[lk].append(np.linalg.norm(est - ref))
         assert np.mean(errs[14]) < np.mean(errs[10])
@@ -407,11 +414,11 @@ class TestGaussianExactOracle:
     def test_concentrates_to_known_task_mmse(self):
         rng = RngStream(30)
         t = Task(h=rng.complex_normal((2, 2)), sigma2=0.01)
-        ctx = pilots(t, UNQUANTIZED, C2, 64, rng.derive(1))
+        ctx = pilots(t, Quantizer(bits=None), C2, 64, rng.derive(1))
         ys = rng.derive(2).complex_normal(size=(10, 2))
         for y in ys:
             a = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
-            b = mmse_known_task(t, UNQUANTIZED, C2, y)
+            b = mmse_known_task(t, Quantizer(bits=None), C2, y)
             assert np.linalg.norm(a - b) < 1e-2
 
     def test_rejects_quantized_inputs(self):
@@ -427,7 +434,7 @@ class TestGaussianExactOracle:
     def test_rotation_equivariance_through_context(self):
         rng = RngStream(31)
         t = rand_task(32, sigma2=0.2)
-        ctx = pilots(t, UNQUANTIZED, C2, 6, rng)
+        ctx = pilots(t, Quantizer(bits=None), C2, 6, rng)
         y = rng.complex_normal(size=2)
         base = bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
         u = np.array([1j, -1.0])
@@ -442,7 +449,7 @@ class TestGaussianExactOracle:
         rng = RngStream(34)
         sigma2 = 0.5
         t = Task(h=rng.complex_normal((2, 1)), sigma2=sigma2)
-        ctx = pilots(t, UNQUANTIZED, c1, 3, rng.derive(1))
+        ctx = pilots(t, Quantizer(bits=None), c1, 3, rng.derive(1))
         y = rng.derive(2).complex_normal(size=2)
 
         nodes, weights = np.polynomial.hermite.hermgauss(150)
@@ -475,24 +482,24 @@ class TestDegenerateEvidence:
         t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
         y = np.array([1e200 + 0j, 0j])
         with pytest.raises((DegenerateEvidenceError, FloatingPointError)):
-            input_posterior(t, UNQUANTIZED, C2, y)
+            input_posterior(t, Quantizer(bits=None), C2, y)
 
     def test_mixtures_raise_on_impossible_observation(self):
         t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
         y = np.array([1e200 + 0j, 0j])
         ctx = empty_context(2, 2)
-        prior = ChannelPrior.discrete(np.stack([t.h, 2 * t.h]))
+        channels = np.stack([t.h, 2 * t.h])
         with pytest.raises(DegenerateEvidenceError):
-            bayes_mmse_discrete(prior, t.sigma2, UNQUANTIZED, C2, ctx, y)
+            bayes_mmse_discrete(channels, t.sigma2, Quantizer(bits=None), C2, ctx, y)
         with pytest.raises(DegenerateEvidenceError):
-            bayes_mmse_continuous_mc(t.sigma2, UNQUANTIZED, C2, ctx, y, 16, RngStream(39))
+            bayes_mmse_continuous_mc(t.sigma2, Quantizer(bits=None), C2, ctx, y, 16, RngStream(39))
 
     def test_mixtures_raise_on_impossible_pilots(self):
         t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
         ctx = ContextSet(xs=C2.joint[:1], ys=np.array([[1e200 + 0j, 0j]]))
         y = np.zeros(2, dtype=complex)
-        prior = ChannelPrior.discrete(np.stack([t.h, 2 * t.h]))
+        channels = np.stack([t.h, 2 * t.h])
         with pytest.raises(DegenerateEvidenceError, match="pilots"):
-            bayes_mmse_discrete(prior, t.sigma2, UNQUANTIZED, C2, ctx, y)
+            bayes_mmse_discrete(channels, t.sigma2, Quantizer(bits=None), C2, ctx, y)
         with pytest.raises(DegenerateEvidenceError, match="pilots"):
-            bayes_mmse_continuous_mc(t.sigma2, UNQUANTIZED, C2, ctx, y, 16, RngStream(40))
+            bayes_mmse_continuous_mc(t.sigma2, Quantizer(bits=None), C2, ctx, y, 16, RngStream(40))

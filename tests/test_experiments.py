@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from icleq.experiments import (
 )
 from icleq.rng import RngStream
 from icleq.training import PretrainTaskSet
+from icleq.transformer import init_params
 
 C2 = qam4_constellation(2)
 SPEC = TaskDistributionSpec(2, 2, -10.0, -10.0)
@@ -167,6 +169,28 @@ class TestEvaluate:
         # quadrupling the task count should roughly halve the interval
         assert 1.4 < w1 / w2 < 2.9
 
+    @pytest.mark.parametrize("bits, digest", [(4, "0d4f25be0b279117"), (None, "e9d7b85c550464a6")])
+    def test_rows_pinned(self, bits, digest):
+        """mse, ci_low and ess of every kind on one frozen evaluation set; a
+        change of any equalizer's arithmetic or random stream (the kind's
+        index in ``Equalizer.KINDS``) must be a deliberate re-pin."""
+        ev = EvalSet.build(small_protocol(n_test_tasks=2, n_test_symbols_per_task=4, bits=bits))
+        model = MICRO.model_config()
+        equalizers = [
+            Equalizer.icl(init_params(model, RngStream(5)), model),
+            Equalizer.mmse(),
+            Equalizer.lmmse(),
+            Equalizer.bayes_discrete(RngStream(6).complex_normal((8, 2, 2))),
+            Equalizer.bayes_mc(64),
+        ]
+        if bits is None:
+            equalizers.append(Equalizer.bayes_exact())
+        h = hashlib.sha256()
+        for eq in equalizers:
+            r = evaluate(eq, ev)
+            h.update(np.array([r.mse, r.ci_low, np.nan if r.ess is None else r.ess]).tobytes())
+        assert h.hexdigest()[:16] == digest
+
     def test_per_draw_errors_match_direct_estimates(self):
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
         errs = per_draw_errors(Equalizer.mmse(), ev)
@@ -199,6 +223,10 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file("no_such_key = 1")
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="line 2: repeated key 'bits'"):
+            parse_config_file("bits = 4\nbits = 2")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="expected"):
@@ -241,8 +269,18 @@ class TestConfigFile:
             ("bits_grid = none, -2", "bits_grid entry -2 must be >= 1"),
             ("lr = 0", "lr must be > 0, got 0.0"),
             ("lr = -1", "lr must be > 0, got -1.0"),
+            ("n_test_tasks = 0", "test counts must be >= 1"),
+            ("n_test_symbols_per_task = 0", "test counts must be >= 1"),
         ],
-        ids=["m-grid-zero", "bits-grid-zero", "bits-grid-negative", "lr-zero", "lr-negative"],
+        ids=[
+            "m-grid-zero",
+            "bits-grid-zero",
+            "bits-grid-negative",
+            "lr-zero",
+            "lr-negative",
+            "zero-test-tasks",
+            "zero-test-symbols",
+        ],
     )
     def test_out_of_range_values_rejected_at_parse_time(self, text, message):
         with pytest.raises(ValueError, match=message):

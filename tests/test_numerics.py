@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from icleq.channel import UNQUANTIZED, Constellation, qam4_constellation, sample_pairs
+from icleq.channel import Constellation, Quantizer, qam4_constellation, sample_pairs
 from icleq.numerics import (
     hermitian,
     log_gauss_cell_prob,
@@ -23,7 +23,7 @@ LOG_CELL_NEAR_UNDERFLOW = -707.66900165397526425
 
 def noiseless(h, constellation, n, seed):
     """Noiseless unquantized channel uses: ys is exactly the product H x."""
-    return sample_pairs(h, 0.0, UNQUANTIZED, constellation, n, RngStream(seed))
+    return sample_pairs(h, 0.0, Quantizer(bits=None), constellation, n, RngStream(seed))
 
 
 class TestComplexLinalg:

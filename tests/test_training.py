@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -364,7 +366,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, cfg.model, str(path))
         with pytest.raises(CheckpointError, match="architecture"):
-            load_checkpoint(str(path), expect=cfg.model.replace(d_e=32, d_f=64))
+            load_checkpoint(str(path), expect=replace(cfg.model, d_e=32, d_f=64))
 
 
 class TestAllYPositionZero:

@@ -1,13 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from icleq.autodiff import Tape
 from icleq.channel import (
-    UNQUANTIZED,
     ContextSet,
     Quantizer,
     Task,
-    empty_context,
     qam4_constellation,
     sample_pairs,
 )
@@ -50,7 +50,7 @@ def run_model(params, config, context, y):
 def token_column(v, d_s=4):
     """The token column of one observation vector."""
     v = np.asarray(v, dtype=complex)
-    return build_tokens(TINY.replace(d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
+    return build_tokens(replace(TINY, d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
 
 
 class HeadInputTape(Tape):
@@ -73,7 +73,7 @@ def hidden_states(params, config, tok):
 def first_layer(e, params, config):
     """Layer 0 applied to a hidden sequence e (d_e, T): a one-layer model
     whose embedding is the identity and which adds no positions."""
-    one_layer = config.replace(n_layers=1, d_s=config.d_e, use_positional=False)
+    one_layer = replace(config, n_layers=1, d_s=config.d_e, use_positional=False)
     p = dict(params, embed=np.eye(config.d_e))
     return hidden_states(p, one_layer, e[:, None, :])[:, 0, :]
 
@@ -102,7 +102,8 @@ class TestEmbed:
     def test_empty_context_single_token(self):
         params = init_params(TINY, RngStream(1))
         y = RngStream(2).complex_normal(2)
-        e = hidden_states(params, TINY.replace(n_layers=0), tokens(TINY, empty_context(2, 2), y))
+        empty = ContextSet(xs=np.zeros((0, 2)), ys=np.zeros((0, 2)))
+        e = hidden_states(params, replace(TINY, n_layers=0), tokens(TINY, empty, y))
         assert e.shape == (TINY.d_e, 1, 1)
         want = params["embed"] @ token_column(y) + params["pos"][:, 0]
         np.testing.assert_allclose(e[:, 0, 0], want, atol=1e-12)
@@ -111,11 +112,11 @@ class TestEmbed:
         params = init_params(SMALL, RngStream(3))
         _, ctx = make_context(4, 20)
         y = RngStream(5).complex_normal(2)
-        e = hidden_states(params, SMALL.replace(n_layers=0), tokens(SMALL, ctx, y))
+        e = hidden_states(params, replace(SMALL, n_layers=0), tokens(SMALL, ctx, y))
         assert e.shape == (SMALL.d_e, 1, 41)
 
     def test_zero_embedding_without_positional(self):
-        cfg = TINY.replace(use_positional=False, n_layers=0)
+        cfg = replace(TINY, use_positional=False, n_layers=0)
         params = init_params(cfg, RngStream(6))
         params["embed"] = np.zeros_like(params["embed"])
         _, ctx = make_context(7, 3)
@@ -165,7 +166,7 @@ class TestAttentionLayer:
         assert not np.allclose(pert[:, 5:], base[:, 5:])
 
     def test_unmasked_attention_mixes_all_positions(self):
-        cfg = SMALL.replace(use_causal_mask=False)
+        cfg = replace(SMALL, use_causal_mask=False)
         params = init_params(cfg, RngStream(18))
         e = RngStream(19).normal((cfg.d_e, 5))
         base = first_layer(e, params, cfg)
@@ -222,7 +223,7 @@ class TestForward:
             np.testing.assert_allclose(probs[:i], base_probs[:i], atol=1e-12)
 
     def test_pair_permutation_invariance_without_mask_or_positions(self):
-        cfg = SMALL.replace(use_causal_mask=False, use_positional=False)
+        cfg = replace(SMALL, use_causal_mask=False, use_positional=False)
         params = init_params(cfg, RngStream(32))
         _, ctx = make_context(33, 8)
         y = RngStream(34).complex_normal(2)
@@ -256,7 +257,7 @@ class TestSoftEstimate:
     def test_exact_posterior_reproduces_mmse(self):
         t, _ = make_context(39, 0)
         y = RngStream(40).complex_normal(2)
-        probs = input_posterior(t, UNQUANTIZED, C2, y)
+        probs = input_posterior(t, Quantizer(bits=None), C2, y)
         a = probs @ C2.joint
-        b = mmse_known_task(t, UNQUANTIZED, C2, y)
+        b = mmse_known_task(t, Quantizer(bits=None), C2, y)
         np.testing.assert_allclose(a, b, atol=1e-12)
