@@ -9,9 +9,17 @@ is a few dozen nodes whose cost is dominated by the underlying BLAS calls.
 Only the operations the equalizer model needs are provided.  Each op
 attaches a vector-Jacobian closure at build time; gradients accumulate on
 the nodes and named leaves report them back through :meth:`Tape.backward`.
+
+The exact GELU's elementwise work is split along the leading axis over the
+cores in the process's CPU affinity; numpy and scipy ufuncs release the
+interpreter lock, and the split is bit-identical to one call.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import ndtr
@@ -58,6 +66,74 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
+
+
+if hasattr(os, "sched_getaffinity"):
+    _N_CORES = len(os.sched_getaffinity(0))
+else:
+    _N_CORES = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """``fn(out, *args)`` on blocks of rows (leading axis), one block per
+    core; the calling thread runs the first block.
+
+    ``fn`` must write its results only into blocks of arrays the calling
+    thread allocated, so the workers allocate no large buffers: a worker
+    thread's malloc arena would keep them under the raised trim threshold
+    of :mod:`icleq._malloc`.
+    """
+    global _pool
+    parts = min(_N_CORES, out.shape[0] if out.ndim else 1)
+    if parts <= 1:
+        fn(out, *args)
+        return out
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
+    cuts = [out.shape[0] * i // parts for i in range(parts + 1)]
+    blocks = [tuple(a[i:j] for a in (out, *args)) for i, j in zip(cuts, cuts[1:])]
+    futures = [_pool.submit(fn, *blk) for blk in blocks[1:]]
+    fn(*blocks[0])
+    for f in futures:
+        f.result()
+    return out
+
+
+def _gelu_forward(out, phi, x):
+    ndtr(x, out=phi)
+    np.multiply(x, phi, out=out)
+
+
+def _gelu_vjp(dx, g, x, phi):
+    """dx = g * (phi + x * pdf(x)), evaluated in place in the order of
+    ``g * (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))``."""
+    np.multiply(x, -0.5, out=dx)
+    dx *= x
+    np.exp(dx, out=dx)
+    dx *= _INV_SQRT_2PI
+    dx *= x
+    dx += phi
+    dx *= g
+
+
+def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
+    np.subtract(p, p.max(axis=axis, keepdims=True), out=p)
+    np.exp(p, out=p)
+    np.divide(p, p.sum(axis=axis, keepdims=True), out=p)
+    return p
 
 
 class Tape:
@@ -149,9 +225,11 @@ class Tape:
         return self._push("transpose", (a,), out, vjp)
 
     def index_last(self, a: Node, idx: np.ndarray) -> Node:
-        """Select columns of the last axis; indices must be unique."""
+        """Select columns of the last axis; indices must be unique, since
+        the VJP writes (does not add) the gradient into each column."""
         idx = np.asarray(idx, dtype=int)
-        assert len(np.unique(idx)) == idx.size
+        if len(np.unique(idx)) != idx.size:
+            raise ValueError(f"index_last needs unique indices, got {idx.tolist()}")
         out = a.value[..., idx]
 
         def vjp(g):
@@ -174,14 +252,13 @@ class Tape:
     # -- nonlinearities -----------------------------------------------------
 
     def gelu(self, a: Node) -> Node:
-        """Exact Gaussian error linear unit x * Phi(x)."""
+        """Exact Gaussian error linear unit x * Phi(x), split over the cores."""
         x = a.value
-        phi = ndtr(x)
-        out = x * phi
+        phi = np.empty_like(x)
+        out = _by_rows(_gelu_forward, np.empty_like(x), phi, x)
 
         def vjp(g):
-            pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-            return (g * (phi + x * pdf),)
+            return (_by_rows(_gelu_vjp, np.empty_like(x), g, x, phi),)
 
         return self._push("gelu", (a,), out, vjp)
 
@@ -209,23 +286,45 @@ class Tape:
 
         return self._push("layer_norm", (a, gain, bias), out, vjp)
 
-    def softmax(self, a: Node, axis: int, mask_add: np.ndarray | None = None) -> Node:
-        """Softmax over ``axis`` after adding an optional constant mask.
-
-        Mask entries are 0 (allowed) or a large negative constant; after the
-        max shift those logits underflow to exactly 0 probability, which
-        keeps masked positions exactly out of the mixture.
-        """
-        p = a.value + mask_add if mask_add is not None else a.value.copy()
-        np.subtract(p, p.max(axis=axis, keepdims=True), out=p)
-        np.exp(p, out=p)
-        np.divide(p, p.sum(axis=axis, keepdims=True), out=p)
+    def softmax(self, a: Node, axis: int) -> Node:
+        """Softmax over ``axis``."""
+        p = _softmax_inplace(a.value.copy(), axis)
 
         def vjp(g):
             inner = (g * p).sum(axis=axis, keepdims=True)
             return (p * (g - inner),)
 
         return self._push("softmax", (a,), p, vjp)
+
+    def attention(
+        self, q: Node, k: Node, v: Node, scale: float, mask_add: np.ndarray | None = None
+    ) -> Node:
+        """``softmax(q k^T * scale + mask_add) v`` over the last two axes.
+
+        ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
+        leading axes; Tq may be smaller than Tk.  ``mask_add`` (Tq, Tk) holds
+        0 (allowed) or a large negative constant; after the max shift those
+        logits underflow to exactly 0 probability, which keeps masked keys
+        exactly out of the mixture.  The VJP reuses the saved probabilities:
+        the fused backward of FlashAttention (Dao et al., 2022) without its
+        tiling.
+        """
+        p = q.value @ _swap_last(k.value)
+        p *= scale
+        if mask_add is not None:
+            p += mask_add
+        _softmax_inplace(p, -1)
+        out = p @ v.value
+
+        def vjp(g):
+            dv = _swap_last(p) @ g
+            ds = g @ _swap_last(v.value)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= scale
+            return (ds @ k.value, _swap_last(ds) @ q.value, dv)
+
+        return self._push("attention", (q, k, v), out, vjp)
 
     def sum_all(self, a: Node) -> Node:
         out = np.asarray(a.value.sum())

@@ -76,7 +76,13 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    params, model, _ = load_checkpoint(args.checkpoint)
+    params, model, train = load_checkpoint(args.checkpoint)
+    if train is not None and train.bits != cfg.bits:
+        log.error(
+            "%s was trained at bits = %s, but the config evaluates at bits = %s",
+            args.checkpoint, train.bits, cfg.bits,
+        )
+        return 1
     evalset = EvalSet.build(cfg.protocol(seed=cfg.seed))
     snr_mid = -0.5 * (cfg.sigma2_db_min + cfg.sigma2_db_max)
     results = [

@@ -16,6 +16,14 @@ the feed-forward branch (applied to attention output + residual), and the
 activation is the exact (erf-based) GELU.  The causal mask is on by
 default but can be disabled to reproduce unmasked attention.
 
+Each layer's attention is one fused tape op, :meth:`Tape.attention`, whose
+backward reuses the saved attention probabilities.  The loss and the head
+read only the received-signal columns, so the last layer computes its
+queries, attention, output projection, residual, layer norm and
+feed-forward block only there; its keys and values still span every
+column.  This is exact: no other column of the last layer reaches the
+output.
+
 Everything is built on the :mod:`icleq.autodiff` tape; inference just runs
 the same graph without a backward pass.
 """
@@ -151,37 +159,46 @@ def causal_mask(t: int) -> np.ndarray:
     return np.triu(np.full((t, t), MASK_NEG), k=1)
 
 
-def _attention_block(tape: Tape, p: dict, config: ModelConfig, l: int, e: Node) -> Node:
-    """One layer: multi-head softmax self-attention + feed-forward block."""
+def _attention_block(
+    tape: Tape, p: dict, config: ModelConfig, l: int, e: Node, rows: np.ndarray | None = None
+) -> Node:
+    """One layer: multi-head softmax self-attention + feed-forward block.
+
+    Keys and values span every column of ``e`` (d_e, B, T).  Queries, and
+    everything after the attention, are computed only at the columns
+    ``rows`` (all columns when None), so the output is (d_e, B, len(rows)).
+    """
     d_e, b, t = e.value.shape
     h, d_w = config.n_heads, config.d_w
-    e_flat = _flat(tape, e)
-
-    def heads(name, transpose_axes):
-        w = tape.reshape(p[f"l{l}.{name}"], (h * d_w, d_e))
-        z = tape.matmul(w, e_flat)  # (H*d_w, B*T)
-        z = tape.reshape(z, (h, d_w, b, t))
-        return tape.transpose(z, transpose_axes)
-
-    k = heads("wk", (2, 0, 1, 3))  # (B, H, d_w, T)
-    qt = heads("wq", (2, 0, 3, 1))  # (B, H, T, d_w)
-    vt = heads("wv", (2, 0, 3, 1))  # (B, H, T, d_w)
-
-    scores = tape.scale(tape.matmul(qt, k), 1.0 / np.sqrt(d_w))  # (B, H, Tq, Tk)
     mask = causal_mask(t) if config.use_causal_mask else None
-    att = tape.softmax(scores, axis=-1, mask_add=mask)
-    o = tape.matmul(att, vt)  # (B, H, T, d_v)
-    o = tape.transpose(o, (1, 3, 0, 2))  # (H, d_v, B, T)
-    o = tape.reshape(o, (h * d_w, b * t))  # heads stacked token by token
-    a = tape.matmul(tape.transpose(p[f"l{l}.wo"], (1, 0)), o)  # (d_e, B*T)
-    r = tape.add(_unflat(tape, a, b, t), e)
+    eq = e
+    if rows is not None:
+        eq = tape.index_last(e, rows)
+        mask = None if mask is None else mask[rows]
+    tq = eq.value.shape[2]
+
+    def heads(name, x_flat, n):
+        w = tape.reshape(p[f"l{l}.{name}"], (h * d_w, d_e))
+        z = tape.matmul(w, x_flat)  # (H*d_w, B*n)
+        z = tape.reshape(z, (h, d_w, b, n))
+        return tape.transpose(z, (2, 0, 3, 1))  # (B, H, n, d_w)
+
+    e_flat = _flat(tape, e)
+    q = heads("wq", e_flat if rows is None else _flat(tape, eq), tq)
+    k = heads("wk", e_flat, t)
+    v = heads("wv", e_flat, t)
+    o = tape.attention(q, k, v, 1.0 / np.sqrt(d_w), mask)  # (B, H, Tq, d_v)
+    o = tape.transpose(o, (1, 3, 0, 2))  # (H, d_v, B, Tq)
+    o = tape.reshape(o, (h * d_w, b * tq))  # heads stacked token by token
+    a = tape.matmul(tape.transpose(p[f"l{l}.wo"], (1, 0)), o)  # (d_e, B*Tq)
+    r = tape.add(_unflat(tape, a, b, tq), eq)
 
     gain = tape.reshape(p[f"l{l}.ln_g"], (d_e, 1, 1))
     bias = tape.reshape(p[f"l{l}.ln_b"], (d_e, 1, 1))
     ln = tape.layer_norm(r, gain, bias, axis=0)
-    hid = tape.gelu(tape.matmul(p[f"l{l}.w2"], _flat(tape, ln)))  # (d_f, B*T)
-    f = tape.matmul(p[f"l{l}.w1"], hid)  # (d_e, B*T)
-    return tape.add(_unflat(tape, f, b, t), r)
+    hid = tape.gelu(tape.matmul(p[f"l{l}.w2"], _flat(tape, ln)))  # (d_f, B*Tq)
+    f = tape.matmul(p[f"l{l}.w1"], hid)  # (d_e, B*Tq)
+    return tape.add(_unflat(tape, f, b, tq), r)
 
 
 def leaf_params(tape: Tape, params: dict) -> dict[str, Node]:
@@ -208,16 +225,18 @@ def forward_graph(
     if config.use_positional:
         pos = tape.slice_last(p["pos"], t)
         e = tape.add(e, tape.reshape(pos, (config.d_e, 1, t)))
+    # the loss reads only the y columns, so the last layer computes only those
+    y_positions = np.arange(0, t, 2)
     for l in range(config.n_layers):
-        e = _attention_block(tape, p, config, l, e)
+        last = l == config.n_layers - 1
+        e = _attention_block(tape, p, config, l, e, y_positions if last else None)
+    if not config.n_layers:
+        e = tape.index_last(e, y_positions)
+    np1 = y_positions.size
     logits = tape.matmul(p["head.w"], _flat(tape, e))
     logits = tape.add(logits, tape.reshape(p["head.b"], (config.n_classes, 1)))
-    logits = _unflat(tape, logits, b, t)
-    y_positions = np.arange(0, t, 2)
-    logits_y = tape.index_last(logits, y_positions)  # (n_classes, B, P)
-    probs = tape.softmax(logits_y, axis=0)
+    probs = tape.softmax(_unflat(tape, logits, b, np1), axis=0)  # (n_classes, B, P)
     xr = tape.constant(constellation.real_joint())  # (2 n_t, n_classes)
-    np1 = y_positions.size
     est = tape.matmul(xr, tape.reshape(probs, (config.n_classes, b * np1)))
     est = tape.reshape(est, (2 * constellation.n_t, b, np1))
     return probs, est

@@ -1,8 +1,12 @@
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
+from icleq import autodiff
 from icleq.autodiff import GraphNumericsError, Tape
 from icleq.channel import qam4_constellation
 from icleq.rng import RngStream
@@ -43,6 +47,25 @@ def fd_check(build, params, h=1e-6, rtol=1e-6, atol=1e-9):
 
 def rnd(seed, *shape):
     return RngStream(seed).normal(size=shape)
+
+
+def causal(t):
+    return np.triu(np.full((t, t), -1e9), k=1)
+
+
+def attention_build(mask, scale=0.7):
+    def build(t, p):
+        out = t.attention(p["q"], p["k"], p["v"], scale, mask)
+        return t.sum_all(t.square(out))
+
+    return build
+
+
+def gelu_reference(x, g):
+    """Unsplit GELU and its VJP for the output cotangent g."""
+    phi = ndtr(x)
+    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
+    return x * phi, g * (phi + x * pdf)
 
 
 class TestOpGradients:
@@ -92,15 +115,20 @@ class TestOpGradients:
 
         fd_check(build, params, h=1e-6, rtol=1e-5)
 
-    def test_softmax_with_mask(self):
-        mask = np.triu(np.full((4, 4), -1e9), k=1)
-        params = {"a": rnd(15, 2, 4, 4)}
+    def test_attention_with_mask(self):
+        params = {"q": rnd(15, 2, 4, 3), "k": rnd(151, 2, 4, 3), "v": rnd(152, 2, 4, 3)}
+        fd_check(attention_build(causal(4)), params)
 
-        def build(t, p):
-            sm = t.softmax(p["a"], axis=-1, mask_add=mask)
-            return t.sum_all(t.square(sm))
+    def test_attention_without_mask(self):
+        params = {"q": rnd(153, 2, 4, 3), "k": rnd(154, 2, 4, 3), "v": rnd(155, 2, 4, 3)}
+        fd_check(attention_build(None), params)
 
-        fd_check(build, params)
+    def test_attention_fewer_queries_than_keys(self):
+        """The query rows 1 and 3 of a causal mask over 5 keys, as the last
+        layer uses at the received-signal columns."""
+        rows = np.array([1, 3])
+        params = {"q": rnd(156, 2, 2, 3), "k": rnd(157, 2, 5, 3), "v": rnd(158, 2, 5, 3)}
+        fd_check(attention_build(causal(5)[rows]), params)
 
     def test_softmax_axis0(self):
         params = {"a": rnd(16, 5, 3)}
@@ -126,14 +154,67 @@ class TestOpGradients:
 
         fd_check(build, params)
 
+    def test_index_last_rejects_repeated_indices(self):
+        """A repeated column would take the gradient of only one of its copies."""
+        tape = Tape()
+        a = tape.leaf(rnd(181, 3, 6), "a")
+        with pytest.raises(ValueError, match=r"unique indices, got \[0, 2, 0\]"):
+            tape.index_last(a, np.array([0, 2, 0]))
+
+
+class TestGeluSplit:
+    """The GELU split over row blocks is bit-identical to one unsplit call,
+    for any number of blocks."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 7), (3,), (257, 33)])
+    def test_bit_identical_to_unsplit(self, monkeypatch, cores, shape):
+        monkeypatch.setattr(autodiff, "_N_CORES", cores)
+        x = 3.0 * RngStream(182).normal(size=shape)
+        tape = Tape()
+        out = tape.gelu(tape.leaf(x, "x"))
+        grads = tape.backward(tape.sum_all(tape.square(out)))
+        want_out, want_grad = gelu_reference(x, 2.0 * out.value)
+        assert np.array_equal(out.value, want_out)
+        assert np.array_equal(grads["x"], want_grad)
+
+    def test_concurrent_callers(self):
+        """Callers on several threads share the worker pool; each gets its
+        own exact result."""
+        xs = [RngStream(183, i).normal(size=(64, 40)) for i in range(6)]
+        want = [gelu_reference(x, np.ones_like(x))[0] for x in xs]
+        bad = []
+
+        def call(i):
+            for _ in range(20):
+                tape = Tape()
+                if not np.array_equal(tape.gelu(tape.leaf(xs[i], "x")).value, want[i]):
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
+
 
 class TestTapeMechanics:
-    def test_masked_softmax_zeros_are_exact(self):
+    def test_masked_attention_zeros_are_exact(self):
+        """With identity values the output rows are the attention
+        probabilities: masked keys get exactly 0 and every row sums to 1."""
         tape = Tape()
-        a = tape.leaf(rnd(19, 2, 4, 4), "a")
-        sm = tape.softmax(a, axis=-1, mask_add=np.triu(np.full((4, 4), -1e9), k=1))
-        assert np.all(sm.value[..., 0, 1:] == 0.0)
-        np.testing.assert_allclose(sm.value.sum(axis=-1), 1.0, atol=1e-12)
+        q = tape.leaf(rnd(19, 2, 4, 3), "q")
+        k = tape.leaf(rnd(191, 2, 4, 3), "k")
+        p = tape.attention(q, k, tape.constant(np.tile(np.eye(4), (2, 1, 1))), 1.0, causal(4))
+        assert np.all(p.value[..., 0, 1:] == 0.0)
+        np.testing.assert_allclose(p.value.sum(axis=-1), 1.0, atol=1e-12)
 
     def test_constant_gets_no_gradient(self):
         tape = Tape()

@@ -2,7 +2,7 @@ import pytest
 
 from icleq.cli import main
 from icleq.experiments import CSV_HEADER
-from icleq.training import load_checkpoint
+from icleq.training import load_checkpoint, save_checkpoint
 
 MICRO_CFG = """
 n_layers = 1
@@ -46,6 +46,24 @@ def test_train_eval_round_trip(tmp_path, cfg_file):
     assert rows[0] == CSV_HEADER
     assert len(rows) == 4  # icl + exact + linear references
     assert {r.split(",")[1] for r in rows[1:]} == {"icl", "mmse_known", "lmmse"}
+
+
+def test_eval_rejects_config_with_other_bits(tmp_path, cfg_file, caplog):
+    """A model trained at 4 bits is not scored at a config's 2 bits; a
+    checkpoint without a train config still evaluates at the config's."""
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", cfg_file, "--out", ckpt]) == 0
+    cfg2 = tmp_path / "bits2.cfg"
+    cfg2.write_text(MICRO_CFG + "bits = 2\n")
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--config", str(cfg2), "--checkpoint", ckpt, "--out", str(out)]) == 1
+    assert "trained at bits = 4, but the config evaluates at bits = 2" in caplog.text
+    assert not out.exists()
+
+    params, model, _ = load_checkpoint(ckpt)
+    save_checkpoint(params, model, ckpt)
+    assert main(["eval", "--config", str(cfg2), "--checkpoint", ckpt, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_train_zero_steps_writes_initial_checkpoint(tmp_path):

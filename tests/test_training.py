@@ -32,6 +32,7 @@ from icleq.transformer import ModelConfig, forward_batch, init_params
 C2 = qam4_constellation(2)
 SPEC = TaskDistributionSpec(2, 2, -10.0, -10.0)
 TINY = ModelConfig(n_layers=1, n_heads=2, d_e=8, d_f=16, d_s=4, n_max=4, n_classes=16)
+SMALL = ModelConfig(n_layers=2, n_heads=4, d_e=16, d_f=32, d_s=4, n_max=20, n_classes=16)
 
 
 def tiny_cfg(**kw):
@@ -251,6 +252,38 @@ class TestPretrain:
         first = np.mean([l for _, l in curve[:30]])
         last = np.mean([l for _, l in curve[-30:]])
         assert last < 0.8 * first
+
+
+class TestPinnedCurves:
+    """Five-step loss curves of a SMALL-size model, pinned to values of the
+    graph that computed every column of the last layer and ran attention as
+    separate matmul, scale and masked-softmax nodes: the pruned, fused graph
+    must compute the same function."""
+
+    BASE = dict(
+        model=SMALL, tasks=SPEC, bits=4, m_tasks=16, n_context=10, batch_size=8,
+        n_steps=5, lr=1e-3, warmup_steps=0, seed=11,
+    )
+
+    @pytest.mark.parametrize(
+        "edit, want",
+        [
+            ({}, [1.0003820316475522, 0.9995526455775832, 0.9991887115947061,
+                  0.9960513257827002, 0.9968292277807161]),
+            ({"bits": None}, [1.0009546885856517, 0.9995195596349316, 0.9996714722465319,
+                              0.9957644437224178, 0.9970980426198437]),
+            ({"loss_positions": FINAL_ONLY}, [1.0135419744781295, 1.0003575067506862,
+                                              1.0049854994361098, 0.9930324840884684,
+                                              1.0043950987573842]),
+            ({"model": replace(SMALL, use_causal_mask=False)},
+             [1.0005172576958214, 0.9992654082078636, 0.998786122275356,
+              0.9960099253230595, 0.9966292728427915]),
+        ],
+        ids=["4bit-all_y", "unquantized", "final_only", "unmasked"],
+    )
+    def test_curve_pinned(self, edit, want):
+        _, curve, _ = pretrain(TrainConfig(**{**self.BASE, **edit}))
+        np.testing.assert_allclose([l for _, l in curve], want, rtol=1e-12, atol=0)
 
 
 class TestCheckpoint:

@@ -53,29 +53,33 @@ def token_column(v, d_s=4):
     return build_tokens(replace(TINY, d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
 
 
-class HeadInputTape(Tape):
-    """Tape that keeps the operand of the readout head: the final hidden
-    sequence at every position."""
+class SelectionInputTape(Tape):
+    """Tape that keeps the operand of the column selection before the last
+    layer (before the head when there are no layers): the hidden sequence
+    at every position."""
 
-    def matmul(self, a, b):
-        if a.name == "head.w":
-            self.hidden = b.value
-        return super().matmul(a, b)
+    def index_last(self, a, idx):
+        self.hidden = a.value
+        return super().index_last(a, idx)
 
 
 def hidden_states(params, config, tok):
-    """Final hidden sequence (d_e, B, T) of the model on a token batch."""
-    tape = HeadInputTape()
+    """Hidden sequence (d_e, B, T) entering the last layer's column
+    selection: the embedded sequence of a zero-layer model, or the output
+    of the last layer but one."""
+    tape = SelectionInputTape()
     forward_graph(tape, leaf_params(tape, params), config, tok, C2)
-    return tape.hidden.reshape((config.d_e,) + tok.shape[1:])
+    return tape.hidden
 
 
 def first_layer(e, params, config):
-    """Layer 0 applied to a hidden sequence e (d_e, T): a one-layer model
-    whose embedding is the identity and which adds no positions."""
-    one_layer = replace(config, n_layers=1, d_s=config.d_e, use_positional=False)
+    """Layer 0 applied to a hidden sequence e (d_e, T): the input of the
+    last layer of a two-layer model whose embedding is the identity and
+    which adds no positions (its layer 1 repeats layer 0)."""
+    two_layers = replace(config, n_layers=2, d_s=config.d_e, use_positional=False)
     p = dict(params, embed=np.eye(config.d_e))
-    return hidden_states(p, one_layer, e[:, None, :])[:, 0, :]
+    p.update({k.replace("l0.", "l1."): v for k, v in params.items() if k.startswith("l0.")})
+    return hidden_states(p, two_layers, e[:, None, :])[:, 0, :]
 
 
 class TestRealify:
