@@ -74,14 +74,31 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _checkpoint_mismatch(cfg: ExperimentConfig, model, train) -> str | None:
+    """Why the config cannot evaluate the checkpoint's model, or None."""
+    if train is not None and train.bits != cfg.bits:
+        return f"was trained at bits = {train.bits}, but the config evaluates at bits = {cfg.bits}"
+    if cfg.n_context > model.n_max:
+        return (
+            f"holds a model with n_max = {model.n_max}, "
+            f"but the config evaluates at n_context = {cfg.n_context}"
+        )
+    wanted = cfg.model_config()
+    for key in ("d_s", "n_classes"):
+        if getattr(wanted, key) != getattr(model, key):
+            return (
+                f"holds a model with {key} = {getattr(model, key)}, but the config's "
+                f"n_t = {cfg.n_t}, n_r = {cfg.n_r} need {key} = {getattr(wanted, key)}"
+            )
+    return None
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     params, model, train = load_checkpoint(args.checkpoint)
-    if train is not None and train.bits != cfg.bits:
-        log.error(
-            "%s was trained at bits = %s, but the config evaluates at bits = %s",
-            args.checkpoint, train.bits, cfg.bits,
-        )
+    mismatch = _checkpoint_mismatch(cfg, model, train)
+    if mismatch is not None:
+        log.error("%s %s", args.checkpoint, mismatch)
         return 1
     evalset = EvalSet.build(cfg.protocol(seed=cfg.seed))
     snr_mid = -0.5 * (cfg.sigma2_db_min + cfg.sigma2_db_max)

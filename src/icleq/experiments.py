@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .rng import RngStream
 from .training import PretrainTaskSet, TrainConfig, pretrain
-from .transformer import ModelConfig, build_tokens, forward_batch
+from .transformer import ModelConfig, build_shared_tokens, build_tokens, forward_batch
 
 __all__ = [
     "EvalProtocol",
@@ -89,6 +89,11 @@ class EvalProtocol:
     def __post_init__(self):
         if min(self.n_test_tasks, self.n_test_symbols_per_task) < 1:
             raise ValueError("test counts must be >= 1")
+        if self.n_test_tasks * self.n_test_symbols_per_task < 2:
+            raise ValueError(
+                "an evaluation needs at least two draws for its confidence interval: "
+                "n_test_tasks * n_test_symbols_per_task must be >= 2"
+            )
 
     @property
     def quantizer(self) -> Quantizer:
@@ -179,8 +184,14 @@ class Equalizer:
     @classmethod
     def icl(cls, params: dict, model: ModelConfig) -> "Equalizer":
         def estimate(t, q, c, ctx, ys, rng):
-            # one sequence per test symbol: the task's pilots, then that symbol
-            s, n = ys.shape[0], len(ctx)
+            n = len(ctx)
+            if model.use_causal_mask:
+                # one sequence per task: the pilots once, then every test symbol
+                tokens, positions = build_shared_tokens(model, ctx.xs, ctx.ys, ys)
+                _, est = forward_batch(params, model, c, tokens, positions)
+                return est[0, n:], None
+            # unmasked, the pilots' states depend on the symbol: one sequence each
+            s = ys.shape[0]
             xs_seq = np.zeros((s, n + 1, c.n_t), dtype=complex)  # last slot is never a token
             ys_seq = np.empty((s, n + 1, ys.shape[1]), dtype=complex)
             xs_seq[:, :n] = ctx.xs

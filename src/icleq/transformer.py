@@ -16,13 +16,26 @@ the feed-forward branch (applied to attention output + residual), and the
 activation is the exact (erf-based) GELU.  The causal mask is on by
 default but can be disabled to reproduce unmasked attention.
 
+Every column carries a sequence position.  By default column t sits at
+position t; the causal mask and the learned positional term are both
+built from the positions: key k is visible to query j iff k == j or
+pos[k] < pos[j], and column j adds the positional vector of pos[j].  With
+positions 0..T-1 this is the ordinary causal mask.  Repeated positions let
+many continuations of one prefix share a sequence: :func:`build_shared_tokens`
+lays out one task's 2N pilot columns at positions 0..2N-1 and then all S
+query observations at position 2N, so each query sees the whole prefix and
+itself, no prefix column sees a query, and no query sees another.  Under
+the causal mask each query's estimate equals that of its own
+(2N+1)-column sequence, while the task costs 2N+S columns instead of
+S(2N+1).
+
 Each layer's attention is one fused tape op, :meth:`Tape.attention`, whose
 backward reuses the saved attention probabilities.  The loss and the head
-read only the received-signal columns, so the last layer computes its
-queries, attention, output projection, residual, layer norm and
-feed-forward block only there; its keys and values still span every
-column.  This is exact: no other column of the last layer reaches the
-output.
+read only the received-signal columns (the even positions), so the last
+layer computes its queries, attention, output projection, residual, layer
+norm and feed-forward block only there; its keys and values still span
+every column.  This is exact: no other column of the last layer reaches
+the output.
 
 Everything is built on the :mod:`icleq.autodiff` tape; inference just runs
 the same graph without a backward pass.
@@ -43,6 +56,7 @@ __all__ = [
     "param_shapes",
     "init_params",
     "build_tokens",
+    "build_shared_tokens",
     "forward_graph",
     "forward_batch",
 ]
@@ -139,6 +153,34 @@ def build_tokens(config: ModelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndar
     return tok
 
 
+def build_shared_tokens(
+    config: ModelConfig, xs: np.ndarray, ys: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sequence for S queries that share N pilot pairs.
+
+    ``xs`` (N, n_t) and ``ys`` (N, n_r) are the pilots and ``queries``
+    (S, n_r) the observations to equalize.  Returns the tokens (d_s, 1,
+    2N+S), laid out y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S), and their
+    positions: 0..2N-1 for the pilots, then 2N for every query.  The
+    estimates of the queries are the last S read-out columns.  Needs the
+    causal mask: without it the pilots' states would depend on the queries.
+    """
+    if not config.use_causal_mask:
+        raise ValueError("shared-prefix sequences need the causal mask")
+    n, n_t = xs.shape
+    s = queries.shape[0]
+    # the column layout and the n_max / d_s checks are those of build_tokens
+    prefix = build_tokens(
+        config,
+        np.concatenate([xs, np.zeros((1, n_t))])[None],
+        np.concatenate([ys, queries[:1]])[None],
+    )
+    ends = build_tokens(config, np.zeros((s, 1, n_t)), queries[:, None])  # (d_s, S, 1)
+    tokens = np.concatenate([prefix[:, :, : 2 * n], ends.transpose(0, 2, 1)], axis=2)
+    positions = np.concatenate([np.arange(2 * n), np.full(s, 2 * n)])
+    return tokens, positions
+
+
 # ---------------------------------------------------------------------------
 # graph construction
 # ---------------------------------------------------------------------------
@@ -154,23 +196,33 @@ def _unflat(tape: Tape, a: Node, b: int, t: int) -> Node:
     return tape.reshape(a, (d, b, t))
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Additive mask (T_query, T_key): keys beyond the query are blocked."""
-    return np.triu(np.full((t, t), MASK_NEG), k=1)
+def causal_mask(positions: np.ndarray) -> np.ndarray:
+    """Additive mask (T_query, T_key) from the columns' sequence positions:
+    key k is visible to query j iff k == j or pos[k] < pos[j].  For
+    positions 0..T-1 this blocks exactly the keys beyond the query."""
+    pos = np.asarray(positions)
+    visible = (pos[None, :] < pos[:, None]) | np.eye(pos.size, dtype=bool)
+    return np.where(visible, 0.0, MASK_NEG)
 
 
 def _attention_block(
-    tape: Tape, p: dict, config: ModelConfig, l: int, e: Node, rows: np.ndarray | None = None
+    tape: Tape,
+    p: dict,
+    config: ModelConfig,
+    l: int,
+    e: Node,
+    mask: np.ndarray | None,
+    rows: np.ndarray | None = None,
 ) -> Node:
     """One layer: multi-head softmax self-attention + feed-forward block.
 
-    Keys and values span every column of ``e`` (d_e, B, T).  Queries, and
+    Keys and values span every column of ``e`` (d_e, B, T); ``mask`` is
+    the additive (T, T) mask, or None for unmasked attention.  Queries, and
     everything after the attention, are computed only at the columns
     ``rows`` (all columns when None), so the output is (d_e, B, len(rows)).
     """
     d_e, b, t = e.value.shape
     h, d_w = config.n_heads, config.d_w
-    mask = causal_mask(t) if config.use_causal_mask else None
     eq = e
     if rows is not None:
         eq = tape.index_last(e, rows)
@@ -211,28 +263,39 @@ def forward_graph(
     config: ModelConfig,
     tokens: np.ndarray,
     constellation: Constellation,
+    positions: np.ndarray | None = None,
 ) -> tuple[Node, Node]:
     """Build the full model on the tape for a token batch (d_s, B, T).
 
-    Returns ``(class_probs, soft_estimates)`` nodes with shapes
-    (n_classes, B, P) and (2 n_t, B, P) where P = N + 1 is the number of
-    received-signal positions (columns 0, 2, ..., 2N).
+    ``positions`` (T,) gives each column's sequence position; None means
+    0..T-1, the layout of :func:`build_tokens`.  The causal mask (key k is
+    visible to query j iff k == j or pos[k] < pos[j]) and the positional
+    term come from the positions, and the read-out columns are those at
+    even positions.  Returns ``(class_probs, soft_estimates)`` nodes with
+    shapes (n_classes, B, P) and (2 n_t, B, P), where P is the number of
+    read-out columns: N + 1 (columns 0, 2, ..., 2N) for the default
+    positions, N + S for :func:`build_shared_tokens`.
     """
     d_s, b, t = tokens.shape
+    pos = np.arange(t) if positions is None else np.asarray(positions)
     tok = tape.constant(tokens)
     e = tape.matmul(p["embed"], _flat(tape, tok))
     e = _unflat(tape, e, b, t)
     if config.use_positional:
-        pos = tape.slice_last(p["pos"], t)
-        e = tape.add(e, tape.reshape(pos, (config.d_e, 1, t)))
+        # gather the positional vectors by a one-hot matmul: exact, and
+        # repeated positions are fine
+        select = np.eye(p["pos"].value.shape[1])[:, pos]  # (2 n_max + 1, T)
+        pos_term = tape.matmul(p["pos"], tape.constant(select))
+        e = tape.add(e, tape.reshape(pos_term, (config.d_e, 1, t)))
+    mask = causal_mask(pos) if config.use_causal_mask else None
     # the loss reads only the y columns, so the last layer computes only those
-    y_positions = np.arange(0, t, 2)
+    y_columns = np.flatnonzero(pos % 2 == 0)
     for l in range(config.n_layers):
         last = l == config.n_layers - 1
-        e = _attention_block(tape, p, config, l, e, y_positions if last else None)
+        e = _attention_block(tape, p, config, l, e, mask, y_columns if last else None)
     if not config.n_layers:
-        e = tape.index_last(e, y_positions)
-    np1 = y_positions.size
+        e = tape.index_last(e, y_columns)
+    np1 = y_columns.size
     logits = tape.matmul(p["head.w"], _flat(tape, e))
     logits = tape.add(logits, tape.reshape(p["head.b"], (config.n_classes, 1)))
     probs = tape.softmax(_unflat(tape, logits, b, np1), axis=0)  # (n_classes, B, P)
@@ -247,12 +310,13 @@ def forward_batch(
     config: ModelConfig,
     constellation: Constellation,
     tokens: np.ndarray,
+    positions: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference on a token batch: probs (n_classes, B, P), complex soft
-    estimates (B, P, n_t)."""
+    estimates (B, P, n_t).  ``positions`` as in :func:`forward_graph`."""
     tape = Tape()
     p = leaf_params(tape, params)
-    probs, est = forward_graph(tape, p, config, tokens, constellation)
+    probs, est = forward_graph(tape, p, config, tokens, constellation, positions)
     n_t = constellation.n_t
     ev = est.value
     cplx = (ev[:n_t] + 1j * ev[n_t:]).transpose(1, 2, 0)

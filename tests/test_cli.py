@@ -66,6 +66,37 @@ def test_eval_rejects_config_with_other_bits(tmp_path, cfg_file, caplog):
     assert len(out.read_text().splitlines()) == 4
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda cfg: cfg.replace("n_max = 4", "n_max = 8").replace(
+                "n_context = 4", "n_context = 8"
+            ),
+            "holds a model with n_max = 4, but the config evaluates at n_context = 8",
+        ),
+        (
+            lambda cfg: cfg + "n_t = 3\nn_r = 3\n",
+            "holds a model with d_s = 4, but the config's n_t = 3, n_r = 3 need d_s = 6",
+        ),
+    ],
+    ids=["context-longer-than-n-max", "antenna-counts"],
+)
+def test_eval_rejects_config_the_model_cannot_read(tmp_path, edit, message, caplog):
+    """A config whose contexts or antenna counts do not fit the checkpoint's
+    model fails at load time, before any evaluation draw is made."""
+    zero = tmp_path / "zero.cfg"
+    zero.write_text(MICRO_CFG.replace("n_steps = 20", "n_steps = 0"))
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", str(zero), "--out", ckpt]) == 0
+    other = tmp_path / "other.cfg"
+    other.write_text(edit(MICRO_CFG))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--config", str(other), "--checkpoint", ckpt, "--out", str(out)]) == 1
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_train_zero_steps_writes_initial_checkpoint(tmp_path):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text(MICRO_CFG.replace("n_steps = 20", "n_steps = 0"))

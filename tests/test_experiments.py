@@ -31,7 +31,7 @@ from icleq.experiments import (
 )
 from icleq.rng import RngStream
 from icleq.training import PretrainTaskSet
-from icleq.transformer import init_params
+from icleq.transformer import build_tokens, forward_batch, init_params
 
 C2 = qam4_constellation(2)
 SPEC = TaskDistributionSpec(2, 2, -10.0, -10.0)
@@ -191,6 +191,33 @@ class TestEvaluate:
             h.update(np.array([r.mse, r.ci_low, np.nan if r.ess is None else r.ess]).tobytes())
         assert h.hexdigest()[:16] == digest
 
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_icl_matches_one_sequence_per_symbol(self, masked):
+        """With the causal mask a task's symbols share one sequence and match
+        their own sequences to 1e-12; unmasked, each symbol keeps its own
+        sequence, so the estimates are exactly those."""
+        ev = EvalSet.build(small_protocol(n_test_tasks=2))
+        model = replace(MICRO.model_config(), n_layers=2, use_causal_mask=masked)
+        params = init_params(model, RngStream(8), scale=0.3)
+        eq = Equalizer.icl(params, model)
+        for i in range(2):
+            ctx, ys = ev.context(i), ev.test_ys[i]
+            est, ess = eq.estimate(ev.task(i), ev.protocol.quantizer, C2, ctx, ys, None)
+            seqs = [
+                build_tokens(
+                    model,
+                    np.concatenate([ctx.xs, np.zeros((1, 2))])[None],
+                    np.concatenate([ctx.ys, y[None]])[None],
+                )
+                for y in ys
+            ]
+            want = forward_batch(params, model, C2, np.concatenate(seqs, axis=1))[1][:, -1]
+            assert ess is None
+            if masked:
+                np.testing.assert_allclose(est, want, rtol=0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(est, want)
+
     def test_per_draw_errors_match_direct_estimates(self):
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
         errs = per_draw_errors(Equalizer.mmse(), ev)
@@ -271,6 +298,7 @@ class TestConfigFile:
             ("lr = -1", "lr must be > 0, got -1.0"),
             ("n_test_tasks = 0", "test counts must be >= 1"),
             ("n_test_symbols_per_task = 0", "test counts must be >= 1"),
+            ("n_test_tasks = 1\nn_test_symbols_per_task = 1", "at least two draws"),
         ],
         ids=[
             "m-grid-zero",
@@ -280,6 +308,7 @@ class TestConfigFile:
             "lr-negative",
             "zero-test-tasks",
             "zero-test-symbols",
+            "one-draw",
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(self, text, message):

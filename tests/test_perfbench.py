@@ -8,7 +8,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["pretrain", "eval_unquantized"])
+@pytest.mark.parametrize("workload", ["pretrain", "eval_4bit", "eval_unquantized"])
 def test_benchmark_workload_is_correct(workload):
     """One zero-length run of a benchmark workload: it calls the program's
     public API (configs, equalizer factories, forward passes) and checks

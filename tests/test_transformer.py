@@ -14,8 +14,11 @@ from icleq.channel import (
 from icleq.estimators import input_posterior, mmse_known_task
 from icleq.rng import RngStream
 from icleq.transformer import (
+    MASK_NEG,
     ModelConfig,
+    build_shared_tokens,
     build_tokens,
+    causal_mask,
     forward_batch,
     forward_graph,
     init_params,
@@ -245,6 +248,73 @@ class TestForward:
         p1, e1 = run_model(params, SMALL, ctx, y)
         p2, e2 = run_model(params, SMALL, ctx, y)
         assert np.array_equal(p1, p2) and np.array_equal(e1, e2)
+
+
+class TestSharedPrefix:
+    """One sequence per task: the pilots at positions 0..2N-1, then every
+    query observation at position 2N."""
+
+    @pytest.mark.parametrize("t", [1, 2, 9, 41])
+    def test_default_positions_give_the_causal_mask_bit_for_bit(self, t):
+        want = np.triu(np.full((t, t), MASK_NEG), k=1)
+        assert causal_mask(np.arange(t)).tobytes() == want.tobytes()
+
+    def test_layout_and_visibility(self):
+        _, ctx = make_context(41, 2)
+        ys = RngStream(42).complex_normal((3, 2))
+        tok, pos = build_shared_tokens(SMALL, ctx.xs, ctx.ys, ys)
+        assert tok.shape == (4, 1, 7)
+        np.testing.assert_array_equal(pos, [0, 1, 2, 3, 4, 4, 4])
+        np.testing.assert_array_equal(tok[:, 0, :4], tokens(SMALL, ctx, ys[0])[:, 0, :4])
+        for j in range(3):
+            np.testing.assert_array_equal(tok[:, 0, 4 + j], token_column(ys[j]))
+        visible = causal_mask(pos) == 0
+        np.testing.assert_array_equal(visible[:4, :4], np.tril(np.ones((4, 4), bool)))
+        assert not visible[:4, 4:].any()  # no pilot sees a query
+        # nor one query another
+        np.testing.assert_array_equal(visible[4:, 4:], np.eye(3, dtype=bool))
+        assert visible[4:, :4].all()
+
+    @pytest.mark.parametrize(
+        "config, n, s, bits",
+        [
+            (replace(SMALL, n_layers=0), 5, 4, 4),
+            (TINY, 5, 4, 4),
+            (SMALL, 5, 4, 4),
+            (replace(SMALL, n_layers=3), 5, 4, None),
+            (replace(SMALL, use_positional=False), 5, 4, 4),
+            (SMALL, 0, 4, 4),
+            (SMALL, 20, 1, 4),
+            (SMALL, 20, 64, None),
+        ],
+        ids=["0-layers", "1-layer", "2-layers", "3-layers-unquantized", "no-positions",
+             "empty-context", "one-query", "headline-unquantized"],
+    )
+    def test_matches_one_sequence_per_query(self, config, n, s, bits):
+        params = init_params(config, RngStream(43), scale=0.3)
+        t, ctx = make_context(44, n, bits=bits)
+        q = Quantizer(bits=bits)
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, s, RngStream(45))
+        tok, pos = build_shared_tokens(config, ctx.xs, ctx.ys, ys)
+        _, est = forward_batch(params, config, C2, tok, pos)
+        assert est.shape == (1, n + s, 2)
+        # the pilots' read-out columns are those of the plain sequence
+        plain = run_model(params, config, ctx, ys[0])[1]
+        np.testing.assert_allclose(est[0, :n], plain[:n], rtol=0, atol=1e-12)
+        want = np.array([run_model(params, config, ctx, y)[1][-1] for y in ys])
+        np.testing.assert_allclose(est[0, n:], want, rtol=0, atol=1e-12)
+
+    def test_checks_of_build_tokens_apply(self):
+        _, ctx = make_context(46, TINY.n_max + 1)
+        with pytest.raises(ValueError, match="n_max"):
+            build_shared_tokens(TINY, ctx.xs, ctx.ys, ctx.ys[:2])
+        with pytest.raises(ValueError, match="d_s"):
+            build_shared_tokens(replace(TINY, d_s=2), ctx.xs[:2], ctx.ys[:2], ctx.ys[:2])
+
+    def test_unmasked_model_rejected(self):
+        _, ctx = make_context(47, 2)
+        with pytest.raises(ValueError, match="causal mask"):
+            build_shared_tokens(replace(TINY, use_causal_mask=False), ctx.xs, ctx.ys, ctx.ys)
 
 
 class TestSoftEstimate:
