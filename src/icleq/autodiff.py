@@ -239,16 +239,6 @@ class Tape:
 
         return self._push("index_last", (a,), out, vjp)
 
-    def slice_last(self, a: Node, n: int) -> Node:
-        out = a.value[..., :n]
-
-        def vjp(g):
-            z = np.zeros(a.value.shape)
-            z[..., :n] = g
-            return (z,)
-
-        return self._push("slice_last", (a,), out, vjp)
-
     # -- nonlinearities -----------------------------------------------------
 
     def gelu(self, a: Node) -> Node:
@@ -296,9 +286,7 @@ class Tape:
 
         return self._push("softmax", (a,), p, vjp)
 
-    def attention(
-        self, q: Node, k: Node, v: Node, scale: float, mask_add: np.ndarray | None = None
-    ) -> Node:
+    def attention(self, q: Node, k: Node, v: Node, scale: float, mask_add: np.ndarray) -> Node:
         """``softmax(q k^T * scale + mask_add) v`` over the last two axes.
 
         ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
@@ -311,8 +299,7 @@ class Tape:
         """
         p = q.value @ _swap_last(k.value)
         p *= scale
-        if mask_add is not None:
-            p += mask_add
+        p += mask_add
         _softmax_inplace(p, -1)
         out = p @ v.value
 

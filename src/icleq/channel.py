@@ -206,6 +206,12 @@ class TaskDistributionSpec:
     sigma2_db_max: float
 
     def __post_init__(self):
+        if min(self.n_t, self.n_r) < 1:
+            raise ValueError(f"n_t and n_r must be >= 1, got {self.n_t} and {self.n_r}")
+        if not np.isfinite([self.sigma2_db_min, self.sigma2_db_max]).all():
+            raise ValueError(
+                f"noise bounds must be finite, got [{self.sigma2_db_min}, {self.sigma2_db_max}] dB"
+            )
         if self.sigma2_db_min > self.sigma2_db_max:
             raise ValueError("sigma2_db_min must be <= sigma2_db_max")
 

@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .rng import RngStream
 from .training import PretrainTaskSet, TrainConfig, pretrain
-from .transformer import ModelConfig, build_shared_tokens, build_tokens, forward_batch
+from .transformer import ModelConfig, build_shared_tokens, forward_batch
 
 __all__ = [
     "EvalProtocol",
@@ -89,6 +89,10 @@ class EvalProtocol:
     def __post_init__(self):
         if min(self.n_test_tasks, self.n_test_symbols_per_task) < 1:
             raise ValueError("test counts must be >= 1")
+        if self.n_context < 0:
+            raise ValueError(f"n_context must be >= 0, got {self.n_context}")
+        if self.mc_samples < 1:
+            raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
         if self.n_test_tasks * self.n_test_symbols_per_task < 2:
             raise ValueError(
                 "an evaluation needs at least two draws for its confidence interval: "
@@ -184,21 +188,10 @@ class Equalizer:
     @classmethod
     def icl(cls, params: dict, model: ModelConfig) -> "Equalizer":
         def estimate(t, q, c, ctx, ys, rng):
-            n = len(ctx)
-            if model.use_causal_mask:
-                # one sequence per task: the pilots once, then every test symbol
-                tokens, positions = build_shared_tokens(model, ctx.xs, ctx.ys, ys)
-                _, est = forward_batch(params, model, c, tokens, positions)
-                return est[0, n:], None
-            # unmasked, the pilots' states depend on the symbol: one sequence each
-            s = ys.shape[0]
-            xs_seq = np.zeros((s, n + 1, c.n_t), dtype=complex)  # last slot is never a token
-            ys_seq = np.empty((s, n + 1, ys.shape[1]), dtype=complex)
-            xs_seq[:, :n] = ctx.xs
-            ys_seq[:, :n] = ctx.ys
-            ys_seq[:, n] = ys
-            _, est = forward_batch(params, model, c, build_tokens(model, xs_seq, ys_seq))
-            return est[:, -1, :], None
+            # one sequence per task: the pilots once, then every test symbol
+            tokens, positions = build_shared_tokens(model, ctx.xs, ctx.ys, ys)
+            _, est = forward_batch(params, model, c, tokens, positions)
+            return est[0, len(ctx):], None
 
         return cls("icl", estimate)
 
@@ -331,7 +324,6 @@ class ExperimentConfig:
     n_steps: int = 50_000
     lr: float = 1e-4
     warmup_steps: int = 1000
-    loss_positions: str = "all_y"
     init_scale: float = 0.1
     # evaluation
     n_test_tasks: int = 500
@@ -351,6 +343,9 @@ class ExperimentConfig:
             for entry in getattr(self, key):
                 if entry is not None and entry < 1:
                     raise ValueError(f"{key} entry {entry} must be >= 1")
+        for entry in self.snr_db_grid:
+            if not np.isfinite(entry):
+                raise ValueError(f"snr_db_grid entry {entry} must be finite")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -377,7 +372,6 @@ class ExperimentConfig:
             n_steps=self.n_steps,
             lr=self.lr,
             warmup_steps=self.warmup_steps,
-            loss_positions=self.loss_positions,
             init_scale=self.init_scale,
             seed=seed,
         )

@@ -4,9 +4,8 @@ The task set is sampled once from the task distribution and frozen; every
 step draws tasks uniformly with replacement from it and generates fresh
 pilot contexts and test pairs through the channel (the channel of a task
 never changes, its noise and pilots do).  The objective is the squared
-error of the soft symbol estimate, either at every received-signal
-position ("all_y", one prediction per context length 0..N, the default) or
-only at the final query position ("final_only").
+error of the soft symbol estimate at every received-signal position, one
+prediction per context length 0..N.
 
 Gradients are exact reverse-mode derivatives from the autodiff tape, and
 training runs single-threaded in binary64, so a (config, seed) pair
@@ -26,7 +25,6 @@ from .autodiff import GraphNumericsError, Tape
 from .channel import (
     Constellation,
     Quantizer,
-    Task,
     TaskDistributionSpec,
     qam4_constellation,
     realify_obs,
@@ -59,9 +57,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-ALL_Y = "all_y"
-FINAL_ONLY = "final_only"
-
 
 class TrainingDivergedError(RuntimeError):
     pass
@@ -69,7 +64,11 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run depends on, seed included."""
+    """Everything a training run depends on, seed included.
+
+    ``loss_positions`` is kept only so that checkpoints carrying it load;
+    it must be "all_y", the loss at every received-signal position.
+    """
 
     model: ModelConfig = field(default_factory=ModelConfig)
     tasks: TaskDistributionSpec = field(
@@ -86,7 +85,7 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     clip_norm: float | None = 1.0
-    loss_positions: str = ALL_Y
+    loss_positions: str = "all_y"
     init_scale: float = 0.1
     seed: int = 0
 
@@ -95,11 +94,14 @@ class TrainConfig:
             raise ValueError("m_tasks and batch_size must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        for name in ("n_steps", "warmup_steps"):
+        for name in ("n_steps", "warmup_steps", "n_context"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.loss_positions not in (ALL_Y, FINAL_ONLY):
-            raise ValueError(f"unknown loss_positions {self.loss_positions!r}")
+        if self.loss_positions != "all_y":
+            raise ValueError(
+                f"loss_positions must be 'all_y', got {self.loss_positions!r}: "
+                "the loss covers every received-signal position"
+            )
         if self.n_context > self.model.n_max:
             raise ValueError(
                 f"n_context={self.n_context} exceeds the model's n_max={self.model.n_max}"
@@ -125,9 +127,6 @@ class PretrainTaskSet:
 
     def __len__(self) -> int:
         return self.hs.shape[0]
-
-    def task(self, i: int) -> Task:
-        return Task(h=self.hs[i], sigma2=float(self.sigma2s[i]))
 
 
 @dataclass(frozen=True)
@@ -174,16 +173,8 @@ def sample_train_batch(
 def _loss_graph(tape: Tape, params: dict, cfg: TrainConfig, batch: TrainBatch, constellation):
     p = leaf_params(tape, params)
     _, est = forward_graph(tape, p, cfg.model, batch.tokens, constellation)
-    np1 = est.value.shape[2]
-    tgt = batch.targets
-    if cfg.loss_positions == FINAL_ONLY:
-        est = tape.index_last(est, np.array([np1 - 1]))
-        tgt = tgt[:, :, -1:]
-        denom = batch.size
-    else:
-        denom = batch.size * np1
-    diff = tape.sub(est, tape.constant(tgt))
-    return tape.scale(tape.sum_all(tape.square(diff)), 1.0 / denom)
+    diff = tape.sub(est, tape.constant(batch.targets))
+    return tape.scale(tape.sum_all(tape.square(diff)), 1.0 / (batch.size * est.value.shape[2]))
 
 
 def batch_loss(
@@ -192,7 +183,7 @@ def batch_loss(
     batch: TrainBatch,
     constellation: Constellation | None = None,
 ) -> float:
-    """Mean squared estimation error over the batch (and positions)."""
+    """Mean squared estimation error over the batch and positions."""
     constellation = constellation or qam4_constellation(cfg.tasks.n_t)
     tape = Tape()
     return float(_loss_graph(tape, params, cfg, batch, constellation).value)

@@ -13,8 +13,9 @@ is the equalizer output.
 The layer follows the reference equations literally: attention logits are
 scaled by sqrt(d_w) with d_w = d_e / n_heads, the layer norm sits inside
 the feed-forward branch (applied to attention output + residual), and the
-activation is the exact (erf-based) GELU.  The causal mask is on by
-default but can be disabled to reproduce unmasked attention.
+activation is the exact (erf-based) GELU.  There is one model variant:
+every model has at least one layer, causal attention and a learned
+positional term.
 
 Every column carries a sequence position.  By default column t sits at
 position t; the causal mask and the learned positional term are both
@@ -24,10 +25,9 @@ positions 0..T-1 this is the ordinary causal mask.  Repeated positions let
 many continuations of one prefix share a sequence: :func:`build_shared_tokens`
 lays out one task's 2N pilot columns at positions 0..2N-1 and then all S
 query observations at position 2N, so each query sees the whole prefix and
-itself, no prefix column sees a query, and no query sees another.  Under
-the causal mask each query's estimate equals that of its own
-(2N+1)-column sequence, while the task costs 2N+S columns instead of
-S(2N+1).
+itself, no prefix column sees a query, and no query sees another.  Each
+query's estimate therefore equals that of its own (2N+1)-column sequence,
+while the task costs 2N+S columns instead of S(2N+1).
 
 Each layer's attention is one fused tape op, :meth:`Tape.attention`, whose
 backward reuses the saved attention probabilities.  The loss and the head
@@ -66,7 +66,11 @@ MASK_NEG = -1e9  # additive mask constant; exact zero probability after exp
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and input-geometry hyperparameters."""
+    """Architecture and input-geometry hyperparameters.
+
+    ``use_causal_mask`` and ``use_positional`` are kept only so that
+    checkpoints carrying them load; both must be True.
+    """
 
     n_layers: int = 2
     n_heads: int = 4
@@ -79,8 +83,15 @@ class ModelConfig:
     use_positional: bool = True
 
     def __post_init__(self):
-        if self.n_heads < 1:
-            raise ValueError(f"n_heads must be >= 1, got {self.n_heads}")
+        for name in ("n_layers", "n_heads", "d_e", "d_f"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("use_causal_mask", "use_positional"):
+            if getattr(self, name) is not True:
+                raise ValueError(
+                    f"{name} must be True, got {getattr(self, name)!r}: "
+                    "every model is causal with learned positions"
+                )
         if self.d_e % self.n_heads:
             raise ValueError("d_e must be divisible by n_heads")
 
@@ -162,11 +173,8 @@ def build_shared_tokens(
     (S, n_r) the observations to equalize.  Returns the tokens (d_s, 1,
     2N+S), laid out y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S), and their
     positions: 0..2N-1 for the pilots, then 2N for every query.  The
-    estimates of the queries are the last S read-out columns.  Needs the
-    causal mask: without it the pilots' states would depend on the queries.
+    estimates of the queries are the last S read-out columns.
     """
-    if not config.use_causal_mask:
-        raise ValueError("shared-prefix sequences need the causal mask")
     n, n_t = xs.shape
     s = queries.shape[0]
     # the column layout and the n_max / d_s checks are those of build_tokens
@@ -211,22 +219,22 @@ def _attention_block(
     config: ModelConfig,
     l: int,
     e: Node,
-    mask: np.ndarray | None,
+    mask: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> Node:
     """One layer: multi-head softmax self-attention + feed-forward block.
 
     Keys and values span every column of ``e`` (d_e, B, T); ``mask`` is
-    the additive (T, T) mask, or None for unmasked attention.  Queries, and
-    everything after the attention, are computed only at the columns
-    ``rows`` (all columns when None), so the output is (d_e, B, len(rows)).
+    the additive (T, T) mask.  Queries, and everything after the attention,
+    are computed only at the columns ``rows`` (all columns when None), so
+    the output is (d_e, B, len(rows)).
     """
     d_e, b, t = e.value.shape
     h, d_w = config.n_heads, config.d_w
     eq = e
     if rows is not None:
         eq = tape.index_last(e, rows)
-        mask = None if mask is None else mask[rows]
+        mask = mask[rows]
     tq = eq.value.shape[2]
 
     def heads(name, x_flat, n):
@@ -281,20 +289,17 @@ def forward_graph(
     tok = tape.constant(tokens)
     e = tape.matmul(p["embed"], _flat(tape, tok))
     e = _unflat(tape, e, b, t)
-    if config.use_positional:
-        # gather the positional vectors by a one-hot matmul: exact, and
-        # repeated positions are fine
-        select = np.eye(p["pos"].value.shape[1])[:, pos]  # (2 n_max + 1, T)
-        pos_term = tape.matmul(p["pos"], tape.constant(select))
-        e = tape.add(e, tape.reshape(pos_term, (config.d_e, 1, t)))
-    mask = causal_mask(pos) if config.use_causal_mask else None
+    # gather the positional vectors by a one-hot matmul: exact, and
+    # repeated positions are fine
+    select = np.eye(p["pos"].value.shape[1])[:, pos]  # (2 n_max + 1, T)
+    pos_term = tape.matmul(p["pos"], tape.constant(select))
+    e = tape.add(e, tape.reshape(pos_term, (config.d_e, 1, t)))
+    mask = causal_mask(pos)
     # the loss reads only the y columns, so the last layer computes only those
     y_columns = np.flatnonzero(pos % 2 == 0)
     for l in range(config.n_layers):
         last = l == config.n_layers - 1
         e = _attention_block(tape, p, config, l, e, mask, y_columns if last else None)
-    if not config.n_layers:
-        e = tape.index_last(e, y_columns)
     np1 = y_columns.size
     logits = tape.matmul(p["head.w"], _flat(tape, e))
     logits = tape.add(logits, tape.reshape(p["head.b"], (config.n_classes, 1)))

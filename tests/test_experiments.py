@@ -84,6 +84,10 @@ class TestEvalSet:
         """Any change of the evaluation draw order must be a deliberate re-pin."""
         assert EvalSet.build(small_protocol(bits=bits)).draw_hash() == digest
 
+    def test_negative_context_rejected(self):
+        with pytest.raises(ValueError, match="n_context must be >= 0, got -1"):
+            small_protocol(n_context=-1)
+
     def test_seed_changes_draws(self):
         a = EvalSet.build(small_protocol())
         b = EvalSet.build(small_protocol(seed=4))
@@ -191,13 +195,11 @@ class TestEvaluate:
             h.update(np.array([r.mse, r.ci_low, np.nan if r.ess is None else r.ess]).tobytes())
         assert h.hexdigest()[:16] == digest
 
-    @pytest.mark.parametrize("masked", [True, False])
-    def test_icl_matches_one_sequence_per_symbol(self, masked):
-        """With the causal mask a task's symbols share one sequence and match
-        their own sequences to 1e-12; unmasked, each symbol keeps its own
-        sequence, so the estimates are exactly those."""
+    def test_icl_matches_one_sequence_per_symbol(self):
+        """A task's symbols share one sequence and match their own sequences
+        to 1e-12."""
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
-        model = replace(MICRO.model_config(), n_layers=2, use_causal_mask=masked)
+        model = replace(MICRO.model_config(), n_layers=2)
         params = init_params(model, RngStream(8), scale=0.3)
         eq = Equalizer.icl(params, model)
         for i in range(2):
@@ -213,10 +215,7 @@ class TestEvaluate:
             ]
             want = forward_batch(params, model, C2, np.concatenate(seqs, axis=1))[1][:, -1]
             assert ess is None
-            if masked:
-                np.testing.assert_allclose(est, want, rtol=0, atol=1e-12)
-            else:
-                np.testing.assert_array_equal(est, want)
+            np.testing.assert_allclose(est, want, rtol=0, atol=1e-12)
 
     def test_per_draw_errors_match_direct_estimates(self):
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
@@ -250,6 +249,8 @@ class TestConfigFile:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file("no_such_key = 1")
+        with pytest.raises(ValueError, match="line 1: unknown key 'loss_positions'"):
+            parse_config_file("loss_positions = all_y")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: repeated key 'bits'"):
@@ -266,7 +267,6 @@ class TestConfigFile:
             ("seed = 1\nn_steps = 1e3", "line 2: n_steps takes int values"),
             ("sigma2_db_min = none", "line 1: sigma2_db_min takes float values"),
             ("lr = fast", "line 1: lr takes float values"),
-            ("loss_positions = 3", "line 1: loss_positions takes str values"),
             ("m_grid = 1, x", "line 1: m_grid takes int values, got 'x'"),
             ("snr_db_grid = 0, none", "line 1: snr_db_grid takes float values"),
             ("bits_grid = 1, 2.5", "line 1: bits_grid takes int values, got '2.5'"),
@@ -277,7 +277,6 @@ class TestConfigFile:
             "int-float-line-2",
             "float-none",
             "float-word",
-            "str-int",
             "int-grid-word",
             "float-grid-none",
             "int-grid-float",
@@ -299,6 +298,17 @@ class TestConfigFile:
             ("n_test_tasks = 0", "test counts must be >= 1"),
             ("n_test_symbols_per_task = 0", "test counts must be >= 1"),
             ("n_test_tasks = 1\nn_test_symbols_per_task = 1", "at least two draws"),
+            ("snr_db_grid = 10, nan", "snr_db_grid entry nan must be finite"),
+            ("snr_db_grid = -inf, 10", "snr_db_grid entry -inf must be finite"),
+            ("n_t = 0", "n_t and n_r must be >= 1, got 0 and 2"),
+            ("n_r = 0", "n_t and n_r must be >= 1, got 2 and 0"),
+            ("sigma2_db_min = nan", "noise bounds must be finite"),
+            ("sigma2_db_min = -inf", "noise bounds must be finite"),
+            ("n_layers = 0", "n_layers must be >= 1, got 0"),
+            ("d_e = 0", "d_e must be >= 1, got 0"),
+            ("d_f = 0", "d_f must be >= 1, got 0"),
+            ("n_context = -1", "n_context must be >= 0, got -1"),
+            ("mc_samples = 0", "mc_samples must be >= 1, got 0"),
         ],
         ids=[
             "m-grid-zero",
@@ -309,6 +319,17 @@ class TestConfigFile:
             "zero-test-tasks",
             "zero-test-symbols",
             "one-draw",
+            "snr-grid-nan",
+            "snr-grid-inf",
+            "zero-tx-antennas",
+            "zero-rx-antennas",
+            "noise-nan",
+            "noise-inf",
+            "zero-layers",
+            "zero-d-e",
+            "zero-d-f",
+            "negative-context",
+            "zero-mc-samples",
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(self, text, message):

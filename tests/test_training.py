@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,14 +6,13 @@ import pytest
 
 from icleq.autodiff import GraphNumericsError
 from icleq.channel import (
+    Task,
     TaskDistributionSpec,
     qam4_constellation,
     sample_pairs,
 )
 from icleq.rng import RngStream
 from icleq.training import (
-    ALL_Y,
-    FINAL_ONLY,
     AdamState,
     CheckpointError,
     PretrainTaskSet,
@@ -81,6 +81,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"lr must be > 0, got {lr}"):
             tiny_cfg(lr=lr)
 
+    def test_loss_covers_every_position(self):
+        with pytest.raises(ValueError, match="loss_positions must be 'all_y', got 'final_only'"):
+            tiny_cfg(loss_positions="final_only")
+
 
 class TestBatchLoss:
     def test_uniform_head_gives_unit_loss(self):
@@ -101,7 +105,8 @@ class TestBatchLoss:
         params["head.w"] = np.zeros_like(params["head.w"])
         params["head.b"] = np.zeros_like(params["head.b"])
         params["head.b"][7] = 200.0  # one-hot on class 7 everywhere
-        t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(4)).task(0)
+        ts = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(4))
+        t = Task(h=ts.hs[0], sigma2=float(ts.sigma2s[0]))
         _, ctx_ys = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(5))
         # every input, pilots and test alike, is class 7
         x = C2.joint[7]
@@ -109,7 +114,7 @@ class TestBatchLoss:
         loss = batch_loss(params, cfg, batch, C2)
         assert loss < 1e-9
 
-    def test_final_only_is_last_all_y_term(self):
+    def test_loss_is_mean_of_position_errors(self):
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(6))
         batch = tiny_batch(cfg)
@@ -117,10 +122,7 @@ class TestBatchLoss:
         tgt = batch.targets  # (2 n_t, B, P)
         tgtc = (tgt[:2] + 1j * tgt[2:]).transpose(1, 2, 0)
         per_pos = np.sum(np.abs(est - tgtc) ** 2, axis=2).mean(axis=0)  # (P,)
-        all_y = batch_loss(params, cfg, batch, C2)
-        fin = batch_loss(params, tiny_cfg(loss_positions=FINAL_ONLY), batch, C2)
-        assert abs(fin - per_pos[-1]) < 1e-12
-        assert abs(all_y - per_pos.mean()) < 1e-12
+        assert abs(batch_loss(params, cfg, batch, C2) - per_pos.mean()) < 1e-12
 
     def test_batch_permutation_invariance(self):
         cfg = tiny_cfg(batch_size=6)
@@ -170,7 +172,8 @@ class TestGradient:
         params["head.b"] = np.zeros_like(params["head.b"])
         params["head.b"][5] = 200.0
         x = C2.joint[5]
-        t = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(14)).task(0)
+        ts = PretrainTaskSet.sample(cfg.tasks, 1, RngStream(14))
+        t = Task(h=ts.hs[0], sigma2=float(ts.sigma2s[0]))
         _, ctx_ys = sample_pairs(t.h, t.sigma2, cfg.quantizer, C2, cfg.n_context, RngStream(15))
         batch = one_class_batch(cfg, x, ctx_ys, t.h @ x, 2)
         loss, grads = gradient(params, cfg, batch, C2)
@@ -272,14 +275,8 @@ class TestPinnedCurves:
                   0.9960513257827002, 0.9968292277807161]),
             ({"bits": None}, [1.0009546885856517, 0.9995195596349316, 0.9996714722465319,
                               0.9957644437224178, 0.9970980426198437]),
-            ({"loss_positions": FINAL_ONLY}, [1.0135419744781295, 1.0003575067506862,
-                                              1.0049854994361098, 0.9930324840884684,
-                                              1.0043950987573842]),
-            ({"model": replace(SMALL, use_causal_mask=False)},
-             [1.0005172576958214, 0.9992654082078636, 0.998786122275356,
-              0.9960099253230595, 0.9966292728427915]),
         ],
-        ids=["4bit-all_y", "unquantized", "final_only", "unmasked"],
+        ids=["4bit-all_y", "unquantized"],
     )
     def test_curve_pinned(self, edit, want):
         _, curve, _ = pretrain(TrainConfig(**{**self.BASE, **edit}))
@@ -400,6 +397,35 @@ class TestCheckpoint:
         save_checkpoint(params, cfg.model, str(path))
         with pytest.raises(CheckpointError, match="architecture"):
             load_checkpoint(str(path), expect=replace(cfg.model, d_e=32, d_f=64))
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("model", "use_causal_mask", False),
+            ("model", "use_positional", False),
+            ("train", "loss_positions", "final_only"),
+        ],
+    )
+    def test_variant_keys_load_only_at_their_one_value(self, tmp_path, section, key, value):
+        """Checkpoints carry use_causal_mask, use_positional and
+        loss_positions at True, True and "all_y"; such an archive loads,
+        and the same archive with another value is rejected by name."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(cfg.model, RngStream(26)), cfg.model, str(path), cfg)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["__config__"]))
+        assert meta["model"]["use_causal_mask"] is True
+        assert meta["model"]["use_positional"] is True
+        assert meta["train"]["loss_positions"] == "all_y"
+        assert load_checkpoint(str(path))[1:] == (cfg.model, cfg)
+        meta[section][key] = value
+        arrays["__config__"] = np.array(json.dumps(meta))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(CheckpointError, match=f"{key} must be"):
+            load_checkpoint(str(path))
 
 
 class TestAllYPositionZero:

@@ -58,8 +58,7 @@ def token_column(v, d_s=4):
 
 class SelectionInputTape(Tape):
     """Tape that keeps the operand of the column selection before the last
-    layer (before the head when there are no layers): the hidden sequence
-    at every position."""
+    layer: the hidden sequence at every position."""
 
     def index_last(self, a, idx):
         self.hidden = a.value
@@ -68,7 +67,7 @@ class SelectionInputTape(Tape):
 
 def hidden_states(params, config, tok):
     """Hidden sequence (d_e, B, T) entering the last layer's column
-    selection: the embedded sequence of a zero-layer model, or the output
+    selection: the embedded sequence of a one-layer model, or the output
     of the last layer but one."""
     tape = SelectionInputTape()
     forward_graph(tape, leaf_params(tape, params), config, tok, C2)
@@ -78,11 +77,29 @@ def hidden_states(params, config, tok):
 def first_layer(e, params, config):
     """Layer 0 applied to a hidden sequence e (d_e, T): the input of the
     last layer of a two-layer model whose embedding is the identity and
-    which adds no positions (its layer 1 repeats layer 0)."""
-    two_layers = replace(config, n_layers=2, d_s=config.d_e, use_positional=False)
-    p = dict(params, embed=np.eye(config.d_e))
+    whose positional vectors are zero (its layer 1 repeats layer 0)."""
+    two_layers = replace(config, n_layers=2, d_s=config.d_e)
+    p = dict(params, embed=np.eye(config.d_e), pos=np.zeros_like(params["pos"]))
     p.update({k.replace("l0.", "l1."): v for k, v in params.items() if k.startswith("l0.")})
     return hidden_states(p, two_layers, e[:, None, :])[:, 0, :]
+
+
+class TestModelConfig:
+    """There is one model variant: at least one layer, causal attention,
+    learned positions."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"n_layers": 0}, "n_layers must be >= 1, got 0"),
+            ({"use_causal_mask": False}, "use_causal_mask must be True, got False"),
+            ({"use_positional": False}, "use_positional must be True, got False"),
+        ],
+        ids=["0-layers", "unmasked", "no-positions"],
+    )
+    def test_other_variants_rejected(self, edit, message):
+        with pytest.raises(ValueError, match=message):
+            replace(TINY, **edit)
 
 
 class TestRealify:
@@ -104,32 +121,33 @@ class TestRealify:
 
 
 class TestEmbed:
-    """The embedded sequence, read as the hidden state of a zero-layer model."""
+    """The embedded sequence, read as the input of a one-layer model's layer."""
 
     def test_empty_context_single_token(self):
         params = init_params(TINY, RngStream(1))
         y = RngStream(2).complex_normal(2)
         empty = ContextSet(xs=np.zeros((0, 2)), ys=np.zeros((0, 2)))
-        e = hidden_states(params, replace(TINY, n_layers=0), tokens(TINY, empty, y))
+        e = hidden_states(params, TINY, tokens(TINY, empty, y))
         assert e.shape == (TINY.d_e, 1, 1)
         want = params["embed"] @ token_column(y) + params["pos"][:, 0]
         np.testing.assert_allclose(e[:, 0, 0], want, atol=1e-12)
 
     def test_twenty_pairs_make_41_tokens(self):
-        params = init_params(SMALL, RngStream(3))
+        cfg = replace(SMALL, n_layers=1)
+        params = init_params(cfg, RngStream(3))
         _, ctx = make_context(4, 20)
         y = RngStream(5).complex_normal(2)
-        e = hidden_states(params, replace(SMALL, n_layers=0), tokens(SMALL, ctx, y))
+        e = hidden_states(params, cfg, tokens(cfg, ctx, y))
         assert e.shape == (SMALL.d_e, 1, 41)
 
     def test_zero_embedding_without_positional(self):
-        cfg = replace(TINY, use_positional=False, n_layers=0)
-        params = init_params(cfg, RngStream(6))
+        params = init_params(TINY, RngStream(6))
         params["embed"] = np.zeros_like(params["embed"])
+        params["pos"] = np.zeros_like(params["pos"])
         _, ctx = make_context(7, 3)
         y = RngStream(8).complex_normal(2)
         np.testing.assert_array_equal(
-            hidden_states(params, cfg, tokens(cfg, ctx, y)), np.zeros((8, 1, 7))
+            hidden_states(params, TINY, tokens(TINY, ctx, y)), np.zeros((8, 1, 7))
         )
 
     def test_context_too_long_rejected(self):
@@ -171,16 +189,6 @@ class TestAttentionLayer:
         pert = first_layer(e2, params, cfg)
         np.testing.assert_allclose(pert[:, :5], base[:, :5], atol=1e-12)
         assert not np.allclose(pert[:, 5:], base[:, 5:])
-
-    def test_unmasked_attention_mixes_all_positions(self):
-        cfg = replace(SMALL, use_causal_mask=False)
-        params = init_params(cfg, RngStream(18))
-        e = RngStream(19).normal((cfg.d_e, 5))
-        base = first_layer(e, params, cfg)
-        e2 = e.copy()
-        e2[:, 4] += 1.0
-        pert = first_layer(e2, params, cfg)
-        assert not np.allclose(pert[:, 0], base[:, 0])
 
 
 class TestForward:
@@ -229,18 +237,6 @@ class TestForward:
             probs, _ = run_model(params, SMALL, ContextSet(xs=xs, ys=ys), y)
             np.testing.assert_allclose(probs[:i], base_probs[:i], atol=1e-12)
 
-    def test_pair_permutation_invariance_without_mask_or_positions(self):
-        cfg = replace(SMALL, use_causal_mask=False, use_positional=False)
-        params = init_params(cfg, RngStream(32))
-        _, ctx = make_context(33, 8)
-        y = RngStream(34).complex_normal(2)
-        base_probs, base_est = run_model(params, cfg, ctx, y)
-        perm = RngStream(35)._gen.permutation(8)
-        ctx2 = ContextSet(xs=ctx.xs[perm], ys=ctx.ys[perm])
-        probs, est = run_model(params, cfg, ctx2, y)
-        np.testing.assert_allclose(probs[-1], base_probs[-1], atol=1e-9)
-        np.testing.assert_allclose(est[-1], base_est[-1], atol=1e-9)
-
     def test_bit_identical_determinism(self):
         params = init_params(SMALL, RngStream(36))
         _, ctx = make_context(37, 5)
@@ -278,17 +274,15 @@ class TestSharedPrefix:
     @pytest.mark.parametrize(
         "config, n, s, bits",
         [
-            (replace(SMALL, n_layers=0), 5, 4, 4),
             (TINY, 5, 4, 4),
             (SMALL, 5, 4, 4),
             (replace(SMALL, n_layers=3), 5, 4, None),
-            (replace(SMALL, use_positional=False), 5, 4, 4),
             (SMALL, 0, 4, 4),
             (SMALL, 20, 1, 4),
             (SMALL, 20, 64, None),
         ],
-        ids=["0-layers", "1-layer", "2-layers", "3-layers-unquantized", "no-positions",
-             "empty-context", "one-query", "headline-unquantized"],
+        ids=["1-layer", "2-layers", "3-layers-unquantized", "empty-context", "one-query",
+             "headline-unquantized"],
     )
     def test_matches_one_sequence_per_query(self, config, n, s, bits):
         params = init_params(config, RngStream(43), scale=0.3)
@@ -310,11 +304,6 @@ class TestSharedPrefix:
             build_shared_tokens(TINY, ctx.xs, ctx.ys, ctx.ys[:2])
         with pytest.raises(ValueError, match="d_s"):
             build_shared_tokens(replace(TINY, d_s=2), ctx.xs[:2], ctx.ys[:2], ctx.ys[:2])
-
-    def test_unmasked_model_rejected(self):
-        _, ctx = make_context(47, 2)
-        with pytest.raises(ValueError, match="causal mask"):
-            build_shared_tokens(replace(TINY, use_causal_mask=False), ctx.xs, ctx.ys, ctx.ys)
 
 
 class TestSoftEstimate:
