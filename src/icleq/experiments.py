@@ -43,7 +43,7 @@ from .estimators import (
 )
 from .rng import RngStream
 from .training import PretrainTaskSet, TrainConfig, pretrain
-from .transformer import ModelConfig, build_shared_tokens, forward_batch
+from .transformer import ModelConfig, build_tokens, forward_batch
 
 __all__ = [
     "EvalProtocol",
@@ -93,6 +93,8 @@ class EvalProtocol:
             raise ValueError(f"n_context must be >= 0, got {self.n_context}")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if self.bits is not None and self.bits < 1:
+            raise ValueError(f"bits must be >= 1, got {self.bits}")
         if self.n_test_tasks * self.n_test_symbols_per_task < 2:
             raise ValueError(
                 "an evaluation needs at least two draws for its confidence interval: "
@@ -189,8 +191,8 @@ class Equalizer:
     def icl(cls, params: dict, model: ModelConfig) -> "Equalizer":
         def estimate(t, q, c, ctx, ys, rng):
             # one sequence per task: the pilots once, then every test symbol
-            tokens, positions = build_shared_tokens(model, ctx.xs, ctx.ys, ys)
-            _, est = forward_batch(params, model, c, tokens, positions)
+            tokens = build_tokens(model, ctx.xs[None], np.concatenate([ctx.ys, ys])[None], len(ys))
+            _, est = forward_batch(params, model, c, tokens, len(ys))
             return est[0, len(ctx):], None
 
         return cls("icl", estimate)

@@ -62,6 +62,10 @@ class TrainingDivergedError(RuntimeError):
     pass
 
 
+# Adam's settings; checkpoints written before they became constants carry them
+ADAM = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "clip_norm": 1.0}
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Everything a training run depends on, seed included.
@@ -81,10 +85,6 @@ class TrainConfig:
     n_steps: int = 50_000
     lr: float = 1e-4
     warmup_steps: int = 1000
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    clip_norm: float | None = 1.0
     loss_positions: str = "all_y"
     init_scale: float = 0.1
     seed: int = 0
@@ -94,6 +94,10 @@ class TrainConfig:
             raise ValueError("m_tasks and batch_size must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not (np.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
+        if self.bits is not None and self.bits < 1:
+            raise ValueError(f"bits must be >= 1, got {self.bits}")
         for name in ("n_steps", "warmup_steps", "n_context"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -178,26 +182,18 @@ def _loss_graph(tape: Tape, params: dict, cfg: TrainConfig, batch: TrainBatch, c
 
 
 def batch_loss(
-    params: dict,
-    cfg: TrainConfig,
-    batch: TrainBatch,
-    constellation: Constellation | None = None,
+    params: dict, cfg: TrainConfig, batch: TrainBatch, constellation: Constellation
 ) -> float:
     """Mean squared estimation error over the batch and positions."""
-    constellation = constellation or qam4_constellation(cfg.tasks.n_t)
     tape = Tape()
     return float(_loss_graph(tape, params, cfg, batch, constellation).value)
 
 
 def gradient(
-    params: dict,
-    cfg: TrainConfig,
-    batch: TrainBatch,
-    constellation: Constellation | None = None,
+    params: dict, cfg: TrainConfig, batch: TrainBatch, constellation: Constellation
 ) -> tuple[float, dict]:
     """Loss and its exact reverse-mode gradient for every parameter; a
     non-finite loss raises GraphNumericsError naming the first non-finite node."""
-    constellation = constellation or qam4_constellation(cfg.tasks.n_t)
     tape = Tape()
     loss = _loss_graph(tape, params, cfg, batch, constellation)
     if not np.isfinite(loss.value):
@@ -217,7 +213,7 @@ def gradient(
 
 @dataclass
 class AdamState:
-    """Adam's moment estimates and step count; its settings live in TrainConfig."""
+    """Adam's moment estimates and step count; its settings are ``ADAM``."""
 
     m: dict
     v: dict
@@ -237,17 +233,18 @@ def adam_step(
 ) -> tuple[dict, AdamState]:
     """One Adam update with bias correction; global-norm clipping first.
 
-    The learning rate ``cfg.lr`` ramps up linearly over the first
-    ``cfg.warmup_steps`` updates, counted by ``state.t``.
+    The settings are ``ADAM``.  The learning rate ``cfg.lr`` ramps up
+    linearly over the first ``cfg.warmup_steps`` updates, counted by
+    ``state.t``.
     """
-    if cfg.clip_norm is not None:
-        gn = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-        if gn > cfg.clip_norm:
-            s = cfg.clip_norm / gn
-            grads = {k: g * s for k, g in grads.items()}
+    clip_norm = ADAM["clip_norm"]
+    gn = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if gn > clip_norm:
+        s = clip_norm / gn
+        grads = {k: g * s for k, g in grads.items()}
     state.t += 1
     step_lr = cfg.lr * min(1.0, state.t / cfg.warmup_steps) if cfg.warmup_steps else cfg.lr
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM["beta1"], ADAM["beta2"]
     c1 = 1.0 - b1**state.t
     c2 = 1.0 - b2**state.t
     out = {}
@@ -257,7 +254,7 @@ def adam_step(
         state.v[k] = b2 * state.v[k] + (1 - b2) * (g * g)
         mhat = state.m[k] / c1
         vhat = state.v[k] / c2
-        out[k] = p - step_lr * mhat / (np.sqrt(vhat) + cfg.epsilon)
+        out[k] = p - step_lr * mhat / (np.sqrt(vhat) + ADAM["epsilon"])
     return out, state
 
 
@@ -323,15 +320,13 @@ def save_checkpoint(
         np.savez(f, __config__=np.array(json.dumps(meta)), **tensors)
 
 
-def load_checkpoint(
-    path: str, expect: ModelConfig | None = None
-) -> tuple[dict, ModelConfig, TrainConfig | None]:
+def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig | None]:
     """Read a checkpoint back; bit-exact tensors.
 
     A missing file raises FileNotFoundError.  Anything else that is not an
     intact checkpoint of a consistent architecture, including any archive
-    member that fails its CRC-32, raises CheckpointError; so does any
-    architecture mismatch with ``expect``, when given.
+    member that fails its CRC-32, raises CheckpointError; so does a
+    training config whose Adam settings differ from ``ADAM``.
     """
     with open(path, "rb") as f:
         if f.read(4) != b"PK\x03\x04":
@@ -345,14 +340,16 @@ def load_checkpoint(
             train = None
             if "train" in meta:
                 kw = meta["train"]
+                for key, value in ADAM.items():
+                    got = kw.pop(key, value)
+                    if got != value:
+                        raise ValueError(f"{key} must be {value}, got {got!r}")
                 tasks = TaskDistributionSpec(**kw["tasks"])
                 train = TrainConfig(**{**kw, "model": model, "tasks": tasks})
         # damaged bytes surface as any of these from zipfile (CRC-32 included),
         # the npy reader, json or the config checks
         except (BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError, ValueError) as e:
             raise CheckpointError(f"corrupt checkpoint {path}: {type(e).__name__}: {e}") from e
-    if expect is not None and model != expect:
-        raise CheckpointError(f"checkpoint architecture {model} != expected {expect}")
     shapes = param_shapes(model)
     if set(params) != set(shapes):
         missing = sorted(set(shapes) - set(params))

@@ -1,14 +1,16 @@
 """Decoder-only attention model mapping pilot contexts to soft symbol estimates.
 
-The input sequence interleaves received and transmitted vectors,
-(y_1, x_1, ..., y_N, x_N, y), each realified ([Re; Im], zero-padded to a
-common width) and linearly embedded.  Stacked multi-head softmax
-self-attention layers with a feed-forward/residual/layer-norm block follow,
-and a linear softmax head over the enumerated joint constellation reads out
-a class distribution at every received-signal position.  The soft symbol
-estimate is the probability-weighted constellation average, so the model's
-output lives in the convex hull of the joint input set; the final position
-is the equalizer output.
+The input sequence is N pilot pairs followed by S observations to
+equalize, (y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S)), each vector
+realified ([Re; Im], zero-padded to a common width) and linearly embedded.
+Training uses S = 1, its test observation; ICL evaluation puts all of a
+task's S test observations after one copy of its pilots.  Stacked
+multi-head softmax self-attention layers with a feed-forward/residual/
+layer-norm block follow, and a linear softmax head over the enumerated
+joint constellation reads out a class distribution at every
+received-signal position.  The soft symbol estimate is the
+probability-weighted constellation average, so the model's output lives
+in the convex hull of the joint input set.
 
 The layer follows the reference equations literally: attention logits are
 scaled by sqrt(d_w) with d_w = d_e / n_heads, the layer norm sits inside
@@ -17,17 +19,15 @@ activation is the exact (erf-based) GELU.  There is one model variant:
 every model has at least one layer, causal attention and a learned
 positional term.
 
-Every column carries a sequence position.  By default column t sits at
-position t; the causal mask and the learned positional term are both
-built from the positions: key k is visible to query j iff k == j or
-pos[k] < pos[j], and column j adds the positional vector of pos[j].  With
-positions 0..T-1 this is the ordinary causal mask.  Repeated positions let
-many continuations of one prefix share a sequence: :func:`build_shared_tokens`
-lays out one task's 2N pilot columns at positions 0..2N-1 and then all S
-query observations at position 2N, so each query sees the whole prefix and
-itself, no prefix column sees a query, and no query sees another.  Each
-query's estimate therefore equals that of its own (2N+1)-column sequence,
-while the task costs 2N+S columns instead of S(2N+1).
+The column positions follow from the query count S: the pilots sit at
+positions 0..2N-1 and every query at 2N.  The causal mask and the learned
+positional term are both built from the positions: key k is visible to
+query j iff k == j or pos[k] < pos[j], and column j adds the positional
+vector of pos[j].  With S = 1 this is the ordinary causal mask over
+positions 0..2N.  With S > 1 each query sees the whole prefix and itself,
+no prefix column sees a query, and no query sees another, so each query's
+estimate equals that of its own (2N+1)-column sequence while the task
+costs 2N+S columns instead of S(2N+1).
 
 Each layer's attention is one fused tape op, :meth:`Tape.attention`, whose
 backward reuses the saved attention probabilities.  The loss and the head
@@ -56,7 +56,6 @@ __all__ = [
     "param_shapes",
     "init_params",
     "build_tokens",
-    "build_shared_tokens",
     "forward_graph",
     "forward_batch",
 ]
@@ -139,54 +138,41 @@ def init_params(config: ModelConfig, rng: RngStream, scale: float = 0.02) -> dic
 # ---------------------------------------------------------------------------
 
 
-def build_tokens(config: ModelConfig, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Interleaved token columns for a batch, shape (d_s, B, 2N+1).
+def _positions(config: ModelConfig, t: int, n_queries: int) -> np.ndarray:
+    """Sequence position of each of ``t`` columns whose last ``n_queries``
+    are queries: 0..2N-1 for the pilots, then 2N for every query."""
+    if not 1 <= n_queries <= t:
+        raise ValueError(f"n_queries must be in 1..{t}, got {n_queries}")
+    if t - n_queries > 2 * config.n_max:
+        raise ValueError(f"{t - n_queries} pilot columns exceed 2*n_max={2 * config.n_max}")
+    return np.concatenate([np.arange(t - n_queries), np.full(n_queries, t - n_queries)])
 
-    ``xs`` is (B, N+1, n_t) with the test input in the last slot (used only
-    as a training target, never as a token); ``ys`` is (B, N+1, n_r) with
-    the query observation last.  Column layout: y_1, x_1, ..., y_N, x_N, y.
-    Each column is [Re; Im] of its vector, zero-padded to d_s.
+
+def build_tokens(
+    config: ModelConfig, xs: np.ndarray, ys: np.ndarray, n_queries: int = 1
+) -> np.ndarray:
+    """Token columns for a batch, shape (d_s, B, 2N+S) with S = ``n_queries``.
+
+    ``ys`` is (B, N+S, n_r): N pilot observations, then S queries.  ``xs``
+    holds the N pilot inputs in its first N slots; any later slot (such as
+    training's test input) is a target, never a token.  Column layout:
+    y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S).  Each column is [Re; Im]
+    of its vector, zero-padded to d_s.
     """
-    b, np1, n_t = xs.shape
-    n_r = ys.shape[2]
-    n = np1 - 1
-    t = 2 * n + 1
+    b, m, n_r = ys.shape
+    n_t = xs.shape[2]
+    n = m - n_queries
     if 2 * max(n_t, n_r) > config.d_s:
         raise ValueError("d_s too small for the antenna counts")
-    if n > config.n_max:
-        raise ValueError(f"context length {n} exceeds n_max={config.n_max}")
-    tok = np.zeros((config.d_s, b, t))
-    tok[:n_r, :, 0::2] = np.moveaxis(ys.real, -1, 0)
-    tok[n_r : 2 * n_r, :, 0::2] = np.moveaxis(ys.imag, -1, 0)
+    pos = _positions(config, 2 * n + n_queries, n_queries)
+    y_columns = np.flatnonzero(pos % 2 == 0)
+    tok = np.zeros((config.d_s, b, pos.size))
+    tok[:n_r, :, y_columns] = np.moveaxis(ys.real, -1, 0)
+    tok[n_r : 2 * n_r, :, y_columns] = np.moveaxis(ys.imag, -1, 0)
     if n:
-        tok[:n_t, :, 1::2] = np.moveaxis(xs[:, :n].real, -1, 0)
-        tok[n_t : 2 * n_t, :, 1::2] = np.moveaxis(xs[:, :n].imag, -1, 0)
+        tok[:n_t, :, 1 : 2 * n : 2] = np.moveaxis(xs[:, :n].real, -1, 0)
+        tok[n_t : 2 * n_t, :, 1 : 2 * n : 2] = np.moveaxis(xs[:, :n].imag, -1, 0)
     return tok
-
-
-def build_shared_tokens(
-    config: ModelConfig, xs: np.ndarray, ys: np.ndarray, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One sequence for S queries that share N pilot pairs.
-
-    ``xs`` (N, n_t) and ``ys`` (N, n_r) are the pilots and ``queries``
-    (S, n_r) the observations to equalize.  Returns the tokens (d_s, 1,
-    2N+S), laid out y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S), and their
-    positions: 0..2N-1 for the pilots, then 2N for every query.  The
-    estimates of the queries are the last S read-out columns.
-    """
-    n, n_t = xs.shape
-    s = queries.shape[0]
-    # the column layout and the n_max / d_s checks are those of build_tokens
-    prefix = build_tokens(
-        config,
-        np.concatenate([xs, np.zeros((1, n_t))])[None],
-        np.concatenate([ys, queries[:1]])[None],
-    )
-    ends = build_tokens(config, np.zeros((s, 1, n_t)), queries[:, None])  # (d_s, S, 1)
-    tokens = np.concatenate([prefix[:, :, : 2 * n], ends.transpose(0, 2, 1)], axis=2)
-    positions = np.concatenate([np.arange(2 * n), np.full(s, 2 * n)])
-    return tokens, positions
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +257,22 @@ def forward_graph(
     config: ModelConfig,
     tokens: np.ndarray,
     constellation: Constellation,
-    positions: np.ndarray | None = None,
+    n_queries: int = 1,
 ) -> tuple[Node, Node]:
-    """Build the full model on the tape for a token batch (d_s, B, T).
+    """Build the full model on the tape for a token batch (d_s, B, T) laid
+    out by :func:`build_tokens` with ``n_queries`` = S queries.
 
-    ``positions`` (T,) gives each column's sequence position; None means
-    0..T-1, the layout of :func:`build_tokens`.  The causal mask (key k is
-    visible to query j iff k == j or pos[k] < pos[j]) and the positional
-    term come from the positions, and the read-out columns are those at
-    even positions.  Returns ``(class_probs, soft_estimates)`` nodes with
-    shapes (n_classes, B, P) and (2 n_t, B, P), where P is the number of
-    read-out columns: N + 1 (columns 0, 2, ..., 2N) for the default
-    positions, N + S for :func:`build_shared_tokens`.
+    The columns sit at positions 0..2N-1 (the pilots), then 2N (every
+    query).  The causal mask (key k is visible to query j iff k == j or
+    pos[k] < pos[j]) and the positional term come from the positions, and
+    the read-out columns are those at even positions.  Returns
+    ``(class_probs, soft_estimates)`` nodes with shapes (n_classes, B, N+S)
+    and (2 n_t, B, N+S): one read-out per pilot observation, then one per
+    query.  More than 2*n_max pilot columns, or S outside 1..T, raise
+    ValueError.
     """
     d_s, b, t = tokens.shape
-    pos = np.arange(t) if positions is None else np.asarray(positions)
+    pos = _positions(config, t, n_queries)
     tok = tape.constant(tokens)
     e = tape.matmul(p["embed"], _flat(tape, tok))
     e = _unflat(tape, e, b, t)
@@ -315,13 +302,13 @@ def forward_batch(
     config: ModelConfig,
     constellation: Constellation,
     tokens: np.ndarray,
-    positions: np.ndarray | None = None,
+    n_queries: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inference on a token batch: probs (n_classes, B, P), complex soft
-    estimates (B, P, n_t).  ``positions`` as in :func:`forward_graph`."""
+    """Inference on a token batch: probs (n_classes, B, N+S), complex soft
+    estimates (B, N+S, n_t).  ``n_queries`` as in :func:`forward_graph`."""
     tape = Tape()
     p = leaf_params(tape, params)
-    probs, est = forward_graph(tape, p, config, tokens, constellation, positions)
+    probs, est = forward_graph(tape, p, config, tokens, constellation, n_queries)
     n_t = constellation.n_t
     ev = est.value
     cplx = (ev[:n_t] + 1j * ev[n_t:]).transpose(1, 2, 0)

@@ -70,6 +70,11 @@ def small_protocol(**kw):
 
 
 class TestEvalSet:
+    @pytest.mark.parametrize("bits", [0, -3])
+    def test_bits_below_one_rejected(self, bits):
+        with pytest.raises(ValueError, match=f"bits must be >= 1, got {bits}"):
+            small_protocol(bits=bits)
+
     def test_build_is_deterministic(self):
         a = EvalSet.build(small_protocol())
         b = EvalSet.build(small_protocol())
@@ -309,6 +314,10 @@ class TestConfigFile:
             ("d_f = 0", "d_f must be >= 1, got 0"),
             ("n_context = -1", "n_context must be >= 0, got -1"),
             ("mc_samples = 0", "mc_samples must be >= 1, got 0"),
+            ("bits = 0", "bits must be >= 1, got 0"),
+            ("bits = -3", "bits must be >= 1, got -3"),
+            ("init_scale = nan", "init_scale must be finite and > 0, got nan"),
+            ("init_scale = 0", "init_scale must be finite and > 0, got 0.0"),
         ],
         ids=[
             "m-grid-zero",
@@ -330,6 +339,10 @@ class TestConfigFile:
             "zero-d-f",
             "negative-context",
             "zero-mc-samples",
+            "bits-zero",
+            "bits-negative",
+            "init-scale-nan",
+            "init-scale-zero",
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(self, text, message):

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from icleq.channel import (
 )
 from icleq.rng import RngStream
 from icleq.training import (
+    ADAM,
     AdamState,
     CheckpointError,
     PretrainTaskSet,
@@ -80,6 +80,11 @@ class TestTrainConfig:
     def test_non_positive_lr_rejected(self, lr):
         with pytest.raises(ValueError, match=f"lr must be > 0, got {lr}"):
             tiny_cfg(lr=lr)
+
+    def test_infinite_init_scale_rejected(self):
+        """The config file cannot spell inf for a float; nan and 0 are parse-time cases."""
+        with pytest.raises(ValueError, match="init_scale must be finite and > 0, got inf"):
+            tiny_cfg(init_scale=float("inf"))
 
     def test_loss_covers_every_position(self):
         with pytest.raises(ValueError, match="loss_positions must be 'all_y', got 'final_only'"):
@@ -199,7 +204,7 @@ class TestAdam:
     def test_constant_gradient_descends(self):
         params = {"w": np.zeros(4)}
         state = AdamState.init(params)
-        cfg = tiny_cfg(lr=1e-3, clip_norm=None)
+        cfg = tiny_cfg(lr=1e-3)
         g = np.array([1.0, -2.0, 0.5, -0.1])
         for _ in range(50):
             params, state = adam_step(params, {"w": g}, state, cfg)
@@ -208,10 +213,10 @@ class TestAdam:
     def test_global_norm_clipping(self):
         params = {"w": np.zeros(1)}
         out_clipped, _ = adam_step(
-            params, {"w": np.array([10.0])}, AdamState.init(params), tiny_cfg(lr=1.0, clip_norm=1.0)
+            params, {"w": np.array([10.0])}, AdamState.init(params), tiny_cfg(lr=1.0)
         )
         out_free, _ = adam_step(
-            params, {"w": np.array([1.0])}, AdamState.init(params), tiny_cfg(lr=1.0, clip_norm=None)
+            params, {"w": np.array([1.0])}, AdamState.init(params), tiny_cfg(lr=1.0)
         )
         # a clipped gradient of 10 becomes exactly a gradient of 1
         np.testing.assert_allclose(out_clipped["w"], out_free["w"], atol=1e-15)
@@ -390,14 +395,6 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
-    def test_architecture_mismatch_rejected(self, tmp_path):
-        cfg = tiny_cfg()
-        params = init_params(cfg.model, RngStream(21))
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path))
-        with pytest.raises(CheckpointError, match="architecture"):
-            load_checkpoint(str(path), expect=replace(cfg.model, d_e=32, d_f=64))
-
     @pytest.mark.parametrize(
         "section, key, value",
         [
@@ -425,6 +422,41 @@ class TestCheckpoint:
         with open(path, "wb") as f:
             np.savez(f, **arrays)
         with pytest.raises(CheckpointError, match=f"{key} must be"):
+            load_checkpoint(str(path))
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta1", 0.5),
+            ("beta2", 1.0),
+            ("epsilon", 0.0),
+            ("clip_norm", -1.0),
+            ("clip_norm", None),
+        ],
+    )
+    def test_adam_settings_load_only_at_their_one_value(self, tmp_path, key, value):
+        """Older checkpoints carry beta1, beta2, epsilon and clip_norm in
+        their training config; at Adam's settings they load, and any other
+        value is rejected by name."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(cfg.model, RngStream(27)), cfg.model, str(path), cfg)
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["__config__"]))
+        assert not set(ADAM) & set(meta["train"])
+
+        def rewrite(settings):
+            meta["train"].update(settings)
+            arrays["__config__"] = np.array(json.dumps(meta))
+            with open(path, "wb") as f:
+                np.savez(f, **arrays)
+
+        rewrite({"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "clip_norm": 1.0})
+        assert load_checkpoint(str(path))[1:] == (cfg.model, cfg)
+        rewrite({key: value})
+        with pytest.raises(CheckpointError, match=f"{key} must be {ADAM[key]}, got {value!r}"):
             load_checkpoint(str(path))
 
 

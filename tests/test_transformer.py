@@ -16,7 +16,6 @@ from icleq.rng import RngStream
 from icleq.transformer import (
     MASK_NEG,
     ModelConfig,
-    build_shared_tokens,
     build_tokens,
     causal_mask,
     forward_batch,
@@ -36,11 +35,14 @@ def make_context(seed, n, bits=4, sigma2=0.1):
     return t, ctx
 
 
+def shared_tokens(config, context, ys):
+    """One sequence for the S observations ``ys`` after the pilots of ``context``."""
+    return build_tokens(config, context.xs[None], np.concatenate([context.ys, ys])[None], len(ys))
+
+
 def tokens(config, context, y):
     """Token batch of one sequence: the pilot pairs of ``context``, then ``y``."""
-    xs = np.concatenate([context.xs, np.zeros((1, context.xs.shape[1]))])[None]
-    ys = np.concatenate([context.ys, np.asarray(y, dtype=complex)[None]])[None]
-    return build_tokens(config, xs, ys)
+    return shared_tokens(config, context, np.asarray(y, dtype=complex)[None])
 
 
 def run_model(params, config, context, y):
@@ -258,13 +260,12 @@ class TestSharedPrefix:
     def test_layout_and_visibility(self):
         _, ctx = make_context(41, 2)
         ys = RngStream(42).complex_normal((3, 2))
-        tok, pos = build_shared_tokens(SMALL, ctx.xs, ctx.ys, ys)
+        tok = shared_tokens(SMALL, ctx, ys)
         assert tok.shape == (4, 1, 7)
-        np.testing.assert_array_equal(pos, [0, 1, 2, 3, 4, 4, 4])
         np.testing.assert_array_equal(tok[:, 0, :4], tokens(SMALL, ctx, ys[0])[:, 0, :4])
         for j in range(3):
             np.testing.assert_array_equal(tok[:, 0, 4 + j], token_column(ys[j]))
-        visible = causal_mask(pos) == 0
+        visible = causal_mask(np.array([0, 1, 2, 3, 4, 4, 4])) == 0
         np.testing.assert_array_equal(visible[:4, :4], np.tril(np.ones((4, 4), bool)))
         assert not visible[:4, 4:].any()  # no pilot sees a query
         # nor one query another
@@ -289,8 +290,7 @@ class TestSharedPrefix:
         t, ctx = make_context(44, n, bits=bits)
         q = Quantizer(bits=bits)
         _, ys = sample_pairs(t.h, t.sigma2, q, C2, s, RngStream(45))
-        tok, pos = build_shared_tokens(config, ctx.xs, ctx.ys, ys)
-        _, est = forward_batch(params, config, C2, tok, pos)
+        _, est = forward_batch(params, config, C2, shared_tokens(config, ctx, ys), s)
         assert est.shape == (1, n + s, 2)
         # the pilots' read-out columns are those of the plain sequence
         plain = run_model(params, config, ctx, ys[0])[1]
@@ -301,9 +301,25 @@ class TestSharedPrefix:
     def test_checks_of_build_tokens_apply(self):
         _, ctx = make_context(46, TINY.n_max + 1)
         with pytest.raises(ValueError, match="n_max"):
-            build_shared_tokens(TINY, ctx.xs, ctx.ys, ctx.ys[:2])
+            shared_tokens(TINY, ctx, ctx.ys[:2])
         with pytest.raises(ValueError, match="d_s"):
-            build_shared_tokens(replace(TINY, d_s=2), ctx.xs[:2], ctx.ys[:2], ctx.ys[:2])
+            shared_tokens(replace(TINY, d_s=2), ContextSet(ctx.xs[:2], ctx.ys[:2]), ctx.ys[:2])
+
+    @pytest.mark.parametrize(
+        "t, n_queries, message",
+        [
+            (11, 1, "10 pilot columns exceed 2[*]n_max=8"),
+            (12, 2, "10 pilot columns exceed 2[*]n_max=8"),
+            (9, 0, "n_queries must be in 1..9, got 0"),
+            (9, 10, "n_queries must be in 1..9, got 10"),
+        ],
+        ids=["too-long", "too-long-shared", "no-query", "more-queries-than-columns"],
+    )
+    def test_forward_rejects_tokens_the_model_cannot_place(self, t, n_queries, message):
+        config = replace(TINY, n_max=4)
+        params = init_params(config, RngStream(47))
+        with pytest.raises(ValueError, match=message):
+            forward_batch(params, config, C2, np.zeros((config.d_s, 2, t)), n_queries)
 
 
 class TestSoftEstimate:
