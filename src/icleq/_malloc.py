@@ -3,14 +3,12 @@
 glibc hands allocations above ~128 KB to mmap and returns them to the OS on
 free, so the few-megabyte temporaries of a training step fault their pages
 in again every single step; raising the threshold was measured to cut step
-time by ~4x on this workload.  No-op on non-glibc platforms; set
-``ICLEQ_NO_MALLOC_TUNE=1`` to skip.
+time by ~4x on this workload.  No-op on non-glibc platforms.
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 import sys
 
 _M_TRIM_THRESHOLD = -1
@@ -18,8 +16,6 @@ _M_MMAP_THRESHOLD = -3
 
 
 def tune() -> bool:
-    if os.environ.get("ICLEQ_NO_MALLOC_TUNE"):
-        return False
     if not sys.platform.startswith("linux"):
         return False
     try:

@@ -43,19 +43,28 @@ __all__ = [
 
 RANGE_LO = -4.0
 RANGE_HI = 4.0
+MAX_BITS = 52  # the finest resolution whose levels quantize back to their own cells
 
 
 @dataclass(frozen=True)
 class Quantizer:
     """Mid-rise uniform quantizer with ``2**bits`` levels on
-    [RANGE_LO, RANGE_HI]; ``bits=None`` is a pass-through (unquantized
-    receiver)."""
+    [RANGE_LO, RANGE_HI], 1 <= bits <= MAX_BITS; ``bits=None`` is a
+    pass-through (unquantized receiver)."""
 
     bits: int | None
 
     def __post_init__(self):
-        if self.bits is not None and self.bits < 1:
-            raise ValueError("bits must be >= 1 or None")
+        bound = self.bits_bound(self.bits)
+        if bound is not None:
+            raise ValueError(f"bits must be {bound}, got {self.bits}")
+
+    @staticmethod
+    def bits_bound(bits: int | None) -> str | None:
+        """The bound a resolution breaks (">= 1" or "<= 52"), or None."""
+        if bits is None or 1 <= bits <= MAX_BITS:
+            return None
+        return ">= 1" if bits < 1 else f"<= {MAX_BITS}"
 
     @property
     def quantized(self) -> bool:

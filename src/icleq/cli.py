@@ -62,8 +62,8 @@ def _add_common(p: argparse.ArgumentParser, checkpoint=False) -> None:
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     train_cfg = cfg.train_config(seed=cfg.seed)
-    params, curve, _ = pretrain(train_cfg, verbose=True)
-    save_checkpoint(params, train_cfg.model, args.out, train_config=train_cfg)
+    params, curve, _ = pretrain(train_cfg)
+    save_checkpoint(params, train_cfg, args.out)
     if curve:
         log.info("final loss %.5f", curve[-1][1])
     log.info("checkpoint written to %s", args.out)
@@ -74,29 +74,27 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _checkpoint_mismatch(cfg: ExperimentConfig, model, train) -> str | None:
+def _checkpoint_mismatch(cfg: ExperimentConfig, train) -> str | None:
     """Why the config cannot evaluate the checkpoint's model, or None."""
-    if train is not None and train.bits != cfg.bits:
+    if train.bits != cfg.bits:
         return f"was trained at bits = {train.bits}, but the config evaluates at bits = {cfg.bits}"
-    if cfg.n_context > model.n_max:
+    if (train.tasks.n_t, train.tasks.n_r) != (cfg.n_t, cfg.n_r):
         return (
-            f"holds a model with n_max = {model.n_max}, "
+            f"was trained at n_t = {train.tasks.n_t}, n_r = {train.tasks.n_r}, "
+            f"but the config evaluates at n_t = {cfg.n_t}, n_r = {cfg.n_r}"
+        )
+    if cfg.n_context > train.model.n_max:
+        return (
+            f"holds a model with n_max = {train.model.n_max}, "
             f"but the config evaluates at n_context = {cfg.n_context}"
         )
-    wanted = cfg.model_config()
-    for key in ("d_s", "n_classes"):
-        if getattr(wanted, key) != getattr(model, key):
-            return (
-                f"holds a model with {key} = {getattr(model, key)}, but the config's "
-                f"n_t = {cfg.n_t}, n_r = {cfg.n_r} need {key} = {getattr(wanted, key)}"
-            )
     return None
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     params, model, train = load_checkpoint(args.checkpoint)
-    mismatch = _checkpoint_mismatch(cfg, model, train)
+    mismatch = _checkpoint_mismatch(cfg, train)
     if mismatch is not None:
         log.error("%s %s", args.checkpoint, mismatch)
         return 1
@@ -114,7 +112,7 @@ def cmd_eval(args) -> int:
 
 def _run_sweep(args, runner) -> int:
     cfg = _load_config(args)
-    results = runner(cfg, verbose=True)
+    results = runner(cfg)
     write_results(results, args.out)
     log.info("%d rows written to %s", len(results), args.out)
     return 0

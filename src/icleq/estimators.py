@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 
+MIN_CHANNEL_WEIGHT = 1e-13  # channels of at most this normalized pilot weight are skipped
+
+
 class DegenerateEvidenceError(ValueError):
     """Zero evidence: every candidate input has zero likelihood for the
     observation, or every channel has zero likelihood for the pilots."""
@@ -61,20 +64,19 @@ def _joint_input_posterior(
     q: Quantizer,
     constellation: Constellation,
     y: np.ndarray,
-    prune_tol: float = 0.0,
 ) -> np.ndarray:
     """P(x | y) over the joint input set, rows (..., n_joint) summing to 1.
 
     ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
-    input, then summed over channels.  Channels whose normalized weight is at
-    most ``prune_tol`` are skipped (the largest is kept if none passes).
+    input, then summed over channels.  Channels of normalized weight at most
+    ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
     """
     y = np.asarray(y, dtype=complex)
     total = logsumexp(log_w)
     if np.isneginf(total):
         raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
     log_w = log_w - total
-    keep = np.exp(log_w) > prune_tol
+    keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
     if not np.any(keep):
         keep = log_w == log_w.max()
     means = constellation.joint @ np.swapaxes(channels[keep], -1, -2)  # (Mk, C, n_r)
@@ -146,16 +148,16 @@ def bayes_mmse_discrete(
     constellation: Constellation,
     context: ContextSet,
     y: np.ndarray,
-    prune_tol: float = 0.0,
 ) -> np.ndarray:
     """MMSE equalizer under a uniform prior over a non-empty (M, n_r, n_t)
     stack of channels: posterior mean under the joint posterior over
-    (channel, input) given the pilots and y (exact)."""
+    (channel, input) given the pilots and y, skipping the channels of
+    pilot weight at most ``MIN_CHANNEL_WEIGHT``."""
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 3 or channels.shape[0] == 0:
         raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
     lw = channel_log_posterior_weights(channels, sigma2, q, context)
-    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y, prune_tol)
+    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
     return probs @ constellation.joint
 
 
@@ -167,7 +169,6 @@ def bayes_mmse_continuous_mc(
     y: np.ndarray,
     k: int,
     rng: RngStream,
-    prune_tol: float = 1e-13,
 ) -> tuple[np.ndarray, float]:
     """Importance-sampling approximation of the continuous-prior MMSE.
 
@@ -183,7 +184,7 @@ def bayes_mmse_continuous_mc(
     n_r = np.shape(y)[-1]
     channels = rng.complex_normal(size=(k, n_r, constellation.n_t))
     lw = channel_log_posterior_weights(channels, sigma2, q, context)
-    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y, prune_tol)
+    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
     ess = float(1.0 / np.sum(np.exp(lw - logsumexp(lw)) ** 2))
     return probs @ constellation.joint, ess
 

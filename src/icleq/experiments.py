@@ -64,7 +64,6 @@ log = logging.getLogger(__name__)
 
 CSV_HEADER = "sweep,estimator,value,mse,ci_low,ci_high,n_samples,ess,seed"
 LOW_ESS_THRESHOLD = 50.0
-MIXTURE_PRUNE_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +92,7 @@ class EvalProtocol:
             raise ValueError(f"n_context must be >= 0, got {self.n_context}")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be >= 1, got {self.mc_samples}")
-        if self.bits is not None and self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        Quantizer(self.bits)  # checks the resolution's range
         if self.n_test_tasks * self.n_test_symbols_per_task < 2:
             raise ValueError(
                 "an evaluation needs at least two draws for its confidence interval: "
@@ -208,15 +206,14 @@ class Equalizer:
     @classmethod
     def bayes_discrete(cls, channels) -> "Equalizer":
         def estimate(t, q, c, ctx, ys, rng):
-            est = bayes_mmse_discrete(channels, t.sigma2, q, c, ctx, ys, MIXTURE_PRUNE_TOL)
-            return est, None
+            return bayes_mmse_discrete(channels, t.sigma2, q, c, ctx, ys), None
 
         return cls("bayes_discrete", estimate)
 
     @classmethod
     def bayes_mc(cls, k: int) -> "Equalizer":
         def estimate(t, q, c, ctx, ys, rng):
-            return bayes_mmse_continuous_mc(t.sigma2, q, c, ctx, ys, k, rng, MIXTURE_PRUNE_TOL)
+            return bayes_mmse_continuous_mc(t.sigma2, q, c, ctx, ys, k, rng)
 
         return cls("bayes_mc", estimate)
 
@@ -312,7 +309,6 @@ class ExperimentConfig:
     n_heads: int = 4
     d_e: int = 64
     d_f: int = 256
-    n_max: int = 20
     # system / task distribution
     n_t: int = 2
     n_r: int = 2
@@ -341,10 +337,12 @@ class ExperimentConfig:
         # every nested check runs here, so a bad value fails before any sweep trains
         self.train_config(seed=self.seed)
         self.protocol(seed=self.seed)
-        for key in ("m_grid", "bits_grid"):
-            for entry in getattr(self, key):
-                if entry is not None and entry < 1:
-                    raise ValueError(f"{key} entry {entry} must be >= 1")
+        for entry in self.m_grid:
+            if entry < 1:
+                raise ValueError(f"m_grid entry {entry} must be >= 1")
+        for entry in self.bits_grid:
+            if (bound := Quantizer.bits_bound(entry)) is not None:
+                raise ValueError(f"bits_grid entry {entry} must be {bound}")
         for entry in self.snr_db_grid:
             if not np.isfinite(entry):
                 raise ValueError(f"snr_db_grid entry {entry} must be finite")
@@ -356,7 +354,7 @@ class ExperimentConfig:
             d_e=self.d_e,
             d_f=self.d_f,
             d_s=2 * max(self.n_t, self.n_r),
-            n_max=self.n_max,
+            n_max=self.n_context,
             n_classes=4**self.n_t,
         )
 
@@ -458,7 +456,7 @@ def _seed_int(root: RngStream, *idx) -> int:
     return root.derive(*idx).stream & 0x7FFFFFFF
 
 
-def run_threshold_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResult]:
+def run_threshold_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     """Error versus the number of pre-training tasks, at fixed noise power.
 
     Per grid point M: train a model on M tasks, then evaluate it against
@@ -480,9 +478,8 @@ def run_threshold_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[Ev
     out: list[EvalResult] = []
     for j, m in enumerate(cfg.m_grid):
         train_cfg = replace(cfg, m_tasks=int(m)).train_config(seed=_seed_int(root, 10, j))
-        if verbose:
-            log.info("threshold sweep: training M=%d", m)
-        params, _, taskset = pretrain(train_cfg, verbose=verbose)
+        log.info("threshold sweep: training M=%d", m)
+        params, _, taskset = pretrain(train_cfg)
         assert_test_isolation(evalset, taskset)
         out.append(
             evaluate(
@@ -500,7 +497,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[Ev
     return out
 
 
-def run_snr_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResult]:
+def run_snr_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     """Error versus test SNR for fixed-SNR-trained and range-trained models.
 
     Trains three models (noise power fixed at 1.0, fixed at 0.001, and
@@ -515,11 +512,10 @@ def run_snr_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResu
         "icl_range": (-30.0, 0.0),
     }
     for j, (name, (lo, hi)) in enumerate(noise_db.items()):
-        if verbose:
-            log.info("snr sweep: training %s", name)
+        log.info("snr sweep: training %s", name)
         point = replace(cfg, sigma2_db_min=lo, sigma2_db_max=hi)
         tc = point.train_config(seed=_seed_int(root, 20, j))
-        params, _, _ = pretrain(tc, verbose=verbose)
+        params, _, _ = pretrain(tc)
         trained[name] = (params, tc.model)
     out: list[EvalResult] = []
     for snr_db in cfg.snr_db_grid:
@@ -541,17 +537,16 @@ def run_snr_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResu
     return out
 
 
-def run_quantization_sweep(cfg: ExperimentConfig, verbose: bool = False) -> list[EvalResult]:
+def run_quantization_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     """Error versus quantizer resolution at fixed SNR; one model per width."""
     root = RngStream(cfg.seed)
     out: list[EvalResult] = []
     for j, bits in enumerate(cfg.bits_grid):
         value = float("inf") if bits is None else float(bits)
-        if verbose:
-            log.info("quantization sweep: training b=%s", bits)
+        log.info("quantization sweep: training b=%s", bits)
         point = replace(cfg, bits=bits)
         tc = point.train_config(seed=_seed_int(root, 30, j))
-        params, _, _ = pretrain(tc, verbose=verbose)
+        params, _, _ = pretrain(tc)
         evalset = EvalSet.build(point.protocol(seed=_seed_int(root, 92, j)))
         out.append(
             evaluate(

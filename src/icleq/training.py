@@ -96,8 +96,7 @@ class TrainConfig:
             raise ValueError(f"lr must be > 0, got {self.lr}")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
-        if self.bits is not None and self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
+        Quantizer(self.bits)  # checks the resolution's range
         for name in ("n_steps", "warmup_steps", "n_context"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -109,6 +108,12 @@ class TrainConfig:
         if self.n_context > self.model.n_max:
             raise ValueError(
                 f"n_context={self.n_context} exceeds the model's n_max={self.model.n_max}"
+            )
+        m, t = self.model, self.tasks
+        if m.d_s < 2 * max(t.n_t, t.n_r) or m.n_classes != 4**t.n_t:
+            raise ValueError(
+                f"a model with d_s={m.d_s}, n_classes={m.n_classes} "
+                f"cannot read n_t={t.n_t}, n_r={t.n_r} tasks"
             )
 
     @property
@@ -263,13 +268,12 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
-def pretrain(
-    cfg: TrainConfig, verbose: bool = False
-) -> tuple[dict, list[tuple[int, float]], PretrainTaskSet]:
+def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainTaskSet]:
     """Train on a frozen task set; returns params, loss curve, and the set.
 
     Fully reproducible from ``cfg.seed``: task sampling, initialization and
-    every step's data come from streams derived from it.
+    every step's data come from streams derived from it.  Progress lines,
+    about twenty per run, are logged at INFO.
     """
     root = RngStream(cfg.seed)
     taskset = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, root.derive(0))
@@ -287,7 +291,7 @@ def pretrain(
             raise TrainingDivergedError(f"loss {loss} at step {step}")
         params, state = adam_step(params, grads, state, cfg)
         curve.append((step, loss))
-        if verbose and (step % max(1, cfg.n_steps // 20) == 0 or step == cfg.n_steps - 1):
+        if step % max(1, cfg.n_steps // 20) == 0 or step == cfg.n_steps - 1:
             recent = np.mean([l for _, l in curve[-200:]])
             log.info("step %d/%d loss %.4f (avg %.4f)", step, cfg.n_steps, loss, recent)
     return params, curve, taskset
@@ -302,31 +306,27 @@ class CheckpointError(ValueError):
     pass
 
 
-def save_checkpoint(
-    params: dict, config: ModelConfig, path: str, train_config: TrainConfig | None = None
-) -> None:
+def save_checkpoint(params: dict, config: TrainConfig, path: str) -> None:
     """Write a numpy ``.npz`` archive that ``np.load(path)`` opens.
 
     The archive holds one little-endian float64 array per tensor and a
-    string array ``__config__``: the JSON of ``{"model": ..., "train": ...}``
-    (``"train"`` only when ``train_config`` is given).  ``path`` is used as
-    given; no ``.npz`` suffix is appended.
+    string array ``__config__``: the JSON of ``{"model": ..., "train": ...}``,
+    the model config and the training config that holds it.  ``path`` is
+    used as given; no ``.npz`` suffix is appended.
     """
-    meta = {"model": asdict(config)}
-    if train_config is not None:
-        meta["train"] = asdict(train_config)
+    meta = {"model": asdict(config.model), "train": asdict(config)}
     tensors = {name: np.asarray(arr, dtype="<f8") for name, arr in params.items()}
     with open(path, "wb") as f:
         np.savez(f, __config__=np.array(json.dumps(meta)), **tensors)
 
 
-def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig | None]:
+def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig]:
     """Read a checkpoint back; bit-exact tensors.
 
     A missing file raises FileNotFoundError.  Anything else that is not an
     intact checkpoint of a consistent architecture, including any archive
-    member that fails its CRC-32, raises CheckpointError; so does a
-    training config whose Adam settings differ from ``ADAM``.
+    member that fails its CRC-32, raises CheckpointError; so does a missing
+    training config, or one whose Adam settings differ from ``ADAM``.
     """
     with open(path, "rb") as f:
         if f.read(4) != b"PK\x03\x04":
@@ -337,15 +337,15 @@ def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig | None]:
                 params = {name: archive[name] for name in archive.files}
             meta = json.loads(str(params.pop("__config__")))
             model = ModelConfig(**meta["model"])
-            train = None
-            if "train" in meta:
-                kw = meta["train"]
-                for key, value in ADAM.items():
-                    got = kw.pop(key, value)
-                    if got != value:
-                        raise ValueError(f"{key} must be {value}, got {got!r}")
-                tasks = TaskDistributionSpec(**kw["tasks"])
-                train = TrainConfig(**{**kw, "model": model, "tasks": tasks})
+            if "train" not in meta:
+                raise ValueError("the archive holds no training config")
+            kw = meta["train"]
+            for key, value in ADAM.items():
+                got = kw.pop(key, value)
+                if got != value:
+                    raise ValueError(f"{key} must be {value}, got {got!r}")
+            tasks = TaskDistributionSpec(**kw["tasks"])
+            train = TrainConfig(**{**kw, "model": model, "tasks": tasks})
         # damaged bytes surface as any of these from zipfile (CRC-32 included),
         # the npy reader, json or the config checks
         except (BadZipFile, EOFError, KeyError, OSError, RuntimeError, TypeError, ValueError) as e:

@@ -82,6 +82,26 @@ class TestQuantizer:
         with pytest.raises(ValueError):
             cell_bounds(Quantizer(bits=2), 4)
 
+    @pytest.mark.parametrize(
+        "bits, message",
+        [(0, "bits must be >= 1, got 0"), (53, "bits must be <= 52, got 53"),
+         (64, "bits must be <= 52, got 64")],
+    )
+    def test_resolution_out_of_range_rejected(self, bits, message):
+        with pytest.raises(ValueError, match=message):
+            Quantizer(bits=bits)
+
+    def test_finest_resolution_round_trips(self):
+        """At 52 bits every value lands in its cell, and its level quantizes
+        back to the same cell."""
+        q = Quantizer(bits=52)
+        v = RngStream(15).uniform(-5, 5, size=10_000)
+        idx, val = quantize(q, v)
+        lo, hi = cell_bounds(q, idx)
+        assert np.all((lo <= v) & (v < hi))
+        assert np.all((lo <= val) & (val < hi))
+        assert np.array_equal(quantize(q, val)[0], idx)
+
     @pytest.mark.parametrize("bits", range(1, 9))
     def test_cells_tile_the_line(self, bits):
         q = Quantizer(bits=bits)

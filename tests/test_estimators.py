@@ -13,7 +13,9 @@ from icleq.channel import (
     sample_task,
 )
 from icleq.estimators import (
+    MIN_CHANNEL_WEIGHT,
     DegenerateEvidenceError,
+    _joint_input_posterior,
     bayes_mmse_continuous_mc,
     bayes_mmse_discrete,
     bayes_mmse_gaussian_exact,
@@ -329,6 +331,18 @@ class TestBayesMmseDiscrete:
             p = np.exp(logp - logsumexp(logp))
             np.testing.assert_allclose(g, p.sum(axis=0) @ C2.joint, rtol=0, atol=1e-12)
 
+    def test_skips_channels_of_negligible_weight(self):
+        """A channel whose normalized pilot weight is at most
+        MIN_CHANNEL_WEIGHT leaves the input posterior unchanged."""
+        q = Quantizer(bits=4)
+        t = rand_task(29)
+        channels = np.stack([t.h, RngStream(30).complex_normal((2, 2))])
+        # observed through the skipped channel, so that keeping it would show
+        _, ys = sample_pairs(channels[1], t.sigma2, q, C2, 4, RngStream(31))
+        log_w = np.array([0.0, np.log(MIN_CHANNEL_WEIGHT)])
+        got = _joint_input_posterior(channels, log_w, t.sigma2, q, C2, ys)
+        np.testing.assert_allclose(got, input_posterior(t, q, C2, ys), rtol=0, atol=1e-15)
+
     def test_concentrates_on_true_channel(self):
         q = Quantizer(bits=4)
         rng = RngStream(24)
@@ -353,9 +367,7 @@ class TestBayesMmseContinuousMc:
         _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(37))
         est, _ = bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(38))
         channels = RngStream(38).complex_normal(size=(64, 2, 2))
-        want = bayes_mmse_discrete(
-            channels, t.sigma2, q, C2, ctx, ys, prune_tol=1e-13
-        )
+        want = bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, ys)
         np.testing.assert_array_equal(est, want)
 
     def test_symmetry_without_context(self):

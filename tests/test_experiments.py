@@ -41,7 +41,6 @@ MICRO = ExperimentConfig(
     n_heads=2,
     d_e=8,
     d_f=16,
-    n_max=4,
     n_context=4,
     m_tasks=2,
     batch_size=4,
@@ -256,6 +255,11 @@ class TestConfigFile:
             parse_config_file("no_such_key = 1")
         with pytest.raises(ValueError, match="line 1: unknown key 'loss_positions'"):
             parse_config_file("loss_positions = all_y")
+        with pytest.raises(ValueError, match="line 1: unknown key 'n_max'"):
+            parse_config_file("n_max = 4")
+
+    def test_model_positions_follow_n_context(self):
+        assert parse_config_file("n_context = 7").model_config().n_max == 7
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: repeated key 'bits'"):
@@ -298,6 +302,7 @@ class TestConfigFile:
             ("m_grid = 4, 0", "m_grid entry 0 must be >= 1"),
             ("bits_grid = 1, 0", "bits_grid entry 0 must be >= 1"),
             ("bits_grid = none, -2", "bits_grid entry -2 must be >= 1"),
+            ("bits_grid = 4, 64", "bits_grid entry 64 must be <= 52"),
             ("lr = 0", "lr must be > 0, got 0.0"),
             ("lr = -1", "lr must be > 0, got -1.0"),
             ("n_test_tasks = 0", "test counts must be >= 1"),
@@ -316,6 +321,8 @@ class TestConfigFile:
             ("mc_samples = 0", "mc_samples must be >= 1, got 0"),
             ("bits = 0", "bits must be >= 1, got 0"),
             ("bits = -3", "bits must be >= 1, got -3"),
+            ("bits = 53", "bits must be <= 52, got 53"),
+            ("bits = 64", "bits must be <= 52, got 64"),
             ("init_scale = nan", "init_scale must be finite and > 0, got nan"),
             ("init_scale = 0", "init_scale must be finite and > 0, got 0.0"),
         ],
@@ -323,6 +330,7 @@ class TestConfigFile:
             "m-grid-zero",
             "bits-grid-zero",
             "bits-grid-negative",
+            "bits-grid-64",
             "lr-zero",
             "lr-negative",
             "zero-test-tasks",
@@ -341,6 +349,8 @@ class TestConfigFile:
             "zero-mc-samples",
             "bits-zero",
             "bits-negative",
+            "bits-53",
+            "bits-64",
             "init-scale-nan",
             "init-scale-zero",
         ],
@@ -428,6 +438,23 @@ class TestThresholdSweepMicro:
     def test_reproducible_csv_bytes(self, results):
         again = run_threshold_sweep(MICRO)
         assert results_to_csv(results) == results_to_csv(again)
+
+
+@pytest.mark.parametrize(
+    "run, edit, digest",
+    [
+        (run_threshold_sweep, {}, "963fa00132c44a36"),
+        (run_threshold_sweep, {"bits": None}, "401ec1bc367acb49"),
+        (run_snr_sweep, {"snr_db_grid": (0.0, 10.0)}, "a4dc187e9cb1ef82"),
+        (run_quantization_sweep, {"bits_grid": (1, 4, None)}, "75cde5c2d045ee67"),
+    ],
+    ids=["threshold-4bit", "threshold-unquantized", "snr", "bits"],
+)
+def test_micro_sweep_csv_pinned(run, edit, digest):
+    """The first 16 hex digits of the SHA-256 of each sweep's CSV at MICRO
+    sizes; a change of any number a sweep writes must be a deliberate re-pin."""
+    csv_text = results_to_csv(run(replace(MICRO, **edit)))
+    assert hashlib.sha256(csv_text.encode()).hexdigest()[:16] == digest
 
 
 class TestCsvAndPlotData:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="n_context=5.*n_max=4"):
             tiny_cfg(n_context=TINY.n_max + 1)
         assert tiny_cfg(n_context=TINY.n_max).n_context == TINY.n_max
+
+    @pytest.mark.parametrize("edit", [{"d_s": 2}, {"n_classes": 4}], ids=["d_s", "n_classes"])
+    def test_model_that_cannot_read_the_tasks_rejected(self, edit):
+        """Token width and class count must fit the antenna counts, so a
+        checkpoint that pairs a model with other tasks fails at load time."""
+        with pytest.raises(ValueError, match="d_s=.*cannot read n_t=2, n_r=2 tasks"):
+            tiny_cfg(model=replace(TINY, **edit))
+        assert tiny_cfg(model=replace(TINY, d_s=6)).model.d_s == 6
 
     @pytest.mark.parametrize("name", ["n_steps", "warmup_steps"])
     def test_negative_step_counts_rejected(self, name):
@@ -293,7 +302,7 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(18))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path), train_config=cfg)
+        save_checkpoint(params, cfg, str(path))
         loaded, model, train = load_checkpoint(str(path))
         assert model == cfg.model
         assert train == cfg
@@ -312,7 +321,7 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(19))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path))
+        save_checkpoint(params, cfg, str(path))
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0xFF
         path.write_bytes(bytes(raw))
@@ -323,7 +332,7 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(20))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path))
+        save_checkpoint(params, cfg, str(path))
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError, match="corrupt checkpoint"):
@@ -334,7 +343,7 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(23))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path))
+        save_checkpoint(params, cfg, str(path))
         raw = bytearray(path.read_bytes())
         payload = params["embed"].tobytes()
         assert raw.count(payload) == 1
@@ -349,7 +358,7 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         params = init_params(cfg.model, RngStream(24))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path), train_config=cfg)
+        save_checkpoint(params, cfg, str(path))
         raw = path.read_bytes()
         for i in range(0, len(raw), 7):
             flipped = bytearray(raw)
@@ -362,6 +371,21 @@ class TestCheckpoint:
             assert model == cfg.model and train == cfg, f"byte {i}"
             assert all(np.array_equal(loaded[k], params[k]) for k in params), f"byte {i}"
 
+    def test_archive_without_training_config_rejected(self, tmp_path):
+        """Every checkpoint carries its training config; an archive with
+        only the model config does not load."""
+        cfg = tiny_cfg()
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(cfg.model, RngStream(21)), cfg, str(path))
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        meta = json.loads(str(arrays["__config__"]))
+        arrays["__config__"] = np.array(json.dumps({"model": meta["model"]}))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(CheckpointError, match="holds no training config"):
+            load_checkpoint(str(path))
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "absent.ckpt"))
@@ -369,7 +393,7 @@ class TestCheckpoint:
     def test_wrong_dtype_rejected(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg.model, RngStream(25)), cfg.model, str(path))
+        save_checkpoint(init_params(cfg.model, RngStream(25)), cfg, str(path))
         with np.load(path) as archive:
             arrays = dict(archive)
         arrays["head.b"] = arrays["head.b"].astype(np.float32)
@@ -391,7 +415,7 @@ class TestCheckpoint:
         params = init_params(cfg.model, RngStream(22))
         edit(params)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, cfg.model, str(path))
+        save_checkpoint(params, cfg, str(path))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(str(path))
 
@@ -409,7 +433,7 @@ class TestCheckpoint:
         and the same archive with another value is rejected by name."""
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg.model, RngStream(26)), cfg.model, str(path), cfg)
+        save_checkpoint(init_params(cfg.model, RngStream(26)), cfg, str(path))
         with np.load(path) as archive:
             arrays = dict(archive)
         meta = json.loads(str(arrays["__config__"]))
@@ -441,7 +465,7 @@ class TestCheckpoint:
         value is rejected by name."""
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
-        save_checkpoint(init_params(cfg.model, RngStream(27)), cfg.model, str(path), cfg)
+        save_checkpoint(init_params(cfg.model, RngStream(27)), cfg, str(path))
         with np.load(path) as archive:
             arrays = dict(archive)
         meta = json.loads(str(arrays["__config__"]))
