@@ -11,18 +11,15 @@ attaches a vector-Jacobian closure at build time; gradients accumulate on
 the nodes and named leaves report them back through :meth:`Tape.backward`.
 
 The exact GELU's elementwise work is split along the leading axis over the
-cores in the process's CPU affinity; numpy and scipy ufuncs release the
-interpreter lock, and the split is bit-identical to one call.
+cores by :func:`icleq.numerics._by_rows`.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from scipy.special import ndtr
+
+from .numerics import _by_rows
 
 __all__ = ["Tape", "Node", "GraphNumericsError"]
 
@@ -66,50 +63,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
-
-
-if hasattr(os, "sched_getaffinity"):
-    _N_CORES = len(os.sched_getaffinity(0))
-else:
-    _N_CORES = os.cpu_count() or 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """A forked child inherits the pool object but none of its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _by_rows(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """``fn(out, *args)`` on blocks of rows (leading axis), one block per
-    core; the calling thread runs the first block.
-
-    ``fn`` must write its results only into blocks of arrays the calling
-    thread allocated, so the workers allocate no large buffers: a worker
-    thread's malloc arena would keep them under the raised trim threshold
-    of :mod:`icleq._malloc`.
-    """
-    global _pool
-    parts = min(_N_CORES, out.shape[0] if out.ndim else 1)
-    if parts <= 1:
-        fn(out, *args)
-        return out
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
-    cuts = [out.shape[0] * i // parts for i in range(parts + 1)]
-    blocks = [tuple(a[i:j] for a in (out, *args)) for i, j in zip(cuts, cuts[1:])]
-    futures = [_pool.submit(fn, *blk) for blk in blocks[1:]]
-    fn(*blocks[0])
-    for f in futures:
-        f.result()
-    return out
 
 
 def _gelu_forward(out, phi, x):

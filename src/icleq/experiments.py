@@ -116,6 +116,25 @@ class EvalSet:
     test_xs: np.ndarray  # (T, S, n_t)
     test_ys: np.ndarray  # (T, S, n_r)
 
+    def __post_init__(self):
+        p = self.protocol
+        t, n, s = p.n_test_tasks, p.n_context, p.n_test_symbols_per_task
+        n_t, n_r = p.tasks.n_t, p.tasks.n_r
+        expected = {
+            "hs": (t, n_r, n_t),
+            "sigma2s": (t,),
+            "ctx_xs": (t, n, n_t),
+            "ctx_ys": (t, n, n_r),
+            "test_xs": (t, s, n_t),
+            "test_ys": (t, s, n_r),
+        }
+        for name, shape in expected.items():
+            got = np.shape(getattr(self, name))
+            if got != shape:
+                raise ValueError(
+                    f"EvalSet.{name} must have shape {shape} for its protocol, got {got}"
+                )
+
     @classmethod
     def build(cls, protocol: EvalProtocol) -> "EvalSet":
         p = protocol

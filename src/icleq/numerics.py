@@ -8,9 +8,18 @@ cancels catastrophically.  :func:`log_gauss_cell_prob` therefore evaluates
 same-side cells through the complementary error function on the side away
 from the mean (via ``scipy.special.log_ndtr``) and only uses a direct erf
 difference when the cell straddles the mean.
+
+Elementwise kernels on large arrays (the exact GELU, the cell probabilities)
+are split over the cores in the process's CPU affinity by a shared thread
+pool; numpy and scipy ufuncs release the interpreter lock, and the split is
+bit-identical to one call.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -23,6 +32,71 @@ __all__ = [
     "log_gauss_cell_prob",
     "logsumexp",
 ]
+
+
+if hasattr(os, "sched_getaffinity"):
+    _N_CORES = len(os.sched_getaffinity(0))
+else:
+    _N_CORES = os.cpu_count() or 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+_BLOCK = 1 << 16  # elements per block of _by_blocks: a block's temporaries stay in cache
+
+
+def _forget_pool() -> None:
+    """A forked child inherits the pool object but none of its threads."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _by_rows(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """``fn(out, *args)`` on blocks of rows (leading axis), one block per
+    core; the calling thread runs the first block.
+
+    ``fn`` must write its results only into blocks of arrays the calling
+    thread allocated, and may allocate temporaries of at most ``_BLOCK``
+    elements: a worker thread's malloc arena would keep larger buffers
+    under the raised trim threshold of :mod:`icleq._malloc`.
+    """
+    global _pool
+    parts = min(_N_CORES, out.shape[0] if out.ndim else 1)
+    if parts <= 1:
+        fn(out, *args)
+        return out
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
+    cuts = [out.shape[0] * i // parts for i in range(parts + 1)]
+    blocks = [tuple(a[i:j] for a in (out, *args)) for i, j in zip(cuts, cuts[1:])]
+    futures = [_pool.submit(fn, *blk) for blk in blocks[1:]]
+    fn(*blocks[0])
+    for f in futures:
+        f.result()
+    return out
+
+
+def _by_blocks(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+    """``out[i:j] = fn(*(a[i:j] for a in args))`` for flat blocks of
+    ``_BLOCK`` elements of equal-length 1-D arrays.
+
+    Inputs of one block or less run on the calling thread; larger ones are
+    split over the cores by :func:`_by_rows`, each core walking its share
+    one block at a time.  ``fn`` must be elementwise.
+    """
+
+    def walk(out, *args):
+        for i in range(0, out.size, _BLOCK):
+            out[i : i + _BLOCK] = fn(*(a[i : i + _BLOCK] for a in args))
+
+    if out.size <= _BLOCK:
+        walk(out, *args)
+        return out
+    return _by_rows(walk, out, *args)
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:

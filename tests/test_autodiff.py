@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from icleq import autodiff
+from icleq import numerics
 from icleq.autodiff import GraphNumericsError, Tape
 from icleq.channel import qam4_constellation
 from icleq.rng import RngStream
@@ -171,7 +171,7 @@ class TestGeluSplit:
     @pytest.mark.parametrize("cores", [1, 2, 5])
     @pytest.mark.parametrize("shape", [(0, 5), (1, 7), (3,), (257, 33)])
     def test_bit_identical_to_unsplit(self, monkeypatch, cores, shape):
-        monkeypatch.setattr(autodiff, "_N_CORES", cores)
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
         x = 3.0 * RngStream(182).normal(size=shape)
         tape = Tape()
         out = tape.gelu(tape.leaf(x, "x"))

@@ -1,23 +1,27 @@
 import itertools
+import sys
+import threading
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from icleq import numerics
 from icleq.channel import (
     ContextSet,
     Quantizer,
     Task,
     TaskDistributionSpec,
     cell_bounds,
+    cell_loglik,
     log_likelihood,
     qam4_constellation,
     quantize,
     sample_pairs,
     sample_task,
 )
-from icleq.numerics import logsumexp
+from icleq.numerics import _log_cell_prob_std, logsumexp
 from icleq.rng import RngStream
 
 
@@ -255,6 +259,93 @@ class TestLogLikelihood:
             lu = log_likelihood(t, Quantizer(bits=None), x, y)
             want = lu + 2 * t.n_r * np.log(q.step)
             assert abs(lq - want) < 1e-3 * abs(want)
+
+
+def cell_loglik_unsplit(lo, hi, means_ri, sigma2):
+    """The cell kernel in one call on the whole array: the split's reference."""
+    std = np.sqrt(np.asarray(sigma2, dtype=float) / 2.0)
+    if std.ndim:
+        std = std[..., None]
+    return np.sum(_log_cell_prob_std((lo - means_ri) / std, (hi - means_ri) / std), axis=-1)
+
+
+def cell_inputs(lo_shape, means_shape, rng):
+    """Cells of uniformly drawn 2-bit levels (half of them extreme, with an
+    infinite bound) and wide-spread means, so some cells sit far in a tail."""
+    lo, hi = cell_bounds(Quantizer(bits=2), rng.integers(0, 4, size=lo_shape))
+    return lo, hi, 6.0 * rng.normal(size=means_shape)
+
+
+class TestCellSplit:
+    """The cell kernel in blocks split over the cores is bit-identical to
+    one unsplit call, for any number of cores and blocks."""
+
+    # pilots (1, N, 4) against the means of M channels (M, N, 4), and test
+    # observations (S, 1, 1, 4) against (Mk, C, 4); 48, 64 and 144 cells are
+    # below, at and across a block of 64
+    LAYOUTS = [
+        ((1, 4, 4), (3, 4, 4)),
+        ((1, 4, 4), (4, 4, 4)),
+        ((1, 4, 4), (9, 4, 4)),
+        ((1, 1, 1, 4), (3, 4, 4)),
+        ((2, 1, 1, 4), (2, 4, 4)),
+        ((3, 1, 1, 4), (3, 4, 4)),
+    ]
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    @pytest.mark.parametrize("lo_shape, means_shape", LAYOUTS)
+    def test_bit_identical_to_unsplit(self, monkeypatch, cores, lo_shape, means_shape):
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        monkeypatch.setattr(numerics, "_BLOCK", 64)
+        lo, hi, means = cell_inputs(lo_shape, means_shape, RngStream(184))
+        want = cell_loglik_unsplit(lo, hi, means, 0.1)
+        assert np.all(np.isfinite(want))  # finite far into the tails
+        assert np.array_equal(cell_loglik(lo, hi, means, 0.1), want)
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    def test_array_sigma2(self, monkeypatch, cores):
+        """One noise power per channel, shape (M, 1)."""
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        monkeypatch.setattr(numerics, "_BLOCK", 64)
+        lo, hi, means = cell_inputs((1, 4, 4), (9, 4, 4), RngStream(185))
+        sigma2 = 10.0 ** RngStream(186).uniform(-2.0, 1.0, size=(9, 1))
+        got = cell_loglik(lo, hi, means, sigma2)
+        assert np.array_equal(got, cell_loglik_unsplit(lo, hi, means, sigma2))
+
+    def test_default_block_size(self, monkeypatch):
+        """The pilots of 1024 channels span two default blocks."""
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        lo, hi, means = cell_inputs((1, 20, 4), (1024, 20, 4), RngStream(187))
+        assert means.size > numerics._BLOCK
+        got = cell_loglik(lo, hi, means, 0.1)
+        assert np.array_equal(got, cell_loglik_unsplit(lo, hi, means, 0.1))
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Callers on several threads share the worker pool; each gets its
+        own exact result."""
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        monkeypatch.setattr(numerics, "_BLOCK", 64)
+        inputs = [cell_inputs((2, 1, 1, 4), (3, 4, 4), RngStream(188, i)) for i in range(6)]
+        want = [cell_loglik_unsplit(*args, 0.1) for args in inputs]
+        bad = []
+
+        def call(i):
+            for _ in range(20):
+                if not np.array_equal(cell_loglik(*inputs[i], 0.1), want[i]):
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
 
 def pilots(t, q, c, n, rng):

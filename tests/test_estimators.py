@@ -7,6 +7,7 @@ from icleq.channel import (
     Task,
     TaskDistributionSpec,
     log_likelihood,
+    loglik_means,
     qam4_constellation,
     quantize,
     sample_pairs,
@@ -239,6 +240,21 @@ class TestChannelPosteriorWeights:
             channels, 0.1, Quantizer(bits=4), empty_context(2, 2)
         )
         np.testing.assert_array_equal(w, np.zeros(3))
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 7])
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_pilot_means_match_einsum(self, n_t, n, bits):
+        """The weights equal those of pilot means formed by einsum, bit for
+        bit (the einsum is the oracle only here)."""
+        q = Quantizer(bits=bits)
+        t = rand_task(18, n_t=n_t)
+        ctx = pilots(t, q, qam4_constellation(n_t), n, RngStream(19, n_t))
+        channels = RngStream(20, n_t).complex_normal((33, 2, n_t))
+        means = np.einsum("mrt,nt->mnr", channels, ctx.xs)
+        want = np.sum(loglik_means(q, means, t.sigma2, ctx.ys[None]), axis=1)
+        got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        assert np.array_equal(got, want)
 
     def test_reorder_invariance(self):
         q = Quantizer(bits=4)

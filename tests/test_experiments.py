@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import icleq
-from icleq import experiments
+from icleq import experiments, numerics
 from icleq.channel import TaskDistributionSpec, qam4_constellation
 from icleq.estimators import mmse_known_task
 from icleq.experiments import (
@@ -68,6 +69,36 @@ def small_protocol(**kw):
     return EvalProtocol(**base)
 
 
+ROWS_4BIT = "0d4f25be0b279117"
+THRESHOLD_4BIT = "963fa00132c44a36"
+
+
+def rows_digest(bits):
+    """Digest of mse, ci_low and ess of every kind on one frozen evaluation set."""
+    ev = EvalSet.build(small_protocol(n_test_tasks=2, n_test_symbols_per_task=4, bits=bits))
+    model = MICRO.model_config()
+    equalizers = [
+        Equalizer.icl(init_params(model, RngStream(5)), model),
+        Equalizer.mmse(),
+        Equalizer.lmmse(),
+        Equalizer.bayes_discrete(RngStream(6).complex_normal((8, 2, 2))),
+        Equalizer.bayes_mc(64),
+    ]
+    if bits is None:
+        equalizers.append(Equalizer.bayes_exact())
+    h = hashlib.sha256()
+    for eq in equalizers:
+        r = evaluate(eq, ev)
+        h.update(np.array([r.mse, r.ci_low, np.nan if r.ess is None else r.ess]).tobytes())
+    return h.hexdigest()[:16]
+
+
+def sweep_digest(run, edit):
+    """The first 16 hex digits of the SHA-256 of a sweep's CSV at MICRO sizes."""
+    csv_text = results_to_csv(run(replace(MICRO, **edit)))
+    return hashlib.sha256(csv_text.encode()).hexdigest()[:16]
+
+
 class TestEvalSet:
     @pytest.mark.parametrize("bits", [0, -3])
     def test_bits_below_one_rejected(self, bits):
@@ -87,6 +118,26 @@ class TestEvalSet:
     def test_draw_hash_pinned(self, bits, digest):
         """Any change of the evaluation draw order must be a deliberate re-pin."""
         assert EvalSet.build(small_protocol(bits=bits)).draw_hash() == digest
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("hs", (3, 2, 2)),
+            ("sigma2s", (3,)),
+            ("ctx_xs", (2, 8, 2)),
+            ("ctx_ys", (2, 4, 1)),
+            ("test_xs", (2, 3, 2)),
+            ("test_ys", (2, 5, 3)),
+        ],
+    )
+    def test_arrays_must_match_protocol(self, field, bad):
+        """Extra task rows or pilots, or too few test symbols, are rejected
+        at construction, naming the field and both shapes."""
+        ev = EvalSet.build(small_protocol(n_test_tasks=2, n_test_symbols_per_task=5))
+        want = getattr(ev, field).shape
+        msg = f"EvalSet.{field} must have shape {want} for its protocol, got {bad}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            replace(ev, **{field: np.zeros(bad)})
 
     def test_negative_context_rejected(self):
         with pytest.raises(ValueError, match="n_context must be >= 0, got -1"):
@@ -177,27 +228,12 @@ class TestEvaluate:
         # quadrupling the task count should roughly halve the interval
         assert 1.4 < w1 / w2 < 2.9
 
-    @pytest.mark.parametrize("bits, digest", [(4, "0d4f25be0b279117"), (None, "e9d7b85c550464a6")])
+    @pytest.mark.parametrize("bits, digest", [(4, ROWS_4BIT), (None, "e9d7b85c550464a6")])
     def test_rows_pinned(self, bits, digest):
         """mse, ci_low and ess of every kind on one frozen evaluation set; a
         change of any equalizer's arithmetic or random stream (the kind's
         index in ``Equalizer.KINDS``) must be a deliberate re-pin."""
-        ev = EvalSet.build(small_protocol(n_test_tasks=2, n_test_symbols_per_task=4, bits=bits))
-        model = MICRO.model_config()
-        equalizers = [
-            Equalizer.icl(init_params(model, RngStream(5)), model),
-            Equalizer.mmse(),
-            Equalizer.lmmse(),
-            Equalizer.bayes_discrete(RngStream(6).complex_normal((8, 2, 2))),
-            Equalizer.bayes_mc(64),
-        ]
-        if bits is None:
-            equalizers.append(Equalizer.bayes_exact())
-        h = hashlib.sha256()
-        for eq in equalizers:
-            r = evaluate(eq, ev)
-            h.update(np.array([r.mse, r.ci_low, np.nan if r.ess is None else r.ess]).tobytes())
-        assert h.hexdigest()[:16] == digest
+        assert rows_digest(bits) == digest
 
     def test_icl_matches_one_sequence_per_symbol(self):
         """A task's symbols share one sequence and match their own sequences
@@ -443,7 +479,7 @@ class TestThresholdSweepMicro:
 @pytest.mark.parametrize(
     "run, edit, digest",
     [
-        (run_threshold_sweep, {}, "963fa00132c44a36"),
+        (run_threshold_sweep, {}, THRESHOLD_4BIT),
         (run_threshold_sweep, {"bits": None}, "401ec1bc367acb49"),
         (run_snr_sweep, {"snr_db_grid": (0.0, 10.0)}, "a4dc187e9cb1ef82"),
         (run_quantization_sweep, {"bits_grid": (1, 4, None)}, "75cde5c2d045ee67"),
@@ -451,10 +487,22 @@ class TestThresholdSweepMicro:
     ids=["threshold-4bit", "threshold-unquantized", "snr", "bits"],
 )
 def test_micro_sweep_csv_pinned(run, edit, digest):
-    """The first 16 hex digits of the SHA-256 of each sweep's CSV at MICRO
-    sizes; a change of any number a sweep writes must be a deliberate re-pin."""
-    csv_text = results_to_csv(run(replace(MICRO, **edit)))
-    assert hashlib.sha256(csv_text.encode()).hexdigest()[:16] == digest
+    """A change of any number a sweep writes must be a deliberate re-pin."""
+    assert sweep_digest(run, edit) == digest
+
+
+def test_4bit_pins_hold_through_split_cell_kernel(monkeypatch):
+    """At micro sizes the cell kernel fits one default block and runs
+    inline; with two cores and 64-element blocks it runs split, and the
+    4-bit row and threshold sweep pins still hold."""
+    monkeypatch.setattr(numerics, "_N_CORES", 2)
+    monkeypatch.setattr(numerics, "_BLOCK", 64)
+    splits = []
+    by_rows = numerics._by_rows
+    monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+    assert rows_digest(4) == ROWS_4BIT
+    assert sweep_digest(run_threshold_sweep, {}) == THRESHOLD_4BIT
+    assert splits
 
 
 class TestCsvAndPlotData:
