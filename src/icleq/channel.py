@@ -324,8 +324,13 @@ def cell_loglik(lo, hi, means_ri, sigma2):
     if std.ndim:
         std = std[..., None]
     a, b = np.broadcast_arrays((lo - means_ri) / std, (hi - means_ri) / std)
-    cells = _by_blocks(_log_cell_prob_std, np.empty(a.size), a.ravel(), b.ravel())
-    return np.sum(cells.reshape(a.shape), axis=-1)
+    d = a.shape[-1]
+    out = np.empty(a.shape[:-1])
+    _by_blocks(
+        lambda a, b: np.sum(_log_cell_prob_std(a, b), axis=-1),
+        out.reshape(-1), a.reshape(-1, d), b.reshape(-1, d), row_size=d,
+    )
+    return out[()]
 
 
 def gauss_loglik(y_ri, means_ri, sigma2):

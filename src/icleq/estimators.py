@@ -28,8 +28,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import Constellation, ContextSet, Quantizer, Task, loglik_means
-from .numerics import hermitian, logsumexp, solve_hpd
+from .channel import (
+    Constellation,
+    ContextSet,
+    Quantizer,
+    Task,
+    gauss_loglik,
+    loglik_means,
+    observation_cells,
+    realify_obs,
+)
+from .numerics import _by_blocks, _log_cell_prob_std, hermitian, logsumexp, solve_hpd
 from .rng import RngStream
 
 __all__ = [
@@ -128,44 +137,66 @@ def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
 
 
 def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Noiseless pilot means (M, N, n_r): ``means[m, n] = channels[m] @ xs[n]``.
+    """Noiseless pilot means, realified: ``means[m, n]`` holds the real
+    parts then the imaginary parts of ``channels[m] @ xs[n]``, shape
+    (M, N, 2 n_r).
 
-    The value of ``np.einsum("mrt,nt->mnr", channels, xs)`` bit for bit, in
+    The values of ``np.einsum("mrt,nt->mnr", channels, xs)`` bit for bit, in
     a third of its time: the products are summed over t in t order from 0,
     in real arithmetic, with the M channels innermost (numpy's complex
-    multiply of arrays and a matmul both round differently).  The output is
-    allocated first and the temporaries are reused, so the heap's peak stays
-    that of the einsum.
+    multiply of arrays and a matmul both round differently).  The caller
+    passes one block of channels at a time, so the temporaries stay within
+    a block.
     """
     m, n_r, n_t = channels.shape
-    means = np.empty((m, len(xs), n_r), dtype=complex)
     h = channels.transpose(2, 1, 0)  # (n_t, n_r, M)
     hr, hi = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
     xr, xi = xs.real.T[..., None, None], xs.imag.T[..., None, None]  # (n_t, N, 1, 1)
     shape = (2, len(xs), n_r, m)
-    (re, im), (p, q) = np.zeros(shape), np.empty(shape)
+    acc, (p, q) = np.zeros(shape), np.empty(shape)
+    re, im = acc
     for t in range(n_t):
         np.multiply(hr[t], xr[t], out=p)
         re += np.subtract(p, np.multiply(hi[t], xi[t], out=q), out=p)
         np.multiply(hr[t], xi[t], out=p)
         im += np.add(p, np.multiply(hi[t], xr[t], out=q), out=p)
-    means.real = re.transpose(2, 0, 1)
-    means.imag = im.transpose(2, 0, 1)
+    means = np.empty((m, len(xs), 2 * n_r))
+    means.reshape(m, len(xs), 2, n_r)[:] = acc.transpose(3, 1, 0, 2)
     return means
 
 
 def channel_log_posterior_weights(
-    channels: np.ndarray, sigma2, q: Quantizer, context: ContextSet
+    channels: np.ndarray, sigma2: float, q: Quantizer, context: ContextSet
 ) -> np.ndarray:
     """Unnormalized log posterior weight of each channel of an (M, n_r, n_t)
     stack given the context: prior uniform over the stack, likelihood the
-    product over context pairs.  Caller normalizes (e.g. via logsumexp)."""
-    m = channels.shape[0]
+    product over context pairs.  Caller normalizes (e.g. via logsumexp).
+
+    The stack is walked in cache-sized blocks of channels, split over the
+    cores; each block forms its pilot means and sums its log-likelihood
+    over the real dimensions, then over the pilots (bit-identical to one
+    call of :func:`loglik_means` on all the means).
+    """
+    m, n_r, _ = channels.shape
     if len(context) == 0:
         return np.zeros(m)
-    means = _pilot_means(channels, context.xs)  # (M, N, n_r)
-    ll = loglik_means(q, means, sigma2, context.ys[None, :, :])  # (M, N)
-    return np.sum(ll, axis=1)
+    xs, sigma2 = context.xs, float(sigma2)  # one noise power for the whole stack
+    if q.quantized:
+        lo, hi = observation_cells(q, context.ys)  # (N, 2 n_r)
+        std = np.sqrt(sigma2 / 2.0)
+
+        def block(h):
+            means = _pilot_means(h, xs)
+            cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
+            return np.sum(np.sum(cells, axis=-1), axis=1)
+
+    else:
+        y_ri = realify_obs(context.ys)
+
+        def block(h):
+            return np.sum(gauss_loglik(y_ri, _pilot_means(h, xs), sigma2), axis=1)
+
+    return _by_blocks(block, np.empty(m), channels, row_size=len(context) * 2 * n_r)
 
 
 def bayes_mmse_discrete(

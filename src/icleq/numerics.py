@@ -4,15 +4,17 @@ All statistical computation in the package runs in binary64.  The Gaussian
 cell probabilities needed by the quantized observation likelihood are the
 numerically delicate part: at high SNR or fine quantization a cell can sit
 many standard deviations from the mean, where a naive CDF difference
-cancels catastrophically.  :func:`log_gauss_cell_prob` therefore evaluates
-same-side cells through the complementary error function on the side away
-from the mean (via ``scipy.special.log_ndtr``) and only uses a direct erf
-difference when the cell straddles the mean.
+cancels catastrophically.  :func:`log_gauss_cell_prob` therefore reflects
+every cell right of the mean to the left, where the mass is a difference of
+two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
+into the tail, and only uses a direct erf difference when the cell
+straddles the mean.
 
-Elementwise kernels on large arrays (the exact GELU, the cell probabilities)
-are split over the cores in the process's CPU affinity by a shared thread
-pool; numpy and scipy ufuncs release the interpreter lock, and the split is
-bit-identical to one call.
+Work on large arrays (the exact GELU, the cell likelihoods, the pilot
+likelihood of a channel stack) is split over the cores in the process's
+CPU affinity by a shared thread pool, one cache-sized block of rows at a
+time; numpy and scipy ufuncs release the interpreter lock, and the split
+is bit-identical to one call.
 """
 
 from __future__ import annotations
@@ -80,20 +82,23 @@ def _by_rows(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
     return out
 
 
-def _by_blocks(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
-    """``out[i:j] = fn(*(a[i:j] for a in args))`` for flat blocks of
-    ``_BLOCK`` elements of equal-length 1-D arrays.
+def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndarray:
+    """``out[i:j] = fn(*(a[i:j] for a in args))`` for blocks of rows
+    (leading axis) of ``out`` and ``args``, each of about ``_BLOCK``
+    elements of work when one row costs ``row_size`` of them.
 
     Inputs of one block or less run on the calling thread; larger ones are
     split over the cores by :func:`_by_rows`, each core walking its share
-    one block at a time.  ``fn`` must be elementwise.
+    one block at a time.  ``fn`` must treat rows independently, and on a
+    worker thread it must not submit to the pool itself.
     """
+    rows = max(1, _BLOCK // row_size)
 
     def walk(out, *args):
-        for i in range(0, out.size, _BLOCK):
-            out[i : i + _BLOCK] = fn(*(a[i : i + _BLOCK] for a in args))
+        for i in range(0, len(out), rows):
+            out[i : i + rows] = fn(*(a[i : i + rows] for a in args))
 
-    if out.size <= _BLOCK:
+    if len(out) <= rows:
         walk(out, *args)
         return out
     return _by_rows(walk, out, *args)
@@ -131,40 +136,40 @@ def _logdiffexp(la, lb):
 def _log_cell_prob_std(a, b):
     """log(Phi(b) - Phi(a)) for standardized bounds a < b (entries may be inf).
 
-    Same-side cells go through upper-tail log-CDFs so the result stays finite
-    far into the tails; cells straddling zero use a cancellation-free erf
-    difference of opposite signs.
+    Same-side cells go through lower-tail log-CDFs so the result stays
+    finite far into the tails: a cell right of the mean is reflected to
+    ``(-b, -a)``, which has the same mass.  Cells straddling zero use a
+    cancellation-free erf difference of opposite signs instead.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=float)
-
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     right = a >= 0.0
-    left = b <= 0.0
-    mid = ~(right | left)
-
-    if np.any(right):
-        ar, br = a[right], b[right]
-        out[right] = _logdiffexp(log_ndtr(-ar), log_ndtr(-br))
-    if np.any(left):
-        al, bl = a[left], b[left]
-        out[left] = _logdiffexp(log_ndtr(bl), log_ndtr(al))
-    if np.any(mid):
-        am, bm = a[mid], b[mid]
-        s = 0.5 * (erf(bm / np.sqrt(2.0)) - erf(am / np.sqrt(2.0)))
-        out[mid] = np.log(s)
+    u = np.where(right, -b, a)
+    v = np.where(right, -a, b)
+    with np.errstate(divide="ignore"):  # straddling cells, overwritten below
+        out = np.asarray(_logdiffexp(log_ndtr(v), log_ndtr(u)))
+    mid = np.flatnonzero(v > 0.0)
+    if mid.size:
+        s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
+        np.put(out, mid, np.log(s))
     return out
 
 
 def log_gauss_cell_prob(lo, hi, mean: float, std: float):
-    """log P(lo < X <= hi) for X ~ N(mean, std^2); bounds may be -inf/+inf.
+    """log P(lo < X <= hi) for X ~ N(mean, std^2); bounds may be -inf/+inf,
+    ``mean`` and ``std`` must be finite (ValueError otherwise, as for NaN).
 
     Stays finite in the far tail for any bounds representable in binary64
     unless the true probability itself underflows.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    for name, v in (("lo", lo), ("hi", hi)):
+        if np.any(np.isnan(v)):
+            raise ValueError(f"{name} must not be NaN")
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean must be finite")
+    if not np.all(np.isfinite(std)):
+        raise ValueError("std must be finite")
     if np.any(lo >= hi):
         raise ValueError("cell requires lo < hi")
     if np.any(np.asarray(std) <= 0):

@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from icleq import channel, estimators, numerics
 from icleq.channel import (
     ContextSet,
     Quantizer,
@@ -284,6 +288,107 @@ class TestChannelPosteriorWeights:
             w = np.exp(lw - logsumexp(lw))
             hits += w[0] >= 0.99
         assert hits >= 0.95 * trials
+
+
+class TestBlockedPilotWeights:
+    """The pilot weights walked in blocks of channels split over two cores
+    equal the one-call formula bit for bit."""
+
+    ROWS = 3  # channels per block: _BLOCK below over 7 pilots x 4 real dimensions
+
+    @pytest.mark.parametrize("m", [1, ROWS, 4 * ROWS + 2])
+    @pytest.mark.parametrize("n_t", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 7])
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_split_matches_one_call(self, monkeypatch, m, n_t, n, bits):
+        q = Quantizer(bits=bits)
+        t = rand_task(21, n_t=n_t)
+        ctx = pilots(t, q, qam4_constellation(n_t), n, RngStream(22, n_t))
+        channels = RngStream(23, n_t).complex_normal((m, 2, n_t))
+        means = np.einsum("mrt,nt->mnr", channels, ctx.xs)
+        want = loglik_means(q, means, t.sigma2, ctx.ys[None]).sum(axis=1)
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        monkeypatch.setattr(numerics, "_BLOCK", self.ROWS * 7 * 4)
+        splits = []
+        by_rows = numerics._by_rows
+        monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        assert np.array_equal(got, want)
+        assert bool(splits) == (n > 0 and m > self.ROWS)
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Callers on more threads than cores share the worker pool; each
+        gets its own exact weights."""
+        q = Quantizer(bits=4)
+        t = rand_task(29)
+        ctx = pilots(t, q, C2, 7, RngStream(30))
+        stacks = [RngStream(31, i).complex_normal((14, 2, 2)) for i in range(6)]
+        want = [channel_log_posterior_weights(h, t.sigma2, q, ctx) for h in stacks]
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        monkeypatch.setattr(numerics, "_BLOCK", self.ROWS * 7 * 4)
+        bad = []
+
+        def call(i):
+            for _ in range(20):
+                got = channel_log_posterior_weights(stacks[i], t.sigma2, q, ctx)
+                if not np.array_equal(got, want[i]):
+                    bad.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(stacks))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
+
+
+class TestWorkerThreads:
+    """Split pilot weights run their blocks on the pool's threads, but the
+    functions a profiler may wrap (whose span stack is not thread-safe) are
+    called from the calling thread only."""
+
+    HOOKED = [
+        (estimators, "loglik_means"),
+        (channel, "cell_loglik"),
+        (estimators, "logsumexp"),
+        (RngStream, "complex_normal"),
+    ]
+
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_hooked_functions_stay_on_calling_thread(self, monkeypatch, bits):
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        monkeypatch.setattr(numerics, "_BLOCK", 64)
+        threads = {}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr in self.HOOKED + [(estimators, "_pilot_means")]:
+            monkeypatch.setattr(owner, attr, spy(attr, getattr(owner, attr)))
+        q = Quantizer(bits=bits)
+        t = rand_task(24)
+        ctx = pilots(t, q, C2, 7, RngStream(25))
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 3, RngStream(26))
+        bayes_mmse_continuous_mc(t.sigma2, q, C2, ctx, ys, 64, RngStream(27))
+        channels = RngStream(28).complex_normal((40, 2, 2))
+        bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, ys)
+        main = threading.main_thread()
+        hooked = {attr for _, attr in self.HOOKED}
+        if not q.quantized:
+            hooked.discard("cell_loglik")
+        assert hooked <= threads.keys()
+        assert all(threads[attr] == {main} for attr in hooked)
+        assert threads["_pilot_means"] - {main}  # the split did use a worker
 
 
 class TestBayesMmseDiscrete:

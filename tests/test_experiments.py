@@ -71,6 +71,8 @@ def small_protocol(**kw):
 
 ROWS_4BIT = "0d4f25be0b279117"
 THRESHOLD_4BIT = "963fa00132c44a36"
+ROWS_UNQUANTIZED = "e9d7b85c550464a6"
+THRESHOLD_UNQUANTIZED = "401ec1bc367acb49"
 
 
 def rows_digest(bits):
@@ -228,7 +230,7 @@ class TestEvaluate:
         # quadrupling the task count should roughly halve the interval
         assert 1.4 < w1 / w2 < 2.9
 
-    @pytest.mark.parametrize("bits, digest", [(4, ROWS_4BIT), (None, "e9d7b85c550464a6")])
+    @pytest.mark.parametrize("bits, digest", [(4, ROWS_4BIT), (None, ROWS_UNQUANTIZED)])
     def test_rows_pinned(self, bits, digest):
         """mse, ci_low and ess of every kind on one frozen evaluation set; a
         change of any equalizer's arithmetic or random stream (the kind's
@@ -480,7 +482,7 @@ class TestThresholdSweepMicro:
     "run, edit, digest",
     [
         (run_threshold_sweep, {}, THRESHOLD_4BIT),
-        (run_threshold_sweep, {"bits": None}, "401ec1bc367acb49"),
+        (run_threshold_sweep, {"bits": None}, THRESHOLD_UNQUANTIZED),
         (run_snr_sweep, {"snr_db_grid": (0.0, 10.0)}, "a4dc187e9cb1ef82"),
         (run_quantization_sweep, {"bits_grid": (1, 4, None)}, "75cde5c2d045ee67"),
     ],
@@ -502,6 +504,20 @@ def test_4bit_pins_hold_through_split_cell_kernel(monkeypatch):
     monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
     assert rows_digest(4) == ROWS_4BIT
     assert sweep_digest(run_threshold_sweep, {}) == THRESHOLD_4BIT
+    assert splits
+
+
+def test_unquantized_pins_hold_through_split_pilot_weights(monkeypatch):
+    """The Gaussian pilot likelihood is walked in the same blocks; with two
+    cores and 64-element blocks it runs split, and the unquantized row and
+    threshold sweep pins still hold."""
+    monkeypatch.setattr(numerics, "_N_CORES", 2)
+    monkeypatch.setattr(numerics, "_BLOCK", 64)
+    splits = []
+    by_rows = numerics._by_rows
+    monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+    assert rows_digest(None) == ROWS_UNQUANTIZED
+    assert sweep_digest(run_threshold_sweep, {"bits": None}) == THRESHOLD_UNQUANTIZED
     assert splits
 
 

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import erf, log_ndtr
 
 from icleq.channel import Constellation, Quantizer, qam4_constellation, sample_pairs
 from icleq.numerics import (
+    _log_cell_prob_std,
+    _logdiffexp,
     hermitian,
     log_gauss_cell_prob,
     logsumexp,
@@ -167,6 +172,106 @@ class TestLogGaussCellProb:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             log_gauss_cell_prob(1.0, 1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0.0, 1.0, 0.0, np.nan), "std"),
+            ((0.0, 1.0, 0.0, np.inf), "std"),
+            ((0.0, 1.0, np.nan, 1.0), "mean"),
+            ((np.nan, 1.0, 0.0, 1.0), "lo"),
+            ((0.0, np.nan, 0.0, 1.0), "hi"),
+            (([0.0, np.nan], [1.0, 2.0], 0.0, 1.0), "lo"),
+        ],
+    )
+    def test_rejects_nan_and_infinite_std(self, args, name):
+        """Before, these returned nan silently (std = inf: -inf with a
+        divide warning)."""
+        with pytest.raises(ValueError, match=name):
+            log_gauss_cell_prob(*args)
+
+    def test_infinite_bounds_stay_legal(self):
+        got = log_gauss_cell_prob([-np.inf, 0.0], [0.0, np.inf], 0.0, 1.0)
+        np.testing.assert_array_equal(got, [np.log(0.5), np.log(0.5)])
+
+
+def masked_log_cell_prob_std(a, b):
+    """The cell kernel as it was before the reflection: same-side cells
+    gathered by two boolean masks, right cells through upper-tail log-CDFs;
+    the reflected kernel's oracle."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty(a.shape, dtype=float)
+    right = a >= 0.0
+    left = b <= 0.0
+    mid = ~(right | left)
+    if np.any(right):
+        out[right] = _logdiffexp(log_ndtr(-a[right]), log_ndtr(-b[right]))
+    if np.any(left):
+        out[left] = _logdiffexp(log_ndtr(b[left]), log_ndtr(a[left]))
+    if np.any(mid):
+        am, bm = a[mid], b[mid]
+        out[mid] = np.log(0.5 * (erf(bm / np.sqrt(2.0)) - erf(am / np.sqrt(2.0))))
+    return out
+
+
+def edge_cells():
+    """Every ordered pair of edge bounds (+-inf, +-0.0, tails beyond +-38,
+    tiny magnitudes), plus cells 1e-300 wide at and around zero and one ulp
+    wide in the far tails."""
+    edges = [
+        -np.inf, -1e300, -40.0, -38.5, -37.5, -9.0, -1.0, -1e-300, -0.0,
+        0.0, 1e-300, 1.0, 9.0, 37.5, 38.5, 40.0, 1e300, np.inf,
+    ]
+    pairs = [(lo, hi) for lo in edges for hi in edges if lo < hi]
+    pairs += [(-0.0, 1e-300), (0.0, 1e-300), (-1e-300, 0.0), (-1e-300, -0.0),
+              (-1e-300, 1e-300), (-5e-301, 5e-301), (2e-300, 3e-300), (-3e-300, -2e-300)]
+    pairs += [(x, np.nextafter(x, np.inf)) for x in (-39.0, -38.0, 38.0, 39.0)]
+    lo, hi = np.array(pairs).T
+    return lo, hi
+
+
+def recorded(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, {(w.category, str(w.message)) for w in caught}
+
+
+class TestReflectedCellKernel:
+    """The reflected kernel equals the masked one bit for bit and warns
+    about nothing the masked one does not."""
+
+    def test_random_bounds(self):
+        rng = RngStream(8)
+        centre = 20.0 * rng.normal(size=(50, 40))
+        width = 10.0 ** rng.uniform(-3, 1, size=centre.shape)
+        a, b = centre - width, centre + width
+        got, _ = recorded(_log_cell_prob_std, a, b)
+        assert got.shape == a.shape
+        assert np.array_equal(got, masked_log_cell_prob_std(a, b))
+
+    def test_edge_cases(self):
+        a, b = edge_cells()
+        want, want_warned = recorded(masked_log_cell_prob_std, a, b)
+        got, got_warned = recorded(_log_cell_prob_std, a, b)
+        assert np.array_equal(got, want)
+        assert got_warned <= want_warned
+        assert np.isneginf(want).any()  # underflowing cells are among the cases
+
+    def test_straddling_cells_emit_no_warning(self):
+        """The discarded log-CDF difference of a straddling cell 1e-300 wide
+        divides by zero; the kernel must not warn about it."""
+        a, b = np.array([-1e-300, -5e-301]), np.array([1e-300, 5e-301])
+        got, warned = recorded(_log_cell_prob_std, a, b)
+        assert warned == set()
+        assert np.array_equal(got, masked_log_cell_prob_std(a, b))
+
+    def test_scalar_and_broadcast_bounds(self):
+        assert np.array_equal(_log_cell_prob_std(-1.0, 2.0), masked_log_cell_prob_std(-1.0, 2.0))
+        b = np.array([[0.5, 3.0], [-0.0, np.inf]])
+        assert np.array_equal(_log_cell_prob_std(-np.inf, b), masked_log_cell_prob_std(-np.inf, b))
+        a = np.asfortranarray(np.array([[-2.0, 1.0, 0.5], [-0.1, 3.0, -4.0]]))
+        assert np.array_equal(_log_cell_prob_std(a, a + 1.0), masked_log_cell_prob_std(a, a + 1.0))
 
 
 class TestLogSumExp:

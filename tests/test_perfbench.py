@@ -8,19 +8,32 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["pretrain", "eval_4bit", "eval_unquantized"])
-def test_benchmark_workload_is_correct(workload):
-    """One zero-length run of a benchmark workload: it calls the program's
-    public API (configs, equalizer factories, forward passes) and checks
-    the outputs against its own reference."""
+def zero_length_run(workload, trace):
     run = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", "1", "--seconds", "0"],
+         "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert run.returncode == 0, run.stderr
-    result = json.loads(run.stdout.strip().splitlines()[-1])
+    return json.loads(run.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", ["pretrain", "eval_4bit", "eval_unquantized"])
+def test_benchmark_workload_is_correct(workload):
+    """One zero-length run of a benchmark workload: it calls the program's
+    public API (configs, equalizer factories, forward passes) and checks
+    the outputs against its own reference."""
+    result = zero_length_run(workload, 0)
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_traced_eval_workload_is_correct():
+    """The same with spans around the program's public functions, whose
+    span stack is kept by the calling thread only: the pilot likelihood's
+    worker threads must not enter a hooked function."""
+    result = zero_length_run("eval_4bit", 1)
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["metrics"]["channel.cell_loglik.ms_per_task"]["value"] > 0
