@@ -10,8 +10,24 @@ Only the operations the equalizer model needs are provided.  Each op
 attaches a vector-Jacobian closure at build time; gradients accumulate on
 the nodes and named leaves report them back through :meth:`Tape.backward`.
 
-The exact GELU's elementwise work is split along the leading axis over the
-cores by :func:`icleq.numerics._by_rows`.
+The heavy work is split over the cores by :func:`icleq.numerics._by_rows`,
+and every split value is bit-identical to the unsplit op:
+
+- the exact GELU (forward and VJP) along the leading axis;
+- each 2-D matmul of at least ``_SPLIT_MADDS`` = 2^22 multiply-adds (the
+  forward and both VJP products), by blocks of output rows cut at
+  multiples of ``_ROW_UNIT`` = 32 rows.  OpenBLAS's gemm computes a row of
+  the product the same way in such blocks, but not in blocks of 1, 3, 5,
+  7, 12 or 21 rows, nor when the column count is not a multiple of 8, nor
+  when a block is small enough (10^6 multiply-adds) for its small-matrix
+  kernel; so only products with a multiple of 8 columns are split, into
+  blocks of at least ``_BLOCK_MADDS`` = 2^20 multiply-adds.  Smaller
+  products, such as every matmul of a one-sequence ICL forward, run
+  inline;
+- the fused attention (forward and VJP) along the batch axis.
+
+A worker calls only numpy, never a :class:`Tape` method, and never submits
+to the pool itself.
 """
 
 from __future__ import annotations
@@ -24,6 +40,9 @@ from .numerics import _by_rows
 __all__ = ["Tape", "Node", "GraphNumericsError"]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_SPLIT_MADDS = 1 << 22  # multiply-adds of the smallest matmul split over the cores
+_BLOCK_MADDS = 1 << 20  # multiply-adds of the smallest block of a split matmul
+_ROW_UNIT = 32  # a split matmul's cuts fall at multiples of this many rows
 
 
 class GraphNumericsError(RuntimeError):
@@ -80,6 +99,18 @@ def _gelu_vjp(dx, g, x, phi):
     dx *= x
     dx += phi
     dx *= g
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; a large 2-D product is split by blocks of output rows."""
+    if a.ndim != 2 or b.ndim != 2:
+        return a @ b
+    (m, k), n = a.shape, b.shape[1]
+    if m * k * n < _SPLIT_MADDS or n % 8:
+        return a @ b
+    unit = _ROW_UNIT * -(-_BLOCK_MADDS // (_ROW_UNIT * k * n))
+    out = np.empty((m, n), np.result_type(a, b))
+    return _by_rows(lambda o, rows: np.matmul(rows, b, out=o), out, a, unit=unit)
 
 
 def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
@@ -149,11 +180,11 @@ class Tape:
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim < 2 or b.value.ndim < 2:
             raise ValueError("matmul operands must have ndim >= 2")
-        out = a.value @ b.value
+        out = _matmul(a.value, b.value)
 
         def vjp(g):
-            ga = _unbroadcast(g @ _swap_last(b.value), a.value.shape)
-            gb = _unbroadcast(_swap_last(a.value) @ g, b.value.shape)
+            ga = _unbroadcast(_matmul(g, _swap_last(b.value)), a.value.shape)
+            gb = _unbroadcast(_matmul(_swap_last(a.value), g), b.value.shape)
             return (ga, gb)
 
         return self._push("matmul", (a, b), out, vjp)
@@ -248,21 +279,36 @@ class Tape:
         logits underflow to exactly 0 probability, which keeps masked keys
         exactly out of the mixture.  The VJP reuses the saved probabilities:
         the fused backward of FlashAttention (Dao et al., 2022) without its
-        tiling.
+        tiling.  Forward and VJP are split over the cores along the leading
+        (batch) axis; every array a worker writes is allocated here.
         """
-        p = q.value @ _swap_last(k.value)
-        p *= scale
-        p += mask_add
-        _softmax_inplace(p, -1)
-        out = p @ v.value
+        qv, kv, vv = q.value, k.value, v.value
+        p = np.empty(qv.shape[:-1] + kv.shape[-2:-1])
+        out = np.empty(qv.shape[:-1] + vv.shape[-1:])
 
-        def vjp(g):
-            dv = _swap_last(p) @ g
-            ds = g @ _swap_last(v.value)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+        def forward(p, out, q, k, v):
+            np.matmul(q, _swap_last(k), out=p)
+            p *= scale
+            p += mask_add
+            _softmax_inplace(p, -1)
+            np.matmul(p, v, out=out)
+
+        _by_rows(forward, p, out, qv, kv, vv)
+
+        def backward(ds, dq, dk, dv, dsp, g, p, q, k, v):
+            np.matmul(_swap_last(p), g, out=dv)
+            np.matmul(g, _swap_last(v), out=ds)
+            ds -= np.multiply(ds, p, out=dsp).sum(axis=-1, keepdims=True)
             ds *= p
             ds *= scale
-            return (ds @ k.value, _swap_last(ds) @ q.value, dv)
+            np.matmul(ds, k, out=dq)
+            np.matmul(_swap_last(ds), q, out=dk)
+
+        def vjp(g):
+            dq, dk, dv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
+            ds = np.empty_like(p)
+            _by_rows(backward, ds, dq, dk, dv, np.empty_like(p), g, p, qv, kv, vv)
+            return (dq, dk, dv)
 
         return self._push("attention", (q, k, v), out, vjp)
 

@@ -10,11 +10,16 @@ two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
 into the tail, and only uses a direct erf difference when the cell
 straddles the mean.
 
-Work on large arrays (the exact GELU, the cell likelihoods, the pilot
-likelihood of a channel stack) is split over the cores in the process's
-CPU affinity by a shared thread pool, one cache-sized block of rows at a
-time; numpy and scipy ufuncs release the interpreter lock, and the split
-is bit-identical to one call.
+Work on large arrays is split over the cores in the process's CPU
+affinity by one shared thread pool, :func:`_by_rows`, which cuts the
+leading axis into one block per core (at multiples of a row unit when
+asked).  Its users: the cell likelihoods and the pilot likelihood of a
+channel stack, which walk their block in cache-sized pieces
+(:func:`_by_blocks`), and the autodiff tape's exact GELU, fused attention
+(over the batch) and large matmuls (by blocks of output rows cut at
+multiples of 32 rows; which products qualify is in :mod:`icleq.autodiff`).
+numpy, scipy and BLAS release the interpreter lock, and every split is
+bit-identical to one call.
 """
 
 from __future__ import annotations
@@ -56,27 +61,36 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _by_rows(fn, out: np.ndarray, *args: np.ndarray) -> np.ndarray:
+def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarray:
     """``fn(out, *args)`` on blocks of rows (leading axis), one block per
     core; the calling thread runs the first block.
 
+    Every cut falls at a multiple of ``unit`` rows (the last block takes
+    the remainder), so an input of fewer than two units runs inline.
     ``fn`` must write its results only into blocks of arrays the calling
     thread allocated, and may allocate temporaries of at most ``_BLOCK``
     elements: a worker thread's malloc arena would keep larger buffers
-    under the raised trim threshold of :mod:`icleq._malloc`.
+    under the raised trim threshold of :mod:`icleq._malloc`.  If a block
+    raises, the call still waits for every other block before it re-raises
+    the first block's exception.
     """
     global _pool
-    parts = min(_N_CORES, out.shape[0] if out.ndim else 1)
+    rows = out.shape[0] if out.ndim else 1
+    parts = min(_N_CORES, rows // unit)
     if parts <= 1:
         fn(out, *args)
         return out
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
-    cuts = [out.shape[0] * i // parts for i in range(parts + 1)]
+    cuts = [unit * (rows // unit * i // parts) for i in range(parts)] + [rows]
     blocks = [tuple(a[i:j] for a in (out, *args)) for i, j in zip(cuts, cuts[1:])]
     futures = [_pool.submit(fn, *blk) for blk in blocks[1:]]
-    fn(*blocks[0])
+    try:
+        fn(*blocks[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits for the block; raises nothing
     for f in futures:
         f.result()
     return out

@@ -7,9 +7,10 @@ never changes, its noise and pilots do).  The objective is the squared
 error of the soft symbol estimate at every received-signal position, one
 prediction per context length 0..N.
 
-Gradients are exact reverse-mode derivatives from the autodiff tape, and
-training runs single-threaded in binary64, so a (config, seed) pair
-reproduces parameters bit for bit.
+Gradients are exact reverse-mode derivatives from the autodiff tape in
+binary64.  The tape splits its large matmuls, the attention and the GELU
+over the cores only in ways that are bit-identical to one unsplit call, so
+a (config, seed) pair reproduces parameters bit for bit at any core count.
 """
 
 from __future__ import annotations

@@ -1,17 +1,26 @@
 import re
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from icleq import numerics
+from icleq import autodiff, numerics
 from icleq.autodiff import GraphNumericsError, Tape
 from icleq.channel import qam4_constellation
+from icleq.experiments import ExperimentConfig
 from icleq.rng import RngStream
-from icleq.training import PretrainTaskSet, TrainConfig, gradient, sample_train_batch
-from icleq.transformer import ModelConfig, init_params
+from icleq.training import (
+    PretrainTaskSet,
+    TrainConfig,
+    _loss_graph,
+    gradient,
+    sample_train_batch,
+)
+from icleq.transformer import ModelConfig, forward_batch, init_params
 
 C2 = qam4_constellation(2)
 TINY = ModelConfig(n_layers=1, n_heads=2, d_e=8, d_f=16, d_s=4, n_max=4, n_classes=16)
@@ -193,18 +202,197 @@ class TestGeluSplit:
                 if not np.array_equal(tape.gelu(tape.leaf(xs[i], "x")).value, want[i]):
                     bad.append(i)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(xs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(call, len(xs))
         assert bad == []
+
+
+def run_threads(call, n):
+    """``call(i)`` on n threads at a tiny switch interval, all joined."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+class CountingPool:
+    """Stands in for the worker pool of :mod:`icleq.numerics`, counting submits."""
+
+    def __init__(self):
+        self.submits = 0
+        self._pool = ThreadPoolExecutor(4)
+
+    def submit(self, *args):
+        self.submits += 1
+        return self._pool.submit(*args)
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    counting = CountingPool()
+    monkeypatch.setattr(numerics, "_pool", counting)
+    yield counting
+    counting._pool.shutdown()
+
+
+def step_setup(d_e, seed=190):
+    """Parameters, config and batch of a training step at the default
+    sizes with embedding width ``d_e`` (64 default, 32 the desk preset)."""
+    cfg = ExperimentConfig(d_e=d_e).train_config(seed=seed)
+    ts = PretrainTaskSet.sample(cfg.tasks, 64, RngStream(seed, 1))
+    params = init_params(cfg.model, RngStream(seed, 2), scale=cfg.init_scale)
+    return params, cfg, sample_train_batch(ts, cfg, C2, RngStream(seed, 3))
+
+
+@cache
+def step_matmul_shapes():
+    """Operand shapes of every matmul of the default and desk steps."""
+    shapes = set()
+    for d_e in (64, 32):
+        tape = Tape()
+        _loss_graph(tape, *step_setup(d_e), C2)
+        for n in tape.nodes:
+            if n.op == "matmul":
+                shapes.add((n.parents[0].value.shape, n.parents[1].value.shape))
+    return sorted(shapes)
+
+
+def layouts(x):
+    """The same matrix C-ordered and as the transpose of a C-ordered array."""
+    return np.ascontiguousarray(x), np.ascontiguousarray(x.T).T
+
+
+class TestMatmulSplit:
+    """A 2-D matmul split into blocks of output rows is bit-identical to
+    ``a @ b`` for every product of a training step."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_step_products_bit_identical(self, monkeypatch, pool, cores):
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        rng = RngStream(191)
+        shapes = [*step_matmul_shapes(), ((100, 64), (64, 2624))]  # remainder rows
+        assert len(shapes) > 10
+        for (m, k), (_, n) in shapes:
+            a, b, g = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(m, n))
+            for x, y in ((a, b), (g, b.T), (a.T, g)):  # forward, then both VJP products
+                for xl in layouts(x):
+                    for yl in layouts(y):
+                        assert np.array_equal(autodiff._matmul(xl, yl), xl @ yl), (x.shape, y.shape)
+        assert (pool.submits > 0) == (cores > 1)
+
+    def test_small_products_stay_inline(self, monkeypatch, pool):
+        """The head's 16-row weight gradient, a product whose column count
+        is not a multiple of 8, and every matmul of a one-sequence ICL
+        forward (2N + S = 104 columns) never reach the pool."""
+        monkeypatch.setattr(numerics, "_N_CORES", 5)
+        g, e = rnd(192, 16, 1344), rnd(193, 64, 1344)
+        assert np.array_equal(autodiff._matmul(g, e.T), g @ e.T)
+        a, b = rnd(192, 64, 64), rnd(193, 64, 1100)
+        assert np.array_equal(autodiff._matmul(a, b), a @ b)
+        assert pool.submits == 0
+
+        submits = []
+        matmul = autodiff._matmul
+
+        def counted(a, b):
+            before = pool.submits
+            out = matmul(a, b)
+            submits.append(pool.submits - before)
+            return out
+
+        monkeypatch.setattr(autodiff, "_matmul", counted)
+        cfg = ExperimentConfig()
+        model = cfg.model_config()
+        params = init_params(model, RngStream(194), scale=0.1)
+        tokens = rnd(195, model.d_s, 1, 2 * cfg.n_context + cfg.n_test_symbols_per_task)
+        forward_batch(params, model, C2, tokens, cfg.n_test_symbols_per_task)
+        assert len(submits) > 10 and not any(submits)
+
+    @pytest.mark.parametrize("d_e", [64, 32])
+    def test_step_gradient_bit_identical(self, monkeypatch, pool, d_e):
+        """Loss and every gradient of a default-size (and desk) step are the
+        same on one core and on two."""
+        params, cfg, batch = step_setup(d_e)
+        monkeypatch.setattr(numerics, "_N_CORES", 1)
+        want_loss, want = gradient(params, cfg, batch, C2)
+        assert pool.submits == 0
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        loss, grads = gradient(params, cfg, batch, C2)
+        assert pool.submits > 0
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert np.array_equal(g, want[name]), name
+
+    def test_concurrent_callers(self, monkeypatch):
+        """Callers on several threads share the worker pool; each gets its
+        own exact product."""
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        pairs = [(rnd(196, 64, 64 + 8 * i), rnd(197, 64 + 8 * i, 1344)) for i in range(6)]
+        want = [a @ b for a, b in pairs]
+        bad = []
+
+        def call(i):
+            for _ in range(20):
+                tape = Tape()
+                a, b = (tape.leaf(x, name) for x, name in zip(pairs[i], "ab"))
+                if not np.array_equal(tape.matmul(a, b).value, want[i]):
+                    bad.append(i)
+
+        run_threads(call, len(pairs))
+        assert bad == []
+
+
+def attention_reference(q, k, v, scale, mask, g):
+    """Unsplit fused attention and its VJP for the output cotangent g."""
+    p = q @ np.swapaxes(k, -1, -2)
+    p *= scale
+    p += mask
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    ds = g @ np.swapaxes(v, -1, -2)
+    ds -= (ds * p).sum(axis=-1, keepdims=True)
+    ds *= p
+    ds *= scale
+    return p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g
+
+
+class TestAttentionSplit:
+    """The fused attention split over the batch axis is bit-identical to
+    the unsplit op, for all queries and for the pruned last layer."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    @pytest.mark.parametrize("rows", [None, [0, 2, 4, 6, 8]])
+    def test_bit_identical_to_unsplit(self, monkeypatch, cores, rows):
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        mask = causal(9) if rows is None else causal(9)[rows]
+        tq = mask.shape[0]
+        q, k, v = rnd(198, 7, 3, tq, 4), rnd(199, 7, 3, 9, 4), rnd(200, 7, 3, 9, 5)
+        tape = Tape()
+        qn, kn, vn = tape.leaf(q, "q"), tape.leaf(k, "k"), tape.leaf(v, "v")
+        out = tape.attention(qn, kn, vn, 0.5, mask)
+        grads = tape.backward(tape.sum_all(tape.square(out)))
+        want = attention_reference(q, k, v, 0.5, mask, 2.0 * out.value)
+        for got, exp in zip((out.value, grads["q"], grads["k"], grads["v"]), want):
+            assert np.array_equal(got, exp)
+
+    @pytest.mark.parametrize("cores", [1, 2, 5])
+    def test_masked_keys_exactly_zero(self, monkeypatch, cores):
+        """With identity values the output is the probabilities: a masked
+        key gets exactly 0 in every block of the split."""
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        mask = causal(9)[[1, 4, 8]]
+        tape = Tape()
+        q, k = tape.leaf(rnd(201, 7, 2, 3, 4), "q"), tape.leaf(rnd(202, 7, 2, 9, 4), "k")
+        p = tape.attention(q, k, tape.constant(np.tile(np.eye(9), (7, 2, 1, 1))), 1.0, mask)
+        assert np.all(p.value[..., mask < 0] == 0.0)
+        assert np.all(p.value[..., mask == 0] > 0.0)
 
 
 class TestTapeMechanics:

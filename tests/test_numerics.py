@@ -1,9 +1,12 @@
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy.special import erf, log_ndtr
 
+from icleq import numerics
 from icleq.channel import Constellation, Quantizer, qam4_constellation, sample_pairs
 from icleq.numerics import (
     _log_cell_prob_std,
@@ -295,3 +298,45 @@ class TestLogSumExp:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             logsumexp([])
+
+
+class TestByRows:
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    @pytest.mark.parametrize("rows", [64, 100, 320])
+    def test_cuts_fall_at_multiples_of_the_unit(self, monkeypatch, cores, rows):
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        starts = []
+
+        def fn(out, idx):
+            starts.append((int(idx[0]), len(idx)))
+            out[:] = idx
+
+        out = numerics._by_rows(fn, np.empty(rows), np.arange(rows, dtype=float), unit=32)
+        assert np.array_equal(out, np.arange(rows))
+        assert len(starts) == min(cores, rows // 32)
+        assert all(i % 32 == 0 and n >= 32 for i, n in starts)
+
+    def test_fewer_than_two_units_run_inline(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_N_CORES", 5)
+        calls = []
+        numerics._by_rows(lambda out: calls.append(len(out)), np.empty(63), unit=32)
+        assert calls == [63]
+
+    def test_waits_for_every_block_before_raising(self, monkeypatch):
+        """The calling thread's block raises at once; the call re-raises
+        that first exception only after the worker's block has finished."""
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        caller = threading.get_ident()
+        done = threading.Event()
+
+        def fn(out):
+            if threading.get_ident() == caller:
+                raise RuntimeError("first block")
+            time.sleep(0.2)
+            out[:] = 1.0
+            done.set()
+            raise ValueError("second block")
+
+        with pytest.raises(RuntimeError, match="first block"):
+            numerics._by_rows(fn, np.zeros(2))
+        assert done.is_set()

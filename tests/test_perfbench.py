@@ -37,3 +37,11 @@ def test_traced_eval_workload_is_correct():
     result = zero_length_run("eval_4bit", 1)
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["metrics"]["channel.cell_loglik.ms_per_task"]["value"] > 0
+
+
+def test_traced_pretrain_workload_is_correct():
+    """The same for training: the split matmul and attention workers must
+    not enter a hooked tape op, or the span stack would break."""
+    result = zero_length_run("pretrain", 1)
+    assert result["correct"] is True and result["failed"] == 0, result
+    assert result["metrics"]["autodiff.op.matmul.ms"]["value"] > 0
