@@ -13,16 +13,19 @@ Config files are flat ``key = value`` text; every key of
 :class:`icleq.experiments.ExperimentConfig` is accepted.  ``--seed``
 overrides the config seed, which makes reruns byte-identical for identical
 (config, seed) pairs.  The BLAS thread count is set through the environment,
-e.g. ``OPENBLAS_NUM_THREADS=1``.
+e.g. ``OPENBLAS_NUM_THREADS=1``; left unset on a machine of several cores,
+a warning says so.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from dataclasses import replace
 
+from . import numerics
 from .experiments import (
     Equalizer,
     EvalSet,
@@ -159,9 +162,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _warn_blas_threads() -> None:
+    """OpenBLAS defaults to one thread per core; its threads then compete
+    with the package's own split over the same cores."""
+    if numerics._N_CORES > 1 and not any(
+        v in os.environ for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    ):
+        log.warning(
+            "BLAS threads unset: OpenBLAS runs one thread per core, competing with "
+            "icleq's split over %d cores; set OPENBLAS_NUM_THREADS=1",
+            numerics._N_CORES,
+        )
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
+    _warn_blas_threads()
     return args.fn(args)
 
 

@@ -66,6 +66,14 @@ class DegenerateEvidenceError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _normalized(log_w: np.ndarray) -> np.ndarray:
+    """Log channel weights shifted to sum to 1 in the linear domain."""
+    total = logsumexp(log_w)
+    if np.isneginf(total):
+        raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
+    return log_w - total
+
+
 def _joint_input_posterior(
     channels: np.ndarray,
     log_w: np.ndarray,
@@ -76,15 +84,12 @@ def _joint_input_posterior(
 ) -> np.ndarray:
     """P(x | y) over the joint input set, rows (..., n_joint) summing to 1.
 
+    ``log_w`` holds the channels' normalized log weights (:func:`_normalized`).
     ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
-    input, then summed over channels.  Channels of normalized weight at most
+    input, then summed over channels.  Channels of weight at most
     ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
     """
     y = np.asarray(y, dtype=complex)
-    total = logsumexp(log_w)
-    if np.isneginf(total):
-        raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
-    log_w = log_w - total
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
     if not np.any(keep):
         keep = log_w == log_w.max()
@@ -144,9 +149,10 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     The values of ``np.einsum("mrt,nt->mnr", channels, xs)`` bit for bit, in
     a third of its time: the products are summed over t in t order from 0,
     in real arithmetic, with the M channels innermost (numpy's complex
-    multiply of arrays and a matmul both round differently).  The caller
-    passes one block of channels at a time, so the temporaries stay within
-    a block.
+    multiply of arrays and a matmul both round differently).  A mean
+    depends only on its own channel and input, so the quantized caller
+    passes the distinct pilot inputs alone, and one block of channels at a
+    time, so the temporaries stay within a block.
     """
     m, n_r, n_t = channels.shape
     h = channels.transpose(2, 1, 0)  # (n_t, n_r, M)
@@ -165,6 +171,26 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return means
 
 
+def _distinct_pilot_cells(xs: np.ndarray, lo: np.ndarray):
+    """The distinct quantization cells of the pilots on every channel.
+
+    The cell of pilot n on real dimension d is fixed by the pilot's input,
+    d and the cell's lower bound ``lo[n, d]`` (which names its level).
+    Returns ``(inputs, cols, first, inv)``: the distinct pilot inputs
+    (bitwise), then for each of the U distinct cells its column in the
+    (Nu * 2 n_r) flattened means of ``inputs`` and its first flat index in
+    ``lo``, and the (N, 2 n_r) index of each pilot's cell among the U.
+    """
+    n, d = lo.shape
+    rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
+    _, first_input, input_of = np.unique(rows.reshape(n), return_index=True, return_inverse=True)
+    _, level = np.unique(lo, return_inverse=True)
+    col = input_of.reshape(n, 1) * d + np.arange(d)  # (N, 2 n_r)
+    key = col * (level.max() + 1) + level.reshape(n, d)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    return xs[first_input], np.take(col, first), first, inv.reshape(n, d)
+
+
 def channel_log_posterior_weights(
     channels: np.ndarray, sigma2: float, q: Quantizer, context: ContextSet
 ) -> np.ndarray:
@@ -175,7 +201,12 @@ def channel_log_posterior_weights(
     The stack is walked in cache-sized blocks of channels, split over the
     cores; each block forms its pilot means and sums its log-likelihood
     over the real dimensions, then over the pilots (bit-identical to one
-    call of :func:`loglik_means` on all the means).
+    call of :func:`loglik_means` on all the means).  With a quantized
+    receiver a block forms the means of the distinct pilot inputs only and
+    evaluates each distinct cell (:func:`_distinct_pilot_cells`) once per
+    channel before it expands them to every pilot.  Blocks are still sized
+    by the pilots' cell count, so the cuts and the decision to split do not
+    depend on how many cells repeat.
     """
     m, n_r, _ = channels.shape
     if len(context) == 0:
@@ -183,11 +214,15 @@ def channel_log_posterior_weights(
     xs, sigma2 = context.xs, float(sigma2)  # one noise power for the whole stack
     if q.quantized:
         lo, hi = observation_cells(q, context.ys)  # (N, 2 n_r)
+        inputs, cols, first, inv = _distinct_pilot_cells(xs, lo)
         std = np.sqrt(sigma2 / 2.0)
+        lo, hi = np.take(lo, first), np.take(hi, first)  # (U,)
 
         def block(h):
-            means = _pilot_means(h, xs)
+            means = np.take(_pilot_means(h, inputs).reshape(len(h), -1), cols, axis=1)
             cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
+            # take, not cells[:, inv]: the sums below need a C-ordered array
+            cells = np.take(cells, inv, axis=1)  # (rows, N, 2 n_r)
             return np.sum(np.sum(cells, axis=-1), axis=1)
 
     else:
@@ -214,7 +249,7 @@ def bayes_mmse_discrete(
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 3 or channels.shape[0] == 0:
         raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
-    lw = channel_log_posterior_weights(channels, sigma2, q, context)
+    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
     probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
     return probs @ constellation.joint
 
@@ -241,9 +276,9 @@ def bayes_mmse_continuous_mc(
         raise ValueError("k must be >= 1")
     n_r = np.shape(y)[-1]
     channels = rng.complex_normal(size=(k, n_r, constellation.n_t))
-    lw = channel_log_posterior_weights(channels, sigma2, q, context)
+    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
     probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
-    ess = float(1.0 / np.sum(np.exp(lw - logsumexp(lw)) ** 2))
+    ess = float(1.0 / np.sum(np.exp(lw) ** 2))
     return probs @ constellation.joint, ess
 
 

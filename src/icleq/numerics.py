@@ -8,7 +8,11 @@ cancels catastrophically.  :func:`log_gauss_cell_prob` therefore reflects
 every cell right of the mean to the left, where the mass is a difference of
 two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
 into the tail, and only uses a direct erf difference when the cell
-straddles the mean.
+straddles the mean.  Each cell goes through one of the two formulas, so
+every special-function value computed is used; the pilot likelihood of a
+channel stack calls the kernel once per distinct pilot cell (pilots that
+share an input and a quantization level share their cell on every
+channel, see :func:`icleq.estimators.channel_log_posterior_weights`).
 
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_by_rows`, which cuts the
@@ -153,18 +157,24 @@ def _log_cell_prob_std(a, b):
     Same-side cells go through lower-tail log-CDFs so the result stays
     finite far into the tails: a cell right of the mean is reflected to
     ``(-b, -a)``, which has the same mass.  Cells straddling zero use a
-    cancellation-free erf difference of opposite signs instead.
+    cancellation-free erf difference of opposite signs instead.  Each cell
+    runs through one of the two formulas only; the two subsets are gathered
+    by integer indices.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     right = a >= 0.0
     u = np.where(right, -b, a)
     v = np.where(right, -a, b)
-    with np.errstate(divide="ignore"):  # straddling cells, overwritten below
-        out = np.asarray(_logdiffexp(log_ndtr(v), log_ndtr(u)))
-    mid = np.flatnonzero(v > 0.0)
-    if mid.size:
-        s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
-        np.put(out, mid, np.log(s))
+    straddle = v > 0.0
+    mid = np.flatnonzero(straddle)
+    with np.errstate(divide="ignore"):  # same-side cells of equal log-CDFs: log(0)
+        if not mid.size:
+            return np.asarray(_logdiffexp(log_ndtr(v), log_ndtr(u)))
+        side = np.flatnonzero(~straddle)  # not v <= 0: a NaN bound must land in one subset
+        out = np.empty(v.shape)
+        np.put(out, side, _logdiffexp(log_ndtr(np.take(v, side)), log_ndtr(np.take(u, side))))
+    s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
+    np.put(out, mid, np.log(s))
     return out
 
 

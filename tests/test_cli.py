@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from icleq import numerics
 from icleq.cli import main
 from icleq.experiments import CSV_HEADER
 from icleq.training import load_checkpoint
@@ -141,3 +142,28 @@ def test_seed_override_changes_output(tmp_path, cfg_file):
     pa, _, _ = load_checkpoint(ck_a)
     pb, _, _ = load_checkpoint(ck_b)
     assert any((pa[k] != pb[k]).any() for k in pa)
+
+
+@pytest.mark.parametrize(
+    "var, cores, warns",
+    [(None, 2, True), ("OPENBLAS_NUM_THREADS", 2, False), ("OMP_NUM_THREADS", 2, False),
+     (None, 1, False)],
+    ids=["unset", "openblas-set", "omp-set", "one-core"],
+)
+def test_warns_when_blas_threads_are_left_at_their_default(
+    tmp_path, monkeypatch, caplog, var, cores, warns
+):
+    """With several cores and neither BLAS variable set, `icleq` logs one
+    warning naming OPENBLAS_NUM_THREADS=1; either variable, or one core,
+    silences it."""
+    for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(v, raising=False)
+    if var is not None:
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(numerics, "_N_CORES", cores)
+    (tmp_path / "sweep.csv").write_text(CSV_HEADER + "\n")
+    argv = ["plot-data", "--in", str(tmp_path / "sweep.csv"), "--out", str(tmp_path / "sweep.dat")]
+    assert main(argv) == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == warns
+    assert all("OPENBLAS_NUM_THREADS=1" in m for m in warned)

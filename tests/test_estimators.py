@@ -348,6 +348,87 @@ class TestBlockedPilotWeights:
         assert bad == []
 
 
+class TestDistinctPilotCells:
+    """Pilots that share an input and a level share one cell evaluation;
+    the weights still equal those of the einsum means bit for bit."""
+
+    # per pilot: joint input, then level per real dimension ("b" a middle
+    # level, "a" the one below it, 0 and "top" the saturated extremes)
+    PILOTS = [
+        (0, ("b", "b", "a", "b")),
+        (0, ("b", "b", "a", "b")),  # same input, same levels
+        (0, ("a", "b", "a", "b")),  # same input, adjacent level on one dimension
+        (0, ("b", "b", "a", "a")),
+        (5, (0, "top", 0, "top")),  # saturated cells
+        (5, (0, "top", 0, "top")),
+        (5, ("top", 0, "top", 0)),
+        (9, ("b", "a", "b", "a")),
+        (9, ("top", 0, 0, "top")),
+        (9, ("b", "a", "b", "a")),
+    ]
+
+    @classmethod
+    def context(cls, q):
+        mid = q.n_levels // 2
+        name = {"a": mid - 1, "b": mid, "top": q.n_levels - 1, 0: 0}
+        idx = np.array([[name[k] for k in levels] for _, levels in cls.PILOTS])
+        ri = channel.RANGE_LO + q.step * (idx + 0.5)
+        xs = C2.joint[[i for i, _ in cls.PILOTS]]
+        return ContextSet(xs=xs, ys=ri[:, :2] + 1j * ri[:, 2:])
+
+    def test_cells_map_back_to_every_pilot(self):
+        ctx = self.context(Quantizer(bits=4))
+        lo, _ = channel.observation_cells(Quantizer(bits=4), ctx.ys)
+        inputs, cols, first, inv = estimators._distinct_pilot_cells(ctx.xs, lo)
+        assert len(inputs) == 3 and inv.shape == lo.shape
+        assert inv.max() + 1 == len(first) < lo.size
+        assert np.array_equal(np.take(lo, first)[inv], lo)
+        d = lo.shape[1]
+        assert np.array_equal(cols[inv] % d, np.broadcast_to(np.arange(d), lo.shape))
+        assert np.array_equal(inputs[cols[inv][:, 0] // d], ctx.xs)
+
+    @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_weights_match_einsum_means(self, monkeypatch, bits, split):
+        q = Quantizer(bits=bits)
+        ctx = self.context(q)
+        channels = RngStream(32).complex_normal((13, 2, 2))
+        channels[0] *= 1e-3  # means near zero: the middle cells straddle them
+        means = np.einsum("mrt,nt->mnr", channels, ctx.xs)
+        sigma2s = (1e-4, 0.1, 3.0)
+        want = [np.sum(loglik_means(q, means, s2, ctx.ys[None]), axis=1) for s2 in sigma2s]
+        splits = []
+        if split:
+            monkeypatch.setattr(numerics, "_N_CORES", 2)
+            monkeypatch.setattr(numerics, "_BLOCK", 2 * len(ctx) * 4)
+            by_rows = numerics._by_rows
+            monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        for s2, w in zip(sigma2s, want):
+            assert np.array_equal(channel_log_posterior_weights(channels, s2, q, ctx), w)
+        assert len(splits) == (len(sigma2s) if split else 0)
+
+    def test_stack_between_the_two_block_sizes_still_splits(self, monkeypatch):
+        """A block holds 2^16 pilot cells' worth of channels, not 2^16
+        distinct cells' worth: the M = 1024 stack of the 4-bit headline
+        point, whose 80 pilot cells count about 60 distinct ones, is split
+        over the cores as before."""
+        q = Quantizer(bits=4)
+        t = rand_task(4, sigma2=0.1)
+        ctx = pilots(t, q, C2, 20, RngStream(4, 7))
+        lo, _ = channel.observation_cells(q, ctx.ys)
+        distinct = len(estimators._distinct_pilot_cells(ctx.xs, lo)[2])
+        m = 1024
+        assert numerics._BLOCK // lo.size < m <= numerics._BLOCK // distinct
+        channels = RngStream(33).complex_normal((m, 2, 2))
+        want = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        splits = []
+        by_rows = numerics._by_rows
+        monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        assert splits and np.array_equal(got, want)
+
+
 class TestWorkerThreads:
     """Split pilot weights run their blocks on the pool's threads, but the
     functions a profiler may wrap (whose span stack is not thread-safe) are

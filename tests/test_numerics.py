@@ -277,6 +277,81 @@ class TestReflectedCellKernel:
         assert np.array_equal(_log_cell_prob_std(a, a + 1.0), masked_log_cell_prob_std(a, a + 1.0))
 
 
+def overwriting_log_cell_prob_std(a, b):
+    """The reflected kernel with both formulas on one array: log-CDFs for
+    every cell, then the straddling cells overwritten by the erf
+    difference; the oracle of the kernel that runs each cell through one."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    right = a >= 0.0
+    u = np.where(right, -b, a)
+    v = np.where(right, -a, b)
+    with np.errstate(divide="ignore"):
+        out = np.asarray(_logdiffexp(log_ndtr(v), log_ndtr(u)))
+    mid = np.flatnonzero(v > 0.0)
+    if mid.size:
+        s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
+        np.put(out, mid, np.log(s))
+    return out
+
+
+class TestCellKernelSubsets:
+    """Running each cell through only its own formula equals evaluating
+    the log-CDFs everywhere and overwriting the straddling cells, bit for
+    bit and without a warning the overwriting kernel does not give."""
+
+    @staticmethod
+    def check(a, b):
+        want, want_warned = recorded(overwriting_log_cell_prob_std, a, b)
+        got, got_warned = recorded(_log_cell_prob_std, a, b)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got_warned <= want_warned
+
+    @pytest.mark.parametrize("kind", ["straddling", "same-side", "mixed"])
+    def test_random_cells(self, kind):
+        rng = RngStream(9)
+        width = 10.0 ** rng.uniform(-6, 1, size=(30, 40))
+        if kind == "straddling":
+            a = -width * rng.uniform(0.01, 0.99, size=width.shape)
+        elif kind == "same-side":
+            offset = 30.0 * np.abs(rng.normal(size=width.shape))
+            a = np.where(rng.uniform(size=width.shape) < 0.5, -offset - width, offset)
+        else:
+            a = 5.0 * rng.normal(size=width.shape) - width / 2
+        b = a + width
+        straddles = (a < 0.0) & (b > 0.0)
+        assert {"straddling": straddles.all(), "same-side": not straddles.any(),
+                "mixed": 0 < straddles.sum() < straddles.size}[kind]
+        self.check(a, b)
+
+    def test_infinite_signed_zero_and_zero_bounds(self):
+        self.check(*edge_cells())
+        lo = np.array([-np.inf, -np.inf, -0.0, 0.0, -1.0, -0.0, 0.0, -np.inf, -2.0])
+        hi = np.array([0.0, -0.0, np.inf, np.inf, 0.0, 1.0, 1.0, np.inf, -0.0])
+        self.check(lo, hi)
+        self.check(lo[:4], hi[:4])  # no cell straddles
+
+    def test_nan_bounds_give_nan(self):
+        a = np.array([-1.0, np.nan, 0.5, -1.0, np.nan, -2.0])
+        b = np.array([1.0, 1.0, np.nan, np.nan, np.nan, -1.0])
+        got = _log_cell_prob_std(a, b)
+        assert np.array_equal(got, overwriting_log_cell_prob_std(a, b), equal_nan=True)
+        assert np.isnan(got[1:5]).all()
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 2.0), (0.0, 1.0), (-np.inf, -0.0), (3.0, np.inf)])
+    def test_zero_dimensional(self, a, b):
+        self.check(np.float64(a), np.float64(b))
+        self.check(np.array(a), np.array(b))
+
+    def test_broadcast_bounds(self):
+        b = np.array([[0.5, 3.0, -0.0], [-1.0, np.inf, 0.0]])
+        self.check(-np.inf, b)
+        self.check(np.array([-2.0, -0.5, 0.0])[:, None], np.array([0.25, 1.0, 6.0]))
+        a = np.asfortranarray(np.array([[-2.0, 1.0, 0.5], [-0.1, 3.0, -4.0]]))
+        self.check(a, a + 1.0)
+        self.check(a[:, ::2], (a + 0.3)[:, ::2])
+
+
 class TestLogSumExp:
     def test_singleton(self):
         assert logsumexp([2.5]) == 2.5
