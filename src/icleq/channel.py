@@ -221,8 +221,22 @@ class TaskDistributionSpec:
             raise ValueError(
                 f"noise bounds must be finite, got [{self.sigma2_db_min}, {self.sigma2_db_max}] dB"
             )
+        for name in ("sigma2_db_min", "sigma2_db_max"):
+            db = getattr(self, name)
+            if not 0.0 < self.noise_power(db) < np.inf:
+                raise ValueError(
+                    f"{name} = {db} dB: its noise power 10^(dB/10) is not a finite positive float"
+                )
         if self.sigma2_db_min > self.sigma2_db_max:
             raise ValueError("sigma2_db_min must be <= sigma2_db_max")
+
+    @staticmethod
+    def noise_power(db: float) -> float:
+        """10^(db/10), or inf where that overflows binary64 (0.0 where it underflows)."""
+        try:
+            return 10.0 ** (db / 10.0)
+        except OverflowError:
+            return np.inf
 
 
 def sample_task(spec: TaskDistributionSpec, rng: RngStream) -> Task:

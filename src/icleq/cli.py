@@ -113,12 +113,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_sweep(args, runner) -> int:
+def _run_sweep(args) -> int:
     cfg = _load_config(args)
-    results = runner(cfg)
+    results = args.runner(cfg)
     write_results(results, args.out)
     log.info("%d rows written to %s", len(results), args.out)
     return 0
+
+
+_SWEEPS = {
+    "sweep-threshold": (run_threshold_sweep, "error vs number of pre-training tasks"),
+    "sweep-snr": (run_snr_sweep, "error vs test SNR for three trainings"),
+    "sweep-bits": (run_quantization_sweep, "error vs quantizer resolution"),
+}
 
 
 def cmd_plot_data(args) -> int:
@@ -143,17 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, checkpoint=True)
     p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("sweep-threshold", help="error vs number of pre-training tasks")
-    _add_common(p)
-    p.set_defaults(fn=lambda a: _run_sweep(a, run_threshold_sweep))
-
-    p = sub.add_parser("sweep-snr", help="error vs test SNR for three trainings")
-    _add_common(p)
-    p.set_defaults(fn=lambda a: _run_sweep(a, run_snr_sweep))
-
-    p = sub.add_parser("sweep-bits", help="error vs quantizer resolution")
-    _add_common(p)
-    p.set_defaults(fn=lambda a: _run_sweep(a, run_quantization_sweep))
+    for command, (runner, help_text) in _SWEEPS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_common(p)
+        p.set_defaults(fn=_run_sweep, runner=runner)
 
     p = sub.add_parser("plot-data", help="convert a results CSV to gnuplot blocks")
     p.add_argument("--in", dest="infile", required=True, help="input CSV")

@@ -10,6 +10,10 @@ over the individual draws.
 Three sweeps reproduce the study's headline experiments: error versus the
 number of pre-training tasks (threshold behavior), versus test SNR
 (adaptivity of range-trained models), and versus quantizer resolution.
+Each builds all its grid points, so every config check runs before one
+driver trains anything.  The driver trains each TrainConfig once, builds
+each EvalProtocol's draws once, and evaluates each (row, TrainConfig,
+EvalProtocol) once, copying the row to every point that repeats it.
 Results serialize to a fixed CSV schema; :func:`emit_plot_data` converts a
 CSV into gnuplot-ready columnar blocks.
 """
@@ -362,9 +366,22 @@ class ExperimentConfig:
         for entry in self.bits_grid:
             if (bound := Quantizer.bits_bound(entry)) is not None:
                 raise ValueError(f"bits_grid entry {entry} must be {bound}")
+        tenths: dict[int, float] = {}
         for entry in self.snr_db_grid:
             if not np.isfinite(entry):
                 raise ValueError(f"snr_db_grid entry {entry} must be finite")
+            if not 0.0 < TaskDistributionSpec.noise_power(-entry) < np.inf:
+                raise ValueError(
+                    f"snr_db_grid entry {entry}: its noise power 10^(-dB/10) "
+                    "is not a finite positive float"
+                )
+            # points that round to one tenth of a dB share one draw seed
+            if (tenth := _snr_tenths(entry)) in tenths:
+                raise ValueError(
+                    f"snr_db_grid entries {tenths[tenth]} and {entry} round to the same "
+                    "tenth of a dB"
+                )
+            tenths[tenth] = entry
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -475,6 +492,52 @@ def _seed_int(root: RngStream, *idx) -> int:
     return root.derive(*idx).stream & 0x7FFFFFFF
 
 
+def _snr_tenths(snr_db: float) -> int:
+    """The draw-seed index of an SNR grid point: its SNR in tenths of a dB."""
+    return int(round(10 * snr_db))
+
+
+def _icl(params, model, taskset) -> Equalizer:
+    return Equalizer.icl(params, model)
+
+
+_KNOWN_TASK = [
+    ("mmse_known", None, lambda *_: Equalizer.mmse()),
+    ("lmmse", None, lambda *_: Equalizer.lmmse()),
+]
+
+
+def _sweep(title: str, sweep: str, points: list, label: Callable) -> list[EvalResult]:
+    """Run a sweep's grid points ``(value, protocol, rows)``, in order.
+
+    A row is ``(name, train, make)``: the TrainConfig of the model it needs
+    (None for a known-task or true-prior reference), and ``make(params,
+    model, taskset)``, which builds its Equalizer.  ``label(name, train)``
+    names a training in the log.
+    """
+    models: dict[TrainConfig, tuple] = {}
+    evalsets: dict[EvalProtocol, EvalSet] = {}
+    results: dict[tuple, EvalResult] = {}  # by (name, TrainConfig, EvalProtocol)
+    out: list[EvalResult] = []
+    for value, protocol, rows in points:
+        if protocol not in evalsets:
+            evalsets[protocol] = EvalSet.build(protocol)
+        for name, train, make in rows:
+            key = (name, train, protocol)
+            if key not in results:
+                args = (None, None, None)
+                if train is not None:
+                    if train not in models:
+                        log.info("%s: training %s", title, label(name, train))
+                        params, _, taskset = pretrain(train)
+                        models[train] = (params, train.model, taskset)
+                    args = models[train]
+                    assert_test_isolation(evalsets[protocol], args[2])
+                results[key] = evaluate(make(*args), evalsets[protocol], sweep, value, name)
+            out.append(replace(results[key], value=value))
+    return out
+
+
 def run_threshold_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     """Error versus the number of pre-training tasks, at fixed noise power.
 
@@ -485,35 +548,16 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     evaluation set.
     """
     root = RngStream(cfg.seed)
-    evalset = EvalSet.build(cfg.protocol(seed=_seed_int(root, 90)))
-    true_prior = (
-        Equalizer.bayes_exact()
-        if cfg.bits is None
-        else Equalizer.bayes_mc(cfg.mc_samples)
-    )
-    # the true-prior reference does not depend on M: computed once, one row per M
-    sweep = "m_tasks"
-    ref = evaluate(true_prior, evalset=evalset, sweep=sweep, value=0.0)
-    out: list[EvalResult] = []
+    protocol = cfg.protocol(seed=_seed_int(root, 90))
+    # the true-prior reference does not depend on M: evaluated once, one row per M
+    ref = Equalizer.bayes_exact() if cfg.bits is None else Equalizer.bayes_mc(cfg.mc_samples)
+    true_prior = (ref.kind, None, lambda *_: ref)
+    points = []
     for j, m in enumerate(cfg.m_grid):
-        train_cfg = replace(cfg, m_tasks=int(m)).train_config(seed=_seed_int(root, 10, j))
-        log.info("threshold sweep: training M=%d", m)
-        params, _, taskset = pretrain(train_cfg)
-        assert_test_isolation(evalset, taskset)
-        out.append(
-            evaluate(
-                Equalizer.icl(params, train_cfg.model),
-                evalset=evalset, sweep=sweep, value=float(m),
-            )
-        )
-        out.append(
-            evaluate(
-                Equalizer.bayes_discrete(taskset.hs),
-                evalset=evalset, sweep=sweep, value=float(m),
-            )
-        )
-        out.append(replace(ref, sweep=sweep, value=float(m)))
-    return out
+        train = replace(cfg, m_tasks=int(m)).train_config(seed=_seed_int(root, 10, j))
+        discrete = ("bayes_discrete", train, lambda p, model, ts: Equalizer.bayes_discrete(ts.hs))
+        points.append((float(m), protocol, [("icl", train, _icl), discrete, true_prior]))
+    return _sweep("threshold sweep", "m_tasks", points, lambda _, tc: f"M={tc.m_tasks}")
 
 
 def run_snr_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
@@ -524,58 +568,34 @@ def run_snr_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     exact and linear references, at every grid SNR.
     """
     root = RngStream(cfg.seed)
-    trained: dict[str, tuple[dict, ModelConfig]] = {}
     noise_db = {
         "icl_fixed0db": (0.0, 0.0),
         "icl_fixed30db": (-30.0, -30.0),
         "icl_range": (-30.0, 0.0),
     }
+    trained = []
     for j, (name, (lo, hi)) in enumerate(noise_db.items()):
-        log.info("snr sweep: training %s", name)
         point = replace(cfg, sigma2_db_min=lo, sigma2_db_max=hi)
-        tc = point.train_config(seed=_seed_int(root, 20, j))
-        params, _, _ = pretrain(tc)
-        trained[name] = (params, tc.model)
-    out: list[EvalResult] = []
+        trained.append((name, point.train_config(seed=_seed_int(root, 20, j)), _icl))
+    points = []
     for snr_db in cfg.snr_db_grid:
         point = replace(cfg, sigma2_db_min=-float(snr_db), sigma2_db_max=-float(snr_db))
-        seed = _seed_int(root, 91, int(round(10 * snr_db)))
-        evalset = EvalSet.build(point.protocol(seed=seed))
-        for name, (params, model) in trained.items():
-            out.append(
-                evaluate(
-                    Equalizer.icl(params, model),
-                    evalset=evalset, sweep="snr_db", value=float(snr_db),
-                    estimator_name=name,
-                )
-            )
-        for eq in (Equalizer.mmse(), Equalizer.lmmse()):
-            out.append(
-                evaluate(eq, evalset=evalset, sweep="snr_db", value=float(snr_db))
-            )
-    return out
+        protocol = point.protocol(seed=_seed_int(root, 91, _snr_tenths(snr_db)))
+        points.append((float(snr_db), protocol, trained + _KNOWN_TASK))
+    return _sweep("snr sweep", "snr_db", points, lambda name, _: name)
 
 
 def run_quantization_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     """Error versus quantizer resolution at fixed SNR; one model per width."""
     root = RngStream(cfg.seed)
-    out: list[EvalResult] = []
+    points = []
     for j, bits in enumerate(cfg.bits_grid):
-        value = float("inf") if bits is None else float(bits)
-        log.info("quantization sweep: training b=%s", bits)
         point = replace(cfg, bits=bits)
-        tc = point.train_config(seed=_seed_int(root, 30, j))
-        params, _, _ = pretrain(tc)
-        evalset = EvalSet.build(point.protocol(seed=_seed_int(root, 92, j)))
-        out.append(
-            evaluate(
-                Equalizer.icl(params, tc.model),
-                evalset=evalset, sweep="bits", value=value,
-            )
-        )
-        for eq in (Equalizer.mmse(), Equalizer.lmmse()):
-            out.append(evaluate(eq, evalset=evalset, sweep="bits", value=value))
-    return out
+        train = point.train_config(seed=_seed_int(root, 30, j))
+        value = float("inf") if bits is None else float(bits)
+        rows = [("icl", train, _icl), *_KNOWN_TASK]
+        points.append((value, point.protocol(seed=_seed_int(root, 92, j)), rows))
+    return _sweep("quantization sweep", "bits", points, lambda _, tc: f"b={tc.bits}")
 
 
 # ---------------------------------------------------------------------------

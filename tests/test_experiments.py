@@ -4,8 +4,10 @@ import re
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -363,6 +365,28 @@ class TestConfigFile:
             ("bits = 64", "bits must be <= 52, got 64"),
             ("init_scale = nan", "init_scale must be finite and > 0, got nan"),
             ("init_scale = 0", "init_scale must be finite and > 0, got 0.0"),
+            (
+                "sigma2_db_min = -4000\nsigma2_db_max = -4000",
+                r"sigma2_db_min = -4000.0 dB: its noise power 10\^\(dB/10\) is not a finite",
+            ),
+            (
+                "sigma2_db_min = 4000\nsigma2_db_max = 4000",
+                r"sigma2_db_min = 4000.0 dB: its noise power 10\^\(dB/10\) is not a finite",
+            ),
+            ("sigma2_db_max = 4000", "sigma2_db_max = 4000.0 dB: its noise power"),
+            (
+                "snr_db_grid = 10, 4000",
+                r"snr_db_grid entry 4000.0: its noise power 10\^\(-dB/10\) is not a finite",
+            ),
+            ("snr_db_grid = -4000, 10", "snr_db_grid entry -4000.0: its noise power"),
+            (
+                "snr_db_grid = 5, 10, 10.04",
+                "snr_db_grid entries 10.0 and 10.04 round to the same tenth of a dB",
+            ),
+            (
+                "snr_db_grid = -0.04, 0, 0.04",
+                "snr_db_grid entries -0.04 and 0.0 round to the same tenth of a dB",
+            ),
         ],
         ids=[
             "m-grid-zero",
@@ -391,6 +415,13 @@ class TestConfigFile:
             "bits-64",
             "init-scale-nan",
             "init-scale-zero",
+            "noise-underflow",
+            "noise-overflow",
+            "noise-max-overflow",
+            "snr-grid-underflow",
+            "snr-grid-overflow",
+            "snr-grid-same-tenth",
+            "snr-grid-same-tenth-around-zero",
         ],
     )
     def test_out_of_range_values_rejected_at_parse_time(self, text, message):
@@ -398,24 +429,47 @@ class TestConfigFile:
             parse_config_file(text)
 
 
+class Recorded(SimpleNamespace):
+    """What a sweep ran; unpacks as (trained, protocols)."""
+
+    def __iter__(self):
+        return iter((self.trained, self.protocols))
+
+
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every TrainConfig the sweeps pre-train on and every EvalProtocol they
-    build an EvalSet from; the original functions still run."""
-    trained, protocols = [], []
+    """Every TrainConfig the sweeps pre-train on (and the task set each
+    returns), every EvalProtocol they build an EvalSet from, the number of
+    `evaluate` calls per row name, and every (protocol, task set) pair they
+    check for isolation; the original functions still run."""
+    rec = Recorded(trained=[], tasksets=[], protocols=[], evaluated=Counter(), isolated=[])
     pretrain, build = experiments.pretrain, EvalSet.build
+    evaluate, isolation = experiments.evaluate, experiments.assert_test_isolation
 
     def record_pretrain(cfg, *args, **kwargs):
-        trained.append(cfg)
-        return pretrain(cfg, *args, **kwargs)
+        rec.trained.append(cfg)
+        out = pretrain(cfg, *args, **kwargs)
+        rec.tasksets.append(out[2])
+        return out
 
     def record_build(protocol):
-        protocols.append(protocol)
+        rec.protocols.append(protocol)
         return build(protocol)
+
+    def record_evaluate(*args, **kwargs):
+        result = evaluate(*args, **kwargs)
+        rec.evaluated[result.estimator] += 1
+        return result
+
+    def record_isolation(evalset, taskset):
+        rec.isolated.append((evalset.protocol, id(taskset)))
+        return isolation(evalset, taskset)
 
     monkeypatch.setattr(experiments, "pretrain", record_pretrain)
     monkeypatch.setattr(EvalSet, "build", staticmethod(record_build))
-    return trained, protocols
+    monkeypatch.setattr(experiments, "evaluate", record_evaluate)
+    monkeypatch.setattr(experiments, "assert_test_isolation", record_isolation)
+    return rec
 
 
 def noise_db(spec):
@@ -458,6 +512,36 @@ class TestSweepGridPoints:
             assert p == replace(cfg, bits=p.bits).protocol(seed=p.seed)
         assert [r.estimator for r in results] == ["icl", "mmse_known", "lmmse"] * 3
         assert [r.value for r in results] == [1.0] * 3 + [4.0] * 3 + [float("inf")] * 3
+
+
+class TestSweepJobsRunOnce:
+    def test_threshold_sweep_evaluates_true_prior_once(self, recorded):
+        """The true-prior row does not depend on M: one EvalSet, one
+        evaluation, copied to every grid point."""
+        results = run_threshold_sweep(replace(MICRO, m_grid=(1, 2, 3)))
+        assert len(recorded.protocols) == 1
+        assert recorded.evaluated == {"icl": 3, "bayes_discrete": 3, "bayes_mc": 1}
+        assert [r.value for r in results if r.estimator == "bayes_mc"] == [1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "run, edit, pairs",
+        [
+            (run_snr_sweep, {"snr_db_grid": (0.0, 10.0)}, "every"),
+            (run_quantization_sweep, {"bits_grid": (1, None)}, "own"),
+        ],
+        ids=["snr", "bits"],
+    )
+    def test_isolation_checked_on_every_pair(self, recorded, run, edit, pairs):
+        """Every (model, draws) pair a sweep evaluates is checked once: the
+        SNR sweep scores every model on every point's draws, the bits sweep
+        each model on its own point's draws."""
+        run(replace(MICRO, **edit))
+        ids = [id(ts) for ts in recorded.tasksets]
+        if pairs == "every":
+            want = [(p, t) for p in recorded.protocols for t in ids]
+        else:
+            want = list(zip(recorded.protocols, ids))
+        assert recorded.isolated == want
 
 
 class TestThresholdSweepMicro:
