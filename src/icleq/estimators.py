@@ -21,7 +21,9 @@ Every estimator takes one observation ``y`` of shape (n_r,) or a stack of
 shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t).
 
 All posterior arithmetic runs in the log domain; quantized pilot
-likelihoods at high SNR underflow otherwise.
+likelihoods at high SNR underflow otherwise.  With a quantized receiver
+the pilot weights and the test-observation posterior share one
+likelihood over channel stacks, :func:`_pair_cells`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .channel import (
     Quantizer,
     Task,
     gauss_loglik,
-    loglik_means,
     observation_cells,
     realify_obs,
 )
@@ -74,10 +75,40 @@ def _normalized(log_w: np.ndarray) -> np.ndarray:
     return log_w - total
 
 
+def _pair_cells(q: Quantizer, sigma2: float, input_of: np.ndarray, ys: np.ndarray):
+    """The quantized log-likelihood of P pairs: distinct input
+    ``input_of[p]`` observed as ``ys[p]`` (n_r,).
+
+    A pair's cell on real dimension d is fixed by its input, d and the
+    cell's lower bound (which names its level), so the distinct cells are
+    found once here.  The returned function maps a block's realified means
+    of the distinct inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods
+    (rows, P): each distinct cell is evaluated once per channel, then
+    expanded to every pair and summed over d, bit for bit as
+    :func:`icleq.channel.loglik_means` on each pair's means.
+    """
+    lo, hi = observation_cells(q, ys)  # (P, 2 n_r)
+    p, d = lo.shape
+    _, level = np.unique(lo, return_inverse=True)
+    col = input_of.reshape(p, 1) * d + np.arange(d)  # column of each cell in the flat means
+    key = col * (level.max() + 1) + level.reshape(p, d)
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    cols, inv = np.take(col, first), inv.reshape(p, d)
+    lo, hi, std = np.take(lo, first), np.take(hi, first), np.sqrt(sigma2 / 2.0)
+
+    def loglik(means):
+        means = np.take(means.reshape(len(means), -1), cols, axis=1)
+        cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
+        # take, not cells[:, inv]: the sum below needs a C-ordered array
+        return np.sum(np.take(cells, inv, axis=1), axis=-1)
+
+    return loglik
+
+
 def _joint_input_posterior(
     channels: np.ndarray,
     log_w: np.ndarray,
-    sigma2,
+    sigma2: float,
     q: Quantizer,
     constellation: Constellation,
     y: np.ndarray,
@@ -88,19 +119,33 @@ def _joint_input_posterior(
     ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
     input, then summed over channels.  Channels of weight at most
     ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
+    With a quantized receiver the S x C (observation, input) pairs go
+    through :func:`_pair_cells` in blocks of channels, like the pilots.
     """
     y = np.asarray(y, dtype=complex)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
     if not np.any(keep):
         keep = log_w == log_w.max()
-    means = constellation.joint @ np.swapaxes(channels[keep], -1, -2)  # (Mk, C, n_r)
-    ll = loglik_means(q, means, sigma2, y[..., None, None, :])  # (..., Mk, C)
+    # a matmul, not _pilot_means: about 30% of the means would round
+    # differently, and the pinned rows and sweep digests rest on these
+    means = realify_obs(constellation.joint @ np.swapaxes(channels[keep], -1, -2))
+    mk, c, d = means.shape  # (Mk, C, 2 n_r)
+    if q.quantized:
+        obs = y.reshape(-1, y.shape[-1])  # (S, n_r)
+        loglik = _pair_cells(q, sigma2, np.tile(np.arange(c), len(obs)), np.repeat(obs, c, axis=0))
+        ll = np.empty(y.shape[:-1] + (mk, c))  # filled through its (Mk, S, C) view
+        _by_blocks(
+            lambda m: loglik(m).reshape(len(m), -1, c),
+            np.moveaxis(ll.reshape(-1, mk, c), 1, 0), means, row_size=len(obs) * c * d,
+        )
+    else:
+        ll = gauss_loglik(realify_obs(y[..., None, None, :]), means, sigma2)  # (..., Mk, C)
     ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
     norm = logsumexp(ll, axis=-1)
     if np.any(np.isneginf(norm)):
         raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
     probs = np.exp(ll - np.asarray(norm)[..., None])
-    return probs.reshape(y.shape[:-1] + means.shape[:2]).sum(axis=-2)
+    return probs.reshape(y.shape[:-1] + (mk, c)).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -171,26 +216,6 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return means
 
 
-def _distinct_pilot_cells(xs: np.ndarray, lo: np.ndarray):
-    """The distinct quantization cells of the pilots on every channel.
-
-    The cell of pilot n on real dimension d is fixed by the pilot's input,
-    d and the cell's lower bound ``lo[n, d]`` (which names its level).
-    Returns ``(inputs, cols, first, inv)``: the distinct pilot inputs
-    (bitwise), then for each of the U distinct cells its column in the
-    (Nu * 2 n_r) flattened means of ``inputs`` and its first flat index in
-    ``lo``, and the (N, 2 n_r) index of each pilot's cell among the U.
-    """
-    n, d = lo.shape
-    rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
-    _, first_input, input_of = np.unique(rows.reshape(n), return_index=True, return_inverse=True)
-    _, level = np.unique(lo, return_inverse=True)
-    col = input_of.reshape(n, 1) * d + np.arange(d)  # (N, 2 n_r)
-    key = col * (level.max() + 1) + level.reshape(n, d)
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    return xs[first_input], np.take(col, first), first, inv.reshape(n, d)
-
-
 def channel_log_posterior_weights(
     channels: np.ndarray, sigma2: float, q: Quantizer, context: ContextSet
 ) -> np.ndarray:
@@ -201,29 +226,23 @@ def channel_log_posterior_weights(
     The stack is walked in cache-sized blocks of channels, split over the
     cores; each block forms its pilot means and sums its log-likelihood
     over the real dimensions, then over the pilots (bit-identical to one
-    call of :func:`loglik_means` on all the means).  With a quantized
-    receiver a block forms the means of the distinct pilot inputs only and
-    evaluates each distinct cell (:func:`_distinct_pilot_cells`) once per
-    channel before it expands them to every pilot.  Blocks are still sized
-    by the pilots' cell count, so the cuts and the decision to split do not
-    depend on how many cells repeat.
+    call of :func:`icleq.channel.loglik_means` on all the means).  With a
+    quantized receiver a block forms the means of the distinct pilot inputs
+    only, and :func:`_pair_cells` evaluates each distinct cell once per
+    channel.  Blocks are still sized by the pilots' cell count, so the cuts
+    and the decision to split do not depend on how many cells repeat.
     """
     m, n_r, _ = channels.shape
     if len(context) == 0:
         return np.zeros(m)
     xs, sigma2 = context.xs, float(sigma2)  # one noise power for the whole stack
     if q.quantized:
-        lo, hi = observation_cells(q, context.ys)  # (N, 2 n_r)
-        inputs, cols, first, inv = _distinct_pilot_cells(xs, lo)
-        std = np.sqrt(sigma2 / 2.0)
-        lo, hi = np.take(lo, first), np.take(hi, first)  # (U,)
+        rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
+        _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
+        inputs, loglik = xs[first], _pair_cells(q, sigma2, input_of, context.ys)
 
         def block(h):
-            means = np.take(_pilot_means(h, inputs).reshape(len(h), -1), cols, axis=1)
-            cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
-            # take, not cells[:, inv]: the sums below need a C-ordered array
-            cells = np.take(cells, inv, axis=1)  # (rows, N, 2 n_r)
-            return np.sum(np.sum(cells, axis=-1), axis=1)
+            return np.sum(loglik(_pilot_means(h, inputs)), axis=1)
 
     else:
         y_ri = realify_obs(context.ys)

@@ -30,6 +30,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .channel import (
+    MAX_ABS_DB,
     ContextSet,
     Quantizer,
     Task,
@@ -370,10 +371,10 @@ class ExperimentConfig:
         for entry in self.snr_db_grid:
             if not np.isfinite(entry):
                 raise ValueError(f"snr_db_grid entry {entry} must be finite")
-            if not 0.0 < TaskDistributionSpec.noise_power(-entry) < np.inf:
+            if not -MAX_ABS_DB <= -entry <= MAX_ABS_DB:
                 raise ValueError(
-                    f"snr_db_grid entry {entry}: its noise power 10^(-dB/10) "
-                    "is not a finite positive float"
+                    f"snr_db_grid entry {entry}: its noise power {-entry} dB is outside "
+                    f"[-{MAX_ABS_DB}, {MAX_ABS_DB}] dB"
                 )
             # points that round to one tenth of a dB share one draw seed
             if (tenth := _snr_tenths(entry)) in tenths:

@@ -9,17 +9,17 @@ every cell right of the mean to the left, where the mass is a difference of
 two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
 into the tail, and only uses a direct erf difference when the cell
 straddles the mean.  Each cell goes through one of the two formulas, so
-every special-function value computed is used; the pilot likelihood of a
-channel stack calls the kernel once per distinct pilot cell (pilots that
-share an input and a quantization level share their cell on every
-channel, see :func:`icleq.estimators.channel_log_posterior_weights`).
+every special-function value computed is used; the likelihoods of a
+channel stack call the kernel once per distinct cell (pilots or test
+observations that share an input and a level share their cell on every
+channel, see :func:`icleq.estimators._pair_cells`).
 
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_by_rows`, which cuts the
 leading axis into one block per core (at multiples of a row unit when
-asked).  Its users: the cell likelihoods and the pilot likelihood of a
-channel stack, which walk their block in cache-sized pieces
-(:func:`_by_blocks`), and the autodiff tape's exact GELU, fused attention
+asked).  Its users: the likelihoods of a channel stack, which walk their
+block in cache-sized pieces (:func:`_by_blocks`), and the autodiff tape's
+exact GELU, fused attention
 (over the batch) and large matmuls (by blocks of output rows cut at
 multiples of 32 rows; which products qualify is in :mod:`icleq.autodiff`).
 numpy, scipy and BLAS release the interpreter lock, and every split is

@@ -7,21 +7,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from icleq import numerics
+from icleq import channel, numerics
 from icleq.channel import (
     ContextSet,
     Quantizer,
     Task,
     TaskDistributionSpec,
     cell_bounds,
-    cell_loglik,
     log_likelihood,
+    observation_cells,
     qam4_constellation,
     quantize,
     sample_pairs,
     sample_task,
 )
-from icleq.numerics import _log_cell_prob_std, logsumexp
+from icleq.estimators import _joint_input_posterior
+from icleq.numerics import logsumexp
 from icleq.rng import RngStream
 
 
@@ -261,77 +262,100 @@ class TestLogLikelihood:
             assert abs(lq - want) < 1e-3 * abs(want)
 
 
-def cell_loglik_unsplit(lo, hi, means_ri, sigma2):
-    """The cell kernel in one call on the whole array: the split's reference."""
-    std = np.sqrt(np.asarray(sigma2, dtype=float) / 2.0)
-    if std.ndim:
-        std = std[..., None]
-    return np.sum(_log_cell_prob_std((lo - means_ri) / std, (hi - means_ri) / std), axis=-1)
+class TestObservationCells:
+    @pytest.mark.parametrize("bits", [32, 40, channel.MAX_BITS])
+    def test_off_grid_value_rejected_at_fine_resolution(self, bits):
+        """Half a step is below 1e-9 from 32 bits on: only an exact match
+        with a level is accepted."""
+        with pytest.raises(ValueError, match="not on a quantizer output level"):
+            observation_cells(Quantizer(bits=bits), [0.1234567 + 0.7654321j])
+
+    @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS])
+    def test_every_sampled_output_accepted(self, bits):
+        """Every output of the sampler, saturated ones included, lies in
+        the cell it names."""
+        q = Quantizer(bits=bits)
+        hs = RngStream(188).complex_normal((3, 2, 2))
+        _, ys = sample_pairs(hs, np.array([1e-4, 0.1, 30.0]), q, qam4_constellation(2), 500,
+                             RngStream(189))
+        lo, hi = observation_cells(q, ys)
+        y_ri = np.concatenate([ys.real, ys.imag], axis=-1)
+        assert lo.shape == hi.shape == (3, 500, 4)
+        assert np.all((lo <= y_ri) & (y_ri < hi))
+        assert np.isneginf(lo).any() and np.isposinf(hi).any()
 
 
 def cell_inputs(lo_shape, means_shape, rng):
-    """Cells of uniformly drawn 2-bit levels (half of them extreme, with an
-    infinite bound) and wide-spread means, so some cells sit far in a tail."""
-    lo, hi = cell_bounds(Quantizer(bits=2), rng.integers(0, 4, size=lo_shape))
-    return lo, hi, 6.0 * rng.normal(size=means_shape)
+    """Test observations of uniformly drawn 2-bit levels (half of them
+    extreme, with an infinite bound) against wide-spread channels, so that
+    some cells sit far in a tail.
+
+    ``lo_shape`` is the shape of the observations' cells (..., 2 n_r) and
+    ``means_shape`` that of the stack's realified means (M, 4^n_t, 2 n_r).
+    Returns the channels, their uniform log weights and the observations.
+    """
+    m, c, d = means_shape
+    n_t = int(np.log2(c)) // 2
+    lo, _ = cell_bounds(Quantizer(bits=2), rng.integers(0, 4, size=lo_shape))
+    ri = np.where(np.isneginf(lo), -3.0, lo + 1.0)  # the level of each cell
+    channels = 6.0 * rng.complex_normal((m, d // 2, n_t))
+    return channels, np.full(m, -np.log(m)), ri[..., : d // 2] + 1j * ri[..., d // 2 :]
 
 
 class TestCellSplit:
-    """The cell kernel in blocks split over the cores is bit-identical to
-    one unsplit call, for any number of cores and blocks."""
+    """The cell likelihood of test observations against a channel stack,
+    walked in blocks split over the cores, is bit-identical to one unsplit
+    call, for any number of cores and blocks."""
 
-    # pilots (1, N, 4) against the means of M channels (M, N, 4), and test
-    # observations (S, 1, 1, 4) against (Mk, C, 4); 48, 64 and 144 cells are
-    # below, at and across a block of 64
+    # one observation (4,) or a stack of S (S, 4) against M channels with
+    # 4 or 16 joint inputs; 48, 64 and 144 cells are below, at and across a
+    # block of 64
     LAYOUTS = [
-        ((1, 4, 4), (3, 4, 4)),
-        ((1, 4, 4), (4, 4, 4)),
-        ((1, 4, 4), (9, 4, 4)),
-        ((1, 1, 1, 4), (3, 4, 4)),
-        ((2, 1, 1, 4), (2, 4, 4)),
-        ((3, 1, 1, 4), (3, 4, 4)),
+        ((4,), (3, 4, 4)),
+        ((4,), (4, 4, 4)),
+        ((4,), (9, 4, 4)),
+        ((1, 4), (3, 16, 4)),
+        ((2, 4), (2, 16, 4)),
+        ((3, 4), (3, 16, 4)),
     ]
+
+    @staticmethod
+    def posterior(channels, log_w, y):
+        return _joint_input_posterior(
+            channels, log_w, 0.1, Quantizer(bits=2), qam4_constellation(channels.shape[2]), y
+        )
 
     @pytest.mark.parametrize("cores", [1, 2, 5])
     @pytest.mark.parametrize("lo_shape, means_shape", LAYOUTS)
     def test_bit_identical_to_unsplit(self, monkeypatch, cores, lo_shape, means_shape):
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        monkeypatch.setattr(numerics, "_BLOCK", 64)
-        lo, hi, means = cell_inputs(lo_shape, means_shape, RngStream(184))
-        want = cell_loglik_unsplit(lo, hi, means, 0.1)
+        channels, log_w, y = cell_inputs(lo_shape, means_shape, RngStream(184))
+        want = self.posterior(channels, log_w, y)
         assert np.all(np.isfinite(want))  # finite far into the tails
-        assert np.array_equal(cell_loglik(lo, hi, means, 0.1), want)
-
-    @pytest.mark.parametrize("cores", [1, 2, 5])
-    def test_array_sigma2(self, monkeypatch, cores):
-        """One noise power per channel, shape (M, 1)."""
         monkeypatch.setattr(numerics, "_N_CORES", cores)
         monkeypatch.setattr(numerics, "_BLOCK", 64)
-        lo, hi, means = cell_inputs((1, 4, 4), (9, 4, 4), RngStream(185))
-        sigma2 = 10.0 ** RngStream(186).uniform(-2.0, 1.0, size=(9, 1))
-        got = cell_loglik(lo, hi, means, sigma2)
-        assert np.array_equal(got, cell_loglik_unsplit(lo, hi, means, sigma2))
+        assert np.array_equal(self.posterior(channels, log_w, y), want)
 
     def test_default_block_size(self, monkeypatch):
-        """The pilots of 1024 channels span two default blocks."""
+        """64 test observations of 32 channels span two default blocks."""
+        channels, log_w, y = cell_inputs((64, 4), (32, 16, 4), RngStream(187))
+        assert 32 * 64 * 16 * 4 == 2 * numerics._BLOCK
+        monkeypatch.setattr(numerics, "_N_CORES", 1)
+        want = self.posterior(channels, log_w, y)
         monkeypatch.setattr(numerics, "_N_CORES", 2)
-        lo, hi, means = cell_inputs((1, 20, 4), (1024, 20, 4), RngStream(187))
-        assert means.size > numerics._BLOCK
-        got = cell_loglik(lo, hi, means, 0.1)
-        assert np.array_equal(got, cell_loglik_unsplit(lo, hi, means, 0.1))
+        assert np.array_equal(self.posterior(channels, log_w, y), want)
 
     def test_concurrent_callers(self, monkeypatch):
         """Callers on several threads share the worker pool; each gets its
         own exact result."""
+        inputs = [cell_inputs((2, 4), (3, 16, 4), RngStream(188, i)) for i in range(6)]
+        want = [self.posterior(*args) for args in inputs]
         monkeypatch.setattr(numerics, "_N_CORES", 2)
         monkeypatch.setattr(numerics, "_BLOCK", 64)
-        inputs = [cell_inputs((2, 1, 1, 4), (3, 4, 4), RngStream(188, i)) for i in range(6)]
-        want = [cell_loglik_unsplit(*args, 0.1) for args in inputs]
         bad = []
 
         def call(i):
             for _ in range(20):
-                if not np.array_equal(cell_loglik(*inputs[i], 0.1), want[i]):
+                if not np.array_equal(self.posterior(*inputs[i]), want[i]):
                     bad.append(i)
 
         interval = sys.getswitchinterval()

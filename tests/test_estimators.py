@@ -376,16 +376,32 @@ class TestDistinctPilotCells:
         xs = C2.joint[[i for i, _ in cls.PILOTS]]
         return ContextSet(xs=xs, ys=ri[:, :2] + 1j * ri[:, 2:])
 
-    def test_cells_map_back_to_every_pilot(self):
-        ctx = self.context(Quantizer(bits=4))
-        lo, _ = channel.observation_cells(Quantizer(bits=4), ctx.ys)
-        inputs, cols, first, inv = estimators._distinct_pilot_cells(ctx.xs, lo)
-        assert len(inputs) == 3 and inv.shape == lo.shape
-        assert inv.max() + 1 == len(first) < lo.size
-        assert np.array_equal(np.take(lo, first)[inv], lo)
-        d = lo.shape[1]
-        assert np.array_equal(cols[inv] % d, np.broadcast_to(np.arange(d), lo.shape))
-        assert np.array_equal(inputs[cols[inv][:, 0] // d], ctx.xs)
+    def test_cells_map_back_to_every_pilot(self, monkeypatch):
+        """The weights form the means of the 3 distinct inputs only and
+        evaluate each distinct (input, dimension, level) cell once per
+        channel; every pilot gets the log-likelihood of its own cells."""
+        q = Quantizer(bits=4)
+        ctx = self.context(q)
+        channels = RngStream(32).complex_normal((13, 2, 2))
+        inputs, cells = [], []
+        pilot_means, kernel = estimators._pilot_means, estimators._log_cell_prob_std
+        monkeypatch.setattr(
+            estimators, "_pilot_means", lambda h, xs: inputs.append(xs) or pilot_means(h, xs)
+        )
+        monkeypatch.setattr(
+            estimators, "_log_cell_prob_std", lambda a, b: cells.append(a.shape) or kernel(a, b)
+        )
+        channel_log_posterior_weights(channels, 0.1, q, ctx)
+        joint = sorted({i for i, _ in self.PILOTS})
+        distinct = {(i, d, levels[d]) for i, levels in self.PILOTS for d in range(4)}
+        assert len(inputs) == 1
+        assert {tuple(x) for x in inputs[0]} == {tuple(C2.joint[i]) for i in joint}
+        assert cells == [(13, len(distinct))] and len(distinct) < ctx.ys.size * 2
+        input_of = np.searchsorted(joint, [i for i, _ in self.PILOTS])
+        means = channel.realify_obs(np.einsum("mrt,nt->mnr", channels, C2.joint[joint]))
+        got = estimators._pair_cells(q, 0.1, input_of, ctx.ys)(means)  # (M, N)
+        want = loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS])
     @pytest.mark.parametrize("split", [False, True])
@@ -416,7 +432,7 @@ class TestDistinctPilotCells:
         t = rand_task(4, sigma2=0.1)
         ctx = pilots(t, q, C2, 20, RngStream(4, 7))
         lo, _ = channel.observation_cells(q, ctx.ys)
-        distinct = len(estimators._distinct_pilot_cells(ctx.xs, lo)[2])
+        distinct = len({(tuple(x), d, v) for x, row in zip(ctx.xs, lo) for d, v in enumerate(row)})
         m = 1024
         assert numerics._BLOCK // lo.size < m <= numerics._BLOCK // distinct
         channels = RngStream(33).complex_normal((m, 2, 2))
@@ -430,13 +446,11 @@ class TestDistinctPilotCells:
 
 
 class TestWorkerThreads:
-    """Split pilot weights run their blocks on the pool's threads, but the
+    """Split likelihoods run their blocks on the pool's threads, but the
     functions a profiler may wrap (whose span stack is not thread-safe) are
     called from the calling thread only."""
 
     HOOKED = [
-        (estimators, "loglik_means"),
-        (channel, "cell_loglik"),
         (estimators, "logsumexp"),
         (RngStream, "complex_normal"),
     ]
@@ -465,11 +479,73 @@ class TestWorkerThreads:
         bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, ys)
         main = threading.main_thread()
         hooked = {attr for _, attr in self.HOOKED}
-        if not q.quantized:
-            hooked.discard("cell_loglik")
         assert hooked <= threads.keys()
         assert all(threads[attr] == {main} for attr in hooked)
         assert threads["_pilot_means"] - {main}  # the split did use a worker
+
+
+def joint_posterior_broadcast(channels, log_w, sigma2, q, constellation, y):
+    """The test-observation posterior with one broadcast call of
+    ``loglik_means`` on every (observation, channel, input) cell: the oracle
+    of the blocked, distinct-cell path."""
+    y = np.asarray(y, dtype=complex)
+    keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
+    if not np.any(keep):
+        keep = log_w == log_w.max()
+    means = constellation.joint @ np.swapaxes(channels[keep], -1, -2)  # (Mk, C, n_r)
+    ll = loglik_means(q, means, sigma2, y[..., None, None, :])  # (..., Mk, C)
+    ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
+    norm = logsumexp(ll, axis=-1)
+    probs = np.exp(ll - np.asarray(norm)[..., None])
+    return probs.reshape(y.shape[:-1] + means.shape[:2]).sum(axis=-2)
+
+
+class TestJointPosteriorCells:
+    """The posterior over inputs evaluates each distinct (input, dimension,
+    level) cell of the test observations once per channel, in blocks of
+    channels that may run on the pool's threads; its probabilities equal the
+    broadcast formula's bit for bit."""
+
+    @staticmethod
+    def case(q, y_shape, stack):
+        t = rand_task(40)
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 6, RngStream(41))
+        if q.quantized:  # saturated cells on every dimension
+            _, (bottom, top) = quantize(q, np.array([-100.0, 100.0]))
+            ys[:2] = [[bottom + 1j * top, top + 1j * bottom], [top + 1j * top, bottom + 1j * bottom]]
+        if stack == "one":
+            channels, log_w = t.h[None], np.zeros(1)
+        else:  # 9 channels, 3 of them of weight below MIN_CHANNEL_WEIGHT
+            channels = RngStream(42).complex_normal((9, 2, 2))
+            channels[0] = t.h
+            log_w = estimators._normalized(np.array([0.0, -40, -1, -50, -2, 0, -60, -3, -1]))
+        return channels, log_w, t.sigma2, ys[0] if y_shape == "one" else ys
+
+    @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS, None])
+    @pytest.mark.parametrize("y_shape", ["one", "stack"])
+    @pytest.mark.parametrize("stack", ["one", "skipped"])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_matches_broadcast(self, monkeypatch, bits, y_shape, stack, split):
+        q = Quantizer(bits=bits)
+        channels, log_w, sigma2, y = self.case(q, y_shape, stack)
+        want = joint_posterior_broadcast(channels, log_w, sigma2, q, C2, y)
+        threads = set()
+        if split:
+            monkeypatch.setattr(numerics, "_N_CORES", 2)
+            monkeypatch.setattr(numerics, "_BLOCK", 64)  # one channel per block
+            kernel = estimators._log_cell_prob_std
+
+            def spy(a, b):
+                threads.add(threading.current_thread())
+                return kernel(a, b)
+
+            monkeypatch.setattr(estimators, "_log_cell_prob_std", spy)
+        got = _joint_input_posterior(channels, log_w, sigma2, q, C2, y)
+        assert got.shape == np.shape(y)[:-1] + (16,)
+        assert np.array_equal(got, want)
+        # the 6 kept channels are split over the cores, one channel is not
+        ran_on_worker = bool(threads - {threading.main_thread()})
+        assert ran_on_worker == (split and q.quantized and stack == "skipped")
 
 
 class TestBayesMmseDiscrete:

@@ -14,7 +14,7 @@ import pytest
 
 import icleq
 from icleq import experiments, numerics
-from icleq.channel import TaskDistributionSpec, qam4_constellation
+from icleq.channel import MAX_ABS_DB, TaskDistributionSpec, qam4_constellation
 from icleq.estimators import mmse_known_task
 from icleq.experiments import (
     CSV_HEADER,
@@ -239,6 +239,28 @@ class TestEvaluate:
         index in ``Equalizer.KINDS``) must be a deliberate re-pin."""
         assert rows_digest(bits) == digest
 
+    @pytest.mark.parametrize("db", [-MAX_ABS_DB, MAX_ABS_DB])
+    @pytest.mark.parametrize("bits", [4, None])
+    def test_every_kind_finite_at_the_noise_bounds(self, db, bits):
+        """At the widest noise powers a task may have, every equalizer
+        scores finite errors without a warning."""
+        tasks = TaskDistributionSpec(2, 2, db, db)
+        ev = EvalSet.build(small_protocol(n_test_tasks=2, n_test_symbols_per_task=4, bits=bits,
+                                          tasks=tasks))
+        model = MICRO.model_config()
+        equalizers = [
+            Equalizer.icl(init_params(model, RngStream(5)), model),
+            Equalizer.mmse(),
+            Equalizer.lmmse(),
+            Equalizer.bayes_discrete(RngStream(6).complex_normal((8, 2, 2))),
+            Equalizer.bayes_mc(64),
+        ]
+        if bits is None:
+            equalizers.append(Equalizer.bayes_exact())
+        for eq in equalizers:
+            r = evaluate(eq, ev)
+            assert np.isfinite([r.mse, r.ci_low, r.ci_high]).all(), eq.kind
+
     def test_icl_matches_one_sequence_per_symbol(self):
         """A task's symbols share one sequence and match their own sequences
         to 1e-12."""
@@ -367,18 +389,18 @@ class TestConfigFile:
             ("init_scale = 0", "init_scale must be finite and > 0, got 0.0"),
             (
                 "sigma2_db_min = -4000\nsigma2_db_max = -4000",
-                r"sigma2_db_min = -4000.0 dB: its noise power 10\^\(dB/10\) is not a finite",
+                r"sigma2_db_min = -4000.0 dB is outside \[-300, 300\] dB",
             ),
             (
                 "sigma2_db_min = 4000\nsigma2_db_max = 4000",
-                r"sigma2_db_min = 4000.0 dB: its noise power 10\^\(dB/10\) is not a finite",
+                r"sigma2_db_min = 4000.0 dB is outside \[-300, 300\] dB",
             ),
-            ("sigma2_db_max = 4000", "sigma2_db_max = 4000.0 dB: its noise power"),
+            ("sigma2_db_max = 4000", "sigma2_db_max = 4000.0 dB is outside"),
             (
                 "snr_db_grid = 10, 4000",
-                r"snr_db_grid entry 4000.0: its noise power 10\^\(-dB/10\) is not a finite",
+                r"snr_db_grid entry 4000.0: its noise power -4000.0 dB is outside \[-300, 300\]",
             ),
-            ("snr_db_grid = -4000, 10", "snr_db_grid entry -4000.0: its noise power"),
+            ("snr_db_grid = -4000, 10", "snr_db_grid entry -4000.0: its noise power 4000.0 dB"),
             (
                 "snr_db_grid = 5, 10, 10.04",
                 "snr_db_grid entries 10.0 and 10.04 round to the same tenth of a dB",

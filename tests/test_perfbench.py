@@ -36,7 +36,7 @@ def test_traced_eval_workload_is_correct():
     worker threads must not enter a hooked function."""
     result = zero_length_run("eval_4bit", 1)
     assert result["correct"] is True and result["failed"] == 0, result
-    assert result["metrics"]["channel.cell_loglik.ms_per_task"]["value"] > 0
+    assert result["metrics"]["numerics.logsumexp.ms_per_task"]["value"] > 0
 
 
 def test_traced_pretrain_workload_is_correct():
