@@ -11,8 +11,9 @@ The exact observation likelihood under this model is what all Bayesian
 reference equalizers are built on: for finite ``b`` the probability of a
 received sample is the Gaussian mass of its quantization cell, with the
 two extreme cells extending to infinity (the quantizer saturates).
-:func:`loglik_means` is its one-call form; :mod:`icleq.estimators`
-evaluates it over channel stacks in blocks, each distinct cell once.
+:func:`loglik_means` is its one-call form, quantized or not;
+:func:`icleq.estimators._pair_loglik` evaluates the same likelihood for
+both receivers over channel stacks in blocks, each distinct cell once.
 """
 
 from __future__ import annotations
@@ -92,7 +93,8 @@ def quantize(q: Quantizer, v):
     """Quantize real value(s): returns ``(level_index, level_value)``.
 
     Mid-rise rule with saturation: values outside the range clamp to the
-    extreme levels.  Unquantized mode returns ``(-1, v)`` unchanged.
+    extreme levels.  Unquantized mode returns ``(-1, v)`` unchanged.  A
+    quantized NaN raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     if not q.quantized:
@@ -100,6 +102,8 @@ def quantize(q: Quantizer, v):
         if v.ndim == 0:
             return -1, float(v)
         return idx, v.copy()
+    if np.any(np.isnan(v)):
+        raise ValueError("cannot quantize NaN")
     step = q.step
     idx = np.clip(np.floor((v - RANGE_LO) / step), 0, q.n_levels - 1).astype(int)
     val = RANGE_LO + step * (idx + 0.5)

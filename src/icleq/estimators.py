@@ -18,12 +18,15 @@ unquantized receiver the CN(0,1) prior is conjugate, so the full posterior
 predictive over inputs is available in closed form.
 
 Every estimator takes one observation ``y`` of shape (n_r,) or a stack of
-shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t).
+shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t); an
+empty stack gives an empty estimate.  A NaN pilot or observation raises
+ValueError at either receiver (except in the linear :func:`lmmse_known_task`).
 
 All posterior arithmetic runs in the log domain; quantized pilot
-likelihoods at high SNR underflow otherwise.  With a quantized receiver
-the pilot weights and the test-observation posterior share one
-likelihood over channel stacks, :func:`_pair_cells`.
+likelihoods at high SNR underflow otherwise.  At either receiver the
+pilot weights and the test-observation posterior share one likelihood of
+(input, observation) pairs over channel stacks, :func:`_pair_loglik`,
+walked in blocks of channels split over the cores.
 """
 
 from __future__ import annotations
@@ -75,18 +78,24 @@ def _normalized(log_w: np.ndarray) -> np.ndarray:
     return log_w - total
 
 
-def _pair_cells(q: Quantizer, sigma2: float, input_of: np.ndarray, ys: np.ndarray):
-    """The quantized log-likelihood of P pairs: distinct input
-    ``input_of[p]`` observed as ``ys[p]`` (n_r,).
+def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, ys: np.ndarray):
+    """The log-likelihood of P pairs: distinct input ``input_of[p]``
+    observed as ``ys[p]`` (n_r,), at either receiver.
 
-    A pair's cell on real dimension d is fixed by its input, d and the
-    cell's lower bound (which names its level), so the distinct cells are
-    found once here.  The returned function maps a block's realified means
-    of the distinct inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods
-    (rows, P): each distinct cell is evaluated once per channel, then
-    expanded to every pair and summed over d, bit for bit as
-    :func:`icleq.channel.loglik_means` on each pair's means.
+    The returned function maps a block's realified means of the distinct
+    inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods (rows, P), bit
+    for bit as :func:`icleq.channel.loglik_means` on each pair's means.
+    Unquantized, it expands the means to every pair and sums the Gaussian
+    log densities.  Quantized, a pair's cell on real dimension d is fixed
+    by its input, d and the cell's lower bound (which names its level), so
+    the distinct cells are found once here; each is evaluated once per
+    channel, then expanded to every pair and summed over d.
     """
+    if not q.quantized:
+        y_ri = realify_obs(ys)
+        if np.any(np.isnan(y_ri)):
+            raise ValueError("observation is NaN")
+        return lambda means: gauss_loglik(y_ri, np.take(means, input_of, axis=1), sigma2)
     lo, hi = observation_cells(q, ys)  # (P, 2 n_r)
     p, d = lo.shape
     _, level = np.unique(lo, return_inverse=True)
@@ -119,8 +128,8 @@ def _joint_input_posterior(
     ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
     input, then summed over channels.  Channels of weight at most
     ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
-    With a quantized receiver the S x C (observation, input) pairs go
-    through :func:`_pair_cells` in blocks of channels, like the pilots.
+    The S x C (observation, input) pairs go through :func:`_pair_loglik`
+    in blocks of kept channels, like the pilots, at either receiver.
     """
     y = np.asarray(y, dtype=complex)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
@@ -130,16 +139,15 @@ def _joint_input_posterior(
     # differently, and the pinned rows and sweep digests rest on these
     means = realify_obs(constellation.joint @ np.swapaxes(channels[keep], -1, -2))
     mk, c, d = means.shape  # (Mk, C, 2 n_r)
-    if q.quantized:
-        obs = y.reshape(-1, y.shape[-1])  # (S, n_r)
-        loglik = _pair_cells(q, sigma2, np.tile(np.arange(c), len(obs)), np.repeat(obs, c, axis=0))
-        ll = np.empty(y.shape[:-1] + (mk, c))  # filled through its (Mk, S, C) view
-        _by_blocks(
-            lambda m: loglik(m).reshape(len(m), -1, c),
-            np.moveaxis(ll.reshape(-1, mk, c), 1, 0), means, row_size=len(obs) * c * d,
-        )
-    else:
-        ll = gauss_loglik(realify_obs(y[..., None, None, :]), means, sigma2)  # (..., Mk, C)
+    obs = y.reshape(-1, y.shape[-1])  # (S, n_r)
+    if not len(obs):
+        return np.zeros(y.shape[:-1] + (c,))
+    loglik = _pair_loglik(q, sigma2, np.arange(len(obs) * c) % c, np.repeat(obs, c, axis=0))
+    ll = np.empty(y.shape[:-1] + (mk, c))  # filled through its (Mk, S, C) view
+    _by_blocks(
+        lambda m: loglik(m).reshape(len(m), -1, c),
+        ll.reshape(-1, mk, c).transpose(1, 0, 2), means, row_size=len(obs) * c * d,
+    )
     ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
     norm = logsumexp(ll, axis=-1)
     if np.any(np.isneginf(norm)):
@@ -195,9 +203,9 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     a third of its time: the products are summed over t in t order from 0,
     in real arithmetic, with the M channels innermost (numpy's complex
     multiply of arrays and a matmul both round differently).  A mean
-    depends only on its own channel and input, so the quantized caller
-    passes the distinct pilot inputs alone, and one block of channels at a
-    time, so the temporaries stay within a block.
+    depends only on its own channel and input, so the caller passes the
+    distinct pilot inputs alone, and one block of channels at a time, so
+    the temporaries stay within a block.
     """
     m, n_r, n_t = channels.shape
     h = channels.transpose(2, 1, 0)  # (n_t, n_r, M)
@@ -226,29 +234,23 @@ def channel_log_posterior_weights(
     The stack is walked in cache-sized blocks of channels, split over the
     cores; each block forms its pilot means and sums its log-likelihood
     over the real dimensions, then over the pilots (bit-identical to one
-    call of :func:`icleq.channel.loglik_means` on all the means).  With a
-    quantized receiver a block forms the means of the distinct pilot inputs
-    only, and :func:`_pair_cells` evaluates each distinct cell once per
-    channel.  Blocks are still sized by the pilots' cell count, so the cuts
-    and the decision to split do not depend on how many cells repeat.
+    call of :func:`icleq.channel.loglik_means` on all the means).  At
+    either receiver a block forms the means of the distinct pilot inputs
+    only, and :func:`_pair_loglik` expands them to every pilot (quantized,
+    it evaluates each distinct cell once per channel).  Blocks are sized by
+    the pilots' cell count, so the cuts and the decision to split do not
+    depend on how many inputs or cells repeat.
     """
     m, n_r, _ = channels.shape
     if len(context) == 0:
         return np.zeros(m)
     xs, sigma2 = context.xs, float(sigma2)  # one noise power for the whole stack
-    if q.quantized:
-        rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
-        _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
-        inputs, loglik = xs[first], _pair_cells(q, sigma2, input_of, context.ys)
+    rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
+    _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
+    inputs, loglik = xs[first], _pair_loglik(q, sigma2, input_of, context.ys)
 
-        def block(h):
-            return np.sum(loglik(_pilot_means(h, inputs)), axis=1)
-
-    else:
-        y_ri = realify_obs(context.ys)
-
-        def block(h):
-            return np.sum(gauss_loglik(y_ri, _pilot_means(h, xs), sigma2), axis=1)
+    def block(h):
+        return np.sum(loglik(_pilot_means(h, inputs)), axis=1)
 
     return _by_blocks(block, np.empty(m), channels, row_size=len(context) * 2 * n_r)
 
@@ -339,14 +341,23 @@ def bayes_mmse_gaussian_exact(
     Per receive antenna the channel row has a CN(0, I) prior conjugate to
     the Gaussian pilot likelihood, so the posterior predictive of y given
     each candidate input is Gaussian in closed form; the input posterior
-    and its mean follow by enumeration.
+    and its mean follow by enumeration.  An infinite pilot or observation
+    raises DegenerateEvidenceError, as in the channel-stack references.
     """
     if quantizer is not None and quantizer.quantized:
         raise ValueError("conjugate oracle requires unquantized observations")
     y = np.asarray(y, dtype=complex)
+    if np.any(np.isnan(y)) or np.any(np.isnan(context.ys)):
+        raise ValueError("observation is NaN")
+    if np.any(np.isinf(context.ys)):
+        raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
+    if not y.size:
+        return np.zeros(y.shape[:-1] + (constellation.n_t,), dtype=complex)
     pred_mean, pred_var = _gaussian_predictive_stats(sigma2, constellation, context)
     d2 = np.sum(np.abs(y[..., None, :] - pred_mean) ** 2, axis=-1)  # (..., n_joint)
     ll = -y.shape[-1] * np.log(np.pi * pred_var) - d2 / pred_var
     norm = logsumexp(ll, axis=-1)
+    if np.any(np.isneginf(norm)):
+        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
     probs = np.exp(ll - np.asarray(norm)[..., None])
     return probs @ constellation.joint

@@ -12,7 +12,7 @@ straddles the mean.  Each cell goes through one of the two formulas, so
 every special-function value computed is used; the likelihoods of a
 channel stack call the kernel once per distinct cell (pilots or test
 observations that share an input and a level share their cell on every
-channel, see :func:`icleq.estimators._pair_cells`).
+channel, see :func:`icleq.estimators._pair_loglik`).
 
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_by_rows`, which cuts the

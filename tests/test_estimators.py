@@ -55,6 +55,30 @@ def log_evidence(h, sigma2, q, y):
     return logsumexp([log_likelihood(t, q, x, y) for x in C2.joint])
 
 
+# every equalizer at either receiver; the conjugate oracle is unquantized only
+KIND_BITS = [
+    (kind, bits)
+    for kind in ("mmse_known", "lmmse", "bayes_discrete", "bayes_mc", "bayes_exact")
+    for bits in (4, None)
+    if kind != "bayes_exact" or bits is None
+]
+
+
+def equalizer(kind, t, q, ctx):
+    """The equalizer ``kind`` of task ``t`` as a function of the observations."""
+    channels = RngStream(67).complex_normal((4, 2, 2))
+    channels[0] = t.h
+    return {
+        "mmse_known": lambda y: mmse_known_task(t, q, C2, y),
+        "lmmse": lambda y: lmmse_known_task(t, y),
+        "bayes_discrete": lambda y: bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, y),
+        "bayes_mc": lambda y: bayes_mmse_continuous_mc(
+            t.sigma2, q, C2, ctx, y, 64, RngStream(68)
+        )[0],
+        "bayes_exact": lambda y: bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y),
+    }[kind]
+
+
 class TestObservationShapes:
     """Every estimator takes one observation (n_r,) or a stack (n, n_r);
     row i of a stacked call equals the call on observation i."""
@@ -65,23 +89,50 @@ class TestObservationShapes:
         t = rand_task(60)
         ctx = pilots(t, q, C2, 6, RngStream(61))
         _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
-        channels = RngStream(63).complex_normal((4, 2, 2))
-        estimators = {
-            "input_posterior": lambda y: input_posterior(t, q, C2, y),
-            "mmse_known": lambda y: mmse_known_task(t, q, C2, y),
-            "lmmse": lambda y: lmmse_known_task(t, y),
-            "bayes_discrete": lambda y: bayes_mmse_discrete(channels, t.sigma2, q, C2, ctx, y),
-            "bayes_mc": lambda y: bayes_mmse_continuous_mc(
-                t.sigma2, q, C2, ctx, y, 256, RngStream(64)
-            )[0],
-        }
-        if bits is None:
-            estimators["bayes_exact"] = lambda y: bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
+        estimators = {kind: equalizer(kind, t, q, ctx) for kind, b in KIND_BITS if b == bits}
+        estimators["input_posterior"] = lambda y: input_posterior(t, q, C2, y)
         for name, est in estimators.items():
             stacked = est(ys)
             rows = np.array([est(y) for y in ys])
             assert stacked.shape == rows.shape and rows.ndim == 2, name
             np.testing.assert_allclose(stacked, rows, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("kind, bits", KIND_BITS)
+    def test_empty_stack(self, kind, bits):
+        """An empty (0, n_r) stack gives an empty (0, n_t) estimate."""
+        q = Quantizer(bits=bits)
+        t = rand_task(65)
+        ctx = pilots(t, q, C2, 6, RngStream(66))
+        est = equalizer(kind, t, q, ctx)(np.zeros((0, 2), dtype=complex))
+        assert est.shape == (0, 2) and est.dtype == complex
+
+
+@pytest.mark.parametrize(
+    "kind, bits, where",
+    [
+        (kind, bits, where)
+        for kind, bits in KIND_BITS
+        if kind != "lmmse"  # linear in y: no likelihood to reject NaN
+        for where in ("pilot", "observation")
+        if kind != "mmse_known" or where == "observation"  # it takes no pilots
+    ],
+)
+def test_nan_observation_raises(kind, bits, where):
+    """A NaN in a pilot's or a test observation's real or imaginary part
+    raises ValueError at either receiver, instead of a NaN estimate or a
+    numpy warning."""
+    q = Quantizer(bits=bits)
+    t = rand_task(69)
+    ctx = pilots(t, q, C2, 6, RngStream(70))
+    _, ys = sample_pairs(t.h, t.sigma2, q, C2, 3, RngStream(71))
+    if where == "pilot":
+        ys_ctx = ctx.ys.copy()
+        ys_ctx[2, 1] = complex(ys_ctx[2, 1].real, np.nan)
+        ctx = ContextSet(ctx.xs, ys_ctx)
+    else:
+        ys[1, 0] = complex(np.nan, ys[1, 0].imag)
+    with pytest.raises(ValueError, match="NaN"):
+        equalizer(kind, t, q, ctx)(ys)
 
 
 class TestInputPosterior:
@@ -377,11 +428,11 @@ class TestDistinctPilotCells:
         return ContextSet(xs=xs, ys=ri[:, :2] + 1j * ri[:, 2:])
 
     def test_cells_map_back_to_every_pilot(self, monkeypatch):
-        """The weights form the means of the 3 distinct inputs only and
-        evaluate each distinct (input, dimension, level) cell once per
-        channel; every pilot gets the log-likelihood of its own cells."""
-        q = Quantizer(bits=4)
-        ctx = self.context(q)
+        """At either receiver the weights form the means of the 3 distinct
+        inputs only; quantized, they evaluate each distinct (input,
+        dimension, level) cell once per channel.  Every pilot gets the
+        log-likelihood of its own cells."""
+        ctx = self.context(Quantizer(bits=4))
         channels = RngStream(32).complex_normal((13, 2, 2))
         inputs, cells = [], []
         pilot_means, kernel = estimators._pilot_means, estimators._log_cell_prob_std
@@ -391,17 +442,21 @@ class TestDistinctPilotCells:
         monkeypatch.setattr(
             estimators, "_log_cell_prob_std", lambda a, b: cells.append(a.shape) or kernel(a, b)
         )
-        channel_log_posterior_weights(channels, 0.1, q, ctx)
         joint = sorted({i for i, _ in self.PILOTS})
         distinct = {(i, d, levels[d]) for i, levels in self.PILOTS for d in range(4)}
-        assert len(inputs) == 1
-        assert {tuple(x) for x in inputs[0]} == {tuple(C2.joint[i]) for i in joint}
-        assert cells == [(13, len(distinct))] and len(distinct) < ctx.ys.size * 2
+        assert len(distinct) < ctx.ys.size * 2
         input_of = np.searchsorted(joint, [i for i, _ in self.PILOTS])
         means = channel.realify_obs(np.einsum("mrt,nt->mnr", channels, C2.joint[joint]))
-        got = estimators._pair_cells(q, 0.1, input_of, ctx.ys)(means)  # (M, N)
-        want = loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys)
-        assert np.array_equal(got, want)
+        for q in (Quantizer(bits=4), Quantizer(bits=None)):
+            inputs.clear()
+            cells.clear()
+            channel_log_posterior_weights(channels, 0.1, q, ctx)
+            assert len(inputs) == 1 and len(inputs[0]) == len(joint)
+            assert {tuple(x) for x in inputs[0]} == {tuple(C2.joint[i]) for i in joint}
+            assert cells == ([(13, len(distinct))] if q.quantized else [])
+            got = estimators._pair_loglik(q, 0.1, input_of, ctx.ys)(means)  # (M, N)
+            want = loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS])
     @pytest.mark.parametrize("split", [False, True])
@@ -533,19 +588,24 @@ class TestJointPosteriorCells:
         if split:
             monkeypatch.setattr(numerics, "_N_CORES", 2)
             monkeypatch.setattr(numerics, "_BLOCK", 64)  # one channel per block
-            kernel = estimators._log_cell_prob_std
 
-            def spy(a, b):
-                threads.add(threading.current_thread())
-                return kernel(a, b)
+            def spy(fn):
+                def wrapper(*args):
+                    threads.add(threading.current_thread())
+                    return fn(*args)
 
-            monkeypatch.setattr(estimators, "_log_cell_prob_std", spy)
+                return wrapper
+
+            # the cell kernel serves the quantized receiver, the Gaussian
+            # density the unquantized one
+            for name in ("_log_cell_prob_std", "gauss_loglik"):
+                monkeypatch.setattr(estimators, name, spy(getattr(estimators, name)))
         got = _joint_input_posterior(channels, log_w, sigma2, q, C2, y)
         assert got.shape == np.shape(y)[:-1] + (16,)
         assert np.array_equal(got, want)
         # the 6 kept channels are split over the cores, one channel is not
         ran_on_worker = bool(threads - {threading.main_thread()})
-        assert ran_on_worker == (split and q.quantized and stack == "skipped")
+        assert ran_on_worker == (split and stack == "skipped")
 
 
 class TestBayesMmseDiscrete:
@@ -783,6 +843,18 @@ class TestDegenerateEvidence:
             bayes_mmse_discrete(channels, t.sigma2, Quantizer(bits=None), C2, ctx, y)
         with pytest.raises(DegenerateEvidenceError):
             bayes_mmse_continuous_mc(t.sigma2, Quantizer(bits=None), C2, ctx, y, 16, RngStream(39))
+
+    @pytest.mark.parametrize("where", ["pilot", "observation"])
+    def test_exact_oracle_raises_on_infinite_observation(self, where):
+        t = rand_task(41)
+        ctx = pilots(t, Quantizer(bits=None), C2, 3, RngStream(42))
+        y = np.zeros(2, dtype=complex)
+        if where == "pilot":
+            ctx = ContextSet(ctx.xs, np.where(np.arange(3)[:, None] == 1, np.inf, ctx.ys))
+        else:
+            y[0] = complex(0.0, -np.inf)
+        with pytest.raises(DegenerateEvidenceError):
+            bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y)
 
     def test_mixtures_raise_on_impossible_pilots(self):
         t = Task(h=np.eye(2, dtype=complex) * 1e-3, sigma2=1e-300)
