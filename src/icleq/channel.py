@@ -321,9 +321,13 @@ def observation_cells(q: Quantizer, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``(lo, hi)`` arrays of shape (..., 2 n_r) with +-inf on the extreme cells.
     Raises ValueError for any component that is not a quantizer output level.
     """
-    y_ri = realify_obs(np.asarray(y, dtype=complex))
-    idx, levels = quantize(q, y_ri)
-    if not np.all(levels == y_ri):  # levels are dyadic, so exact up to MAX_BITS
+    return _real_cells(q, realify_obs(np.asarray(y, dtype=complex)))
+
+
+def _real_cells(q: Quantizer, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`observation_cells` of real components ``v``, cells of v's shape."""
+    idx, levels = quantize(q, v)
+    if not np.all(levels == v):  # levels are dyadic, so exact up to MAX_BITS
         raise ValueError("value not on a quantizer output level")
     return cell_bounds(q, idx)
 

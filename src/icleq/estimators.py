@@ -26,10 +26,18 @@ All posterior arithmetic runs in the log domain; quantized pilot
 likelihoods at high SNR underflow otherwise.  At either receiver the
 pilot weights and the test-observation posterior share one likelihood of
 (input, observation) pairs over channel stacks, :func:`_pair_loglik`,
-walked in blocks of channels split over the cores.
+walked in blocks of channels split over the cores.  The noise is
+circularly symmetric and the quantizer grid symmetric about 0, so a
+pilot (x, y) has the likelihood of (j^k x, j^k y) on every channel: the
+pilot weights evaluate each pilot on its canonical input j^k x (first
+symbol in re > 0, im >= 0), at most 4^(n_t - 1) of the 4^n_t 4-QAM
+inputs, bit for bit.  The test-observation posterior keeps its matmul
+means, which are not rotation-exact, and passes every pair at turn 0.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -38,8 +46,8 @@ from .channel import (
     ContextSet,
     Quantizer,
     Task,
+    _real_cells,
     gauss_loglik,
-    observation_cells,
     realify_obs,
 )
 from .numerics import _by_blocks, _log_cell_prob_std, hermitian, logsumexp, solve_hpd
@@ -78,35 +86,84 @@ def _normalized(log_w: np.ndarray) -> np.ndarray:
     return log_w - total
 
 
-def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, ys: np.ndarray):
-    """The log-likelihood of P pairs: distinct input ``input_of[p]``
-    observed as ``ys[p]`` (n_r,), at either receiver.
+# (re, im) signs of j^k z, once the parts of z are swapped when k is odd
+_QUARTER = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+# the turn k that brings z into re > 0, im >= 0 (0 for z = 0), indexed by
+# the class (0 zero, 1 positive, 2 negative) of re z, then of im z
+_TURN = np.array([[0, 3, 1], [0, 0, 1], [2, 3, 2]])
+
+
+def _canonical_inputs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical inputs ``j^k xs[n]`` (N, n_t) and the turns k (N,)
+    that bring each input's first symbol into re > 0, im >= 0.
+
+    Formed by swapping and negating real and imaginary parts, which is
+    exact; a complex product by j would turn 0 * inf into NaN.
+    """
+    ri = np.ascontiguousarray(xs).view(float).reshape(len(xs), -1, 2)  # (N, n_t, [re, im])
+    side = (ri[:, 0] > 0) + 2 * (ri[:, 0] < 0)
+    turn = _TURN[side[:, 0], side[:, 1]]
+    ri = np.where(turn[:, None, None] % 2 == 1, ri[..., ::-1], ri) * _QUARTER[turn][:, None]
+    return ri.view(complex)[..., 0], turn
+
+
+@functools.lru_cache(maxsize=4)
+def _turn_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each turn k (rows) and real dimension e of 2 n_r = ``d``
+    (columns): pi_k(e) and s_k(e) such that the mean of x = j^-k c on e
+    is s_k(e) times that of c on pi_k(e) (pi_k swaps the re and im halves
+    when k is odd).  Read-only, since every caller shares them."""
+    k = np.arange(4)[:, None]
+    dim = (np.arange(d) + d // 2 * (k & 1)) % d
+    sign = np.repeat(_QUARTER[-k[:, 0] % 4], d // 2, axis=-1)
+    dim.flags.writeable = sign.flags.writeable = False
+    return dim, sign
+
+
+def _columns(means: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """Entries ``col`` of each row of means (rows, Nu, 2 n_r), flattened."""
+    return np.take(means.reshape(len(means), -1), col, axis=1)
+
+
+def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: np.ndarray):
+    """The log-likelihood of pairs (x, y) at either receiver: x = j^-k c,
+    c the distinct input ``input_of`` and k = ``turn``, and y realified
+    as ``y_ri`` (..., 2 n_r); the three broadcast to the pairs' shape.
 
     The returned function maps a block's realified means of the distinct
-    inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods (rows, P), bit
-    for bit as :func:`icleq.channel.loglik_means` on each pair's means.
-    Unquantized, it expands the means to every pair and sums the Gaussian
-    log densities.  Quantized, a pair's cell on real dimension d is fixed
-    by its input, d and the cell's lower bound (which names its level), so
-    the distinct cells are found once here; each is evaluated once per
-    channel, then expanded to every pair and summed over d.
+    inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods (rows, *pairs),
+    bit for bit as :func:`icleq.channel.loglik_means` on each pair's own
+    means.  The noise is circularly symmetric and the quantizer grid is
+    symmetric about 0, so the factor of real dimension e is that of c on
+    dimension pi_k(e) observed as s_k(e) y_e (:func:`_turn_tables`), and
+    exactly so: c's mean there is s_k(e) times x's, a negated level's cell
+    is the mirrored cell (-hi, -lo), and a negated Gaussian residual has
+    the same square.  The sum over e keeps the pair's own order.
+    Quantized, a pair's cell on e is fixed by its column (c, pi_k(e)) of
+    the means and its lower bound (which names its level), so the distinct
+    cells are found once here; each is evaluated once per channel, then
+    expanded to every pair and summed over e.
     """
+    d = y_ri.shape[-1]
+    dim, sign = _turn_tables(d)
+    col = input_of[..., None] * d + dim[turn]
+    y_ri = y_ri * sign[turn]
+    shape = np.broadcast(col, y_ri).shape  # (*pairs, 2 n_r)
     if not q.quantized:
-        y_ri = realify_obs(ys)
-        if np.any(np.isnan(y_ri)):
+        if np.isnan(y_ri).any():
             raise ValueError("observation is NaN")
-        return lambda means: gauss_loglik(y_ri, np.take(means, input_of, axis=1), sigma2)
-    lo, hi = observation_cells(q, ys)  # (P, 2 n_r)
-    p, d = lo.shape
-    _, level = np.unique(lo, return_inverse=True)
-    col = input_of.reshape(p, 1) * d + np.arange(d)  # column of each cell in the flat means
-    key = col * (level.max() + 1) + level.reshape(p, d)
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    cols, inv = np.take(col, first), inv.reshape(p, d)
-    lo, hi, std = np.take(lo, first), np.take(hi, first), np.sqrt(sigma2 / 2.0)
+        cols, y_pairs = np.empty(shape, dtype=int), np.empty(shape)
+        cols[:], y_pairs[:] = col, y_ri
+        return lambda means: gauss_loglik(y_pairs, _columns(means, cols), sigma2)
+    lo, hi = _real_cells(q, y_ri)
+    lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
+    key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
+    cols, level = np.divmod(key, len(lo))
+    lo, hi = np.take(lo, level), np.take(hi, np.take(first, level))
+    inv, std = inv.reshape(shape), np.sqrt(sigma2 / 2.0)
 
     def loglik(means):
-        means = np.take(means.reshape(len(means), -1), cols, axis=1)
+        means = _columns(means, cols)
         cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
         # take, not cells[:, inv]: the sum below needs a C-ordered array
         return np.sum(np.take(cells, inv, axis=1), axis=-1)
@@ -129,7 +186,9 @@ def _joint_input_posterior(
     input, then summed over channels.  Channels of weight at most
     ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
     The S x C (observation, input) pairs go through :func:`_pair_loglik`
-    in blocks of kept channels, like the pilots, at either receiver.
+    at turn 0 in blocks of kept channels, like the pilots, at either
+    receiver; the S observations are realified (and checked, and their
+    cells found) once, before they are paired with the C inputs.
     """
     y = np.asarray(y, dtype=complex)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
@@ -139,15 +198,12 @@ def _joint_input_posterior(
     # differently, and the pinned rows and sweep digests rest on these
     means = realify_obs(constellation.joint @ np.swapaxes(channels[keep], -1, -2))
     mk, c, d = means.shape  # (Mk, C, 2 n_r)
-    obs = y.reshape(-1, y.shape[-1])  # (S, n_r)
+    obs = realify_obs(y.reshape(-1, y.shape[-1]))  # (S, 2 n_r)
     if not len(obs):
         return np.zeros(y.shape[:-1] + (c,))
-    loglik = _pair_loglik(q, sigma2, np.arange(len(obs) * c) % c, np.repeat(obs, c, axis=0))
+    loglik = _pair_loglik(q, sigma2, np.arange(c), 0, obs[:, None])  # pairs (S, C)
     ll = np.empty(y.shape[:-1] + (mk, c))  # filled through its (Mk, S, C) view
-    _by_blocks(
-        lambda m: loglik(m).reshape(len(m), -1, c),
-        ll.reshape(-1, mk, c).transpose(1, 0, 2), means, row_size=len(obs) * c * d,
-    )
+    _by_blocks(loglik, ll.reshape(-1, mk, c).transpose(1, 0, 2), means, row_size=obs.size * c)
     ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
     norm = logsumexp(ll, axis=-1)
     if np.any(np.isneginf(norm)):
@@ -202,9 +258,11 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     The values of ``np.einsum("mrt,nt->mnr", channels, xs)`` bit for bit, in
     a third of its time: the products are summed over t in t order from 0,
     in real arithmetic, with the M channels innermost (numpy's complex
-    multiply of arrays and a matmul both round differently).  A mean
-    depends only on its own channel and input, so the caller passes the
-    distinct pilot inputs alone, and one block of channels at a time, so
+    multiply of arrays and a matmul both round differently).  Turning an
+    input by j^k turns its means by j^k exactly, whatever the symbols: a
+    quarter turn only swaps and negates the products.  A mean depends only
+    on its own channel and input, so the caller passes the distinct
+    canonical pilot inputs alone, and one block of channels at a time, so
     the temporaries stay within a block.
     """
     m, n_r, n_t = channels.shape
@@ -234,20 +292,24 @@ def channel_log_posterior_weights(
     The stack is walked in cache-sized blocks of channels, split over the
     cores; each block forms its pilot means and sums its log-likelihood
     over the real dimensions, then over the pilots (bit-identical to one
-    call of :func:`icleq.channel.loglik_means` on all the means).  At
-    either receiver a block forms the means of the distinct pilot inputs
-    only, and :func:`_pair_loglik` expands them to every pilot (quantized,
-    it evaluates each distinct cell once per channel).  Blocks are sized by
-    the pilots' cell count, so the cuts and the decision to split do not
-    depend on how many inputs or cells repeat.
+    call of :func:`icleq.channel.loglik_means` on all the means).  Each
+    pilot is written as its canonical input j^k x and turn k
+    (:func:`_canonical_inputs`); at either receiver a block forms the
+    means of the distinct canonical inputs only, and :func:`_pair_loglik`
+    expands them to every pilot (quantized, it evaluates each distinct
+    canonical cell once per channel).  Blocks are sized by the pilots'
+    cell count, so the cuts and the decision to split do not depend on how
+    many inputs or cells repeat.
     """
     m, n_r, _ = channels.shape
     if len(context) == 0:
         return np.zeros(m)
-    xs, sigma2 = context.xs, float(sigma2)  # one noise power for the whole stack
-    rows = np.ascontiguousarray(xs).view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
+    sigma2 = float(sigma2)  # one noise power for the whole stack
+    xs, turn = _canonical_inputs(context.xs)
+    rows = xs.view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
     _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
-    inputs, loglik = xs[first], _pair_loglik(q, sigma2, input_of, context.ys)
+    inputs = xs[first]
+    loglik = _pair_loglik(q, sigma2, input_of, turn, realify_obs(context.ys))
 
     def block(h):
         return np.sum(loglik(_pilot_means(h, inputs)), axis=1)

@@ -12,7 +12,11 @@ straddles the mean.  Each cell goes through one of the two formulas, so
 every special-function value computed is used; the likelihoods of a
 channel stack call the kernel once per distinct cell (pilots or test
 observations that share an input and a level share their cell on every
-channel, see :func:`icleq.estimators._pair_loglik`).
+channel, see :func:`icleq.estimators._pair_loglik`).  The kernel is
+exactly symmetric: the mirrored cell ``(-b, -a)`` gets the value of
+``(a, b)`` bit for bit (the reflection maps both to the same lower-tail
+arguments, and erf is odd), which lets a pilot be evaluated on its
+quarter-turned 4-QAM input.
 
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_by_rows`, which cuts the

@@ -127,6 +127,46 @@ class TestQuantizer:
             assert np.all(sel >= lo) and np.all(sel < hi)
 
 
+class TestQuarterTurnSymmetry:
+    """The grid is symmetric about 0 and the pilot means turn with their
+    input exactly, the two facts that let the Bayesian references evaluate
+    a pilot's likelihood on its canonical 4-QAM input."""
+
+    @pytest.mark.parametrize("bits", [1, 4, 16, channel.MAX_BITS])
+    def test_mirrored_level_has_mirrored_cell(self, bits):
+        q = Quantizer(bits=bits)
+        n = q.n_levels
+        i = np.unique(np.concatenate([[0, 1, n // 2 - 1, n // 2, n - 2, n - 1],
+                                      RngStream(16, bits).integers(0, n, size=1000)]))
+        lo, hi = cell_bounds(q, i)
+        mlo, mhi = cell_bounds(q, n - 1 - i)
+        assert np.array_equal(mlo, -hi) and np.array_equal(mhi, -lo)
+        # the negated output level is the mirrored level
+        level = channel.RANGE_LO + q.step * (i + 0.5)
+        idx, val = quantize(q, -level)
+        assert np.array_equal(idx, n - 1 - i) and np.array_equal(val, -level)
+
+    @pytest.mark.parametrize("n_t", [1, 2, 3])
+    def test_pilot_means_turn_with_the_input(self, n_t):
+        """The means of j^k x are those of x turned by j^k, bit for bit, for
+        any symbol values: j (re, im) = (-im, re), by exact sign flips."""
+        from icleq.estimators import _pilot_means
+
+        rng = RngStream(17, n_t)
+        channels = rng.complex_normal((500, 2, n_t))
+        xs = np.concatenate([qam4_constellation(n_t).joint, rng.complex_normal((16, n_t))])
+        means = _pilot_means(channels, xs)  # (M, N, [re, im])
+        re, im = means[..., :2], means[..., 2:]
+        x_re, x_im = xs.real, xs.imag
+        for k in (1, 2, 3):
+            x_re, x_im = -x_im, x_re  # one more quarter turn
+            re, im = -im, re
+            turned = np.empty(xs.shape, dtype=complex)
+            turned.real, turned.imag = x_re, x_im
+            got = _pilot_means(channels, turned)
+            assert np.array_equal(got, np.concatenate([re, im], axis=-1)), k
+
+
 class TestConstellation:
     def test_size_and_uniqueness(self):
         c = qam4_constellation(2)

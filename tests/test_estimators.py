@@ -399,9 +399,23 @@ class TestBlockedPilotWeights:
         assert bad == []
 
 
+def quarter_turn(k):
+    """Real dimension e -> (pi(e), s): the realified means of x = j^-k c on
+    e are s times those of c on pi(e), read off a generic mean."""
+    mu = np.array([1.0 + 3.0j, 2.0 + 4.0j])  # realified: 1, 2, 3, 4
+    got = channel.realify_obs(mu * (-1j) ** k)
+    return [(int(abs(v)) - 1, np.sign(v)) for v in got]
+
+
+def canonical_turn(x):
+    """The k of j^k x[0] in re > 0, im >= 0, for a 4-QAM input."""
+    return next(k for k in range(4) if (x[0] * 1j**k).real > 0 and (x[0] * 1j**k).imag >= 0)
+
+
 class TestDistinctPilotCells:
-    """Pilots that share an input and a level share one cell evaluation;
-    the weights still equal those of the einsum means bit for bit."""
+    """Pilots are evaluated on their canonical inputs j^k x, and pilots that
+    share a canonical cell share one cell evaluation; the weights still
+    equal those of the einsum means bit for bit."""
 
     # per pilot: joint input, then level per real dimension ("b" a middle
     # level, "a" the one below it, 0 and "top" the saturated extremes)
@@ -417,23 +431,22 @@ class TestDistinctPilotCells:
         (9, ("top", 0, 0, "top")),
         (9, ("b", "a", "b", "a")),
     ]
+    # every joint input, so every quarter turn, with middle and saturated levels
+    ALL_TURNS = [(i, lv) for i in range(16) for lv in (("b", "a", "a", "b"), (0, "top", "b", "a"))]
 
     @classmethod
-    def context(cls, q):
+    def context(cls, q, pilots=None):
+        pilots = cls.PILOTS if pilots is None else pilots
         mid = q.n_levels // 2
         name = {"a": mid - 1, "b": mid, "top": q.n_levels - 1, 0: 0}
-        idx = np.array([[name[k] for k in levels] for _, levels in cls.PILOTS])
+        idx = np.array([[name[k] for k in levels] for _, levels in pilots])
         ri = channel.RANGE_LO + q.step * (idx + 0.5)
-        xs = C2.joint[[i for i, _ in cls.PILOTS]]
+        xs = C2.joint[[i for i, _ in pilots]]
         return ContextSet(xs=xs, ys=ri[:, :2] + 1j * ri[:, 2:])
 
-    def test_cells_map_back_to_every_pilot(self, monkeypatch):
-        """At either receiver the weights form the means of the 3 distinct
-        inputs only; quantized, they evaluate each distinct (input,
-        dimension, level) cell once per channel.  Every pilot gets the
-        log-likelihood of its own cells."""
-        ctx = self.context(Quantizer(bits=4))
-        channels = RngStream(32).complex_normal((13, 2, 2))
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the inputs passed to _pilot_means and the kernel's shapes."""
         inputs, cells = [], []
         pilot_means, kernel = estimators._pilot_means, estimators._log_cell_prob_std
         monkeypatch.setattr(
@@ -442,21 +455,78 @@ class TestDistinctPilotCells:
         monkeypatch.setattr(
             estimators, "_log_cell_prob_std", lambda a, b: cells.append(a.shape) or kernel(a, b)
         )
-        joint = sorted({i for i, _ in self.PILOTS})
-        distinct = {(i, d, levels[d]) for i, levels in self.PILOTS for d in range(4)}
+        return inputs, cells
+
+    def test_cells_map_back_to_every_pilot(self, monkeypatch):
+        """At either receiver the weights form the means of the 2 distinct
+        canonical inputs of joints 0, 5 and 9 only; quantized, they evaluate
+        each distinct (canonical input, dimension, level) cell once per
+        channel.  Every pilot gets the log-likelihood of its own cells."""
+        ctx = self.context(Quantizer(bits=4))
+        channels = RngStream(32).complex_normal((13, 2, 2))
+        inputs, cells = self.spy(monkeypatch)
+        n = Quantizer(bits=4).n_levels
+        turn = [canonical_turn(C2.joint[i]) for i, _ in self.PILOTS]
+        canon = [tuple(C2.joint[i] * 1j**k) for (i, _), k in zip(self.PILOTS, turn)]
+        joint = sorted(set(canon))
+        assert len(joint) == 2
+        level = {"a": n // 2 - 1, "b": n // 2, "top": n - 1, 0: 0}
+        distinct = {
+            (c, e, level[lv[d]] if s > 0 else n - 1 - level[lv[d]])
+            for c, k, (_, lv) in zip(canon, turn, self.PILOTS)
+            for d, (e, s) in enumerate(quarter_turn(k))
+        }
         assert len(distinct) < ctx.ys.size * 2
-        input_of = np.searchsorted(joint, [i for i, _ in self.PILOTS])
-        means = channel.realify_obs(np.einsum("mrt,nt->mnr", channels, C2.joint[joint]))
+        input_of = np.array([joint.index(c) for c in canon])
+        means = channel.realify_obs(np.einsum("mrt,nt->mnr", channels, np.array(joint)))
         for q in (Quantizer(bits=4), Quantizer(bits=None)):
             inputs.clear()
             cells.clear()
             channel_log_posterior_weights(channels, 0.1, q, ctx)
-            assert len(inputs) == 1 and len(inputs[0]) == len(joint)
-            assert {tuple(x) for x in inputs[0]} == {tuple(C2.joint[i]) for i in joint}
+            assert len(inputs) == 1 and {tuple(x) for x in inputs[0]} == set(joint)
             assert cells == ([(13, len(distinct))] if q.quantized else [])
-            got = estimators._pair_loglik(q, 0.1, input_of, ctx.ys)(means)  # (M, N)
+            got = estimators._pair_loglik(
+                q, 0.1, input_of, np.array(turn), channel.realify_obs(ctx.ys)
+            )(means)  # (M, N)
             want = loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys)
             assert np.array_equal(got, want)
+
+    def test_sixteen_inputs_reach_pilot_means_as_four(self, monkeypatch):
+        """Pilots of all 16 joint inputs pass only their 4 canonical inputs,
+        each with its first symbol in re > 0, im >= 0."""
+        q = Quantizer(bits=4)
+        ctx = self.context(q, self.ALL_TURNS)
+        channels = RngStream(34).complex_normal((13, 2, 2))
+        inputs, _ = self.spy(monkeypatch)
+        got = channel_log_posterior_weights(channels, 0.1, q, ctx)
+        assert len(inputs) == 1 and len(inputs[0]) == 4
+        assert np.all(inputs[0][:, 0].real > 0) and np.all(inputs[0][:, 0].imag >= 0)
+        want = np.sum(loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys),
+                      axis=1)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS, None])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_all_four_turns_match_einsum_means(self, monkeypatch, bits, split):
+        """Pilots of every turn, against means near zero (the middle cells
+        straddle them), equal the einsum means' weights bit for bit."""
+        q = Quantizer(bits=bits)
+        ctx = self.context(Quantizer(bits=bits or 4), self.ALL_TURNS)
+        assert {canonical_turn(x) for x in ctx.xs} == {0, 1, 2, 3}
+        channels = RngStream(35).complex_normal((13, 2, 2))
+        channels[0] *= 1e-3
+        means = np.einsum("mrt,nt->mnr", channels, ctx.xs)
+        sigma2s = (1e-4, 0.1, 3.0)
+        want = [np.sum(loglik_means(q, means, s2, ctx.ys[None]), axis=1) for s2 in sigma2s]
+        splits = []
+        if split:
+            monkeypatch.setattr(numerics, "_N_CORES", 2)
+            monkeypatch.setattr(numerics, "_BLOCK", 2 * len(ctx) * 4)
+            by_rows = numerics._by_rows
+            monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        for s2, w in zip(sigma2s, want):
+            assert np.array_equal(channel_log_posterior_weights(channels, s2, q, ctx), w)
+        assert len(splits) == (len(sigma2s) if split else 0)
 
     @pytest.mark.parametrize("bits", [1, 4, channel.MAX_BITS])
     @pytest.mark.parametrize("split", [False, True])
@@ -823,6 +893,36 @@ class TestGaussianExactOracle:
         want = post @ c1.joint
         got = bayes_mmse_gaussian_exact(sigma2, c1, ctx, y)
         np.testing.assert_allclose(got, want, atol=1e-3)
+
+
+class TestNonFinitePilots:
+    """A NaN or infinite pilot observation gives the same error whatever
+    the quarter turn of its input, at either receiver."""
+
+    JOINTS = [0, 5, 15, 9]  # first symbols in turns 0, 1, 2 and 3
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("pilot", range(4))
+    def test_error_is_independent_of_the_turn(self, bits, bad, part, pilot):
+        q = Quantizer(bits=bits)
+        ys = np.full((4, 2), 0.25 + 0.75j)
+        # complex(re, im), not re + 1j * im: 0 * inf would make the other part NaN
+        v = ys[pilot, 1]
+        ys[pilot, 1] = complex(bad, v.imag) if part == "re" else complex(v.real, bad)
+        ctx = ContextSet(xs=C2.joint[self.JOINTS], ys=ys)
+        channels = RngStream(43).complex_normal((4, 2, 2))
+        y = np.array([0.25 - 0.25j, -0.75 + 0.25j])
+        if np.isnan(bad):
+            message = "cannot quantize NaN" if bits else "observation is NaN"
+            error = pytest.raises(ValueError, match=message)
+        elif bits:
+            error = pytest.raises(ValueError, match="not on a quantizer output level")
+        else:
+            error = pytest.raises(DegenerateEvidenceError, match="pilots")
+        with error:
+            bayes_mmse_discrete(channels, 0.1, q, C2, ctx, y)
 
 
 class TestDegenerateEvidence:

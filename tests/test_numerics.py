@@ -277,6 +277,31 @@ class TestReflectedCellKernel:
         assert np.array_equal(_log_cell_prob_std(a, a + 1.0), masked_log_cell_prob_std(a, a + 1.0))
 
 
+class TestMirroredCells:
+    """The kernel gives a cell mirrored about the mean, (-b, -a), exactly the
+    value of (a, b): the quantized likelihood of a quarter-turned pilot
+    rests on it."""
+
+    @pytest.mark.parametrize(
+        "side", ["left", "right", "straddling", "infinite", "zero", "tail", "edge"]
+    )
+    def test_each_kind_of_cell(self, side):
+        rng = RngStream(10)
+        x = rng.uniform(0.0, 6.0, size=(2, 2000))
+        lo, hi = np.sort(x, axis=0)
+        a, b = {
+            "left": (-hi, -lo),
+            "right": (lo, hi),
+            "straddling": (-lo, hi),
+            "infinite": (np.full_like(lo, -np.inf), np.concatenate([-lo[:1000], lo[1000:]])),
+            "zero": (np.concatenate([-lo[:1000], np.zeros(1000)]),
+                     np.concatenate([np.zeros(1000), hi[1000:]])),
+            "tail": (30.0 + lo, 30.0 + hi),
+            "edge": edge_cells(),
+        }[side]
+        assert np.array_equal(_log_cell_prob_std(-b, -a), _log_cell_prob_std(a, b))
+
+
 def overwriting_log_cell_prob_std(a, b):
     """The reflected kernel with both formulas on one array: log-CDFs for
     every cell, then the straddling cells overwritten by the erf
