@@ -37,8 +37,6 @@ means, which are not rotation-exact, and passes every pair at turn 0.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .channel import (
@@ -107,24 +105,6 @@ def _canonical_inputs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ri.view(complex)[..., 0], turn
 
 
-@functools.lru_cache(maxsize=4)
-def _turn_tables(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each turn k (rows) and real dimension e of 2 n_r = ``d``
-    (columns): pi_k(e) and s_k(e) such that the mean of x = j^-k c on e
-    is s_k(e) times that of c on pi_k(e) (pi_k swaps the re and im halves
-    when k is odd).  Read-only, since every caller shares them."""
-    k = np.arange(4)[:, None]
-    dim = (np.arange(d) + d // 2 * (k & 1)) % d
-    sign = np.repeat(_QUARTER[-k[:, 0] % 4], d // 2, axis=-1)
-    dim.flags.writeable = sign.flags.writeable = False
-    return dim, sign
-
-
-def _columns(means: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """Entries ``col`` of each row of means (rows, Nu, 2 n_r), flattened."""
-    return np.take(means.reshape(len(means), -1), col, axis=1)
-
-
 def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: np.ndarray):
     """The log-likelihood of pairs (x, y) at either receiver: x = j^-k c,
     c the distinct input ``input_of`` and k = ``turn``, and y realified
@@ -135,7 +115,8 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
     bit for bit as :func:`icleq.channel.loglik_means` on each pair's own
     means.  The noise is circularly symmetric and the quantizer grid is
     symmetric about 0, so the factor of real dimension e is that of c on
-    dimension pi_k(e) observed as s_k(e) y_e (:func:`_turn_tables`), and
+    dimension pi_k(e) observed as s_k(e) y_e (pi_k swaps the re and im
+    halves when k is odd; s_k(e) is the sign of e's part of j^-k), and
     exactly so: c's mean there is s_k(e) times x's, a negated level's cell
     is the mirrored cell (-hi, -lo), and a negated Gaussian residual has
     the same square.  The sum over e keeps the pair's own order.
@@ -145,7 +126,9 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
     expanded to every pair and summed over e.
     """
     d = y_ri.shape[-1]
-    dim, sign = _turn_tables(d)
+    k = np.arange(4)[:, None]  # per turn k (rows) and dimension e: pi_k(e) and s_k(e)
+    dim = (np.arange(d) + d // 2 * (k & 1)) % d
+    sign = np.repeat(_QUARTER[-k[:, 0] % 4], d // 2, axis=-1)
     col = input_of[..., None] * d + dim[turn]
     y_ri = y_ri * sign[turn]
     shape = np.broadcast(col, y_ri).shape  # (*pairs, 2 n_r)
@@ -154,7 +137,9 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
             raise ValueError("observation is NaN")
         cols, y_pairs = np.empty(shape, dtype=int), np.empty(shape)
         cols[:], y_pairs[:] = col, y_ri
-        return lambda means: gauss_loglik(y_pairs, _columns(means, cols), sigma2)
+        return lambda means: gauss_loglik(
+            y_pairs, np.take(means.reshape(len(means), -1), cols, axis=1), sigma2
+        )
     lo, hi = _real_cells(q, y_ri)
     lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
     key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
@@ -163,7 +148,7 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
     inv, std = inv.reshape(shape), np.sqrt(sigma2 / 2.0)
 
     def loglik(means):
-        means = _columns(means, cols)
+        means = np.take(means.reshape(len(means), -1), cols, axis=1)
         cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
         # take, not cells[:, inv]: the sum below needs a C-ordered array
         return np.sum(np.take(cells, inv, axis=1), axis=-1)

@@ -483,7 +483,8 @@ class TestDistinctPilotCells:
             inputs.clear()
             cells.clear()
             channel_log_posterior_weights(channels, 0.1, q, ctx)
-            assert len(inputs) == 1 and {tuple(x) for x in inputs[0]} == set(joint)
+            assert len(inputs) == 1 and len(inputs[0]) == len(joint)
+            assert {tuple(x) for x in inputs[0]} == set(joint)
             assert cells == ([(13, len(distinct))] if q.quantized else [])
             got = estimators._pair_loglik(
                 q, 0.1, input_of, np.array(turn), channel.realify_obs(ctx.ys)
