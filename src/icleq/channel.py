@@ -332,12 +332,15 @@ def _real_cells(q: Quantizer, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cell_bounds(q, idx)
 
 
-def gauss_loglik(y_ri, means_ri, sigma2: float):
-    """Unquantized counterpart: summed Gaussian log densities (a density, so
-    the total may exceed 0)."""
+def gauss_logpdf(y_ri, means_ri, sigma2: float) -> np.ndarray:
+    """Gaussian log densities of real components ``y_ri`` about
+    ``means_ri`` (variance ``sigma2 / 2``), elementwise: the unquantized
+    counterpart of a cell's log-probability (a density, so it may exceed 0)."""
     with np.errstate(over="ignore"):  # distant observations overflow to -inf
-        d2 = (y_ri - means_ri) ** 2
-        return np.sum(-0.5 * np.log(np.pi * sigma2) - d2 / sigma2, axis=-1)
+        d2 = np.subtract(y_ri, means_ri)
+        np.square(d2, out=d2)
+        d2 /= sigma2
+        return np.subtract(-0.5 * np.log(np.pi * sigma2), d2, out=d2)
 
 
 def loglik_means(q: Quantizer, means: np.ndarray, sigma2: float, y: np.ndarray):
@@ -353,7 +356,8 @@ def loglik_means(q: Quantizer, means: np.ndarray, sigma2: float, y: np.ndarray):
         lo, hi = observation_cells(q, y)
         std = np.sqrt(sigma2 / 2.0)
         return np.sum(_log_cell_prob_std((lo - means_ri) / std, (hi - means_ri) / std), axis=-1)
-    return gauss_loglik(realify_obs(np.asarray(y, dtype=complex)), means_ri, sigma2)
+    y_ri = realify_obs(np.asarray(y, dtype=complex))
+    return np.sum(gauss_logpdf(y_ri, means_ri, sigma2), axis=-1)
 
 
 def log_likelihood(task: Task, q: Quantizer, x: np.ndarray, y: np.ndarray) -> float:

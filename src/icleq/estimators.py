@@ -26,7 +26,11 @@ All posterior arithmetic runs in the log domain; quantized pilot
 likelihoods at high SNR underflow otherwise.  At either receiver the
 pilot weights and the test-observation posterior share one likelihood of
 (input, observation) pairs over channel stacks, :func:`_pair_loglik`,
-walked in blocks of channels split over the cores.  The noise is
+walked in blocks of channels split over the cores.  Its arrays keep the
+channels innermost: it gathers whole rows of channels and sums them over
+real dimensions, and the pilot weights over pilots, with whole-row adds
+in numpy's own order (:func:`icleq.numerics._pairwise_sum`), so every
+value equals the one-call formula of :mod:`icleq.channel`.  The noise is
 circularly symmetric and the quantizer grid symmetric about 0, so a
 pilot (x, y) has the likelihood of (j^k x, j^k y) on every channel: the
 pilot weights evaluate each pilot on its canonical input j^k x (first
@@ -45,10 +49,17 @@ from .channel import (
     Quantizer,
     Task,
     _real_cells,
-    gauss_loglik,
+    gauss_logpdf,
     realify_obs,
 )
-from .numerics import _by_blocks, _log_cell_prob_std, hermitian, logsumexp, solve_hpd
+from .numerics import (
+    _by_blocks,
+    _log_cell_prob_std,
+    _pairwise_sum,
+    hermitian,
+    logsumexp,
+    solve_hpd,
+)
 from .rng import RngStream
 
 __all__ = [
@@ -110,50 +121,62 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
     c the distinct input ``input_of`` and k = ``turn``, and y realified
     as ``y_ri`` (..., 2 n_r); the three broadcast to the pairs' shape.
 
-    The returned function maps a block's realified means of the distinct
-    inputs (rows, Nu, 2 n_r) to the pairs' log-likelihoods (rows, *pairs),
-    bit for bit as :func:`icleq.channel.loglik_means` on each pair's own
-    means.  The noise is circularly symmetric and the quantizer grid is
-    symmetric about 0, so the factor of real dimension e is that of c on
-    dimension pi_k(e) observed as s_k(e) y_e (pi_k swaps the re and im
-    halves when k is odd; s_k(e) is the sign of e's part of j^-k), and
-    exactly so: c's mean there is s_k(e) times x's, a negated level's cell
-    is the mirrored cell (-hi, -lo), and a negated Gaussian residual has
-    the same square.  The sum over e keeps the pair's own order.
-    Quantized, a pair's cell on e is fixed by its column (c, pi_k(e)) of
-    the means and its lower bound (which names its level), so the distinct
-    cells are found once here; each is evaluated once per channel, then
-    expanded to every pair and summed over e.
+    Returns ``(loglik, width)``.  ``loglik`` maps a block's realified
+    means of the distinct inputs, channels innermost (Nu, 2 n_r, channels)
+    or (Nu * 2 n_r, channels), to the pairs' log-likelihoods (*pairs,
+    channels), bit for bit as :func:`icleq.channel.loglik_means` on each
+    pair's own means; ``width`` is the elements per channel of its widest
+    array, the row size of :func:`icleq.numerics._by_blocks`.  The noise is
+    circularly symmetric and the quantizer grid is symmetric about 0, so
+    the factor of real dimension e is that of c on dimension pi_k(e)
+    observed as s_k(e) y_e (pi_k swaps the re and im halves when k is odd;
+    s_k(e) is the sign of e's part of j^-k), and exactly so: c's mean
+    there is s_k(e) times x's, a negated level's cell is the mirrored cell
+    (-hi, -lo), and a negated Gaussian residual has the same square.  Each
+    dimension's factors are whole rows of channels gathered by
+    ``np.take(..., axis=0)``, summed over e in the pair's own order by
+    :func:`icleq.numerics._pairwise_sum`.  Unquantized, the densities are
+    formed one dimension at a time, so the widest array is (*pairs,
+    channels) or the means.  Quantized, a pair's cell on e is fixed by its
+    row (c, pi_k(e)) of the means and its lower bound (which names its
+    level), so the distinct cells are found once here; each is evaluated
+    once per channel, then gathered to every pair, and the blocks keep
+    2 n_r elements per pair and channel for the cell kernel's temporaries.
     """
     d = y_ri.shape[-1]
     k = np.arange(4)[:, None]  # per turn k (rows) and dimension e: pi_k(e) and s_k(e)
     dim = (np.arange(d) + d // 2 * (k & 1)) % d
     sign = np.repeat(_QUARTER[-k[:, 0] % 4], d // 2, axis=-1)
-    col = input_of[..., None] * d + dim[turn]
-    y_ri = y_ri * sign[turn]
+    col, y_ri = input_of[..., None] * d + dim[turn], y_ri * sign[turn]
     shape = np.broadcast(col, y_ri).shape  # (*pairs, 2 n_r)
+    pairs = int(np.prod(shape[:-1]))
     if not q.quantized:
         if np.isnan(y_ri).any():
             raise ValueError("observation is NaN")
-        cols, y_pairs = np.empty(shape, dtype=int), np.empty(shape)
-        cols[:], y_pairs[:] = col, y_ri
-        return lambda means: gauss_loglik(
-            y_pairs, np.take(means.reshape(len(means), -1), cols, axis=1), sigma2
-        )
+
+        def loglik(means):
+            means = means.reshape(-1, means.shape[-1])
+            terms = (
+                gauss_logpdf(y_ri[..., e, None], np.take(means, col[..., e], axis=0), sigma2)
+                for e in range(d)
+            )
+            return _pairwise_sum(terms, d)
+
+        return loglik, max(pairs, d * (int(np.max(input_of)) + 1))
     lo, hi = _real_cells(q, y_ri)
     lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
     key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
-    cols, level = np.divmod(key, len(lo))
-    lo, hi = np.take(lo, level), np.take(hi, np.take(first, level))
-    inv, std = inv.reshape(shape), np.sqrt(sigma2 / 2.0)
+    rows, level = np.divmod(key, len(lo))
+    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
+    inv = np.moveaxis(inv.reshape(shape), -1, 0).copy()  # (2 n_r, *pairs)
+    std = np.sqrt(sigma2 / 2.0)
 
     def loglik(means):
-        means = np.take(means.reshape(len(means), -1), cols, axis=1)
+        means = np.take(means.reshape(-1, means.shape[-1]), rows, axis=0)
         cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
-        # take, not cells[:, inv]: the sum below needs a C-ordered array
-        return np.sum(np.take(cells, inv, axis=1), axis=-1)
+        return _pairwise_sum((np.take(cells, i, axis=0) for i in inv), d)
 
-    return loglik
+    return loglik, pairs * d
 
 
 def _joint_input_posterior(
@@ -173,7 +196,9 @@ def _joint_input_posterior(
     The S x C (observation, input) pairs go through :func:`_pair_loglik`
     at turn 0 in blocks of kept channels, like the pilots, at either
     receiver; the S observations are realified (and checked, and their
-    cells found) once, before they are paired with the C inputs.
+    cells found) once, before they are paired with the C inputs.  The
+    log-likelihoods come out (S, C, Mk), channels innermost, and are
+    turned to (S, Mk, C) before the normalization.
     """
     y = np.asarray(y, dtype=complex)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
@@ -186,10 +211,15 @@ def _joint_input_posterior(
     obs = realify_obs(y.reshape(-1, y.shape[-1]))  # (S, 2 n_r)
     if not len(obs):
         return np.zeros(y.shape[:-1] + (c,))
-    loglik = _pair_loglik(q, sigma2, np.arange(c), 0, obs[:, None])  # pairs (S, C)
-    ll = np.empty(y.shape[:-1] + (mk, c))  # filled through its (Mk, S, C) view
-    _by_blocks(loglik, ll.reshape(-1, mk, c).transpose(1, 0, 2), means, row_size=obs.size * c)
-    ll = (ll + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
+    loglik, width = _pair_loglik(q, sigma2, np.arange(c), 0, obs[:, None])  # pairs (S, C)
+    ll = np.empty((len(obs), c, mk))  # filled through its (Mk, S, C) view
+    _by_blocks(
+        lambda m: loglik(np.moveaxis(m, 0, -1)).transpose(2, 0, 1),
+        ll.transpose(2, 0, 1),
+        means,
+        row_size=width,
+    )
+    ll = (ll.transpose(0, 2, 1) + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
     norm = logsumexp(ll, axis=-1)
     if np.any(np.isneginf(norm)):
         raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
@@ -236,14 +266,15 @@ def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
 
 
 def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Noiseless pilot means, realified: ``means[m, n]`` holds the real
-    parts then the imaginary parts of ``channels[m] @ xs[n]``, shape
-    (M, N, 2 n_r).
+    """Noiseless pilot means, realified, channels innermost:
+    ``means[n, :, m]`` holds the real parts then the imaginary parts of
+    ``channels[m] @ xs[n]``, shape (N, 2 n_r, M).
 
     The values of ``np.einsum("mrt,nt->mnr", channels, xs)`` bit for bit, in
     a third of its time: the products are summed over t in t order from 0,
-    in real arithmetic, with the M channels innermost (numpy's complex
-    multiply of arrays and a matmul both round differently).  Turning an
+    in real arithmetic, into the (input x real dimension, channel) rows
+    that :func:`_pair_loglik` gathers, with no transposing copy (numpy's
+    complex multiply of arrays and a matmul both round differently).  Turning an
     input by j^k turns its means by j^k exactly, whatever the symbols: a
     quarter turn only swaps and negates the products.  A mean depends only
     on its own channel and input, so the caller passes the distinct
@@ -254,17 +285,14 @@ def _pilot_means(channels: np.ndarray, xs: np.ndarray) -> np.ndarray:
     h = channels.transpose(2, 1, 0)  # (n_t, n_r, M)
     hr, hi = np.ascontiguousarray(h.real), np.ascontiguousarray(h.imag)
     xr, xi = xs.real.T[..., None, None], xs.imag.T[..., None, None]  # (n_t, N, 1, 1)
-    shape = (2, len(xs), n_r, m)
-    acc, (p, q) = np.zeros(shape), np.empty(shape)
-    re, im = acc
+    means, (p, q) = np.zeros((len(xs), 2, n_r, m)), np.empty((2, len(xs), n_r, m))
+    re, im = means[:, 0], means[:, 1]
     for t in range(n_t):
         np.multiply(hr[t], xr[t], out=p)
         re += np.subtract(p, np.multiply(hi[t], xi[t], out=q), out=p)
         np.multiply(hr[t], xi[t], out=p)
         im += np.add(p, np.multiply(hi[t], xr[t], out=q), out=p)
-    means = np.empty((m, len(xs), 2 * n_r))
-    means.reshape(m, len(xs), 2, n_r)[:] = acc.transpose(3, 1, 0, 2)
-    return means
+    return means.reshape(len(xs), 2 * n_r, m)
 
 
 def channel_log_posterior_weights(
@@ -276,17 +304,19 @@ def channel_log_posterior_weights(
 
     The stack is walked in cache-sized blocks of channels, split over the
     cores; each block forms its pilot means and sums its log-likelihood
-    over the real dimensions, then over the pilots (bit-identical to one
-    call of :func:`icleq.channel.loglik_means` on all the means).  Each
-    pilot is written as its canonical input j^k x and turn k
-    (:func:`_canonical_inputs`); at either receiver a block forms the
-    means of the distinct canonical inputs only, and :func:`_pair_loglik`
-    expands them to every pilot (quantized, it evaluates each distinct
-    canonical cell once per channel).  Blocks are sized by the pilots'
-    cell count, so the cuts and the decision to split do not depend on how
-    many inputs or cells repeat.
+    over the real dimensions, then over the pilots, channels innermost
+    (bit-identical to one call of :func:`icleq.channel.loglik_means` on
+    all the means).  Each pilot is written as its canonical input j^k x
+    and turn k (:func:`_canonical_inputs`); at either receiver a block
+    forms the means of the distinct canonical inputs only, and
+    :func:`_pair_loglik` expands them to every pilot (quantized, it
+    evaluates each distinct canonical cell once per channel).  Quantized
+    blocks are sized by the pilots' cell count (N x 2 n_r per channel), so
+    the cuts do not depend on how many cells repeat; unquantized blocks by
+    the pilots (N per channel) unless the means of the distinct inputs
+    are wider, so they hold about 2 n_r times as many channels.
     """
-    m, n_r, _ = channels.shape
+    m = len(channels)
     if len(context) == 0:
         return np.zeros(m)
     sigma2 = float(sigma2)  # one noise power for the whole stack
@@ -294,12 +324,12 @@ def channel_log_posterior_weights(
     rows = xs.view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
     _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
     inputs = xs[first]
-    loglik = _pair_loglik(q, sigma2, input_of, turn, realify_obs(context.ys))
+    loglik, width = _pair_loglik(q, sigma2, input_of, turn, realify_obs(context.ys))
 
     def block(h):
-        return np.sum(loglik(_pilot_means(h, inputs)), axis=1)
+        return _pairwise_sum(loglik(_pilot_means(h, inputs)), len(context))
 
-    return _by_blocks(block, np.empty(m), channels, row_size=len(context) * 2 * n_r)
+    return _by_blocks(block, np.empty(m), channels, row_size=width)
 
 
 def bayes_mmse_discrete(

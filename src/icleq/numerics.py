@@ -18,6 +18,12 @@ exactly symmetric: the mirrored cell ``(-b, -a)`` gets the value of
 arguments, and erf is odd), which lets a pilot be evaluated on its
 quarter-turned 4-QAM input.
 
+The likelihoods of a channel stack keep the channels innermost: each
+array is a stack of whole rows of channels, and their sums over real
+dimensions and over pilots add whole rows in numpy's own pairwise order
+(:func:`_pairwise_sum`), so they equal ``np.sum`` over a contiguous axis
+bit for bit.
+
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_by_rows`, which cuts the
 leading axis into one block per core (at multiples of a row unit when
@@ -106,8 +112,12 @@ def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarra
 
 def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndarray:
     """``out[i:j] = fn(*(a[i:j] for a in args))`` for blocks of rows
-    (leading axis) of ``out`` and ``args``, each of about ``_BLOCK``
-    elements of work when one row costs ``row_size`` of them.
+    (leading axis) of ``out`` and ``args``, each of ``_BLOCK // row_size``
+    rows, where ``row_size`` is the elements per row of ``fn``'s widest
+    array: no temporary of a block exceeds ``_BLOCK`` elements, the rule
+    of :func:`_by_rows`.  (A channel stack's likelihood passes channels as
+    rows and keeps them innermost in its own arrays; its ``fn`` returns
+    the block's results with the channels moved to the leading axis.)
 
     Inputs of one block or less run on the calling thread; larger ones are
     split over the cores by :func:`_by_rows`, each core walking its share
@@ -124,6 +134,51 @@ def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndar
         walk(out, *args)
         return out
     return _by_rows(walk, out, *args)
+
+
+def _pairwise_sum(rows, n: int) -> np.ndarray:
+    """The sum of ``n`` arrays of one shape, taken from the iterable
+    ``rows`` in order, in numpy's own order of summing ``n`` contiguous
+    terms: ``_pairwise_sum(a.T, n)`` equals ``np.sum(a, axis=-1)`` of a
+    C-contiguous (R, n) array ``a`` bit for bit, the sign of zero included.
+
+    numpy starts each sum from +0.0 and adds the pairwise sum of the terms:
+    fewer than 8 terms in order; up to 128 terms into 8 accumulators (term
+    i into accumulator i mod 8), which are then added as a balanced tree
+    before the remaining n mod 8 terms; more than 128 terms as the sums of
+    two halves cut at a multiple of 8.  Here every add is on whole arrays,
+    so a sum over a leading axis of channel rows is a few vector adds.
+    """
+    rows = iter(rows)
+    if n == 1:
+        return next(rows) + 0.0
+    out = _pairwise(rows, n)
+    out += 0.0  # the reduction's +0.0 start: turns a sum of -0.0 into +0.0
+    return out
+
+
+def _pairwise(rows, n: int) -> np.ndarray:
+    """numpy's pairwise sum of the next ``n`` >= 2 rows, as a new array."""
+    if n < 8:
+        out = next(rows) + next(rows)
+        for _ in range(n - 2):
+            out += next(rows)
+        return out
+    if n <= 128:
+        acc = [next(rows) for _ in range(8)]
+        for k in range(1, n // 8):
+            acc = [np.add(a, next(rows), out=a if k > 1 else None) for a in acc]
+        own = n >= 16  # the accumulators are new arrays, not the caller's rows
+        p = [np.add(acc[i], acc[i + 1], out=acc[i] if own else None) for i in (0, 2, 4, 6)]
+        out = np.add(p[0], p[1], out=p[0])
+        out += np.add(p[2], p[3], out=p[2])
+        for _ in range(n % 8):
+            out += next(rows)
+        return out
+    half = n // 2 - n // 2 % 8
+    out = _pairwise(rows, half)
+    out += _pairwise(rows, n - half)
+    return out
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:

@@ -155,8 +155,8 @@ class TestQuarterTurnSymmetry:
         rng = RngStream(17, n_t)
         channels = rng.complex_normal((500, 2, n_t))
         xs = np.concatenate([qam4_constellation(n_t).joint, rng.complex_normal((16, n_t))])
-        means = _pilot_means(channels, xs)  # (M, N, [re, im])
-        re, im = means[..., :2], means[..., 2:]
+        means = _pilot_means(channels, xs)  # (N, [re, im], M)
+        re, im = means[:, :2], means[:, 2:]
         x_re, x_im = xs.real, xs.imag
         for k in (1, 2, 3):
             x_re, x_im = -x_im, x_re  # one more quarter turn
@@ -164,7 +164,7 @@ class TestQuarterTurnSymmetry:
             turned = np.empty(xs.shape, dtype=complex)
             turned.real, turned.imag = x_re, x_im
             got = _pilot_means(channels, turned)
-            assert np.array_equal(got, np.concatenate([re, im], axis=-1)), k
+            assert np.array_equal(got, np.concatenate([re, im], axis=1)), k
 
 
 class TestConstellation:

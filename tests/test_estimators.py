@@ -345,7 +345,10 @@ class TestBlockedPilotWeights:
     """The pilot weights walked in blocks of channels split over two cores
     equal the one-call formula bit for bit."""
 
-    ROWS = 3  # channels per block: _BLOCK below over 7 pilots x 4 real dimensions
+    # channels per quantized block: _BLOCK below over 7 pilots x 4 real
+    # dimensions; an unquantized block holds 3 to 12 (by the 7 pilots, or
+    # the means of up to 7 distinct inputs), so 14 channels split, 3 do not
+    ROWS = 3
 
     @pytest.mark.parametrize("m", [1, ROWS, 4 * ROWS + 2])
     @pytest.mark.parametrize("n_t", [1, 2, 3])
@@ -485,12 +488,13 @@ class TestDistinctPilotCells:
             channel_log_posterior_weights(channels, 0.1, q, ctx)
             assert len(inputs) == 1 and len(inputs[0]) == len(joint)
             assert {tuple(x) for x in inputs[0]} == set(joint)
-            assert cells == ([(13, len(distinct))] if q.quantized else [])
-            got = estimators._pair_loglik(
+            assert cells == ([(len(distinct), 13)] if q.quantized else [])
+            loglik, _ = estimators._pair_loglik(
                 q, 0.1, input_of, np.array(turn), channel.realify_obs(ctx.ys)
-            )(means)  # (M, N)
+            )
+            got = loglik(means.transpose(1, 2, 0))  # (N, M)
             want = loglik_means(q, np.einsum("mrt,nt->mnr", channels, ctx.xs), 0.1, ctx.ys)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, want.T)
 
     def test_sixteen_inputs_reach_pilot_means_as_four(self, monkeypatch):
         """Pilots of all 16 joint inputs pass only their 4 canonical inputs,
@@ -669,7 +673,7 @@ class TestJointPosteriorCells:
 
             # the cell kernel serves the quantized receiver, the Gaussian
             # density the unquantized one
-            for name in ("_log_cell_prob_std", "gauss_loglik"):
+            for name in ("_log_cell_prob_std", "gauss_logpdf"):
                 monkeypatch.setattr(estimators, name, spy(getattr(estimators, name)))
         got = _joint_input_posterior(channels, log_w, sigma2, q, C2, y)
         assert got.shape == np.shape(y)[:-1] + (16,)
@@ -677,6 +681,62 @@ class TestJointPosteriorCells:
         # the 6 kept channels are split over the cores, one channel is not
         ran_on_worker = bool(threads - {threading.main_thread()})
         assert ran_on_worker == (split and stack == "skipped")
+
+
+class TestHeadlineSizes:
+    """At the sizes of the benchmark's references (N = 20 pilots at 10 dB,
+    M = 1024 and 2^14 channels, 64 test observations) the blocked,
+    channels-innermost likelihoods equal the one-call oracles bit for bit,
+    on one core and split over two, with the default block size."""
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        """Record each stack that spans more than one block."""
+        calls = []
+        by_rows = numerics._by_rows
+        monkeypatch.setattr(numerics, "_by_rows", lambda *a: calls.append(1) or by_rows(*a))
+        return calls
+
+    @pytest.mark.parametrize("m", [1024, 1 << 14])
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_pilot_weights_match_einsum(self, monkeypatch, m, bits, cores):
+        q = Quantizer(bits=bits)
+        t = rand_task(60, sigma2=0.1)
+        ctx = pilots(t, q, C2, 20, RngStream(61))
+        channels = RngStream(62, m).complex_normal((m, 2, 2))
+        means = np.einsum("mrt,nt->mnr", channels, ctx.xs)
+        want = np.sum(loglik_means(q, means, t.sigma2, ctx.ys[None]), axis=1)
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        blocks = self.count_blocks(monkeypatch)
+        got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        assert np.array_equal(got, want)
+        # an unquantized block holds 2^16 / 20 channels: M = 1024 is one block
+        assert bool(blocks) == (bits is not None or m > 1024)
+
+    @pytest.mark.parametrize("bits", [4, None])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_joint_posterior_keeping_every_channel(self, monkeypatch, bits, cores):
+        """S = 64 observations against 1024 kept channels, the regime of a
+        reference that keeps every channel.  The oracle runs one
+        observation at a time (each row of the posterior is normalized on
+        its own), which keeps its broadcast arrays small."""
+        q = Quantizer(bits=bits)
+        t = rand_task(63, sigma2=0.1)
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 64, RngStream(64))
+        channels = RngStream(65).complex_normal((1024, 2, 2))
+        channels[0] = t.h
+        log_w = estimators._normalized(RngStream(66).uniform(-20.0, 0.0, size=1024))
+        assert np.all(np.exp(log_w) > MIN_CHANNEL_WEIGHT)
+        want = np.concatenate(
+            [joint_posterior_broadcast(channels, log_w, t.sigma2, q, C2, y[None]) for y in ys]
+        )
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        blocks = self.count_blocks(monkeypatch)
+        got = _joint_input_posterior(channels, log_w, t.sigma2, q, C2, ys)
+        assert got.shape == (64, 16)
+        assert np.array_equal(got, want)
+        assert blocks
 
 
 class TestBayesMmseDiscrete:

@@ -400,6 +400,53 @@ class TestLogSumExp:
             logsumexp([])
 
 
+class TestPairwiseSum:
+    """Whole-row adds reproduce numpy's own sum of each row of a
+    C-contiguous (R, n) array, bit for bit: below 8 terms, through the 8
+    accumulators, and across the split into halves above 128 terms."""
+
+    @staticmethod
+    def rows(r, n, seed):
+        """Entries of either sign over 16 decades, with +-0, +-inf and NaN
+        mixed in; in row 0 only zeros of either sign, in row 1 only -0.0."""
+        rng = np.random.default_rng([seed, r, n])
+        a = 10.0 ** rng.uniform(-8.0, 8.0, size=(r, n)) * rng.choice([-1.0, 1.0], size=(r, n))
+        special = rng.uniform(size=(r, n)) < 0.05
+        a[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
+        if r > 1:
+            a[0] = rng.choice([0.0, -0.0], size=n)
+            a[1] = -0.0
+        return a
+
+    @pytest.mark.parametrize("r", [1, 3, 1000])
+    def test_matches_numpy_row_sums(self, r):
+        for n in range(1, 301):
+            a = self.rows(r, n, 7)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, overflow
+                want = np.sum(a, axis=-1)
+                got = numerics._pairwise_sum(a.T, n)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), n
+            finite = ~np.isnan(want)
+            assert np.array_equal(np.signbit(got[finite]), np.signbit(want[finite])), n
+
+    def test_zero_rows_sum_to_positive_zero(self):
+        """numpy starts every sum from +0.0, so no sum of zeros is -0.0."""
+        for n in (1, 2, 7, 8, 20, 129):
+            got = numerics._pairwise_sum(np.full((n, 4), -0.0), n)
+            assert np.array_equal(got, np.zeros(4)) and not np.signbit(got).any()
+
+    def test_terms_from_a_generator_and_rows_left_intact(self):
+        """The terms may come lazily; array rows passed in are not written."""
+        a = self.rows(5, 150, 8)
+        a[np.isnan(a) | np.isinf(a)] = 1.0
+        before = a.copy()
+        want = np.sum(a, axis=-1)
+        for rows in (a.T, (row.copy() for row in a.T)):
+            assert np.array_equal(numerics._pairwise_sum(rows, 150), want)
+        assert np.array_equal(a, before, equal_nan=True)
+
+
 class TestByRows:
     @pytest.mark.parametrize("cores", [2, 3, 5])
     @pytest.mark.parametrize("rows", [64, 100, 320])

@@ -30,11 +30,13 @@ def test_benchmark_workload_is_correct(workload):
     assert result["correct"] is True and result["failed"] == 0, result
 
 
-def test_traced_eval_workload_is_correct():
+@pytest.mark.parametrize("workload", ["eval_4bit", "eval_unquantized"])
+def test_traced_eval_workload_is_correct(workload):
     """The same with spans around the program's public functions, whose
-    span stack is kept by the calling thread only: the pilot likelihood's
-    worker threads must not enter a hooked function."""
-    result = zero_length_run("eval_4bit", 1)
+    span stack is kept by the calling thread only: the worker threads of
+    the pilot likelihood (cell kernel or Gaussian densities) must not enter
+    a hooked function."""
+    result = zero_length_run(workload, 1)
     assert result["correct"] is True and result["failed"] == 0, result
     assert result["metrics"]["numerics.logsumexp.ms_per_task"]["value"] > 0
 
