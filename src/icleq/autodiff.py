@@ -9,25 +9,36 @@ is a few dozen nodes whose cost is dominated by the underlying BLAS calls.
 Only the operations the equalizer model needs are provided.  Each op
 attaches a vector-Jacobian closure at build time; gradients accumulate on
 the nodes and named leaves report them back through :meth:`Tape.backward`.
+A caller that computes a whole block of the model itself, such as a
+transformer layer, records it as one node with :meth:`Tape.fused`.
 
-The heavy work is split over the cores by :func:`icleq.numerics._by_rows`,
-and every split value is bit-identical to the unsplit op:
+The kernels of such blocks live here as functions on arrays that write
+into outputs and scratch the caller allocated: the exact GELU, the layer
+norm and the fused attention, each with its VJP.  Beyond numpy's own
+iterator buffers (8192 elements an operand, on strided or broadcast
+operands) they allocate nothing, so they may run on the pool's worker
+threads (the rule of :func:`icleq.numerics._lanes`).
 
-- the exact GELU (forward and VJP) along the leading axis;
-- each 2-D matmul of at least ``_SPLIT_MADDS`` = 2^22 multiply-adds (the
-  forward and both VJP products), by blocks of output rows cut at
-  multiples of ``_ROW_UNIT`` = 32 rows.  OpenBLAS's gemm computes a row of
-  the product the same way in such blocks, but not in blocks of 1, 3, 5,
-  7, 12 or 21 rows, nor when the column count is not a multiple of 8, nor
-  when a block is small enough (10^6 multiply-adds) for its small-matrix
-  kernel; so only products with a multiple of 8 columns are split, into
-  blocks of at least ``_BLOCK_MADDS`` = 2^20 multiply-adds.  Smaller
-  products, such as every matmul of a one-sequence ICL forward, run
-  inline;
-- the fused attention (forward and VJP) along the batch axis.
+Each 2-D matmul of at least ``_SPLIT_MADDS`` = 2^22 multiply-adds (the
+forward and the VJP products; an operand that needs no gradient gets no
+product) is split over the cores by
+:func:`icleq.numerics._by_rows`, bit-identically to the unsplit product:
 
-A worker calls only numpy, never a :class:`Tape` method, and never submits
-to the pool itself.
+- by blocks of output rows cut at multiples of ``_ROW_UNIT`` = 32 rows
+  when it has at least two such blocks.  OpenBLAS's gemm computes a row
+  of the product the same way in such blocks, but not in blocks of 1, 3,
+  5, 7, 12 or 21 rows, nor when the column count is not a multiple of 8,
+  nor when a block is small enough (10^6 multiply-adds) for its
+  small-matrix kernel; so only products with a multiple of 8 columns are
+  split, into blocks of at least ``_BLOCK_MADDS`` = 2^20 multiply-adds;
+- otherwise, such as a weight gradient with 32 output rows, by blocks of
+  output columns cut at multiples of ``_COL_UNIT`` = 16 columns, again of
+  at least ``_BLOCK_MADDS`` each: narrower blocks (8 or 24 columns of a
+  (32, 1344) @ (1344, 256) product) are not computed the same way.
+
+Smaller products, such as every matmul of a one-sequence ICL forward, run
+inline.  A worker calls only numpy, never a :class:`Tape` method, and
+never submits to the pool itself.
 """
 
 from __future__ import annotations
@@ -42,7 +53,9 @@ __all__ = ["Tape", "Node", "GraphNumericsError"]
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _SPLIT_MADDS = 1 << 22  # multiply-adds of the smallest matmul split over the cores
 _BLOCK_MADDS = 1 << 20  # multiply-adds of the smallest block of a split matmul
-_ROW_UNIT = 32  # a split matmul's cuts fall at multiples of this many rows
+_ROW_UNIT = 32  # a row-split matmul's cuts fall at multiples of this many rows
+_COL_UNIT = 16  # a column-split matmul's cuts fall at multiples of this many columns
+_LN_EPS = 1e-5
 
 
 class GraphNumericsError(RuntimeError):
@@ -84,7 +97,8 @@ def _swap_last(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(a, -1, -2)
 
 
-def _gelu_forward(out, phi, x):
+def _gelu(out, phi, x):
+    """The exact GELU ``out = x * phi`` with ``phi = Phi(x)``, kept for the VJP."""
     ndtr(x, out=phi)
     np.multiply(x, phi, out=out)
 
@@ -101,23 +115,111 @@ def _gelu_vjp(dx, g, x, phi):
     dx *= g
 
 
+def _layer_norm(out, xhat, inv, mu, x, gain, bias):
+    """``out = gain * xhat + bias`` with ``x`` normalized over axis 0 (per
+    token): ``xhat = (x - mean) * inv``, ``inv = 1 / sqrt(var + eps)``,
+    in the arithmetic of ``x.mean`` and ``x.var``.  ``xhat`` and ``inv``
+    (shape (1, ...)) are kept for the VJP; ``mu`` is scratch of inv's shape.
+    """
+    d = len(x)
+    np.add.reduce(x, axis=0, keepdims=True, out=mu)
+    mu /= d
+    np.subtract(x, mu, out=xhat)
+    np.square(xhat, out=out)
+    np.add.reduce(out, axis=0, keepdims=True, out=inv)
+    inv /= d
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(gain, xhat, out=out)
+    out += bias
+
+
+def _layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain):
+    """The layer norm's input gradient ``dx`` for the output cotangent
+    ``g``, ``(dxhat - m1 - xhat * m2) * inv`` with ``dxhat = g * gain`` and
+    m1, m2 the means over axis 0 of dxhat and dxhat * xhat; also
+    ``gxhat = g * xhat``, whose sum over tokens is the gain's gradient.
+    ``t`` (x's shape), ``m1`` and ``m2`` (inv's shape) are scratch."""
+    d = len(g)
+    np.multiply(g, xhat, out=gxhat)
+    np.multiply(g, gain, out=dx)
+    np.add.reduce(dx, axis=0, keepdims=True, out=m1)
+    m1 /= d
+    np.multiply(dx, xhat, out=t)
+    np.add.reduce(t, axis=0, keepdims=True, out=m2)
+    m2 /= d
+    np.multiply(xhat, m2, out=t)
+    dx -= m1
+    dx -= t
+    dx *= inv
+
+
+def _softmax_inplace(p: np.ndarray, axis: int, s: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``p`` over ``axis``, in place; ``s`` is scratch of the
+    reduced shape (allocated when None)."""
+    s = np.max(p, axis=axis, keepdims=True, out=s)
+    np.subtract(p, s, out=p)
+    np.exp(p, out=p)
+    np.divide(p, np.sum(p, axis=axis, keepdims=True, out=s), out=p)
+    return p
+
+
+def _attention(p, out, s, q, k, v, scale, mask_add):
+    """``out = softmax(q k^T * scale + mask_add) v`` over the last two axes,
+    keeping the probabilities ``p`` for the VJP; ``s`` is (..., Tq, 1)
+    scratch.
+
+    ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
+    leading axes; Tq may be smaller than Tk.  ``mask_add`` (Tq, Tk) holds
+    0 (allowed) or a large negative constant; after the max shift those
+    logits underflow to exactly 0 probability, which keeps masked keys
+    exactly out of the mixture.
+    """
+    np.matmul(q, _swap_last(k), out=p)
+    p *= scale
+    p += mask_add
+    _softmax_inplace(p, -1, s)
+    np.matmul(p, v, out=out)
+
+
+def _attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale):
+    """Gradients ``dq``, ``dk``, ``dv`` of :func:`_attention` for the output
+    cotangent ``g``, reusing the saved probabilities ``p``: the fused
+    backward of FlashAttention (Dao et al., 2022) without its tiling.
+    ``ds``, ``dsp`` (p's shape) and ``s`` are scratch."""
+    np.matmul(_swap_last(p), g, out=dv)
+    np.matmul(g, _swap_last(v), out=ds)
+    ds -= np.sum(np.multiply(ds, p, out=dsp), axis=-1, keepdims=True, out=s)
+    ds *= p
+    ds *= scale
+    np.matmul(ds, k, out=dq)
+    np.matmul(_swap_last(ds), q, out=dk)
+
+
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; a large 2-D product is split by blocks of output rows."""
+    """``a @ b``; a large 2-D product is split by blocks of output rows, or
+    of output columns when it has too few rows."""
     if a.ndim != 2 or b.ndim != 2:
         return a @ b
     (m, k), n = a.shape, b.shape[1]
     if m * k * n < _SPLIT_MADDS or n % 8:
         return a @ b
-    unit = _ROW_UNIT * -(-_BLOCK_MADDS // (_ROW_UNIT * k * n))
     out = np.empty((m, n), np.result_type(a, b))
-    return _by_rows(lambda o, rows: np.matmul(rows, b, out=o), out, a, unit=unit)
+    unit = _ROW_UNIT * -(-_BLOCK_MADDS // (_ROW_UNIT * k * n))
+    if m >= 2 * unit:
+        return _by_rows(lambda o, rows: np.matmul(rows, b, out=o), out, a, unit=unit)
+    return _by_columns(out, a, b)
 
 
-def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
-    np.subtract(p, p.max(axis=axis, keepdims=True), out=p)
-    np.exp(p, out=p)
-    np.divide(p, p.sum(axis=axis, keepdims=True), out=p)
-    return p
+def _by_columns(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``out = a @ b`` by blocks of output columns, cut at multiples of
+    ``_COL_UNIT`` columns into blocks of at least ``_BLOCK_MADDS``."""
+    m, k = a.shape
+    unit = _COL_UNIT * -(-_BLOCK_MADDS // (_COL_UNIT * m * k))
+    _by_rows(lambda o, cols: np.matmul(a, cols.T, out=o.T), out.T, b.T, unit=unit)
+    return out
 
 
 class Tape:
@@ -183,8 +285,11 @@ class Tape:
         out = _matmul(a.value, b.value)
 
         def vjp(g):
-            ga = _unbroadcast(_matmul(g, _swap_last(b.value)), a.value.shape)
-            gb = _unbroadcast(_matmul(_swap_last(a.value), g), b.value.shape)
+            ga = gb = None
+            if a.needs_grad:
+                ga = _unbroadcast(_matmul(g, _swap_last(b.value)), a.value.shape)
+            if b.needs_grad:
+                gb = _unbroadcast(_matmul(_swap_last(a.value), g), b.value.shape)
             return (ga, gb)
 
         return self._push("matmul", (a, b), out, vjp)
@@ -199,66 +304,7 @@ class Tape:
 
         return self._push("reshape", (a,), out, vjp)
 
-    def transpose(self, a: Node, axes: tuple) -> Node:
-        out = np.ascontiguousarray(a.value.transpose(axes))
-        inv = np.argsort(axes)
-
-        def vjp(g):
-            return (g.transpose(inv),)
-
-        return self._push("transpose", (a,), out, vjp)
-
-    def index_last(self, a: Node, idx: np.ndarray) -> Node:
-        """Select columns of the last axis; indices must be unique, since
-        the VJP writes (does not add) the gradient into each column."""
-        idx = np.asarray(idx, dtype=int)
-        if len(np.unique(idx)) != idx.size:
-            raise ValueError(f"index_last needs unique indices, got {idx.tolist()}")
-        out = a.value[..., idx]
-
-        def vjp(g):
-            z = np.zeros(a.value.shape)
-            z[..., idx] = g
-            return (z,)
-
-        return self._push("index_last", (a,), out, vjp)
-
     # -- nonlinearities -----------------------------------------------------
-
-    def gelu(self, a: Node) -> Node:
-        """Exact Gaussian error linear unit x * Phi(x), split over the cores."""
-        x = a.value
-        phi = np.empty_like(x)
-        out = _by_rows(_gelu_forward, np.empty_like(x), phi, x)
-
-        def vjp(g):
-            return (_by_rows(_gelu_vjp, np.empty_like(x), g, x, phi),)
-
-        return self._push("gelu", (a,), out, vjp)
-
-    def layer_norm(self, a: Node, gain: Node, bias: Node, axis: int, eps: float = 1e-5) -> Node:
-        """Normalize over ``axis`` (per token), then affine gain/bias.
-
-        ``gain`` and ``bias`` must already be shaped to broadcast against
-        ``a`` (callers reshape the 1-D parameters).
-        """
-        x = a.value
-        mu = x.mean(axis=axis, keepdims=True)
-        var = x.var(axis=axis, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
-        out = gain.value * xhat + bias.value
-
-        def vjp(g):
-            dgain = _unbroadcast(g * xhat, gain.value.shape)
-            dbias = _unbroadcast(g, bias.value.shape)
-            dxhat = g * gain.value
-            m1 = dxhat.mean(axis=axis, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axis, keepdims=True)
-            dx = (dxhat - m1 - xhat * m2) * inv
-            return (dx, dgain, dbias)
-
-        return self._push("layer_norm", (a, gain, bias), out, vjp)
 
     def softmax(self, a: Node, axis: int) -> Node:
         """Softmax over ``axis``."""
@@ -270,47 +316,10 @@ class Tape:
 
         return self._push("softmax", (a,), p, vjp)
 
-    def attention(self, q: Node, k: Node, v: Node, scale: float, mask_add: np.ndarray) -> Node:
-        """``softmax(q k^T * scale + mask_add) v`` over the last two axes.
-
-        ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
-        leading axes; Tq may be smaller than Tk.  ``mask_add`` (Tq, Tk) holds
-        0 (allowed) or a large negative constant; after the max shift those
-        logits underflow to exactly 0 probability, which keeps masked keys
-        exactly out of the mixture.  The VJP reuses the saved probabilities:
-        the fused backward of FlashAttention (Dao et al., 2022) without its
-        tiling.  Forward and VJP are split over the cores along the leading
-        (batch) axis; every array a worker writes is allocated here.
-        """
-        qv, kv, vv = q.value, k.value, v.value
-        p = np.empty(qv.shape[:-1] + kv.shape[-2:-1])
-        out = np.empty(qv.shape[:-1] + vv.shape[-1:])
-
-        def forward(p, out, q, k, v):
-            np.matmul(q, _swap_last(k), out=p)
-            p *= scale
-            p += mask_add
-            _softmax_inplace(p, -1)
-            np.matmul(p, v, out=out)
-
-        _by_rows(forward, p, out, qv, kv, vv)
-
-        def backward(ds, dq, dk, dv, dsp, g, p, q, k, v):
-            np.matmul(_swap_last(p), g, out=dv)
-            np.matmul(g, _swap_last(v), out=ds)
-            ds -= np.multiply(ds, p, out=dsp).sum(axis=-1, keepdims=True)
-            ds *= p
-            ds *= scale
-            np.matmul(ds, k, out=dq)
-            np.matmul(_swap_last(ds), q, out=dk)
-
-        def vjp(g):
-            dq, dk, dv = np.empty_like(qv), np.empty_like(kv), np.empty_like(vv)
-            ds = np.empty_like(p)
-            _by_rows(backward, ds, dq, dk, dv, np.empty_like(p), g, p, qv, kv, vv)
-            return (dq, dk, dv)
-
-        return self._push("attention", (q, k, v), out, vjp)
+    def fused(self, op: str, parents: tuple, value: np.ndarray, vjp) -> Node:
+        """A node the caller computed itself, such as a whole transformer
+        layer: ``vjp(g)`` returns one gradient per parent, of its shape."""
+        return self._push(op, tuple(parents), value, vjp)
 
     def sum_all(self, a: Node) -> Node:
         out = np.asarray(a.value.sum())

@@ -25,15 +25,16 @@ dimensions and over pilots add whole rows in numpy's own pairwise order
 bit for bit.
 
 Work on large arrays is split over the cores in the process's CPU
-affinity by one shared thread pool, :func:`_by_rows`, which cuts the
-leading axis into one block per core (at multiples of a row unit when
-asked).  Its users: the likelihoods of a channel stack, which walk their
-block in cache-sized pieces (:func:`_by_blocks`), and the autodiff tape's
-exact GELU, fused attention
-(over the batch) and large matmuls (by blocks of output rows cut at
-multiples of 32 rows; which products qualify is in :mod:`icleq.autodiff`).
-numpy, scipy and BLAS release the interpreter lock, and every split is
-bit-identical to one call.
+affinity by one shared thread pool, :func:`_lanes`, which cuts a range of
+rows into one block per core (at multiples of a row unit when asked), and
+:func:`_by_rows`, which hands each block the rows of its arrays.  Their
+users: the likelihoods of a channel stack, which walk their block in
+cache-sized pieces (:func:`_by_blocks`); each transformer layer, which runs
+its per-token work as one lane per core over blocks of batch rows
+(:mod:`icleq.transformer`); and the tape's large matmuls, by blocks of
+output rows or columns (which products qualify is in
+:mod:`icleq.autodiff`).  numpy, scipy and BLAS release the interpreter
+lock, and every split is bit-identical to one call.
 """
 
 from __future__ import annotations
@@ -75,12 +76,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarray:
-    """``fn(out, *args)`` on blocks of rows (leading axis), one block per
+def _lanes(fn, rows: int, unit: int = 1) -> None:
+    """``fn(i, j)`` on blocks ``[i, j)`` of ``range(rows)``, one block per
     core; the calling thread runs the first block.
 
     Every cut falls at a multiple of ``unit`` rows (the last block takes
-    the remainder), so an input of fewer than two units runs inline.
+    the remainder), so fewer than two units run inline as ``fn(0, rows)``.
     ``fn`` must write its results only into blocks of arrays the calling
     thread allocated, and may allocate temporaries of at most ``_BLOCK``
     elements: a worker thread's malloc arena would keep larger buffers
@@ -89,24 +90,31 @@ def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarra
     the first block's exception.
     """
     global _pool
-    rows = out.shape[0] if out.ndim else 1
     parts = min(_N_CORES, rows // unit)
     if parts <= 1:
-        fn(out, *args)
-        return out
+        fn(0, rows)
+        return
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
     cuts = [unit * (rows // unit * i // parts) for i in range(parts)] + [rows]
-    blocks = [tuple(a[i:j] for a in (out, *args)) for i, j in zip(cuts, cuts[1:])]
-    futures = [_pool.submit(fn, *blk) for blk in blocks[1:]]
+    futures = [_pool.submit(fn, i, j) for i, j in zip(cuts[1:], cuts[2:])]
     try:
-        fn(*blocks[0])
+        fn(cuts[0], cuts[1])
     finally:
         for f in futures:
             f.exception()  # waits for the block; raises nothing
     for f in futures:
         f.result()
+
+
+def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarray:
+    """``fn(out, *args)`` on blocks of rows (leading axis) cut by
+    :func:`_lanes`, whose rules ``fn`` keeps."""
+    if out.ndim == 0:
+        fn(out, *args)
+    else:
+        _lanes(lambda i, j: fn(out[i:j], *(a[i:j] for a in args)), len(out), unit)
     return out
 
 
@@ -115,7 +123,7 @@ def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndar
     (leading axis) of ``out`` and ``args``, each of ``_BLOCK // row_size``
     rows, where ``row_size`` is the elements per row of ``fn``'s widest
     array: no temporary of a block exceeds ``_BLOCK`` elements, the rule
-    of :func:`_by_rows`.  (A channel stack's likelihood passes channels as
+    of :func:`_lanes`.  (A channel stack's likelihood passes channels as
     rows and keeps them innermost in its own arrays; its ``fn`` returns
     the block's results with the channels moved to the leading axis.)
 

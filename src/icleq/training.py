@@ -8,15 +8,17 @@ error of the soft symbol estimate at every received-signal position, one
 prediction per context length 0..N.
 
 Gradients are exact reverse-mode derivatives from the autodiff tape in
-binary64.  The tape splits its large matmuls, the attention and the GELU
-over the cores only in ways that are bit-identical to one unsplit call, so
-a (config, seed) pair reproduces parameters bit for bit at any core count.
+binary64.  Each transformer layer runs over the cores in lanes of batch
+rows, and the tape splits its large matmuls, only in ways that are
+bit-identical to one unsplit call, so a (config, seed) pair reproduces
+parameters bit for bit at any core count.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import time
 from dataclasses import asdict, dataclass, field
 from zipfile import BadZipFile
 
@@ -274,7 +276,8 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
 
     Fully reproducible from ``cfg.seed``: task sampling, initialization and
     every step's data come from streams derived from it.  Progress lines,
-    about twenty per run, are logged at INFO.
+    about twenty per run, are logged at INFO; each gives the mean
+    wall-clock time per step since the previous line.
     """
     root = RngStream(cfg.seed)
     taskset = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, root.derive(0))
@@ -282,6 +285,7 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
     params = init_params(cfg.model, root.derive(1), scale=cfg.init_scale)
     state = AdamState.init(params)
     curve: list[tuple[int, float]] = []
+    line_time, line_step = time.perf_counter(), 0
     for step in range(cfg.n_steps):
         batch = sample_train_batch(taskset, cfg, constellation, root.derive(2, step))
         try:
@@ -294,7 +298,13 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
         curve.append((step, loss))
         if step % max(1, cfg.n_steps // 20) == 0 or step == cfg.n_steps - 1:
             recent = np.mean([l for _, l in curve[-200:]])
-            log.info("step %d/%d loss %.4f (avg %.4f)", step, cfg.n_steps, loss, recent)
+            now = time.perf_counter()
+            ms = 1e3 * (now - line_time) / (step + 1 - line_step)
+            log.info(
+                "step %d/%d loss %.4f (avg %.4f) %.1f ms/step",
+                step, cfg.n_steps, loss, recent, ms,
+            )
+            line_time, line_step = now, step + 1
     return params, curve, taskset
 
 

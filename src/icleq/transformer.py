@@ -29,13 +29,14 @@ no prefix column sees a query, and no query sees another, so each query's
 estimate equals that of its own (2N+1)-column sequence while the task
 costs 2N+S columns instead of S(2N+1).
 
-Each layer's attention is one fused tape op, :meth:`Tape.attention`, whose
-backward reuses the saved attention probabilities.  The loss and the head
-read only the received-signal columns (the even positions), so the last
-layer computes its queries, attention, output projection, residual, layer
-norm and feed-forward block only there; its keys and values still span
-every column.  This is exact: no other column of the last layer reaches
-the output.
+Each layer is one fused tape node (:func:`_layer`).  Its forward and VJP
+run all of the layer's per-token work as one lane per core over blocks of
+batch rows, and its attention backward reuses the saved attention
+probabilities.  The loss and the head read only the received-signal
+columns (the even positions), so the last layer computes its queries,
+attention, output projection, residual, layer norm and feed-forward block
+only there; its keys and values still span every column.  This is exact:
+no other column of the last layer reaches the output.
 
 Everything is built on the :mod:`icleq.autodiff` tape; inference just runs
 the same graph without a backward pass.
@@ -47,8 +48,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, Tape
+from .autodiff import (
+    Node,
+    Tape,
+    _attention,
+    _attention_vjp,
+    _gelu,
+    _gelu_vjp,
+    _layer_norm,
+    _layer_norm_vjp,
+    _matmul,
+    _unbroadcast,
+)
 from .channel import Constellation
+from .numerics import _lanes
 from .rng import RngStream
 
 __all__ = [
@@ -61,6 +74,7 @@ __all__ = [
 ]
 
 MASK_NEG = -1e9  # additive mask constant; exact zero probability after exp
+_LANE_ROWS = 8  # a layer's lanes cut the batch at multiples of this many rows
 
 
 @dataclass(frozen=True)
@@ -199,7 +213,25 @@ def causal_mask(positions: np.ndarray) -> np.ndarray:
     return np.where(visible, 0.0, MASK_NEG)
 
 
-def _attention_block(
+def _runs(columns: np.ndarray) -> list[tuple[slice, slice]]:
+    """Cut strictly increasing column indices into evenly spaced runs,
+    ``[(positions in the selection, columns)]`` as slices, so that a lane
+    gathers and scatters them through views and allocates nothing."""
+    idx = [int(c) for c in columns]
+    if any(b <= a for a, b in zip(idx, idx[1:])):
+        raise ValueError(f"columns must be strictly increasing, got {idx}")
+    runs, i = [], 0
+    while i < len(idx):
+        j = i + 1
+        step = idx[j] - idx[i] if j < len(idx) else 1
+        while j < len(idx) and idx[j] - idx[j - 1] == step:
+            j += 1
+        runs.append((slice(i, j), slice(idx[i], idx[j - 1] + 1, step)))
+        i = j
+    return runs
+
+
+def _layer(
     tape: Tape,
     p: dict,
     config: ModelConfig,
@@ -208,43 +240,162 @@ def _attention_block(
     mask: np.ndarray,
     rows: np.ndarray | None = None,
 ) -> Node:
-    """One layer: multi-head softmax self-attention + feed-forward block.
+    """One layer, multi-head softmax self-attention + feed-forward block,
+    as one fused tape node.
 
     Keys and values span every column of ``e`` (d_e, B, T); ``mask`` is
     the additive (T, T) mask.  Queries, and everything after the attention,
     are computed only at the columns ``rows`` (all columns when None), so
     the output is (d_e, B, len(rows)).
+
+    Forward and VJP run all per-token work as one lane per core over
+    blocks of batch rows (:func:`icleq.numerics._lanes`, cut at multiples
+    of ``_LANE_ROWS``): the products with the layer's weights on the
+    lane's token columns, the attention, residuals, layer norm and GELU.
+    Only the sums over tokens run after the lanes, on full arrays: the
+    weight gradients ``G @ X^T`` (split by :func:`icleq.autodiff._matmul`)
+    and the layer norm's gain and bias sums.
+
+    Every value is bit-identical to the layer computed op by op on whole
+    arrays: a lane runs the same elementwise steps, and computes the same
+    products on a block of columns (at multiples of 8 columns, blocks of
+    an OpenBLAS product equal the unsplit product); the input's gradient
+    adds its terms in the order a tape would accumulate them.  A lane
+    keeps its intermediates in lane-major buffers, where its columns are
+    one contiguous matrix (numpy's elementwise loops run about twice as
+    fast there as on a block of columns), and copies into the full arrays
+    what the sums over tokens read.  Lanes write only into arrays
+    allocated here.
     """
     d_e, b, t = e.value.shape
-    h, d_w = config.n_heads, config.d_w
-    eq = e
+    h, d_w, d_f = config.n_heads, config.d_w, config.d_f
+    hd = h * d_w
+    leaves = [p[f"l{l}.{name}"] for name in ("wq", "wk", "wv", "wo", "w1", "w2", "ln_g", "ln_b")]
+    wq, wk, wv = (n.value.reshape(hd, d_e) for n in leaves[:3])
+    wo_t = np.ascontiguousarray(leaves[3].value.T)
+    w1, w2 = leaves[4].value, leaves[5].value
+    gain, bias = (n.value.reshape(d_e, 1) for n in leaves[6:])
+    runs = None if rows is None else _runs(rows)
     if rows is not None:
-        eq = tape.index_last(e, rows)
         mask = mask[rows]
-    tq = eq.value.shape[2]
+    tq = mask.shape[0]
+    scale = 1.0 / np.sqrt(d_w)
 
-    def heads(name, x_flat, n):
-        w = tape.reshape(p[f"l{l}.{name}"], (h * d_w, d_e))
-        z = tape.matmul(w, x_flat)  # (H*d_w, B*n)
-        z = tape.reshape(z, (h, d_w, b, n))
-        return tape.transpose(z, (2, 0, 3, 1))  # (B, H, n, d_w)
+    def lane_major(d, n):
+        """A (d, B n) buffer whose lane of batch rows i..j is one
+        contiguous (d, (j - i) n) matrix: ``buf(i, j)``."""
+        buf = np.empty(d * b * n)
+        return lambda i, j: buf[d * n * i : d * n * j].reshape(d, (j - i) * n)
 
-    e_flat = _flat(tape, e)
-    q = heads("wq", e_flat if rows is None else _flat(tape, eq), tq)
-    k = heads("wk", e_flat, t)
-    v = heads("wv", e_flat, t)
-    o = tape.attention(q, k, v, 1.0 / np.sqrt(d_w), mask)  # (B, H, Tq, d_v)
-    o = tape.transpose(o, (1, 3, 0, 2))  # (H, d_v, B, Tq)
-    o = tape.reshape(o, (h * d_w, b * tq))  # heads stacked token by token
-    a = tape.matmul(tape.transpose(p[f"l{l}.wo"], (1, 0)), o)  # (d_e, B*Tq)
-    r = tape.add(_unflat(tape, a, b, tq), eq)
+    x = e.value.reshape(d_e, b * t)
+    # the query columns through numpy's own gather: its layout (a transposed
+    # view for one sequence, a C-ordered copy otherwise) decides which of
+    # OpenBLAS's small-matrix kernels computes a small query product
+    xq = x if rows is None else e.value[..., rows].reshape(d_e, b * tq)
+    z = lane_major(hd, t), lane_major(hd, tq)  # the Q/K/V products, one at a time
+    q, k, v = np.empty((b, h, tq, d_w)), np.empty((b, h, t, d_w)), np.empty((b, h, t, d_w))
+    att, o, s = np.empty((b, h, tq, t)), np.empty((b, h, tq, d_w)), np.empty((b, h, tq, 1))
+    r, xhat, ln_l = lane_major(d_e, tq), lane_major(d_e, tq), lane_major(d_e, tq)
+    inv, mu = lane_major(1, tq), lane_major(1, tq)
+    pre, phi = lane_major(d_f, tq), lane_major(d_f, tq)
+    # read by the sums over tokens; heads are stacked token by token
+    heads, ln, hid = np.empty((hd, b * tq)), np.empty((d_e, b * tq)), np.empty((d_f, b * tq))
+    out = np.empty((d_e, b, tq))
+    out2 = out.reshape(d_e, b * tq)
 
-    gain = tape.reshape(p[f"l{l}.ln_g"], (d_e, 1, 1))
-    bias = tape.reshape(p[f"l{l}.ln_b"], (d_e, 1, 1))
-    ln = tape.layer_norm(r, gain, bias, axis=0)
-    hid = tape.gelu(tape.matmul(p[f"l{l}.w2"], _flat(tape, ln)))  # (d_f, B*Tq)
-    f = tape.matmul(p[f"l{l}.w1"], hid)  # (d_e, B*Tq)
-    return tape.add(_unflat(tape, f, b, tq), r)
+    def forward(i, j):
+        nb, c, ck = j - i, slice(i * tq, j * tq), slice(i * t, j * t)
+        for w, src, dst, zn, n, cn in ((wq, xq, q, z[1], tq, c), (wk, x, k, z[0], t, ck), (wv, x, v, z[0], t, ck)):
+            zb = zn(i, j)
+            np.matmul(w, src[:, cn], out=zb)
+            dst[i:j] = zb.reshape(h, d_w, nb, n).transpose(2, 0, 3, 1)
+        _attention(att[i:j], o[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
+        heads.reshape(h, d_w, b, tq)[:, :, i:j] = o[i:j].transpose(1, 3, 0, 2)
+        rb, lb = r(i, j), ln_l(i, j)
+        np.matmul(wo_t, heads[:, c], out=rb)
+        rb += xq[:, c]
+        _layer_norm(lb, xhat(i, j), inv(i, j), mu(i, j), rb, gain, bias)
+        ln[:, c] = lb
+        np.matmul(w2, lb, out=pre(i, j))
+        _gelu(hid[:, c], phi(i, j), pre(i, j))
+        np.matmul(w1, hid[:, c], out=out2[:, c])
+        out2[:, c] += rb
+
+    _lanes(forward, b, _LANE_ROWS)
+
+    def vjp(g):
+        g = np.ascontiguousarray(g).reshape(d_e, b * tq)
+        ghid, gpre_l = lane_major(d_f, tq), lane_major(d_f, tq)
+        gln_l, gr_l, tmp = lane_major(d_e, tq), lane_major(d_e, tq), lane_major(d_e, tq)
+        m1, m2 = lane_major(1, tq), lane_major(1, tq)
+        gheads, gx, de_l = lane_major(hd, tq), lane_major(d_e, t), lane_major(d_e, t)
+        geq = None if runs is None else lane_major(d_e, tq)
+        ds, dsp = np.empty_like(att), np.empty_like(att)
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        # read by the sums over tokens
+        gpre, gr = np.empty((d_f, b * tq)), np.empty((d_e, b * tq))
+        gln, gxhat = np.empty((d_e, b, tq)), np.empty((d_e, b, tq))
+        gq, gk, gv = np.empty((hd, b * tq)), np.empty((hd, b * t)), np.empty((hd, b * t))
+        de = np.empty((d_e, b, t))
+        gln2, gxhat2, de2 = gln.reshape(d_e, -1), gxhat.reshape(d_e, -1), de.reshape(d_e, -1)
+
+        def backward(i, j):
+            nb, c, ck = j - i, slice(i * tq, j * tq), slice(i * t, j * t)
+            gh, gp, gl, grb = ghid(i, j), gpre_l(i, j), gln_l(i, j), gr_l(i, j)
+            np.matmul(w1.T, g[:, c], out=gh)
+            _gelu_vjp(gp, gh, pre(i, j), phi(i, j))
+            gpre[:, c] = gp
+            np.matmul(w2.T, gp, out=gl)
+            gln2[:, c] = gl
+            _layer_norm_vjp(grb, gxhat2[:, c], tmp(i, j), m1(i, j), m2(i, j), gl, xhat(i, j), inv(i, j), gain)
+            grb += g[:, c]  # the residual's gradient reaches r too
+            gr[:, c] = grb
+            ghb = gheads(i, j)
+            np.matmul(wo_t.T, grb, out=ghb)
+            go = ghb.reshape(h, d_w, nb, tq).transpose(2, 0, 3, 1)
+            _attention_vjp(
+                ds[i:j], dq[i:j], dk[i:j], dv[i:j], dsp[i:j], s[i:j], go,
+                att[i:j], q[i:j], k[i:j], v[i:j], scale,
+            )
+            for dz, gz, n in ((dq, gq, tq), (dk, gk, t), (dv, gv, t)):
+                gz.reshape(h, d_w, b, n)[:, :, i:j] = dz[i:j].transpose(1, 3, 0, 2)
+            # the input's gradient, summed in a tape's order: the value and
+            # key products, then the query product and the residual
+            deb, gxb = de_l(i, j), gx(i, j)
+            np.matmul(wv.T, gv[:, ck], out=deb)
+            np.matmul(wk.T, gk[:, ck], out=gxb)
+            deb += gxb
+            if runs is None:
+                np.matmul(wq.T, gq[:, c], out=gxb)
+                deb += gxb
+                deb += grb
+            else:
+                # the query columns' gradient, scattered onto zeros, is added
+                gqb = geq(i, j)
+                np.matmul(wq.T, gq[:, c], out=gqb)
+                gqb += grb
+                d3, q3 = deb.reshape(d_e, nb, t), gqb.reshape(d_e, nb, tq)
+                for sel, src in runs:
+                    q3[:, :, sel] += d3[:, :, src]
+                deb += 0.0
+                for sel, src in runs:
+                    d3[:, :, src] = q3[:, :, sel]
+            de2[:, ck] = deb
+
+        _lanes(backward, b, _LANE_ROWS)
+        return (
+            de,
+            _matmul(gq, xq.T).reshape(h, d_w, d_e),
+            _matmul(gk, x.T).reshape(h, d_w, d_e),
+            _matmul(gv, x.T).reshape(h, d_w, d_e),
+            _matmul(gr, heads.T).T,
+            _matmul(g, hid.T),
+            _matmul(gpre, ln.T),
+            _unbroadcast(gxhat, (d_e, 1, 1)).reshape(d_e),
+            _unbroadcast(gln, (d_e, 1, 1)).reshape(d_e),
+        )
+
+    return tape.fused("layer", (e, *leaves), out, vjp)
 
 
 def leaf_params(tape: Tape, params: dict) -> dict[str, Node]:
@@ -286,7 +437,7 @@ def forward_graph(
     y_columns = np.flatnonzero(pos % 2 == 0)
     for l in range(config.n_layers):
         last = l == config.n_layers - 1
-        e = _attention_block(tape, p, config, l, e, mask, y_columns if last else None)
+        e = _layer(tape, p, config, l, e, mask, y_columns if last else None)
     np1 = y_columns.size
     logits = tape.matmul(p["head.w"], _flat(tape, e))
     logits = tape.add(logits, tape.reshape(p["head.b"], (config.n_classes, 1)))

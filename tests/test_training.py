@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +250,20 @@ class TestPretrain:
         _, c_short, _ = pretrain(cfg_short)
         _, c_long, _ = pretrain(cfg_long)
         assert c_long[:10] == c_short
+
+    def test_progress_lines_give_step_time(self, caplog):
+        """Each progress line ends with the mean wall-clock ms per step since
+        the previous line; with 40 steps a line falls every second step."""
+        caplog.set_level(logging.INFO, logger="icleq.training")
+        _, curve, _ = pretrain(tiny_cfg(n_steps=40))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
+        assert [int(re.match(r"step (\d+)/40", l).group(1)) for l in lines] == [
+            *range(0, 40, 2), 39
+        ]
+        for line, step in zip(lines, [*range(0, 40, 2), 39]):
+            assert line.startswith(f"step {step}/40 loss {curve[step][1]:.4f} ")
+            ms = re.fullmatch(r".* \(avg [0-9.]+\) ([0-9.]+) ms/step", line)
+            assert ms and float(ms.group(1)) > 0
 
     def test_divergence_detector_on_exploding_loss(self, monkeypatch):
         import icleq.training as tr

@@ -58,20 +58,21 @@ def token_column(v, d_s=4):
     return build_tokens(replace(TINY, d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
 
 
-class SelectionInputTape(Tape):
-    """Tape that keeps the operand of the column selection before the last
-    layer: the hidden sequence at every position."""
+class LayerInputTape(Tape):
+    """Tape that keeps the input of the last fused layer node: the hidden
+    sequence at every position, before the last layer selects its query
+    columns."""
 
-    def index_last(self, a, idx):
-        self.hidden = a.value
-        return super().index_last(a, idx)
+    def fused(self, op, parents, value, vjp):
+        self.hidden = parents[0].value
+        return super().fused(op, parents, value, vjp)
 
 
 def hidden_states(params, config, tok):
     """Hidden sequence (d_e, B, T) entering the last layer's column
     selection: the embedded sequence of a one-layer model, or the output
     of the last layer but one."""
-    tape = SelectionInputTape()
+    tape = LayerInputTape()
     forward_graph(tape, leaf_params(tape, params), config, tok, C2)
     return tape.hidden
 
