@@ -19,26 +19,9 @@ iterator buffers (8192 elements an operand, on strided or broadcast
 operands) they allocate nothing, so they may run on the pool's worker
 threads (the rule of :func:`icleq.numerics._lanes`).
 
-Each 2-D matmul of at least ``_SPLIT_MADDS`` = 2^22 multiply-adds (the
-forward and the VJP products; an operand that needs no gradient gets no
-product) is split over the cores by
-:func:`icleq.numerics._by_rows`, bit-identically to the unsplit product:
-
-- by blocks of output rows cut at multiples of ``_ROW_UNIT`` = 32 rows
-  when it has at least two such blocks.  OpenBLAS's gemm computes a row
-  of the product the same way in such blocks, but not in blocks of 1, 3,
-  5, 7, 12 or 21 rows, nor when the column count is not a multiple of 8,
-  nor when a block is small enough (10^6 multiply-adds) for its
-  small-matrix kernel; so only products with a multiple of 8 columns are
-  split, into blocks of at least ``_BLOCK_MADDS`` = 2^20 multiply-adds;
-- otherwise, such as a weight gradient with 32 output rows, by blocks of
-  output columns cut at multiples of ``_COL_UNIT`` = 16 columns, again of
-  at least ``_BLOCK_MADDS`` each: narrower blocks (8 or 24 columns of a
-  (32, 1344) @ (1344, 256) product) are not computed the same way.
-
-Smaller products, such as every matmul of a one-sequence ICL forward, run
-inline.  A worker calls only numpy, never a :class:`Tape` method, and
-never submits to the pool itself.
+A :class:`Tape` method runs on the calling thread, and its matmul and
+both VJP products are each one unsplit ``a @ b``.  A worker calls only
+numpy, never a :class:`Tape` method, and never submits to the pool itself.
 """
 
 from __future__ import annotations
@@ -46,15 +29,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-from .numerics import _by_rows
-
 __all__ = ["Tape", "Node", "GraphNumericsError"]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-_SPLIT_MADDS = 1 << 22  # multiply-adds of the smallest matmul split over the cores
-_BLOCK_MADDS = 1 << 20  # multiply-adds of the smallest block of a split matmul
-_ROW_UNIT = 32  # a row-split matmul's cuts fall at multiples of this many rows
-_COL_UNIT = 16  # a column-split matmul's cuts fall at multiples of this many columns
 _LN_EPS = 1e-5
 
 
@@ -198,30 +175,6 @@ def _attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale):
     np.matmul(_swap_last(ds), q, out=dk)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; a large 2-D product is split by blocks of output rows, or
-    of output columns when it has too few rows."""
-    if a.ndim != 2 or b.ndim != 2:
-        return a @ b
-    (m, k), n = a.shape, b.shape[1]
-    if m * k * n < _SPLIT_MADDS or n % 8:
-        return a @ b
-    out = np.empty((m, n), np.result_type(a, b))
-    unit = _ROW_UNIT * -(-_BLOCK_MADDS // (_ROW_UNIT * k * n))
-    if m >= 2 * unit:
-        return _by_rows(lambda o, rows: np.matmul(rows, b, out=o), out, a, unit=unit)
-    return _by_columns(out, a, b)
-
-
-def _by_columns(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``out = a @ b`` by blocks of output columns, cut at multiples of
-    ``_COL_UNIT`` columns into blocks of at least ``_BLOCK_MADDS``."""
-    m, k = a.shape
-    unit = _COL_UNIT * -(-_BLOCK_MADDS // (_COL_UNIT * m * k))
-    _by_rows(lambda o, cols: np.matmul(a, cols.T, out=o.T), out.T, b.T, unit=unit)
-    return out
-
-
 class Tape:
     """Computation graph: node list in construction (= topological) order."""
 
@@ -282,14 +235,14 @@ class Tape:
     def matmul(self, a: Node, b: Node) -> Node:
         if a.value.ndim < 2 or b.value.ndim < 2:
             raise ValueError("matmul operands must have ndim >= 2")
-        out = _matmul(a.value, b.value)
+        out = a.value @ b.value
 
         def vjp(g):
             ga = gb = None
             if a.needs_grad:
-                ga = _unbroadcast(_matmul(g, _swap_last(b.value)), a.value.shape)
+                ga = _unbroadcast(g @ _swap_last(b.value), a.value.shape)
             if b.needs_grad:
-                gb = _unbroadcast(_matmul(_swap_last(a.value), g), b.value.shape)
+                gb = _unbroadcast(_swap_last(a.value) @ g, b.value.shape)
             return (ga, gb)
 
         return self._push("matmul", (a, b), out, vjp)

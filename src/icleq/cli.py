@@ -12,7 +12,8 @@ Usage examples:
 Config files are flat ``key = value`` text; every key of
 :class:`icleq.experiments.ExperimentConfig` is accepted.  ``--seed``
 overrides the config seed, which makes reruns byte-identical for identical
-(config, seed) pairs.  The BLAS thread count is set through the environment,
+(config, seed) pairs at the same BLAS thread count (it changes the last
+bits of a product).  The BLAS thread count is set through the environment,
 e.g. ``OPENBLAS_NUM_THREADS=1``; left unset on a machine of several cores,
 a warning says so.
 """

@@ -26,14 +26,12 @@ bit for bit.
 
 Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_lanes`, which cuts a range of
-rows into one block per core (at multiples of a row unit when asked), and
-:func:`_by_rows`, which hands each block the rows of its arrays.  Their
-users: the likelihoods of a channel stack, which walk their block in
-cache-sized pieces (:func:`_by_blocks`); each transformer layer, which runs
-its per-token work as one lane per core over blocks of batch rows
-(:mod:`icleq.transformer`); and the tape's large matmuls, by blocks of
-output rows or columns (which products qualify is in
-:mod:`icleq.autodiff`).  numpy, scipy and BLAS release the interpreter
+rows into one block per core (at multiples of a row unit when asked).
+Its users: the likelihoods of a channel stack, which walk their block in
+cache-sized pieces (:func:`_by_blocks`); and each transformer layer,
+which runs its per-token work as one lane per core over blocks of batch
+rows, then its weight gradients as whole products, one lane per core
+(:mod:`icleq.transformer`).  numpy, scipy and BLAS release the interpreter
 lock, and every split is bit-identical to one call.
 """
 
@@ -82,12 +80,12 @@ def _lanes(fn, rows: int, unit: int = 1) -> None:
 
     Every cut falls at a multiple of ``unit`` rows (the last block takes
     the remainder), so fewer than two units run inline as ``fn(0, rows)``.
-    ``fn`` must write its results only into blocks of arrays the calling
-    thread allocated, and may allocate temporaries of at most ``_BLOCK``
-    elements: a worker thread's malloc arena would keep larger buffers
-    under the raised trim threshold of :mod:`icleq._malloc`.  If a block
-    raises, the call still waits for every other block before it re-raises
-    the first block's exception.
+    ``fn`` must write its results only into arrays, or blocks of arrays,
+    the calling thread allocated, and may allocate temporaries of at most
+    ``_BLOCK`` elements: a worker thread's malloc arena would keep larger
+    buffers under the raised trim threshold of :mod:`icleq._malloc`.  If a
+    block raises, the call still waits for every other block before it
+    re-raises the first block's exception.
     """
     global _pool
     parts = min(_N_CORES, rows // unit)
@@ -108,16 +106,6 @@ def _lanes(fn, rows: int, unit: int = 1) -> None:
         f.result()
 
 
-def _by_rows(fn, out: np.ndarray, *args: np.ndarray, unit: int = 1) -> np.ndarray:
-    """``fn(out, *args)`` on blocks of rows (leading axis) cut by
-    :func:`_lanes`, whose rules ``fn`` keeps."""
-    if out.ndim == 0:
-        fn(out, *args)
-    else:
-        _lanes(lambda i, j: fn(out[i:j], *(a[i:j] for a in args)), len(out), unit)
-    return out
-
-
 def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndarray:
     """``out[i:j] = fn(*(a[i:j] for a in args))`` for blocks of rows
     (leading axis) of ``out`` and ``args``, each of ``_BLOCK // row_size``
@@ -128,20 +116,22 @@ def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndar
     the block's results with the channels moved to the leading axis.)
 
     Inputs of one block or less run on the calling thread; larger ones are
-    split over the cores by :func:`_by_rows`, each core walking its share
+    split over the cores by :func:`_lanes`, each core walking its share
     one block at a time.  ``fn`` must treat rows independently, and on a
     worker thread it must not submit to the pool itself.
     """
     rows = max(1, _BLOCK // row_size)
 
-    def walk(out, *args):
-        for i in range(0, len(out), rows):
-            out[i : i + rows] = fn(*(a[i : i + rows] for a in args))
+    def walk(i, j):
+        for k in range(i, j, rows):
+            end = min(k + rows, j)
+            out[k:end] = fn(*(a[k:end] for a in args))
 
     if len(out) <= rows:
-        walk(out, *args)
-        return out
-    return _by_rows(walk, out, *args)
+        walk(0, len(out))
+    else:
+        _lanes(walk, len(out))
+    return out
 
 
 def _pairwise_sum(rows, n: int) -> np.ndarray:

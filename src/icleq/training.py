@@ -9,9 +9,10 @@ prediction per context length 0..N.
 
 Gradients are exact reverse-mode derivatives from the autodiff tape in
 binary64.  Each transformer layer runs over the cores in lanes of batch
-rows, and the tape splits its large matmuls, only in ways that are
-bit-identical to one unsplit call, so a (config, seed) pair reproduces
-parameters bit for bit at any core count.
+rows, then its weight gradients as whole products, one lane per core,
+only in ways that are bit-identical to one thread, so a (config, seed)
+pair reproduces parameters bit for bit at any core count, at a fixed BLAS
+thread count: the BLAS thread count changes the last bits of a product.
 """
 
 from __future__ import annotations

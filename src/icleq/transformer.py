@@ -57,7 +57,6 @@ from .autodiff import (
     _gelu_vjp,
     _layer_norm,
     _layer_norm_vjp,
-    _matmul,
     _unbroadcast,
 )
 from .channel import Constellation
@@ -252,9 +251,9 @@ def _layer(
     blocks of batch rows (:func:`icleq.numerics._lanes`, cut at multiples
     of ``_LANE_ROWS``): the products with the layer's weights on the
     lane's token columns, the attention, residuals, layer norm and GELU.
-    Only the sums over tokens run after the lanes, on full arrays: the
-    weight gradients ``G @ X^T`` (split by :func:`icleq.autodiff._matmul`)
-    and the layer norm's gain and bias sums.
+    Only the sums over tokens run after the lanes, on full arrays: the six
+    weight gradients ``G @ X^T``, each one whole product, as one more lane
+    per core, and the layer norm's gain and bias sums.
 
     Every value is bit-identical to the layer computed op by op on whole
     arrays: a lane runs the same elementwise steps, and computes the same
@@ -383,14 +382,26 @@ def _layer(
             de2[:, ck] = deb
 
         _lanes(backward, b, _LANE_ROWS)
+        # the weight gradients, each one whole product, one lane per core;
+        # in this order each half of the six carries the same multiply-adds
+        # (w1 and w2, q and wo, k and v are products of equal sizes)
+        products = ((g, hid.T), (gq, xq.T), (gk, x.T), (gpre, ln.T), (gv, x.T), (gr, heads.T))
+        gw = [np.empty((a.shape[0], w.shape[1])) for a, w in products]
+
+        def weights(i, j):
+            for (a, w), o in zip(products[i:j], gw[i:j]):
+                np.matmul(a, w, out=o)
+
+        _lanes(weights, len(products))
+        gw1, gwq, gwk, gw2, gwv, gwo = gw
         return (
             de,
-            _matmul(gq, xq.T).reshape(h, d_w, d_e),
-            _matmul(gk, x.T).reshape(h, d_w, d_e),
-            _matmul(gv, x.T).reshape(h, d_w, d_e),
-            _matmul(gr, heads.T).T,
-            _matmul(g, hid.T),
-            _matmul(gpre, ln.T),
+            gwq.reshape(h, d_w, d_e),
+            gwk.reshape(h, d_w, d_e),
+            gwv.reshape(h, d_w, d_e),
+            gwo.T,
+            gw1,
+            gw2,
             _unbroadcast(gxhat, (d_e, 1, 1)).reshape(d_e),
             _unbroadcast(gln, (d_e, 1, 1)).reshape(d_e),
         )

@@ -7,7 +7,6 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +21,6 @@ from icleq.rng import RngStream
 from icleq.training import (
     PretrainTaskSet,
     TrainConfig,
-    _loss_graph,
     gradient,
     sample_train_batch,
 )
@@ -266,10 +264,10 @@ class TestGeluSplit:
     def test_bit_identical_to_unsplit(self, monkeypatch, cores, shape):
         monkeypatch.setattr(numerics, "_N_CORES", cores)
         x = 3.0 * RngStream(182).normal(size=shape)
-        out, phi = np.empty_like(x), np.empty_like(x)
-        numerics._by_rows(autodiff._gelu, out, phi, x)
+        out, phi, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+        numerics._lanes(lambda i, j: autodiff._gelu(out[i:j], phi[i:j], x[i:j]), len(x))
         g = 2.0 * out
-        dx = numerics._by_rows(autodiff._gelu_vjp, np.empty_like(x), g, x, phi)
+        numerics._lanes(lambda i, j: autodiff._gelu_vjp(dx[i:j], g[i:j], x[i:j], phi[i:j]), len(x))
         want_out, want_grad = gelu_reference(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(dx, want_grad)
@@ -284,7 +282,10 @@ class TestGeluSplit:
         def call(i):
             for _ in range(20):
                 x = xs[i]
-                out = numerics._by_rows(autodiff._gelu, np.empty_like(x), np.empty_like(x), x)
+                out, phi = np.empty_like(x), np.empty_like(x)
+                numerics._lanes(
+                    lambda lo, hi: autodiff._gelu(out[lo:hi], phi[lo:hi], x[lo:hi]), len(x)
+                )
                 if not np.array_equal(out, want[i]):
                     bad.append(i)
 
@@ -336,95 +337,9 @@ def step_setup(d_e, batch_size=64, seed=190):
     return params, cfg, sample_train_batch(ts, cfg, C2, RngStream(seed, 3))
 
 
-@cache
-def step_matmul_shapes():
-    """Operand shapes of every product of the default and desk steps: the
-    tape's matmuls, and each layer's products with its weights at every
-    column and at the last layer's y columns (the lanes compute their
-    column blocks)."""
-    shapes = set()
-    for d_e in (64, 32):
-        params, cfg, batch = step_setup(d_e)
-        tape = Tape()
-        _loss_graph(tape, params, cfg, batch, C2)
-        for n in tape.nodes:
-            if n.op == "matmul":
-                shapes.add((n.parents[0].value.shape, n.parents[1].value.shape))
-        _, b, t = batch.tokens.shape
-        for cols in (b * t, b * (t // 2 + 1)):
-            for m, k in ((d_e, d_e), (cfg.model.d_f, d_e), (d_e, cfg.model.d_f)):
-                shapes.add(((m, k), (k, cols)))
-    return sorted(shapes)
-
-
-def layouts(x):
-    """The same matrix C-ordered and as the transpose of a C-ordered array."""
-    return np.ascontiguousarray(x), np.ascontiguousarray(x.T).T
-
-
 class TestMatmulSplit:
-    """A 2-D matmul split into blocks of output rows is bit-identical to
-    ``a @ b`` for every product of a training step."""
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-    def test_step_products_bit_identical(self, monkeypatch, pool, cores):
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        rng = RngStream(191)
-        shapes = [*step_matmul_shapes(), ((100, 64), (64, 2624))]  # remainder rows
-        assert len(shapes) > 10
-        for (m, k), (_, n) in shapes:
-            a, b, g = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(m, n))
-            for x, y in ((a, b), (g, b.T), (a.T, g)):  # forward, then both VJP products
-                for xl in layouts(x):
-                    for yl in layouts(y):
-                        assert np.array_equal(autodiff._matmul(xl, yl), xl @ yl), (x.shape, y.shape)
-        assert (pool.submits > 0) == (cores > 1)
-
-    @pytest.mark.parametrize("cores", [2, 3, 5])
-    def test_column_cut_bit_identical(self, monkeypatch, pool, cores):
-        """The cut by blocks of output columns, which ``_matmul`` takes for
-        products with too few rows for the row cut, is exact at every step
-        product: at least 16 columns and 2^20 multiply-adds per block."""
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        rng = RngStream(203)
-        for (m, k), (_, n) in step_matmul_shapes():
-            a, b, g = rng.normal(size=(m, k)), rng.normal(size=(k, n)), rng.normal(size=(m, n))
-            for x, y in ((a, b), (g, b.T), (a.T, g)):
-                for xl in layouts(x):
-                    for yl in layouts(y):
-                        out = np.empty((x.shape[0], y.shape[1]))
-                        got = autodiff._by_columns(out, xl, yl)
-                        assert np.array_equal(got, xl @ yl), (x.shape, y.shape)
-        assert pool.submits > 0
-
-    def test_small_products_stay_inline(self, monkeypatch, pool):
-        """The head's 16-row weight gradient, a product whose column count
-        is not a multiple of 8, and every tape matmul of a one-sequence ICL
-        forward (2N + S = 104 columns: the embedding, the positions, the
-        head and the soft estimate) never reach the pool."""
-        monkeypatch.setattr(numerics, "_N_CORES", 5)
-        g, e = rnd(192, 16, 1344), rnd(193, 64, 1344)
-        assert np.array_equal(autodiff._matmul(g, e.T), g @ e.T)
-        a, b = rnd(192, 64, 64), rnd(193, 64, 1100)
-        assert np.array_equal(autodiff._matmul(a, b), a @ b)
-        assert pool.submits == 0
-
-        submits = []
-        matmul = autodiff._matmul
-
-        def counted(a, b):
-            before = pool.submits
-            out = matmul(a, b)
-            submits.append(pool.submits - before)
-            return out
-
-        monkeypatch.setattr(autodiff, "_matmul", counted)
-        cfg = ExperimentConfig()
-        model = cfg.model_config()
-        params = init_params(model, RngStream(194), scale=0.1)
-        tokens = rnd(195, model.d_s, 1, 2 * cfg.n_context + cfg.n_test_symbols_per_task)
-        forward_batch(params, model, C2, tokens, cfg.n_test_symbols_per_task)
-        assert len(submits) == 4 and not any(submits)
+    """A training step's loss and gradients are the same split over the
+    cores as on one."""
 
     @pytest.mark.parametrize("d_e", [64, 32])
     def test_step_gradient_bit_identical(self, monkeypatch, pool, d_e):
@@ -441,24 +356,6 @@ class TestMatmulSplit:
         assert grads.keys() == want.keys()
         for name, g in grads.items():
             assert np.array_equal(g, want[name]), name
-
-    def test_concurrent_callers(self, monkeypatch):
-        """Callers on several threads share the worker pool; each gets its
-        own exact product."""
-        monkeypatch.setattr(numerics, "_N_CORES", 2)
-        pairs = [(rnd(196, 64, 64 + 8 * i), rnd(197, 64 + 8 * i, 1344)) for i in range(6)]
-        want = [a @ b for a, b in pairs]
-        bad = []
-
-        def call(i):
-            for _ in range(20):
-                tape = Tape()
-                a, b = (tape.leaf(x, name) for x, name in zip(pairs[i], "ab"))
-                if not np.array_equal(tape.matmul(a, b).value, want[i]):
-                    bad.append(i)
-
-        run_threads(call, len(pairs))
-        assert bad == []
 
 
 # (d_e, batch size) -> (loss, step_digest) of ``step_setup(d_e, batch size)``
@@ -594,6 +491,15 @@ class TestLayerLanes:
         assert {"matmul", "backward"} <= threads.keys()
         assert all(t == {threading.main_thread()} for t in threads.values())
 
+    @pytest.mark.parametrize("d_e", [64, 32])
+    def test_three_submits_per_layer(self, monkeypatch, pool, d_e):
+        """On two cores a layer's gradient syncs the cores three times: the
+        forward lanes, the backward lanes and the weight gradients."""
+        monkeypatch.setattr(numerics, "_N_CORES", 2)
+        params, cfg, batch = step_setup(d_e)
+        gradient(params, cfg, batch, C2)
+        assert pool.submits == 3 * cfg.model.n_layers
+
     def test_one_sequence_forward_stays_inline(self, monkeypatch, pool):
         """A one-sequence ICL forward (B = 1) is a single inline lane."""
         monkeypatch.setattr(numerics, "_N_CORES", 5)
@@ -617,17 +523,24 @@ def attention_reference(q, k, v, scale, mask, g):
 
 def split_attention(q, k, v, scale, mask):
     """The attention kernel and its VJP for the output cotangent 2 * out,
-    each split over the batch axis by ``numerics._by_rows``."""
+    each split over the batch axis by ``numerics._lanes``."""
     p, out, s = attention_arrays(q, k, v)
-    numerics._by_rows(
-        lambda *a: autodiff._attention(*a, scale, mask), p, out, s, q, k, v
-    )
+
+    def forward(i, j):
+        autodiff._attention(p[i:j], out[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
+
+    numerics._lanes(forward, len(q))
     g = 2.0 * out
     ds, dsp = np.empty_like(p), np.empty_like(p)
     dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-    numerics._by_rows(
-        lambda *a: autodiff._attention_vjp(*a, scale), ds, dq, dk, dv, dsp, s, g, p, q, k, v
-    )
+
+    def backward(i, j):
+        r = slice(i, j)
+        autodiff._attention_vjp(
+            ds[r], dq[r], dk[r], dv[r], dsp[r], s[r], g[r], p[r], q[r], k[r], v[r], scale
+        )
+
+    numerics._lanes(backward, len(q))
     return out, dq, dk, dv
 
 

@@ -364,8 +364,8 @@ class TestBlockedPilotWeights:
         monkeypatch.setattr(numerics, "_N_CORES", 2)
         monkeypatch.setattr(numerics, "_BLOCK", self.ROWS * 7 * 4)
         splits = []
-        by_rows = numerics._by_rows
-        monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
         got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
         assert np.array_equal(got, want)
         assert bool(splits) == (n > 0 and m > self.ROWS)
@@ -527,8 +527,8 @@ class TestDistinctPilotCells:
         if split:
             monkeypatch.setattr(numerics, "_N_CORES", 2)
             monkeypatch.setattr(numerics, "_BLOCK", 2 * len(ctx) * 4)
-            by_rows = numerics._by_rows
-            monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+            lanes = numerics._lanes
+            monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
         for s2, w in zip(sigma2s, want):
             assert np.array_equal(channel_log_posterior_weights(channels, s2, q, ctx), w)
         assert len(splits) == (len(sigma2s) if split else 0)
@@ -547,8 +547,8 @@ class TestDistinctPilotCells:
         if split:
             monkeypatch.setattr(numerics, "_N_CORES", 2)
             monkeypatch.setattr(numerics, "_BLOCK", 2 * len(ctx) * 4)
-            by_rows = numerics._by_rows
-            monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+            lanes = numerics._lanes
+            monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
         for s2, w in zip(sigma2s, want):
             assert np.array_equal(channel_log_posterior_weights(channels, s2, q, ctx), w)
         assert len(splits) == (len(sigma2s) if split else 0)
@@ -569,8 +569,8 @@ class TestDistinctPilotCells:
         want = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
         monkeypatch.setattr(numerics, "_N_CORES", 2)
         splits = []
-        by_rows = numerics._by_rows
-        monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
         got = channel_log_posterior_weights(channels, t.sigma2, q, ctx)
         assert splits and np.array_equal(got, want)
 
@@ -693,8 +693,8 @@ class TestHeadlineSizes:
     def count_blocks(monkeypatch):
         """Record each stack that spans more than one block."""
         calls = []
-        by_rows = numerics._by_rows
-        monkeypatch.setattr(numerics, "_by_rows", lambda *a: calls.append(1) or by_rows(*a))
+        lanes = numerics._lanes
+        monkeypatch.setattr(numerics, "_lanes", lambda *a: calls.append(1) or lanes(*a))
         return calls
 
     @pytest.mark.parametrize("m", [1024, 1 << 14])

@@ -606,8 +606,8 @@ def test_4bit_pins_hold_through_split_cell_kernel(monkeypatch):
     monkeypatch.setattr(numerics, "_N_CORES", 2)
     monkeypatch.setattr(numerics, "_BLOCK", 64)
     splits = []
-    by_rows = numerics._by_rows
-    monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+    lanes = numerics._lanes
+    monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
     assert rows_digest(4) == ROWS_4BIT
     assert sweep_digest(run_threshold_sweep, {}) == THRESHOLD_4BIT
     assert splits
@@ -620,8 +620,8 @@ def test_unquantized_pins_hold_through_split_pilot_weights(monkeypatch):
     monkeypatch.setattr(numerics, "_N_CORES", 2)
     monkeypatch.setattr(numerics, "_BLOCK", 64)
     splits = []
-    by_rows = numerics._by_rows
-    monkeypatch.setattr(numerics, "_by_rows", lambda *a: splits.append(1) or by_rows(*a))
+    lanes = numerics._lanes
+    monkeypatch.setattr(numerics, "_lanes", lambda *a: splits.append(1) or lanes(*a))
     assert rows_digest(None) == ROWS_UNQUANTIZED
     assert sweep_digest(run_threshold_sweep, {"bits": None}) == THRESHOLD_UNQUANTIZED
     assert splits

@@ -447,18 +447,18 @@ class TestPairwiseSum:
         assert np.array_equal(a, before, equal_nan=True)
 
 
-class TestByRows:
+class TestLanes:
     @pytest.mark.parametrize("cores", [2, 3, 5])
     @pytest.mark.parametrize("rows", [64, 100, 320])
     def test_cuts_fall_at_multiples_of_the_unit(self, monkeypatch, cores, rows):
         monkeypatch.setattr(numerics, "_N_CORES", cores)
-        starts = []
+        out, starts = np.empty(rows), []
 
-        def fn(out, idx):
-            starts.append((int(idx[0]), len(idx)))
-            out[:] = idx
+        def fn(i, j):
+            starts.append((i, j - i))
+            out[i:j] = np.arange(i, j)
 
-        out = numerics._by_rows(fn, np.empty(rows), np.arange(rows, dtype=float), unit=32)
+        numerics._lanes(fn, rows, unit=32)
         assert np.array_equal(out, np.arange(rows))
         assert len(starts) == min(cores, rows // 32)
         assert all(i % 32 == 0 and n >= 32 for i, n in starts)
@@ -466,8 +466,8 @@ class TestByRows:
     def test_fewer_than_two_units_run_inline(self, monkeypatch):
         monkeypatch.setattr(numerics, "_N_CORES", 5)
         calls = []
-        numerics._by_rows(lambda out: calls.append(len(out)), np.empty(63), unit=32)
-        assert calls == [63]
+        numerics._lanes(lambda i, j: calls.append((i, j)), 63, unit=32)
+        assert calls == [(0, 63)]
 
     def test_waits_for_every_block_before_raising(self, monkeypatch):
         """The calling thread's block raises at once; the call re-raises
@@ -475,15 +475,16 @@ class TestByRows:
         monkeypatch.setattr(numerics, "_N_CORES", 2)
         caller = threading.get_ident()
         done = threading.Event()
+        out = np.zeros(2)
 
-        def fn(out):
+        def fn(i, j):
             if threading.get_ident() == caller:
                 raise RuntimeError("first block")
             time.sleep(0.2)
-            out[:] = 1.0
+            out[i:j] = 1.0
             done.set()
             raise ValueError("second block")
 
         with pytest.raises(RuntimeError, match="first block"):
-            numerics._by_rows(fn, np.zeros(2))
+            numerics._lanes(fn, 2)
         assert done.is_set()
