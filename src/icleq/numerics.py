@@ -28,11 +28,13 @@ Work on large arrays is split over the cores in the process's CPU
 affinity by one shared thread pool, :func:`_lanes`, which cuts a range of
 rows into one block per core (at multiples of a row unit when asked).
 Its users: the likelihoods of a channel stack, which walk their block in
-cache-sized pieces (:func:`_by_blocks`); and each transformer layer,
-which runs its per-token work as one lane per core over blocks of batch
-rows, then its weight gradients as whole products, one lane per core
-(:mod:`icleq.transformer`).  numpy, scipy and BLAS release the interpreter
-lock, and every split is bit-identical to one call.
+cache-sized pieces (:func:`_by_blocks`); and each transformer layer's
+forward and hand-written VJP, which run its per-token work as one lane
+per core over blocks of batch rows, then its weight gradients as whole
+products, one lane per core (:mod:`icleq.transformer`).  Every other
+step of the model runs on the calling thread.  numpy, scipy and BLAS
+release the interpreter lock, and every split is bit-identical to one
+call.
 """
 
 from __future__ import annotations

@@ -7,12 +7,14 @@ never changes, its noise and pilots do).  The objective is the squared
 error of the soft symbol estimate at every received-signal position, one
 prediction per context length 0..N.
 
-Gradients are exact reverse-mode derivatives from the autodiff tape in
-binary64.  Each transformer layer runs over the cores in lanes of batch
-rows, then its weight gradients as whole products, one lane per core,
-only in ways that are bit-identical to one thread, so a (config, seed)
-pair reproduces parameters bit for bit at any core count, at a fixed BLAS
-thread count: the BLAS thread count changes the last bits of a product.
+Gradients are exact reverse-mode derivatives in binary64, from the
+model's hand-written vector-Jacobian product
+(:func:`icleq.transformer.forward_graph`).  Each transformer layer runs
+over the cores in lanes of batch rows, then its weight gradients as
+whole products, one lane per core, only in ways that are bit-identical
+to one thread, so a (config, seed) pair reproduces parameters bit for
+bit at any core count, at a fixed BLAS thread count: the BLAS thread
+count changes the last bits of a product.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from zipfile import BadZipFile
 
 import numpy as np
 
-from .autodiff import GraphNumericsError, Tape
 from .channel import (
     Constellation,
     Quantizer,
@@ -40,7 +41,6 @@ from .transformer import (
     build_tokens,
     forward_graph,
     init_params,
-    leaf_params,
     param_shapes,
 )
 
@@ -56,6 +56,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
+    "GraphNumericsError",
     "TrainingDivergedError",
 ]
 
@@ -64,6 +65,10 @@ log = logging.getLogger(__name__)
 
 class TrainingDivergedError(RuntimeError):
     pass
+
+
+class GraphNumericsError(RuntimeError):
+    """A loss or gradient came out non-finite; the message says where."""
 
 
 # Adam's settings; checkpoints written before they became constants carry them
@@ -183,36 +188,42 @@ def sample_train_batch(
 # ---------------------------------------------------------------------------
 
 
-def _loss_graph(tape: Tape, params: dict, cfg: TrainConfig, batch: TrainBatch, constellation):
-    p = leaf_params(tape, params)
-    _, est = forward_graph(tape, p, cfg.model, batch.tokens, constellation)
-    diff = tape.sub(est, tape.constant(batch.targets))
-    return tape.scale(tape.sum_all(tape.square(diff)), 1.0 / (batch.size * est.value.shape[2]))
+def _loss(params: dict, cfg: TrainConfig, batch: TrainBatch, constellation):
+    """``(loss, diff, c, vjp)``: the mean squared error ``sum(diff**2) * c``
+    of the estimates, with ``c`` one over the batch size times the read-out
+    positions, and the model's VJP."""
+    _, est, vjp = forward_graph(params, cfg.model, batch.tokens, constellation)
+    diff = est - batch.targets
+    c = 1.0 / (batch.size * est.shape[2])
+    return (diff * diff).sum() * c, diff, c, vjp
 
 
 def batch_loss(
     params: dict, cfg: TrainConfig, batch: TrainBatch, constellation: Constellation
 ) -> float:
     """Mean squared estimation error over the batch and positions."""
-    tape = Tape()
-    return float(_loss_graph(tape, params, cfg, batch, constellation).value)
+    return float(_loss(params, cfg, batch, constellation)[0])
 
 
 def gradient(
     params: dict, cfg: TrainConfig, batch: TrainBatch, constellation: Constellation
 ) -> tuple[float, dict]:
-    """Loss and its exact reverse-mode gradient for every parameter; a
-    non-finite loss raises GraphNumericsError naming the first non-finite node."""
-    tape = Tape()
-    loss = _loss_graph(tape, params, cfg, batch, constellation)
-    if not np.isfinite(loss.value):
-        bad = next(n for n in tape.nodes if not np.all(np.isfinite(n.value)))
-        raise GraphNumericsError(f"non-finite value in {bad!r}")
-    grads = tape.backward(loss)
+    """Loss and its exact reverse-mode gradient for every parameter.
+
+    A non-finite loss raises GraphNumericsError naming the first
+    non-finite parameter, or the forward pass when every parameter is
+    finite; so does a non-finite gradient, naming its parameter.
+    """
+    loss, diff, c, vjp = _loss(params, cfg, batch, constellation)
+    if not np.isfinite(loss):
+        bad = next((name for name, p in params.items() if not np.all(np.isfinite(p))), None)
+        where = f"parameter {bad}" if bad else "the forward pass (every parameter is finite)"
+        raise GraphNumericsError(f"non-finite loss {loss}: non-finite value in {where}")
+    grads = vjp(2.0 * diff * c)
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise GraphNumericsError(f"non-finite gradient for {name}")
-    return float(loss.value), grads
+    return float(loss), grads
 
 
 # ---------------------------------------------------------------------------

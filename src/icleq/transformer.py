@@ -29,8 +29,9 @@ no prefix column sees a query, and no query sees another, so each query's
 estimate equals that of its own (2N+1)-column sequence while the task
 costs 2N+S columns instead of S(2N+1).
 
-Each layer is one fused tape node (:func:`_layer`).  Its forward and VJP
-run all of the layer's per-token work as one lane per core over blocks of
+Each layer is one function (:func:`_layer`) that returns its output and
+its hand-written vector-Jacobian product (VJP).  Its forward and VJP run
+all of the layer's per-token work as one lane per core over blocks of
 batch rows, and its attention backward reuses the saved attention
 probabilities.  The loss and the head read only the received-signal
 columns (the even positions), so the last layer computes its queries,
@@ -38,8 +39,17 @@ attention, output projection, residual, layer norm and feed-forward block
 only there; its keys and values still span every column.  This is exact:
 no other column of the last layer reaches the output.
 
-Everything is built on the :mod:`icleq.autodiff` tape; inference just runs
-the same graph without a backward pass.
+The rest of the model, the embedding, positions, head and softmax, is
+written out in :func:`forward_graph` together with its VJP, so the model
+has one forward function and one VJP; inference runs the forward and
+drops the VJP.
+
+The kernels of a layer are functions on arrays that write into outputs and
+scratch the caller allocated: the exact GELU, the layer norm and the fused
+attention, each with its VJP.  Beyond numpy's own iterator buffers (8192
+elements an operand, on strided or broadcast operands) they allocate
+nothing, so they may run on the pool's worker threads (the rule of
+:func:`icleq.numerics._lanes`).
 """
 
 from __future__ import annotations
@@ -47,18 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
-from .autodiff import (
-    Node,
-    Tape,
-    _attention,
-    _attention_vjp,
-    _gelu,
-    _gelu_vjp,
-    _layer_norm,
-    _layer_norm_vjp,
-    _unbroadcast,
-)
 from .channel import Constellation
 from .numerics import _lanes
 from .rng import RngStream
@@ -74,6 +74,8 @@ __all__ = [
 
 MASK_NEG = -1e9  # additive mask constant; exact zero probability after exp
 _LANE_ROWS = 8  # a layer's lanes cut the batch at multiples of this many rows
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
@@ -189,18 +191,124 @@ def build_tokens(
 
 
 # ---------------------------------------------------------------------------
-# graph construction
+# kernels
 # ---------------------------------------------------------------------------
 
 
-def _flat(tape: Tape, a: Node) -> Node:
-    d, b, t = a.value.shape
-    return tape.reshape(a, (d, b * t))
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a gradient down to the shape, of its rank, it was broadcast from."""
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _unflat(tape: Tape, a: Node, b: int, t: int) -> Node:
-    d = a.value.shape[0]
-    return tape.reshape(a, (d, b, t))
+def _swap_last(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _gelu(out, phi, x):
+    """The exact GELU ``out = x * phi`` with ``phi = Phi(x)``, kept for the VJP."""
+    ndtr(x, out=phi)
+    np.multiply(x, phi, out=out)
+
+
+def _gelu_vjp(dx, g, x, phi):
+    """dx = g * (phi + x * pdf(x)), evaluated in place in the order of
+    ``g * (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))``."""
+    np.multiply(x, -0.5, out=dx)
+    dx *= x
+    np.exp(dx, out=dx)
+    dx *= _INV_SQRT_2PI
+    dx *= x
+    dx += phi
+    dx *= g
+
+
+def _layer_norm(out, xhat, inv, mu, x, gain, bias):
+    """``out = gain * xhat + bias`` with ``x`` normalized over axis 0 (per
+    token): ``xhat = (x - mean) * inv``, ``inv = 1 / sqrt(var + eps)``,
+    in the arithmetic of ``x.mean`` and ``x.var``.  ``xhat`` and ``inv``
+    (shape (1, ...)) are kept for the VJP; ``mu`` is scratch of inv's shape.
+    """
+    d = len(x)
+    np.add.reduce(x, axis=0, keepdims=True, out=mu)
+    mu /= d
+    np.subtract(x, mu, out=xhat)
+    np.square(xhat, out=out)
+    np.add.reduce(out, axis=0, keepdims=True, out=inv)
+    inv /= d
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    np.multiply(gain, xhat, out=out)
+    out += bias
+
+
+def _layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain):
+    """The layer norm's input gradient ``dx`` for the output cotangent
+    ``g``, ``(dxhat - m1 - xhat * m2) * inv`` with ``dxhat = g * gain`` and
+    m1, m2 the means over axis 0 of dxhat and dxhat * xhat; also
+    ``gxhat = g * xhat``, whose sum over tokens is the gain's gradient.
+    ``t`` (x's shape), ``m1`` and ``m2`` (inv's shape) are scratch."""
+    d = len(g)
+    np.multiply(g, xhat, out=gxhat)
+    np.multiply(g, gain, out=dx)
+    np.add.reduce(dx, axis=0, keepdims=True, out=m1)
+    m1 /= d
+    np.multiply(dx, xhat, out=t)
+    np.add.reduce(t, axis=0, keepdims=True, out=m2)
+    m2 /= d
+    np.multiply(xhat, m2, out=t)
+    dx -= m1
+    dx -= t
+    dx *= inv
+
+
+def _softmax_inplace(p: np.ndarray, axis: int, s: np.ndarray | None = None) -> np.ndarray:
+    """Softmax of ``p`` over ``axis``, in place; ``s`` is scratch of the
+    reduced shape (allocated when None)."""
+    s = np.max(p, axis=axis, keepdims=True, out=s)
+    np.subtract(p, s, out=p)
+    np.exp(p, out=p)
+    np.divide(p, np.sum(p, axis=axis, keepdims=True, out=s), out=p)
+    return p
+
+
+def _attention(p, out, s, q, k, v, scale, mask_add):
+    """``out = softmax(q k^T * scale + mask_add) v`` over the last two axes,
+    keeping the probabilities ``p`` for the VJP; ``s`` is (..., Tq, 1)
+    scratch.
+
+    ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
+    leading axes; Tq may be smaller than Tk.  ``mask_add`` (Tq, Tk) holds
+    0 (allowed) or a large negative constant; after the max shift those
+    logits underflow to exactly 0 probability, which keeps masked keys
+    exactly out of the mixture.
+    """
+    np.matmul(q, _swap_last(k), out=p)
+    p *= scale
+    p += mask_add
+    _softmax_inplace(p, -1, s)
+    np.matmul(p, v, out=out)
+
+
+def _attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale):
+    """Gradients ``dq``, ``dk``, ``dv`` of :func:`_attention` for the output
+    cotangent ``g``, reusing the saved probabilities ``p``: the fused
+    backward of FlashAttention (Dao et al., 2022) without its tiling.
+    ``ds``, ``dsp`` (p's shape) and ``s`` are scratch."""
+    np.matmul(_swap_last(p), g, out=dv)
+    np.matmul(g, _swap_last(v), out=ds)
+    ds -= np.sum(np.multiply(ds, p, out=dsp), axis=-1, keepdims=True, out=s)
+    ds *= p
+    ds *= scale
+    np.matmul(ds, k, out=dq)
+    np.matmul(_swap_last(ds), q, out=dk)
+
+
+# ---------------------------------------------------------------------------
+# the model
+# ---------------------------------------------------------------------------
 
 
 def causal_mask(positions: np.ndarray) -> np.ndarray:
@@ -231,16 +339,17 @@ def _runs(columns: np.ndarray) -> list[tuple[slice, slice]]:
 
 
 def _layer(
-    tape: Tape,
     p: dict,
     config: ModelConfig,
     l: int,
-    e: Node,
+    e: np.ndarray,
     mask: np.ndarray,
     rows: np.ndarray | None = None,
-) -> Node:
-    """One layer, multi-head softmax self-attention + feed-forward block,
-    as one fused tape node.
+):
+    """Layer ``l`` of the parameters ``p``, multi-head softmax
+    self-attention + feed-forward block: returns ``(out, vjp)``, where
+    ``vjp(g)`` maps the output's cotangent to ``(de, {name: gradient})``
+    for the input and the layer's eight parameters.
 
     Keys and values span every column of ``e`` (d_e, B, T); ``mask`` is
     the additive (T, T) mask.  Queries, and everything after the attention,
@@ -259,21 +368,21 @@ def _layer(
     arrays: a lane runs the same elementwise steps, and computes the same
     products on a block of columns (at multiples of 8 columns, blocks of
     an OpenBLAS product equal the unsplit product); the input's gradient
-    adds its terms in the order a tape would accumulate them.  A lane
+    adds its terms in the order the op-by-op graph added them.  A lane
     keeps its intermediates in lane-major buffers, where its columns are
     one contiguous matrix (numpy's elementwise loops run about twice as
     fast there as on a block of columns), and copies into the full arrays
     what the sums over tokens read.  Lanes write only into arrays
     allocated here.
     """
-    d_e, b, t = e.value.shape
+    d_e, b, t = e.shape
     h, d_w, d_f = config.n_heads, config.d_w, config.d_f
     hd = h * d_w
-    leaves = [p[f"l{l}.{name}"] for name in ("wq", "wk", "wv", "wo", "w1", "w2", "ln_g", "ln_b")]
-    wq, wk, wv = (n.value.reshape(hd, d_e) for n in leaves[:3])
-    wo_t = np.ascontiguousarray(leaves[3].value.T)
-    w1, w2 = leaves[4].value, leaves[5].value
-    gain, bias = (n.value.reshape(d_e, 1) for n in leaves[6:])
+    names = [f"l{l}.{name}" for name in ("wq", "wk", "wv", "wo", "w1", "w2", "ln_g", "ln_b")]
+    wq, wk, wv, wo, w1, w2, ln_g, ln_b = (p[name] for name in names)
+    wq, wk, wv = (w.reshape(hd, d_e) for w in (wq, wk, wv))
+    wo_t = np.ascontiguousarray(wo.T)
+    gain, bias = ln_g.reshape(d_e, 1), ln_b.reshape(d_e, 1)
     runs = None if rows is None else _runs(rows)
     if rows is not None:
         mask = mask[rows]
@@ -286,11 +395,11 @@ def _layer(
         buf = np.empty(d * b * n)
         return lambda i, j: buf[d * n * i : d * n * j].reshape(d, (j - i) * n)
 
-    x = e.value.reshape(d_e, b * t)
+    x = e.reshape(d_e, b * t)
     # the query columns through numpy's own gather: its layout (a transposed
     # view for one sequence, a C-ordered copy otherwise) decides which of
     # OpenBLAS's small-matrix kernels computes a small query product
-    xq = x if rows is None else e.value[..., rows].reshape(d_e, b * tq)
+    xq = x if rows is None else e[..., rows].reshape(d_e, b * tq)
     z = lane_major(hd, t), lane_major(hd, tq)  # the Q/K/V products, one at a time
     q, k, v = np.empty((b, h, tq, d_w)), np.empty((b, h, t, d_w)), np.empty((b, h, t, d_w))
     att, o, s = np.empty((b, h, tq, t)), np.empty((b, h, tq, d_w)), np.empty((b, h, tq, 1))
@@ -358,7 +467,7 @@ def _layer(
             )
             for dz, gz, n in ((dq, gq, tq), (dk, gk, t), (dv, gv, t)):
                 gz.reshape(h, d_w, b, n)[:, :, i:j] = dz[i:j].transpose(1, 3, 0, 2)
-            # the input's gradient, summed in a tape's order: the value and
+            # the input's gradient, summed in the op-by-op graph's order: the value and
             # key products, then the query product and the residual
             deb, gxb = de_l(i, j), gx(i, j)
             np.matmul(wv.T, gv[:, ck], out=deb)
@@ -394,8 +503,7 @@ def _layer(
 
         _lanes(weights, len(products))
         gw1, gwq, gwk, gw2, gwv, gwo = gw
-        return (
-            de,
+        grads = (
             gwq.reshape(h, d_w, d_e),
             gwk.reshape(h, d_w, d_e),
             gwv.reshape(h, d_w, d_e),
@@ -405,58 +513,71 @@ def _layer(
             _unbroadcast(gxhat, (d_e, 1, 1)).reshape(d_e),
             _unbroadcast(gln, (d_e, 1, 1)).reshape(d_e),
         )
+        return de, dict(zip(names, grads))
 
-    return tape.fused("layer", (e, *leaves), out, vjp)
-
-
-def leaf_params(tape: Tape, params: dict) -> dict[str, Node]:
-    return {name: tape.leaf(arr, name) for name, arr in params.items()}
+    return out, vjp
 
 
 def forward_graph(
-    tape: Tape,
-    p: dict[str, Node],
+    params: dict,
     config: ModelConfig,
     tokens: np.ndarray,
     constellation: Constellation,
     n_queries: int = 1,
-) -> tuple[Node, Node]:
-    """Build the full model on the tape for a token batch (d_s, B, T) laid
-    out by :func:`build_tokens` with ``n_queries`` = S queries.
+):
+    """Run the model on a token batch (d_s, B, T) laid out by
+    :func:`build_tokens` with ``n_queries`` = S queries.
 
     The columns sit at positions 0..2N-1 (the pilots), then 2N (every
     query).  The causal mask (key k is visible to query j iff k == j or
     pos[k] < pos[j]) and the positional term come from the positions, and
     the read-out columns are those at even positions.  Returns
-    ``(class_probs, soft_estimates)`` nodes with shapes (n_classes, B, N+S)
-    and (2 n_t, B, N+S): one read-out per pilot observation, then one per
-    query.  More than 2*n_max pilot columns, or S outside 1..T, raise
-    ValueError.
+    ``(class_probs, soft_estimates, vjp)``: the probabilities
+    (n_classes, B, N+S) and estimates (2 n_t, B, N+S), one read-out per
+    pilot observation, then one per query; ``vjp(g)`` maps a cotangent of
+    the estimates to ``{name: gradient}`` for every parameter, in
+    ``params`` order.  More than 2*n_max pilot columns, or S outside 1..T,
+    raise ValueError.
     """
     d_s, b, t = tokens.shape
+    d_e, n_c = config.d_e, config.n_classes
     pos = _positions(config, t, n_queries)
-    tok = tape.constant(tokens)
-    e = tape.matmul(p["embed"], _flat(tape, tok))
-    e = _unflat(tape, e, b, t)
+    tok = tokens.reshape(d_s, b * t)
+    e = (params["embed"] @ tok).reshape(d_e, b, t)
     # gather the positional vectors by a one-hot matmul: exact, and
     # repeated positions are fine
-    select = np.eye(p["pos"].value.shape[1])[:, pos]  # (2 n_max + 1, T)
-    pos_term = tape.matmul(p["pos"], tape.constant(select))
-    e = tape.add(e, tape.reshape(pos_term, (config.d_e, 1, t)))
+    select = np.eye(params["pos"].shape[1])[:, pos]  # (2 n_max + 1, T)
+    e = e + (params["pos"] @ select).reshape(d_e, 1, t)
     mask = causal_mask(pos)
     # the loss reads only the y columns, so the last layer computes only those
     y_columns = np.flatnonzero(pos % 2 == 0)
+    layer_vjps = []
     for l in range(config.n_layers):
         last = l == config.n_layers - 1
-        e = _layer(tape, p, config, l, e, mask, y_columns if last else None)
+        e, layer_vjp = _layer(params, config, l, e, mask, y_columns if last else None)
+        layer_vjps.append(layer_vjp)
     np1 = y_columns.size
-    logits = tape.matmul(p["head.w"], _flat(tape, e))
-    logits = tape.add(logits, tape.reshape(p["head.b"], (config.n_classes, 1)))
-    probs = tape.softmax(_unflat(tape, logits, b, np1), axis=0)  # (n_classes, B, P)
-    xr = tape.constant(constellation.real_joint())  # (2 n_t, n_classes)
-    est = tape.matmul(xr, tape.reshape(probs, (config.n_classes, b * np1)))
-    est = tape.reshape(est, (2 * constellation.n_t, b, np1))
-    return probs, est
+    ef = e.reshape(d_e, b * np1)
+    logits = params["head.w"] @ ef + params["head.b"].reshape(n_c, 1)
+    probs = _softmax_inplace(logits.reshape(n_c, b, np1), 0)
+    xr = constellation.real_joint()  # (2 n_t, n_classes)
+    est = (xr @ probs.reshape(n_c, b * np1)).reshape(2 * constellation.n_t, b, np1)
+
+    def vjp(g):
+        # the head: the estimate's product, the softmax over classes, the
+        # bias and the weights
+        gp = (xr.T @ g.reshape(-1, b * np1)).reshape(n_c, b, np1)
+        gl = (probs * (gp - (gp * probs).sum(axis=0, keepdims=True))).reshape(n_c, b * np1)
+        grads = {"head.b": _unbroadcast(gl, (n_c, 1)).reshape(n_c), "head.w": gl @ ef.T}
+        ge = (params["head.w"].T @ gl).reshape(d_e, b, np1)
+        for layer_vjp in reversed(layer_vjps):
+            ge, layer_grads = layer_vjp(ge)
+            grads.update(layer_grads)
+        grads["pos"] = _unbroadcast(ge, (d_e, 1, t)).reshape(d_e, t) @ select.T
+        grads["embed"] = ge.reshape(d_e, b * t) @ tok.T
+        return {name: grads[name] for name in params}
+
+    return probs, est, vjp
 
 
 def forward_batch(
@@ -468,10 +589,7 @@ def forward_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inference on a token batch: probs (n_classes, B, N+S), complex soft
     estimates (B, N+S, n_t).  ``n_queries`` as in :func:`forward_graph`."""
-    tape = Tape()
-    p = leaf_params(tape, params)
-    probs, est = forward_graph(tape, p, config, tokens, constellation, n_queries)
+    probs, est, _ = forward_graph(params, config, tokens, constellation, n_queries)
     n_t = constellation.n_t
-    ev = est.value
-    cplx = (ev[:n_t] + 1j * ev[n_t:]).transpose(1, 2, 0)
-    return probs.value, cplx
+    cplx = (est[:n_t] + 1j * est[n_t:]).transpose(1, 2, 0)
+    return probs, cplx

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from icleq import autodiff, numerics
-from icleq.autodiff import GraphNumericsError, Tape
+from icleq import numerics, transformer
 from icleq.channel import qam4_constellation
 from icleq.experiments import ExperimentConfig
 from icleq.rng import RngStream
 from icleq.training import (
+    GraphNumericsError,
     PretrainTaskSet,
     TrainConfig,
     gradient,
@@ -28,34 +28,6 @@ from icleq.transformer import ModelConfig, _layer, causal_mask, forward_batch, i
 
 C2 = qam4_constellation(2)
 TINY = ModelConfig(n_layers=1, n_heads=2, d_e=8, d_f=16, d_s=4, n_max=4, n_classes=16)
-
-
-def fd_check(build, params, h=1e-6, rtol=1e-6, atol=1e-9):
-    """Every-coordinate central finite-difference check of tape gradients.
-
-    ``build(tape, pnodes)`` must return a scalar node.
-    """
-    tape = Tape()
-    pnodes = {k: tape.leaf(v, k) for k, v in params.items()}
-    loss = build(tape, pnodes)
-    grads = tape.backward(loss)
-
-    def value(ps):
-        t = Tape()
-        return float(build(t, {k: t.leaf(v, k) for k, v in ps.items()}).value)
-
-    for name, p in params.items():
-        g = grads[name]
-        for ix in range(p.size):
-            plus = {k: v.copy() for k, v in params.items()}
-            plus[name].flat[ix] += h
-            minus = {k: v.copy() for k, v in params.items()}
-            minus[name].flat[ix] -= h
-            fd = (value(plus) - value(minus)) / (2 * h)
-            an = g.flat[ix]
-            assert abs(an - fd) <= max(atol, rtol * max(abs(an), abs(fd))), (
-                f"{name}[{ix}]: analytic {an} vs fd {fd}"
-            )
 
 
 def rnd(seed, *shape):
@@ -91,11 +63,11 @@ def kernel_fd_check(run, params, h=1e-6, rtol=1e-6, atol=1e-9):
 def gelu_kernel(ps):
     x = ps["a"]
     out, phi = np.empty_like(x), np.empty_like(x)
-    autodiff._gelu(out, phi, x)
+    transformer._gelu(out, phi, x)
 
     def vjp(g):
         dx = np.empty_like(x)
-        autodiff._gelu_vjp(dx, g, x, phi)
+        transformer._gelu_vjp(dx, g, x, phi)
         return {"a": dx}
 
     return out, vjp
@@ -107,12 +79,12 @@ def layer_norm_kernel(ps):
     gain, bias = ps["g"].reshape(-1, 1, 1), ps["b"].reshape(-1, 1, 1)
     out, xhat = np.empty_like(x), np.empty_like(x)
     inv, mu = np.empty((1, *x.shape[1:])), np.empty((1, *x.shape[1:]))
-    autodiff._layer_norm(out, xhat, inv, mu, x, gain, bias)
+    transformer._layer_norm(out, xhat, inv, mu, x, gain, bias)
 
     def vjp(g):
         dx, gxhat, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         m1, m2 = np.empty_like(inv), np.empty_like(inv)
-        autodiff._layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain)
+        transformer._layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain)
         return {"a": dx, "g": gxhat.sum(axis=(1, 2)), "b": g.sum(axis=(1, 2))}
 
     return out, vjp
@@ -128,12 +100,12 @@ def attention_kernel(mask, scale=0.7):
     def run(ps):
         q, k, v = ps["q"], ps["k"], ps["v"]
         p, out, s = attention_arrays(q, k, v)
-        autodiff._attention(p, out, s, q, k, v, scale, mask)
+        transformer._attention(p, out, s, q, k, v, scale, mask)
 
         def vjp(g):
             ds, dsp = np.empty_like(p), np.empty_like(p)
             dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-            autodiff._attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale)
+            transformer._attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale)
             return {"q": dq, "k": dk, "v": dv}
 
         return out, vjp
@@ -156,49 +128,23 @@ def layer_params(seed):
     return params
 
 
-def layer_build(rows, t=6):
-    """The fused layer of TINY on the leaf "e" (d_e, B, t), queries at
-    ``rows`` (every column when None)."""
+def layer_kernel(rows, t=6):
+    """The layer of TINY on the input "e" (d_e, B, t), queries at ``rows``
+    (every column when None), as a kernel of its input and parameters."""
 
-    def build(tape, p):
-        out = _layer(tape, p, TINY, 0, p["e"], causal_mask(np.arange(t)), rows)
-        return tape.sum_all(tape.square(out))
+    def run(ps):
+        out, vjp = _layer(ps, TINY, 0, ps["e"], causal_mask(np.arange(t)), rows)
 
-    return build
+        def grads(g):
+            de, gw = vjp(g)
+            return {"e": de, **gw}
+
+        return out, grads
+
+    return run
 
 
 class TestOpGradients:
-    def test_matmul_plain(self):
-        params = {"a": rnd(1, 3, 4), "b": rnd(2, 4, 2)}
-        fd_check(
-            lambda t, p: t.sum_all(t.square(t.matmul(p["a"], p["b"]))), params
-        )
-
-    def test_matmul_broadcast_batch(self):
-        # (2, 3, 4) @ (4, 2) and (3, 4) @ (2, 4, 2): both broadcast sides
-        params = {"a": rnd(3, 2, 3, 4), "b": rnd(4, 4, 2)}
-        fd_check(lambda t, p: t.sum_all(t.square(t.matmul(p["a"], p["b"]))), params)
-        params = {"a": rnd(5, 3, 4), "b": rnd(6, 2, 4, 2)}
-        fd_check(lambda t, p: t.sum_all(t.square(t.matmul(p["a"], p["b"]))), params)
-
-    def test_add_sub_matmul_broadcast(self):
-        params = {"a": rnd(7, 2, 3), "b": rnd(8, 1, 3), "c": rnd(9, 2, 1)}
-
-        def build(t, p):
-            s = t.add(p["a"], p["b"])
-            s = t.sub(s, p["c"])
-            # the outer product c b makes the gradient of each broadcast
-            # operand depend on the other's values
-            s = t.add(s, t.matmul(p["c"], p["b"]))
-            s = t.add(t.matmul(s, t.reshape(p["b"], (3, 1))), p["b"])
-            return t.sum_all(t.square(s))
-
-        fd_check(build, params)
-
-    def test_scale_square(self):
-        params = {"a": rnd(10, 4)[:, None]}
-        fd_check(lambda t, p: t.sum_all(t.square(t.scale(p["a"], -2.5))), params)
-
     def test_gelu(self):
         """The GELU kernel and its VJP."""
         kernel_fd_check(gelu_kernel, {"a": rnd(11, 3, 5)}, h=1e-6)
@@ -225,34 +171,19 @@ class TestOpGradients:
         params = {"q": rnd(156, 2, 2, 3), "k": rnd(157, 2, 5, 3), "v": rnd(158, 2, 5, 3)}
         kernel_fd_check(attention_kernel(causal(5)[rows]), params)
 
-    def test_softmax_axis0(self):
-        params = {"a": rnd(16, 5, 3)}
-        fd_check(lambda t, p: t.sum_all(t.square(t.softmax(p["a"], axis=0))), params)
-
-    def test_reshape(self):
-        params = {"a": rnd(17, 2, 3, 4)}
-
-        def build(t, p):
-            x = t.reshape(p["a"], (3, 8))
-            x = t.reshape(x, (4, 6))
-            return t.sum_all(t.square(x))
-
-        fd_check(build, params)
-
     def test_layer_at_selected_columns(self):
-        """The fused layer with queries at every column, at a strided
-        selection, a leading slice, and two runs of different strides (the
-        shared-prefix read-out columns)."""
+        """The layer with queries at every column, at a strided selection, a
+        leading slice, and two runs of different strides (the shared-prefix
+        read-out columns)."""
         params = {**layer_params(184), "e": rnd(185, TINY.d_e, 2, 6)}
         for rows in (None, [0, 2, 4], [0, 1], [0, 2, 4, 5]):
-            fd_check(layer_build(None if rows is None else np.array(rows)), params, rtol=1e-5)
+            kernel_fd_check(layer_kernel(None if rows is None else np.array(rows)), params, rtol=1e-5)
 
     def test_layer_rejects_repeated_columns(self):
         """A repeated column would take the gradient of only one of its copies."""
-        tape = Tape()
-        p = {k: tape.leaf(v, k) for k, v in {**layer_params(186), "e": rnd(187, 8, 1, 6)}.items()}
+        params = {**layer_params(186), "e": rnd(187, 8, 1, 6)}
         with pytest.raises(ValueError, match=r"strictly increasing, got \[0, 2, 0\]"):
-            layer_build(np.array([0, 2, 0]))(tape, p)
+            layer_kernel(np.array([0, 2, 0]))(params)
 
 
 class TestGeluSplit:
@@ -265,9 +196,9 @@ class TestGeluSplit:
         monkeypatch.setattr(numerics, "_N_CORES", cores)
         x = 3.0 * RngStream(182).normal(size=shape)
         out, phi, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        numerics._lanes(lambda i, j: autodiff._gelu(out[i:j], phi[i:j], x[i:j]), len(x))
+        numerics._lanes(lambda i, j: transformer._gelu(out[i:j], phi[i:j], x[i:j]), len(x))
         g = 2.0 * out
-        numerics._lanes(lambda i, j: autodiff._gelu_vjp(dx[i:j], g[i:j], x[i:j], phi[i:j]), len(x))
+        numerics._lanes(lambda i, j: transformer._gelu_vjp(dx[i:j], g[i:j], x[i:j], phi[i:j]), len(x))
         want_out, want_grad = gelu_reference(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(dx, want_grad)
@@ -284,7 +215,7 @@ class TestGeluSplit:
                 x = xs[i]
                 out, phi = np.empty_like(x), np.empty_like(x)
                 numerics._lanes(
-                    lambda lo, hi: autodiff._gelu(out[lo:hi], phi[lo:hi], x[lo:hi]), len(x)
+                    lambda lo, hi: transformer._gelu(out[lo:hi], phi[lo:hi], x[lo:hi]), len(x)
                 )
                 if not np.array_equal(out, want[i]):
                     bad.append(i)
@@ -335,27 +266,6 @@ def step_setup(d_e, batch_size=64, seed=190):
     ts = PretrainTaskSet.sample(cfg.tasks, 64, RngStream(seed, 1))
     params = init_params(cfg.model, RngStream(seed, 2), scale=cfg.init_scale)
     return params, cfg, sample_train_batch(ts, cfg, C2, RngStream(seed, 3))
-
-
-class TestMatmulSplit:
-    """A training step's loss and gradients are the same split over the
-    cores as on one."""
-
-    @pytest.mark.parametrize("d_e", [64, 32])
-    def test_step_gradient_bit_identical(self, monkeypatch, pool, d_e):
-        """Loss and every gradient of a default-size (and desk) step are the
-        same on one core and on two."""
-        params, cfg, batch = step_setup(d_e)
-        monkeypatch.setattr(numerics, "_N_CORES", 1)
-        want_loss, want = gradient(params, cfg, batch, C2)
-        assert pool.submits == 0
-        monkeypatch.setattr(numerics, "_N_CORES", 2)
-        loss, grads = gradient(params, cfg, batch, C2)
-        assert pool.submits > 0
-        assert loss == want_loss
-        assert grads.keys() == want.keys()
-        for name, g in grads.items():
-            assert np.array_equal(g, want[name]), name
 
 
 # (d_e, batch size) -> (loss, step_digest) of ``step_setup(d_e, batch size)``
@@ -424,8 +334,7 @@ def pinned_digests():
 
 class TestLayerLanes:
     """A training step's layers run one lane per core over blocks of batch
-    rows; its loss and gradients are the same at any core count, and
-    nothing of the tape runs off the calling thread."""
+    rows; its loss and gradients are the same at any core count."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 5])
     @pytest.mark.parametrize("d_e", [64, 32])
@@ -472,25 +381,6 @@ class TestLayerLanes:
         monkeypatch.setattr(numerics, "_N_CORES", cores)
         assert step_digest(*gradient(*setup, C2)) == want
 
-    def test_tape_methods_stay_on_calling_thread(self, monkeypatch, pool):
-        monkeypatch.setattr(numerics, "_N_CORES", 2)
-        threads = {}
-
-        def spy(name, fn):
-            def wrapper(*args, **kwargs):
-                threads.setdefault(name, set()).add(threading.current_thread())
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        for name, fn in vars(Tape).items():
-            if callable(fn) and not name.startswith("__"):
-                monkeypatch.setattr(Tape, name, spy(name, fn))
-        gradient(*step_setup(64), C2)
-        assert pool.submits > 0
-        assert {"matmul", "backward"} <= threads.keys()
-        assert all(t == {threading.main_thread()} for t in threads.values())
-
     @pytest.mark.parametrize("d_e", [64, 32])
     def test_three_submits_per_layer(self, monkeypatch, pool, d_e):
         """On two cores a layer's gradient syncs the cores three times: the
@@ -527,7 +417,7 @@ def split_attention(q, k, v, scale, mask):
     p, out, s = attention_arrays(q, k, v)
 
     def forward(i, j):
-        autodiff._attention(p[i:j], out[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
+        transformer._attention(p[i:j], out[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
 
     numerics._lanes(forward, len(q))
     g = 2.0 * out
@@ -536,7 +426,7 @@ def split_attention(q, k, v, scale, mask):
 
     def backward(i, j):
         r = slice(i, j)
-        autodiff._attention_vjp(
+        transformer._attention_vjp(
             ds[r], dq[r], dk[r], dv[r], dsp[r], s[r], g[r], p[r], q[r], k[r], v[r], scale
         )
 
@@ -574,6 +464,8 @@ class TestAttentionSplit:
 
 
 class TestTapeMechanics:
+    """What the model's arrays guarantee beyond their derivatives."""
+
     def test_masked_attention_zeros_are_exact(self):
         """With identity values the output rows are the attention
         probabilities: masked keys get exactly 0 and every row sums to 1."""
@@ -582,57 +474,20 @@ class TestTapeMechanics:
         assert np.all(p[..., 0, 1:] == 0.0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_constant_gets_no_gradient(self):
-        tape = Tape()
-        a = tape.leaf(rnd(20, 2, 2), "a")
-        c = tape.constant(np.ones((2, 2)))
-        loss = tape.sum_all(tape.square(tape.matmul(a, c)))
-        grads = tape.backward(loss)
-        assert set(grads) == {"a"}
-        assert c.grad is None
-
-    def test_unused_leaf_reports_zero_gradient(self):
-        tape = Tape()
-        a = tape.leaf(rnd(21, 2), "a")
-        b = tape.leaf(rnd(22, 3), "b")
-        loss = tape.sum_all(tape.square(tape.reshape(a, (2, 1))))
-        grads = tape.backward(loss)
-        np.testing.assert_array_equal(grads["b"], np.zeros(3))
-
-    def test_backward_requires_scalar(self):
-        tape = Tape()
-        a = tape.leaf(rnd(23, 2, 2), "a")
-        with pytest.raises(ValueError):
-            tape.backward(tape.square(a))
-
     def test_check_finite_names_the_node(self):
-        """A non-finite loss names the first non-finite node: a NaN in a
-        later parameter is named by its leaf, not by an op downstream."""
+        """A non-finite loss names the first non-finite parameter by name;
+        with every parameter finite it names the forward pass."""
         cfg = TrainConfig(model=TINY, bits=4, m_tasks=2, n_context=3, batch_size=2, seed=5)
         params = init_params(TINY, RngStream(26))
-        name = list(params)[-1]
-        params[name][0] = np.nan
-        nid = len(params) - 1  # the leaves come first, in params order
         ts = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, RngStream(27))
         batch = sample_train_batch(ts, cfg, C2, RngStream(28))
-        named = rf"in Node\({nid}:leaf/{re.escape(name)}, shape="
+        bad = dict(params)
+        for name in list(params)[-2:]:
+            bad[name] = params[name].copy()
+            bad[name].flat[0] = np.nan
+        named = rf"non-finite value in parameter {re.escape(list(params)[-2])}$"
         with pytest.raises(GraphNumericsError, match=named):
+            gradient(bad, cfg, batch, C2)
+        batch.tokens[0, 0, 0] = np.nan
+        with pytest.raises(GraphNumericsError, match=r"in the forward pass \(every parameter is finite\)"):
             gradient(params, cfg, batch, C2)
-
-    def test_topological_order_by_construction(self):
-        tape = Tape()
-        a = tape.leaf(rnd(24, 2, 2), "a")
-        b = tape.square(a)
-        c = tape.add(a, b)
-        ids = [n.nid for n in tape.nodes]
-        assert ids == sorted(ids)
-        for node in tape.nodes:
-            assert all(p.nid < node.nid for p in node.parents)
-
-    def test_fanout_accumulates(self):
-        # f = sum(a*a) + sum(a) -> df/da = 2a + 1
-        tape = Tape()
-        a = tape.leaf(rnd(25, 3), "a")
-        loss = tape.add(tape.sum_all(tape.square(a)), tape.sum_all(a))
-        grads = tape.backward(loss)
-        np.testing.assert_allclose(grads["a"], 2 * a.value + 1.0, atol=1e-12)

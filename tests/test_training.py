@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icleq.autodiff import GraphNumericsError
 from icleq.channel import (
     Task,
     TaskDistributionSpec,
@@ -18,6 +17,7 @@ from icleq.training import (
     ADAM,
     AdamState,
     CheckpointError,
+    GraphNumericsError,
     PretrainTaskSet,
     TrainBatch,
     TrainConfig,

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from icleq.autodiff import Tape
+from icleq import transformer
 from icleq.channel import (
     ContextSet,
     Quantizer,
@@ -21,7 +21,6 @@ from icleq.transformer import (
     forward_batch,
     forward_graph,
     init_params,
-    leaf_params,
 )
 
 C2 = qam4_constellation(2)
@@ -58,23 +57,21 @@ def token_column(v, d_s=4):
     return build_tokens(replace(TINY, d_s=d_s), np.zeros((1, 1, 1)), v[None, None, :])[:, 0, 0]
 
 
-class LayerInputTape(Tape):
-    """Tape that keeps the input of the last fused layer node: the hidden
-    sequence at every position, before the last layer selects its query
-    columns."""
-
-    def fused(self, op, parents, value, vjp):
-        self.hidden = parents[0].value
-        return super().fused(op, parents, value, vjp)
-
-
 def hidden_states(params, config, tok):
     """Hidden sequence (d_e, B, T) entering the last layer's column
     selection: the embedded sequence of a one-layer model, or the output
-    of the last layer but one."""
-    tape = LayerInputTape()
-    forward_graph(tape, leaf_params(tape, params), config, tok, C2)
-    return tape.hidden
+    of the last layer but one (the input of the last ``_layer`` call)."""
+    inputs = []
+    layer = transformer._layer
+
+    def spy(p, config, l, e, *args):
+        inputs.append(e)
+        return layer(p, config, l, e, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transformer, "_layer", spy)
+        forward_graph(params, config, tok, C2)
+    return inputs[-1]
 
 
 def first_layer(e, params, config):
