@@ -163,12 +163,7 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
             return _pairwise_sum(terms, d)
 
         return loglik, max(pairs, d * (int(np.max(input_of)) + 1))
-    lo, hi = _real_cells(q, y_ri)
-    lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
-    key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
-    rows, level = np.divmod(key, len(lo))
-    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
-    inv = np.moveaxis(inv.reshape(shape), -1, 0).copy()  # (2 n_r, *pairs)
+    rows, lo, hi, inv = _distinct_cells(q, col, y_ri)
     std = np.sqrt(sigma2 / 2.0)
 
     def loglik(means):
@@ -177,6 +172,31 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
         return _pairwise_sum((np.take(cells, i, axis=0) for i in inv), d)
 
     return loglik, pairs * d
+
+
+def _distinct_cells(q: Quantizer, col: np.ndarray, y_ri: np.ndarray):
+    """The distinct cells of the pairs of :func:`_pair_loglik`, quantized:
+    a pair's cell on e is read from row ``col[..., e]`` of the means and
+    bounded by the cell of ``y_ri[..., e]``, the two broadcast to (*pairs,
+    2 n_r).  Returns each distinct cell's row ``rows`` (n,) and bounds
+    ``lo``, ``hi`` (n, 1), sorted by (row, level), and the index ``inv``
+    (2 n_r, *pairs) of each pair's cell among them.
+
+    A cell's key is row * levels + level, with the levels numbered by the
+    sorted lower bounds.  Every row and level is taken, so the keys fill a
+    dense range of (rows x levels) integers: flags over that range give
+    the sorted distinct keys and their ranks, as ``np.unique`` would with
+    ``return_inverse``, without its sort.
+    """
+    lo, hi = _real_cells(q, y_ri)
+    lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
+    keys = col * len(lo) + level.reshape(y_ri.shape)
+    seen = np.zeros((int(np.max(col)) + 1) * len(lo), dtype=bool)
+    seen[keys] = True
+    rank = np.cumsum(seen) - 1
+    rows, level = np.divmod(np.flatnonzero(seen), len(lo))
+    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
+    return rows, lo, hi, np.moveaxis(np.take(rank, keys), -1, 0).copy()
 
 
 def _joint_input_posterior(

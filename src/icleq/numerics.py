@@ -34,7 +34,12 @@ per core over blocks of batch rows, then its weight gradients as whole
 products, one lane per core (:mod:`icleq.transformer`).  Every other
 step of the model runs on the calling thread.  numpy, scipy and BLAS
 release the interpreter lock, and every split is bit-identical to one
-call.
+call.  A split call made from inside a block runs inline.
+
+:func:`logsumexp` normalizes the Bayesian references' weights and
+posteriors.  It reproduces the rounding of scipy >= 1.15's
+``scipy.special.logsumexp`` in plain numpy, without calling scipy, so
+the pinned results do not depend on which scipy release is installed.
 """
 
 from __future__ import annotations
@@ -46,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.special import erf, log_ndtr
-from scipy.special import logsumexp as _scipy_logsumexp
 
 __all__ = [
     "hermitian",
@@ -62,6 +66,7 @@ else:
     _N_CORES = os.cpu_count() or 1
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+_in_lane = threading.local()  # .on: this thread runs a block of _lanes
 
 _BLOCK = 1 << 16  # elements per block of _by_blocks: a block's temporaries stay in cache
 
@@ -82,6 +87,9 @@ def _lanes(fn, rows: int, unit: int = 1) -> None:
 
     Every cut falls at a multiple of ``unit`` rows (the last block takes
     the remainder), so fewer than two units run inline as ``fn(0, rows)``.
+    A call made from inside a block of another split call also runs
+    inline: the pool's workers may all be busy with the outer blocks, so
+    a nested block queued behind them would never start.
     ``fn`` must write its results only into arrays, or blocks of arrays,
     the calling thread allocated, and may allocate temporaries of at most
     ``_BLOCK`` elements: a worker thread's malloc arena would keep larger
@@ -91,21 +99,30 @@ def _lanes(fn, rows: int, unit: int = 1) -> None:
     """
     global _pool
     parts = min(_N_CORES, rows // unit)
-    if parts <= 1:
+    if parts <= 1 or getattr(_in_lane, "on", False):
         fn(0, rows)
         return
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_N_CORES - 1, thread_name_prefix="icleq-rows")
     cuts = [unit * (rows // unit * i // parts) for i in range(parts)] + [rows]
-    futures = [_pool.submit(fn, i, j) for i, j in zip(cuts[1:], cuts[2:])]
+    futures = [_pool.submit(_lane, fn, i, j) for i, j in zip(cuts[1:], cuts[2:])]
     try:
-        fn(cuts[0], cuts[1])
+        _lane(fn, cuts[0], cuts[1])
     finally:
         for f in futures:
             f.exception()  # waits for the block; raises nothing
     for f in futures:
         f.result()
+
+
+def _lane(fn, i: int, j: int) -> None:
+    """One block of :func:`_lanes`, flagged on its thread while it runs."""
+    _in_lane.on = True
+    try:
+        fn(i, j)
+    finally:
+        _in_lane.on = False
 
 
 def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndarray:
@@ -119,8 +136,7 @@ def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndar
 
     Inputs of one block or less run on the calling thread; larger ones are
     split over the cores by :func:`_lanes`, each core walking its share
-    one block at a time.  ``fn`` must treat rows independently, and on a
-    worker thread it must not submit to the pool itself.
+    one block at a time.  ``fn`` must treat rows independently.
     """
     rows = max(1, _BLOCK // row_size)
 
@@ -266,11 +282,34 @@ def log_gauss_cell_prob(lo, hi, mean: float, std: float):
 
 
 def logsumexp(v, axis=None):
-    """log(sum(exp(v))); shift-invariant, tolerates -inf entries."""
-    v = np.asarray(v, dtype=float)
-    if v.size == 0:
+    """log(sum(exp(v))) over ``axis`` (every axis if None); shift-invariant,
+    tolerates -inf entries.
+
+    The arithmetic of scipy >= 1.15's ``scipy.special.logsumexp`` on real
+    input, bit for bit, without its array-API dispatch: the max m and the
+    count c of entries equal to it are taken out of the sum, s = sum of
+    exp(v - m) over the rest (a copy in ``v``'s memory order, so the sum
+    runs in the same order) divided by c unless it is 0, and the result is
+    log1p(s) + log(c) + m.  Where that is not finite (an infinite max, all
+    -inf, NaN) the naive log(sum(exp(v))) is taken instead.
+    """
+    a = np.atleast_1d(np.asarray(v, dtype=float))
+    if a.size == 0:
         raise ValueError("logsumexp of empty input")
-    out = _scipy_logsumexp(v, axis=axis)
-    if np.ndim(out) == 0:
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    count = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    rest = np.array(a, copy=True)
+    rest[at_top] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sum(np.exp(rest - top), axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / count)
+        out = np.log1p(s) + np.log(count) + top
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out = np.where(bad, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)), out)
+    out = np.squeeze(out, axis=axis)
+    if out.ndim == 0:
         return float(out)
     return out

@@ -35,16 +35,23 @@ def _combine(parent: int, index: int) -> int:
 class RngStream:
     """One independent random stream identified by ``(seed, stream)``.
 
-    The generator state is created lazily from the key, so constructing a
-    stream is cheap and two streams with the same key are interchangeable.
+    The generator state is created lazily from the key, on the first draw,
+    so constructing or deriving a stream is cheap and two streams with the
+    same key are interchangeable.
     """
 
-    __slots__ = ("seed", "stream", "_gen")
+    __slots__ = ("seed", "stream", "_generator")
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed) & _MASK64
         self.stream = int(stream) & _MASK64
-        self._gen = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        self._generator = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
+        return self._generator
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed:#x}, stream={self.stream:#x})"

@@ -683,6 +683,49 @@ class TestJointPosteriorCells:
         assert ran_on_worker == (split and stack == "skipped")
 
 
+def unique_cells(q, col, y_ri):
+    """``estimators._distinct_cells`` in its ``np.unique`` form: the distinct
+    (row, level) keys sorted, each pair's cell their inverse index."""
+    shape = np.broadcast(col, y_ri).shape
+    lo, hi = channel._real_cells(q, y_ri)
+    lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
+    key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
+    rows, level = np.divmod(key, len(lo))
+    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
+    return rows, lo, hi, np.moveaxis(inv.reshape(shape), -1, 0)
+
+
+class TestDenseCellKeys:
+    """The quantized set-up of ``_pair_loglik`` ranks its (row, level) keys
+    over their dense range; its rows, bounds and inverse equal the sorted
+    ``np.unique`` form's, for the pilots and for the test pairs."""
+
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    def test_matches_unique(self, monkeypatch, bits):
+        q = Quantizer(bits=bits)
+        calls = []
+        distinct = estimators._distinct_cells
+
+        def spy(*args):
+            calls.append((args, distinct(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(estimators, "_distinct_cells", spy)
+        # repeated and saturated levels on every quarter turn
+        pilots = TestDistinctPilotCells.PILOTS + TestDistinctPilotCells.ALL_TURNS
+        ctx = TestDistinctPilotCells.context(q, pilots)
+        channels, _, sigma2, y = TestJointPosteriorCells.case(q, "stack", "one")
+        bayes_mmse_discrete(channels, sigma2, q, C2, ctx, y)
+        assert [np.ndim(args[2]) for args, _ in calls] == [2, 3]  # pilots, then test pairs
+        for args, got in calls:
+            want = unique_cells(q, *args[1:])
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            rows, lo, hi, inv = got
+            assert len(rows) < inv.size  # pairs share cells
+            assert np.isneginf(lo).any() and np.isposinf(hi).any()
+
+
 class TestHeadlineSizes:
     """At the sizes of the benchmark's references (N = 20 pilots at 10 dB,
     M = 1024 and 2^14 channels, 64 test observations) the blocked,

@@ -232,6 +232,26 @@ class TestEvaluate:
         # quadrupling the task count should roughly halve the interval
         assert 1.4 < w1 / w2 < 2.9
 
+    @pytest.mark.parametrize(
+        "kind, per_task", [("icl", 0), ("mmse_known", 0), ("bayes_discrete", 0), ("bayes_mc", 1)]
+    )
+    def test_generators_built_only_by_draws(self, monkeypatch, kind, per_task):
+        """Each task's stream builds its Philox generator only if the
+        equalizer draws from it, which only the Monte-Carlo reference does."""
+        ev = EvalSet.build(small_protocol(n_test_tasks=3, n_test_symbols_per_task=4))
+        model = MICRO.model_config()
+        eq = {
+            "icl": lambda: Equalizer.icl(init_params(model, RngStream(5)), model),
+            "mmse_known": Equalizer.mmse,
+            "bayes_discrete": lambda: Equalizer.bayes_discrete(ev.hs),
+            "bayes_mc": lambda: Equalizer.bayes_mc(16),
+        }[kind]()
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
+        experiments._draw_errors(eq, ev)
+        assert len(built) == per_task * ev.protocol.n_test_tasks
+
     @pytest.mark.parametrize("bits, digest", [(4, ROWS_4BIT), (None, ROWS_UNQUANTIZED)])
     def test_rows_pinned(self, bits, digest):
         """mse, ci_low and ess of every kind on one frozen evaluation set; a

@@ -1,10 +1,16 @@
+import json
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import erf, log_ndtr
+from scipy.special import logsumexp as scipy_logsumexp
 
 from icleq import numerics
 from icleq.channel import Constellation, Quantizer, qam4_constellation, sample_pairs
@@ -399,6 +405,59 @@ class TestLogSumExp:
         with pytest.raises(ValueError):
             logsumexp([])
 
+    @pytest.mark.parametrize("empty", [np.zeros((3, 0)), np.zeros((0, 4))])
+    @pytest.mark.parametrize("axis", [None, -1])
+    def test_empty_2d_raises(self, empty, axis):
+        with pytest.raises(ValueError, match="empty"):
+            logsumexp(empty, axis=axis)
+
+    EDGES = ["plain", "ties", "neg_inf", "pos_inf", "nan", "neg_inf_rows", "fortran", "strided"]
+    FILLS = {"neg_inf": -np.inf, "pos_inf": np.inf, "nan": np.nan}
+
+    @classmethod
+    def inputs(cls, edge):
+        """40 seeded 1-D and 2-D inputs over five decades of scale, each
+        with the edge case ``edge``."""
+        g = np.random.default_rng(31 + cls.EDGES.index(edge))
+        for n in range(40):
+            shape = tuple(int(k) for k in g.integers(1, 50, 1 + n % 2))
+            a = g.normal(size=shape) * 10.0 ** g.uniform(-2, 3)
+            if edge == "ties":  # small integers: several entries at the max
+                a = np.floor(g.uniform(-3.0, 2.0, shape))
+            elif edge in cls.FILLS:
+                a[g.random(shape) < 0.2] = cls.FILLS[edge]
+            elif edge == "neg_inf_rows":  # whole 2-D rows; every other 1-D input
+                a[g.random(shape[0]) < 0.5 if a.ndim == 2 else n % 4 == 0] = -np.inf
+            elif edge == "fortran":
+                a = np.asfortranarray(a)
+            elif edge == "strided":
+                a = np.repeat(a, 2, axis=-1)[..., ::2]
+            yield a
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("axis", [None, -1])
+    def test_matches_scipy_bit_for_bit(self, edge, axis):
+        """scipy >= 1.15's rounding: the max and its ties out of the sum,
+        log1p of the rest's normalized sum, the naive sum where that is not
+        finite."""
+        for a in self.inputs(edge):
+            with np.errstate(all="ignore"):
+                want = scipy_logsumexp(a, axis=axis)
+            self.assert_same_bits(logsumexp(a, axis=axis), want)
+
+    @pytest.mark.parametrize("v", [2.5, -1e300, 0.0, -np.inf, np.inf, np.nan])
+    def test_zero_d_matches_scipy(self, v):
+        got = logsumexp(np.float64(v))
+        assert type(got) is float
+        with np.errstate(all="ignore"):
+            self.assert_same_bits(got, scipy_logsumexp(np.float64(v)))
+
 
 class TestPairwiseSum:
     """Whole-row adds reproduce numpy's own sum of each row of a
@@ -488,3 +547,32 @@ class TestLanes:
         with pytest.raises(RuntimeError, match="first block"):
             numerics._lanes(fn, 2)
         assert done.is_set()
+
+    def test_nested_call_runs_inline(self):
+        """A split call made from inside a block of another runs inline: on
+        two cores the pool's one worker would otherwise wait for a block
+        queued behind its own.  Run in a subprocess, so a hang fails by its
+        timeout; the result equals the inline one."""
+        code = textwrap.dedent(
+            """
+            import json, sys
+            sys.path.insert(0, sys.argv[1])
+            import numpy as np
+            from icleq import numerics
+            numerics._N_CORES = 2
+            out = np.zeros((2, 16))
+            def outer(i, j):
+                for r in range(i, j):
+                    def fill(a, b):
+                        out[r, a:b] = 16 * r + np.arange(a, b)
+                    numerics._lanes(fill, 16)
+            numerics._lanes(outer, 2)
+            print(json.dumps(out.ravel().tolist()))
+            """
+        )
+        src = str(Path(numerics.__file__).parents[1])
+        run = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout) == list(range(32))

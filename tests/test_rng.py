@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from icleq.rng import RngStream
@@ -49,3 +51,35 @@ def test_complex_normal_moments():
 def test_scalar_draw_matches_array_draw_type():
     z = RngStream(1).complex_normal()
     assert isinstance(z, complex)
+
+
+def test_generator_built_on_first_draw(monkeypatch):
+    """A constructed or derived stream builds its Philox generator only
+    when it first draws, once, and draws what an eagerly built one does."""
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
+    root = RngStream(1234, 7)
+    child = root.derive(3, 9)
+    repr(child)
+    assert built == []
+    got = child.normal(size=8)
+    child.uniform(size=2)
+    assert built == [{"key": [child.seed, child.stream]}]
+    want = np.random.Generator(philox(key=[child.seed, child.stream])).standard_normal(8)
+    assert np.array_equal(got, want)
+
+
+def test_draws_pinned():
+    """Every draw method of a derived stream, as the eager generator drew them."""
+    s = RngStream(1234, 7).derive(3, 9)
+    h = hashlib.sha256()
+    for a in (
+        s.normal(5),
+        s.uniform(-1.0, 2.0, 3),
+        s.integers(0, 100, 4),
+        s.complex_normal((2, 3)),
+        np.array([s.complex_normal()]),
+    ):
+        h.update(np.ascontiguousarray(a).tobytes())
+    assert h.hexdigest()[:16] == "f734abb29e18db02"
