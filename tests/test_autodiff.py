@@ -352,7 +352,7 @@ class TestLayerLanes:
         loads)."""
         code = (
             "import json, sys; sys.path.insert(0, sys.argv[1]); "
-            "import test_layers; print(json.dumps(test_layers.pinned_digests()))"
+            "import test_autodiff; print(json.dumps(test_autodiff.pinned_digests()))"
         )
         run = subprocess.run(
             [sys.executable, "-c", code, str(Path(__file__).parent)],
