@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 import logging
+import resource
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from zipfile import BadZipFile
@@ -283,13 +285,21 @@ def adam_step(
 # ---------------------------------------------------------------------------
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size (``ru_maxrss``, in bytes on
+    macOS and KiB elsewhere) in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainTaskSet]:
     """Train on a frozen task set; returns params, loss curve, and the set.
 
     Fully reproducible from ``cfg.seed``: task sampling, initialization and
     every step's data come from streams derived from it.  Progress lines,
     about twenty per run, are logged at INFO; each gives the mean
-    wall-clock time per step since the previous line.
+    wall-clock time per step since the previous line and the process's
+    peak resident set size so far.
     """
     root = RngStream(cfg.seed)
     taskset = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, root.derive(0))
@@ -313,8 +323,8 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
             now = time.perf_counter()
             ms = 1e3 * (now - line_time) / (step + 1 - line_step)
             log.info(
-                "step %d/%d loss %.4f (avg %.4f) %.1f ms/step",
-                step, cfg.n_steps, loss, recent, ms,
+                "step %d/%d loss %.4f (avg %.4f) %.1f ms/step, peak RSS %.0f MB",
+                step, cfg.n_steps, loss, recent, ms, _peak_rss_mb(),
             )
             line_time, line_step = now, step + 1
     return params, curve, taskset

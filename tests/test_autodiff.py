@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -17,100 +16,14 @@ from icleq import numerics, transformer
 from icleq.channel import qam4_constellation
 from icleq.experiments import ExperimentConfig
 from icleq.rng import RngStream
-from icleq.training import (
-    GraphNumericsError,
-    PretrainTaskSet,
-    TrainConfig,
-    gradient,
-    sample_train_batch,
-)
-from icleq.transformer import ModelConfig, _layer, causal_mask, forward_batch, init_params
+from icleq.training import PretrainTaskSet, gradient, sample_train_batch
+from icleq.transformer import forward_batch, init_params
 
 C2 = qam4_constellation(2)
-TINY = ModelConfig(n_layers=1, n_heads=2, d_e=8, d_f=16, d_s=4, n_max=4, n_classes=16)
 
 
 def rnd(seed, *shape):
     return RngStream(seed).normal(size=shape)
-
-
-def causal(t):
-    return np.triu(np.full((t, t), -1e9), k=1)
-
-
-def kernel_fd_check(run, params, h=1e-6, rtol=1e-6, atol=1e-9):
-    """Every-coordinate central finite-difference check of a kernel's VJP
-    for the loss sum(out**2).
-
-    ``run(params)`` returns the kernel's output and a function of the
-    output cotangent that returns ``{name: gradient}``.
-    """
-    out, vjp = run(params)
-    grads = vjp(2.0 * out)
-    for name, p in params.items():
-        for ix in range(p.size):
-            plus = {k: v.copy() for k, v in params.items()}
-            plus[name].flat[ix] += h
-            minus = {k: v.copy() for k, v in params.items()}
-            minus[name].flat[ix] -= h
-            fd = (np.sum(run(plus)[0] ** 2) - np.sum(run(minus)[0] ** 2)) / (2 * h)
-            an = grads[name].flat[ix]
-            assert abs(an - fd) <= max(atol, rtol * max(abs(an), abs(fd))), (
-                f"{name}[{ix}]: analytic {an} vs fd {fd}"
-            )
-
-
-def gelu_kernel(ps):
-    x = ps["a"]
-    out, phi = np.empty_like(x), np.empty_like(x)
-    transformer._gelu(out, phi, x)
-
-    def vjp(g):
-        dx = np.empty_like(x)
-        transformer._gelu_vjp(dx, g, x, phi)
-        return {"a": dx}
-
-    return out, vjp
-
-
-def layer_norm_kernel(ps):
-    """Layer norm over axis 0 of a (d, B, T) input with 1-D gain and bias."""
-    x = ps["a"]
-    gain, bias = ps["g"].reshape(-1, 1, 1), ps["b"].reshape(-1, 1, 1)
-    out, xhat = np.empty_like(x), np.empty_like(x)
-    inv, mu = np.empty((1, *x.shape[1:])), np.empty((1, *x.shape[1:]))
-    transformer._layer_norm(out, xhat, inv, mu, x, gain, bias)
-
-    def vjp(g):
-        dx, gxhat, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        m1, m2 = np.empty_like(inv), np.empty_like(inv)
-        transformer._layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain)
-        return {"a": dx, "g": gxhat.sum(axis=(1, 2)), "b": g.sum(axis=(1, 2))}
-
-    return out, vjp
-
-
-def attention_arrays(q, k, v):
-    """Probabilities, output and row-sum scratch of an attention call."""
-    lead = q.shape[:-1]
-    return np.empty(lead + k.shape[-2:-1]), np.empty(lead + v.shape[-1:]), np.empty(lead + (1,))
-
-
-def attention_kernel(mask, scale=0.7):
-    def run(ps):
-        q, k, v = ps["q"], ps["k"], ps["v"]
-        p, out, s = attention_arrays(q, k, v)
-        transformer._attention(p, out, s, q, k, v, scale, mask)
-
-        def vjp(g):
-            ds, dsp = np.empty_like(p), np.empty_like(p)
-            dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-            transformer._attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale)
-            return {"q": dq, "k": dk, "v": dv}
-
-        return out, vjp
-
-    return run
 
 
 def gelu_reference(x, g):
@@ -118,72 +31,6 @@ def gelu_reference(x, g):
     phi = ndtr(x)
     pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
     return x * phi, g * (phi + x * pdf)
-
-
-def layer_params(seed):
-    """Layer-0 parameters of TINY with a non-trivial layer-norm affine."""
-    params = {k: v for k, v in init_params(TINY, RngStream(seed), scale=0.5).items() if k[:3] == "l0."}
-    params["l0.ln_g"] = 1 + 0.1 * rnd(seed + 1, TINY.d_e)
-    params["l0.ln_b"] = 0.1 * rnd(seed + 2, TINY.d_e)
-    return params
-
-
-def layer_kernel(rows, t=6):
-    """The layer of TINY on the input "e" (d_e, B, t), queries at ``rows``
-    (every column when None), as a kernel of its input and parameters."""
-
-    def run(ps):
-        out, vjp = _layer(ps, TINY, 0, ps["e"], causal_mask(np.arange(t)), rows)
-
-        def grads(g):
-            de, gw = vjp(g)
-            return {"e": de, **gw}
-
-        return out, grads
-
-    return run
-
-
-class TestOpGradients:
-    def test_gelu(self):
-        """The GELU kernel and its VJP."""
-        kernel_fd_check(gelu_kernel, {"a": rnd(11, 3, 5)}, h=1e-6)
-
-    def test_layer_norm(self):
-        """The layer-norm kernel's VJP, and the gain and bias sums of its
-        output over tokens."""
-        params = {"a": rnd(12, 5, 2, 3), "g": 1 + 0.1 * rnd(13, 5), "b": 0.1 * rnd(14, 5)}
-        kernel_fd_check(layer_norm_kernel, params, h=1e-6, rtol=1e-5)
-
-    def test_attention_with_mask(self):
-        params = {"q": rnd(15, 2, 4, 3), "k": rnd(151, 2, 4, 3), "v": rnd(152, 2, 4, 3)}
-        kernel_fd_check(attention_kernel(causal(4)), params)
-
-    def test_attention_without_mask(self):
-        """A zero mask: every query sees every key."""
-        params = {"q": rnd(153, 2, 4, 3), "k": rnd(154, 2, 4, 3), "v": rnd(155, 2, 4, 3)}
-        kernel_fd_check(attention_kernel(np.zeros((4, 4))), params)
-
-    def test_attention_fewer_queries_than_keys(self):
-        """The query rows 1 and 3 of a causal mask over 5 keys, as the last
-        layer uses at the received-signal columns."""
-        rows = np.array([1, 3])
-        params = {"q": rnd(156, 2, 2, 3), "k": rnd(157, 2, 5, 3), "v": rnd(158, 2, 5, 3)}
-        kernel_fd_check(attention_kernel(causal(5)[rows]), params)
-
-    def test_layer_at_selected_columns(self):
-        """The layer with queries at every column, at a strided selection, a
-        leading slice, and two runs of different strides (the shared-prefix
-        read-out columns)."""
-        params = {**layer_params(184), "e": rnd(185, TINY.d_e, 2, 6)}
-        for rows in (None, [0, 2, 4], [0, 1], [0, 2, 4, 5]):
-            kernel_fd_check(layer_kernel(None if rows is None else np.array(rows)), params, rtol=1e-5)
-
-    def test_layer_rejects_repeated_columns(self):
-        """A repeated column would take the gradient of only one of its copies."""
-        params = {**layer_params(186), "e": rnd(187, 8, 1, 6)}
-        with pytest.raises(ValueError, match=r"strictly increasing, got \[0, 2, 0\]"):
-            layer_kernel(np.array([0, 2, 0]))(params)
 
 
 class TestGeluSplit:
@@ -395,99 +242,3 @@ class TestLayerLanes:
         monkeypatch.setattr(numerics, "_N_CORES", 5)
         icl_forward(64, 64)
         assert pool.submits == 0
-
-
-def attention_reference(q, k, v, scale, mask, g):
-    """Unsplit fused attention and its VJP for the output cotangent g."""
-    p = q @ np.swapaxes(k, -1, -2)
-    p *= scale
-    p += mask
-    p = np.exp(p - p.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
-    ds = g @ np.swapaxes(v, -1, -2)
-    ds -= (ds * p).sum(axis=-1, keepdims=True)
-    ds *= p
-    ds *= scale
-    return p @ v, ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ g
-
-
-def split_attention(q, k, v, scale, mask):
-    """The attention kernel and its VJP for the output cotangent 2 * out,
-    each split over the batch axis by ``numerics._lanes``."""
-    p, out, s = attention_arrays(q, k, v)
-
-    def forward(i, j):
-        transformer._attention(p[i:j], out[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
-
-    numerics._lanes(forward, len(q))
-    g = 2.0 * out
-    ds, dsp = np.empty_like(p), np.empty_like(p)
-    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-
-    def backward(i, j):
-        r = slice(i, j)
-        transformer._attention_vjp(
-            ds[r], dq[r], dk[r], dv[r], dsp[r], s[r], g[r], p[r], q[r], k[r], v[r], scale
-        )
-
-    numerics._lanes(backward, len(q))
-    return out, dq, dk, dv
-
-
-class TestAttentionSplit:
-    """The fused attention kernels split over the batch axis are
-    bit-identical to the unsplit formulas, for all queries and for the
-    pruned last layer."""
-
-    @pytest.mark.parametrize("cores", [1, 2, 5])
-    @pytest.mark.parametrize("rows", [None, [0, 2, 4, 6, 8]])
-    def test_bit_identical_to_unsplit(self, monkeypatch, cores, rows):
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        mask = causal(9) if rows is None else causal(9)[rows]
-        tq = mask.shape[0]
-        q, k, v = rnd(198, 7, 3, tq, 4), rnd(199, 7, 3, 9, 4), rnd(200, 7, 3, 9, 5)
-        got = split_attention(q, k, v, 0.5, mask)
-        want = attention_reference(q, k, v, 0.5, mask, 2.0 * got[0])
-        for a, b in zip(got, want):
-            assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("cores", [1, 2, 5])
-    def test_masked_keys_exactly_zero(self, monkeypatch, cores):
-        """With identity values the output is the probabilities: a masked
-        key gets exactly 0 in every block of the split."""
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        mask = causal(9)[[1, 4, 8]]
-        q, k = rnd(201, 7, 2, 3, 4), rnd(202, 7, 2, 9, 4)
-        p = split_attention(q, k, np.tile(np.eye(9), (7, 2, 1, 1)), 1.0, mask)[0]
-        assert np.all(p[..., mask < 0] == 0.0)
-        assert np.all(p[..., mask == 0] > 0.0)
-
-
-class TestTapeMechanics:
-    """What the model's arrays guarantee beyond their derivatives."""
-
-    def test_masked_attention_zeros_are_exact(self):
-        """With identity values the output rows are the attention
-        probabilities: masked keys get exactly 0 and every row sums to 1."""
-        ps = {"q": rnd(19, 2, 4, 3), "k": rnd(191, 2, 4, 3), "v": np.tile(np.eye(4), (2, 1, 1))}
-        p = attention_kernel(causal(4), scale=1.0)(ps)[0]
-        assert np.all(p[..., 0, 1:] == 0.0)
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
-
-    def test_check_finite_names_the_node(self):
-        """A non-finite loss names the first non-finite parameter by name;
-        with every parameter finite it names the forward pass."""
-        cfg = TrainConfig(model=TINY, bits=4, m_tasks=2, n_context=3, batch_size=2, seed=5)
-        params = init_params(TINY, RngStream(26))
-        ts = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, RngStream(27))
-        batch = sample_train_batch(ts, cfg, C2, RngStream(28))
-        bad = dict(params)
-        for name in list(params)[-2:]:
-            bad[name] = params[name].copy()
-            bad[name].flat[0] = np.nan
-        named = rf"non-finite value in parameter {re.escape(list(params)[-2])}$"
-        with pytest.raises(GraphNumericsError, match=named):
-            gradient(bad, cfg, batch, C2)
-        batch.tokens[0, 0, 0] = np.nan
-        with pytest.raises(GraphNumericsError, match=r"in the forward pass \(every parameter is finite\)"):
-            gradient(params, cfg, batch, C2)

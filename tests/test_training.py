@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import resource
 from dataclasses import replace
 
 import numpy as np
@@ -253,17 +254,22 @@ class TestPretrain:
 
     def test_progress_lines_give_step_time(self, caplog):
         """Each progress line ends with the mean wall-clock ms per step since
-        the previous line; with 40 steps a line falls every second step."""
+        the previous line and the process's peak RSS so far; with 40 steps
+        a line falls every second step."""
         caplog.set_level(logging.INFO, logger="icleq.training")
         _, curve, _ = pretrain(tiny_cfg(n_steps=40))
+        peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("step ")]
         assert [int(re.match(r"step (\d+)/40", l).group(1)) for l in lines] == [
             *range(0, 40, 2), 39
         ]
+        peaks = []
         for line, step in zip(lines, [*range(0, 40, 2), 39]):
             assert line.startswith(f"step {step}/40 loss {curve[step][1]:.4f} ")
-            ms = re.fullmatch(r".* \(avg [0-9.]+\) ([0-9.]+) ms/step", line)
+            ms = re.fullmatch(r".* \(avg [0-9.]+\) ([0-9.]+) ms/step, peak RSS ([0-9]+) MB", line)
             assert ms and float(ms.group(1)) > 0
+            peaks.append(int(ms.group(2)))
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= round(peak_after)
 
     def test_divergence_detector_on_exploding_loss(self, monkeypatch):
         import icleq.training as tr
