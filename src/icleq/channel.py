@@ -321,15 +321,16 @@ def observation_cells(q: Quantizer, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
     ``(lo, hi)`` arrays of shape (..., 2 n_r) with +-inf on the extreme cells.
     Raises ValueError for any component that is not a quantizer output level.
     """
-    return _real_cells(q, realify_obs(np.asarray(y, dtype=complex)))
+    return cell_bounds(q, _level_index(q, realify_obs(np.asarray(y, dtype=complex))))
 
 
-def _real_cells(q: Quantizer, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`observation_cells` of real components ``v``, cells of v's shape."""
+def _level_index(q: Quantizer, v: np.ndarray) -> np.ndarray:
+    """The level indices of real components ``v``, each of which must be a
+    quantizer output level (ValueError otherwise)."""
     idx, levels = quantize(q, v)
     if not np.all(levels == v):  # levels are dyadic, so exact up to MAX_BITS
         raise ValueError("value not on a quantizer output level")
-    return cell_bounds(q, idx)
+    return idx
 
 
 def gauss_logpdf(y_ri, means_ri, sigma2: float) -> np.ndarray:

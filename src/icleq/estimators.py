@@ -48,7 +48,8 @@ from .channel import (
     ContextSet,
     Quantizer,
     Task,
-    _real_cells,
+    _level_index,
+    cell_bounds,
     gauss_logpdf,
     realify_obs,
 )
@@ -182,20 +183,19 @@ def _distinct_cells(q: Quantizer, col: np.ndarray, y_ri: np.ndarray):
     ``lo``, ``hi`` (n, 1), sorted by (row, level), and the index ``inv``
     (2 n_r, *pairs) of each pair's cell among them.
 
-    A cell's key is row * levels + level, with the levels numbered by the
-    sorted lower bounds.  Every row and level is taken, so the keys fill a
-    dense range of (rows x levels) integers: flags over that range give
-    the sorted distinct keys and their ranks, as ``np.unique`` would with
-    ``return_inverse``, without its sort.
+    A cell's key is row * levels + level, with the distinct quantizer
+    level indices numbered in order.  Every row and level is taken, so the
+    keys fill a dense range of (rows x levels) integers: flags over that
+    range give the sorted distinct keys and their ranks, as ``np.unique``
+    would with ``return_inverse``, without its sort.
     """
-    lo, hi = _real_cells(q, y_ri)
-    lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
-    keys = col * len(lo) + level.reshape(y_ri.shape)
-    seen = np.zeros((int(np.max(col)) + 1) * len(lo), dtype=bool)
+    levels, level = np.unique(_level_index(q, y_ri), return_inverse=True)
+    keys = col * len(levels) + level.reshape(y_ri.shape)
+    seen = np.zeros((int(np.max(col)) + 1) * len(levels), dtype=bool)
     seen[keys] = True
     rank = np.cumsum(seen) - 1
-    rows, level = np.divmod(np.flatnonzero(seen), len(lo))
-    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
+    rows, level = np.divmod(np.flatnonzero(seen), len(levels))
+    lo, hi = (np.take(bound, level)[:, None] for bound in cell_bounds(q, levels))
     return rows, lo, hi, np.moveaxis(np.take(rank, keys), -1, 0).copy()
 
 

@@ -249,28 +249,22 @@ class Equalizer:
         return cls("bayes_exact", estimate)
 
 
-def _draw_errors(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, list[float]]:
-    """Squared error of every draw (n_tasks, n_symbols) plus the per-task
-    effective sample sizes of a Monte-Carlo reference."""
+def _draw_estimates(equalizer: Equalizer, evalset: EvalSet) -> tuple[np.ndarray, list[float]]:
+    """The estimate of every draw (n_tasks, n_symbols, n_t) plus the
+    per-task effective sample sizes of a Monte-Carlo reference."""
     p = evalset.protocol
     constellation = qam4_constellation(p.tasks.n_t)
     root = RngStream(p.seed).derive(40, Equalizer.KINDS.index(equalizer.kind))
-    errs = np.empty((p.n_test_tasks, p.n_test_symbols_per_task))
+    ests = np.empty(evalset.test_xs.shape, dtype=complex)
     esss = []
     for i in range(p.n_test_tasks):
-        est, ess = equalizer.estimate(
+        ests[i], ess = equalizer.estimate(
             evalset.task(i), p.quantizer, constellation, evalset.context(i),
             evalset.test_ys[i], root.derive(i),
         )
-        errs[i] = np.sum(np.abs(est - evalset.test_xs[i]) ** 2, axis=1)
         if ess is not None:
             esss.append(ess)
-    return errs, esss
-
-
-def per_draw_errors(equalizer: Equalizer, evalset: EvalSet) -> np.ndarray:
-    """Per-draw squared errors (n_tasks, n_symbols); for paired tests."""
-    return _draw_errors(equalizer, evalset)[0]
+    return ests, esss
 
 
 def evaluate(
@@ -286,8 +280,8 @@ def evaluate(
     them consume identical draws.  The row is named by ``estimator_name``,
     else by the equalizer's kind.
     """
-    errs, esss = _draw_errors(equalizer, evalset)
-    flat = errs.ravel()
+    est, esss = _draw_estimates(equalizer, evalset)
+    flat = np.sum(np.abs(est - evalset.test_xs) ** 2, axis=2).ravel()
     mse = float(flat.mean())
     half = float(1.96 * flat.std(ddof=1) / np.sqrt(flat.size))
     med_ess = float(np.median(esss)) if esss else None

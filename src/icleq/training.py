@@ -25,6 +25,7 @@ import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import ClassVar
 from zipfile import BadZipFile
 
 import numpy as np
@@ -73,17 +74,13 @@ class GraphNumericsError(RuntimeError):
     """A loss or gradient came out non-finite; the message says where."""
 
 
-# Adam's settings; checkpoints written before they became constants carry them
+# Adam's settings
 ADAM = {"beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "clip_norm": 1.0}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything a training run depends on, seed included.
-
-    ``loss_positions`` is kept only so that checkpoints carrying it load;
-    it must be "all_y", the loss at every received-signal position.
-    """
+    """Everything a training run depends on, seed included."""
 
     model: ModelConfig = field(default_factory=ModelConfig)
     tasks: TaskDistributionSpec = field(
@@ -96,7 +93,8 @@ class TrainConfig:
     n_steps: int = 50_000
     lr: float = 1e-4
     warmup_steps: int = 1000
-    loss_positions: str = "all_y"
+    # a constant, not a field: the loss covers every received-signal position
+    loss_positions: ClassVar[str] = "all_y"
     init_scale: float = 0.1
     seed: int = 0
 
@@ -111,11 +109,6 @@ class TrainConfig:
         for name in ("n_steps", "warmup_steps", "n_context"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.loss_positions != "all_y":
-            raise ValueError(
-                f"loss_positions must be 'all_y', got {self.loss_positions!r}: "
-                "the loss covers every received-signal position"
-            )
         if self.n_context > self.model.n_max:
             raise ValueError(
                 f"n_context={self.n_context} exceeds the model's n_max={self.model.n_max}"
@@ -339,6 +332,14 @@ class CheckpointError(ValueError):
     pass
 
 
+# settings that were config keys before they became constants, by section of
+# a checkpoint's config: older checkpoints carry them, and load only at these values
+_FIXED_KEYS = {
+    "model": {"use_causal_mask": True, "use_positional": True},
+    "train": {**ADAM, "loss_positions": "all_y"},
+}
+
+
 def save_checkpoint(params: dict, config: TrainConfig, path: str) -> None:
     """Write a numpy ``.npz`` archive that ``np.load(path)`` opens.
 
@@ -359,7 +360,8 @@ def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig]:
     A missing file raises FileNotFoundError.  Anything else that is not an
     intact checkpoint of a consistent architecture, including any archive
     member that fails its CRC-32, raises CheckpointError; so does a missing
-    training config, or one whose Adam settings differ from ``ADAM``.
+    training config, or one that carries a key of ``_FIXED_KEYS`` at any
+    other value (the error names the key).
     """
     with open(path, "rb") as f:
         if f.read(4) != b"PK\x03\x04":
@@ -369,14 +371,15 @@ def load_checkpoint(path: str) -> tuple[dict, ModelConfig, TrainConfig]:
             with np.load(f, allow_pickle=False) as archive:
                 params = {name: archive[name] for name in archive.files}
             meta = json.loads(str(params.pop("__config__")))
-            model = ModelConfig(**meta["model"])
             if "train" not in meta:
                 raise ValueError("the archive holds no training config")
+            for section, fixed in _FIXED_KEYS.items():
+                for key, value in fixed.items():
+                    got = meta[section].pop(key, value)
+                    if type(got) is not type(value) or got != value:
+                        raise ValueError(f"{key} must be {value!r}, got {got!r}")
+            model = ModelConfig(**meta["model"])
             kw = meta["train"]
-            for key, value in ADAM.items():
-                got = kw.pop(key, value)
-                if got != value:
-                    raise ValueError(f"{key} must be {value}, got {got!r}")
             tasks = TaskDistributionSpec(**kw["tasks"])
             train = TrainConfig(**{**kw, "model": model, "tasks": tasks})
         # damaged bytes surface as any of these from zipfile (CRC-32 included),

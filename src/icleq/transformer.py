@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import ndtr
@@ -82,11 +83,7 @@ _LN_EPS = 1e-5
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and input-geometry hyperparameters.
-
-    ``use_causal_mask`` and ``use_positional`` are kept only so that
-    checkpoints carrying them load; both must be True.
-    """
+    """Architecture and input-geometry hyperparameters."""
 
     n_layers: int = 2
     n_heads: int = 4
@@ -95,19 +92,14 @@ class ModelConfig:
     d_s: int = 4
     n_max: int = 20
     n_classes: int = 16
-    use_causal_mask: bool = True
-    use_positional: bool = True
+    # constants, not fields: every model is causal with learned positions
+    use_causal_mask: ClassVar[bool] = True
+    use_positional: ClassVar[bool] = True
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_e", "d_f"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("use_causal_mask", "use_positional"):
-            if getattr(self, name) is not True:
-                raise ValueError(
-                    f"{name} must be True, got {getattr(self, name)!r}: "
-                    "every model is causal with learned positions"
-                )
         if self.d_e % self.n_heads:
             raise ValueError("d_e must be divisible by n_heads")
 
@@ -197,16 +189,6 @@ def build_tokens(
 # ---------------------------------------------------------------------------
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a gradient down to the shape, of its rank, it was broadcast from."""
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    return g.sum(axis=axes, keepdims=True) if axes else g
-
-
-def _swap_last(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def _gelu(out, phi, x):
     """The exact GELU ``out = x * phi`` with ``phi = Phi(x)``, kept for the VJP."""
     ndtr(x, out=phi)
@@ -287,7 +269,7 @@ def _attention(p, out, s, q, k, v, scale, mask_add):
     logits underflow to exactly 0 probability, which keeps masked keys
     exactly out of the mixture.
     """
-    np.matmul(q, _swap_last(k), out=p)
+    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
     p *= scale
     p += mask_add
     _softmax_inplace(p, -1, s)
@@ -299,13 +281,13 @@ def _attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale):
     cotangent ``g``, reusing the saved probabilities ``p``: the fused
     backward of FlashAttention (Dao et al., 2022) without its tiling.
     ``ds``, ``dsp`` (p's shape) and ``s`` are scratch."""
-    np.matmul(_swap_last(p), g, out=dv)
-    np.matmul(g, _swap_last(v), out=ds)
+    np.matmul(np.swapaxes(p, -1, -2), g, out=dv)
+    np.matmul(g, np.swapaxes(v, -1, -2), out=ds)
     ds -= np.sum(np.multiply(ds, p, out=dsp), axis=-1, keepdims=True, out=s)
     ds *= p
     ds *= scale
     np.matmul(ds, k, out=dq)
-    np.matmul(_swap_last(ds), q, out=dk)
+    np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
 
 
 # ---------------------------------------------------------------------------
@@ -586,8 +568,8 @@ def _layer(
             gwo.T,
             gw1,
             gw2,
-            _unbroadcast(gxhat, (d_e, 1, 1)).reshape(d_e),
-            _unbroadcast(gln, (d_e, 1, 1)).reshape(d_e),
+            gxhat.sum(axis=(1, 2)),
+            gln.sum(axis=(1, 2)),
         )
         return de, dict(zip(names, grads))
 
@@ -657,12 +639,12 @@ def forward_graph(
         # bias and the weights
         gp = (xr.T @ g.reshape(-1, b * np1)).reshape(n_c, b, np1)
         gl = (probs * (gp - (gp * probs).sum(axis=0, keepdims=True))).reshape(n_c, b * np1)
-        grads = {"head.b": _unbroadcast(gl, (n_c, 1)).reshape(n_c), "head.w": gl @ ef.T}
+        grads = {"head.b": gl.sum(axis=1), "head.w": gl @ ef.T}
         ge = (params["head.w"].T @ gl).reshape(d_e, b, np1)
         while layer_vjps:  # each layer's state is freed once its VJP has run
             ge, layer_grads = layer_vjps.pop()(ge)
             grads.update(layer_grads)
-        grads["pos"] = _unbroadcast(ge, (d_e, 1, t)).reshape(d_e, t) @ select.T
+        grads["pos"] = ge.sum(axis=1) @ select.T
         grads["embed"] = ge.reshape(d_e, b * t) @ tok.T
         return {name: grads[name] for name in params}
 

@@ -3,16 +3,14 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
-from icleq import numerics, transformer
+from icleq import numerics
 from icleq.channel import qam4_constellation
 from icleq.experiments import ExperimentConfig
 from icleq.rng import RngStream
@@ -24,66 +22,6 @@ C2 = qam4_constellation(2)
 
 def rnd(seed, *shape):
     return RngStream(seed).normal(size=shape)
-
-
-def gelu_reference(x, g):
-    """Unsplit GELU and its VJP for the output cotangent g."""
-    phi = ndtr(x)
-    pdf = np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))
-    return x * phi, g * (phi + x * pdf)
-
-
-class TestGeluSplit:
-    """The GELU kernel and its VJP split over row blocks are bit-identical
-    to one unsplit call, for any number of blocks."""
-
-    @pytest.mark.parametrize("cores", [1, 2, 5])
-    @pytest.mark.parametrize("shape", [(0, 5), (1, 7), (3,), (257, 33)])
-    def test_bit_identical_to_unsplit(self, monkeypatch, cores, shape):
-        monkeypatch.setattr(numerics, "_N_CORES", cores)
-        x = 3.0 * RngStream(182).normal(size=shape)
-        out, phi, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        numerics._lanes(lambda i, j: transformer._gelu(out[i:j], phi[i:j], x[i:j]), len(x))
-        g = 2.0 * out
-        numerics._lanes(lambda i, j: transformer._gelu_vjp(dx[i:j], g[i:j], x[i:j], phi[i:j]), len(x))
-        want_out, want_grad = gelu_reference(x, g)
-        assert np.array_equal(out, want_out)
-        assert np.array_equal(dx, want_grad)
-
-    def test_concurrent_callers(self):
-        """Callers on several threads share the worker pool; each gets its
-        own exact result."""
-        xs = [RngStream(183, i).normal(size=(64, 40)) for i in range(6)]
-        want = [gelu_reference(x, np.ones_like(x))[0] for x in xs]
-        bad = []
-
-        def call(i):
-            for _ in range(20):
-                x = xs[i]
-                out, phi = np.empty_like(x), np.empty_like(x)
-                numerics._lanes(
-                    lambda lo, hi: transformer._gelu(out[lo:hi], phi[lo:hi], x[lo:hi]), len(x)
-                )
-                if not np.array_equal(out, want[i]):
-                    bad.append(i)
-
-        run_threads(call, len(xs))
-        assert bad == []
-
-
-def run_threads(call, n):
-    """``call(i)`` on n threads at a tiny switch interval, all joined."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=call, args=(i,)) for i in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
 
 
 class CountingPool:

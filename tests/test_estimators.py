@@ -687,7 +687,7 @@ def unique_cells(q, col, y_ri):
     """``estimators._distinct_cells`` in its ``np.unique`` form: the distinct
     (row, level) keys sorted, each pair's cell their inverse index."""
     shape = np.broadcast(col, y_ri).shape
-    lo, hi = channel._real_cells(q, y_ri)
+    lo, hi = channel.cell_bounds(q, channel._level_index(q, y_ri))
     lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
     key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
     rows, level = np.divmod(key, len(lo))

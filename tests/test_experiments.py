@@ -26,7 +26,6 @@ from icleq.experiments import (
     emit_plot_data,
     evaluate,
     parse_config_file,
-    per_draw_errors,
     results_to_csv,
     run_quantization_sweep,
     run_snr_sweep,
@@ -56,6 +55,12 @@ MICRO = ExperimentConfig(
     m_grid=(1, 2),
     seed=7,
 )
+
+
+def draw_errors(equalizer, evalset):
+    """The squared error of every draw (n_tasks, n_symbols), for paired tests."""
+    est, _ = experiments._draw_estimates(equalizer, evalset)
+    return np.sum(np.abs(est - evalset.test_xs) ** 2, axis=2)
 
 
 def small_protocol(**kw):
@@ -200,13 +205,13 @@ class TestEvaluate:
     def test_discrete_prior_of_true_channel_collapses_to_mmse(self):
         for seed in (11, 12, 13):
             ev = EvalSet.build(small_protocol(n_test_tasks=1, seed=seed))
-            e_mmse = per_draw_errors(Equalizer.mmse(), ev)
-            e_disc = per_draw_errors(Equalizer.bayes_discrete(ev.hs), ev)
+            e_mmse = draw_errors(Equalizer.mmse(), ev)
+            e_disc = draw_errors(Equalizer.bayes_discrete(ev.hs), ev)
             np.testing.assert_allclose(e_disc, e_mmse, atol=1e-12)
 
     def test_mmse_beats_lmmse_paired(self):
         ev = EvalSet.build(small_protocol(n_test_tasks=40, n_test_symbols_per_task=32))
-        d = per_draw_errors(Equalizer.mmse(), ev) - per_draw_errors(Equalizer.lmmse(), ev)
+        d = draw_errors(Equalizer.mmse(), ev) - draw_errors(Equalizer.lmmse(), ev)
         flat = d.ravel()
         se = flat.std(ddof=1) / np.sqrt(flat.size)
         assert flat.mean() + 1.96 * se < 0
@@ -249,7 +254,7 @@ class TestEvaluate:
         built = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda **kw: built.append(kw) or philox(**kw))
-        experiments._draw_errors(eq, ev)
+        experiments._draw_estimates(eq, ev)
         assert len(built) == per_task * ev.protocol.n_test_tasks
 
     @pytest.mark.parametrize("bits, digest", [(4, ROWS_4BIT), (None, ROWS_UNQUANTIZED)])
@@ -305,7 +310,7 @@ class TestEvaluate:
 
     def test_per_draw_errors_match_direct_estimates(self):
         ev = EvalSet.build(small_protocol(n_test_tasks=2))
-        errs = per_draw_errors(Equalizer.mmse(), ev)
+        errs = draw_errors(Equalizer.mmse(), ev)
         for i in range(2):
             est = mmse_known_task(ev.task(i), ev.protocol.quantizer, C2, ev.test_ys[i])
             want = np.sum(np.abs(est - ev.test_xs[i]) ** 2, axis=1)

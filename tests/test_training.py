@@ -2,7 +2,7 @@ import json
 import logging
 import re
 import resource
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -98,9 +98,14 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="init_scale must be finite and > 0, got inf"):
             tiny_cfg(init_scale=float("inf"))
 
-    def test_loss_covers_every_position(self):
-        with pytest.raises(ValueError, match="loss_positions must be 'all_y', got 'final_only'"):
-            tiny_cfg(loss_positions="final_only")
+    def test_loss_positions_is_a_constant(self):
+        """The loss covers every received-signal position: a class constant,
+        in no config's fields, and the dict of a config holds no constant."""
+        assert TrainConfig.loss_positions == "all_y"
+        assert "loss_positions" not in {f.name for f in fields(TrainConfig)}
+        d = asdict(TrainConfig())
+        assert not {"loss_positions", *ADAM} & set(d)
+        assert not {"use_causal_mask", "use_positional"} & set(d["model"])
 
 
 class TestBatchLoss:
@@ -445,31 +450,41 @@ class TestCheckpoint:
         "section, key, value",
         [
             ("model", "use_causal_mask", False),
+            ("model", "use_causal_mask", 1),
             ("model", "use_positional", False),
             ("train", "loss_positions", "final_only"),
         ],
     )
     def test_variant_keys_load_only_at_their_one_value(self, tmp_path, section, key, value):
-        """Checkpoints carry use_causal_mask, use_positional and
-        loss_positions at True, True and "all_y"; such an archive loads,
-        and the same archive with another value is rejected by name."""
+        """Older checkpoints carry use_causal_mask, use_positional and
+        loss_positions; at True, True and "all_y" they load, and any other
+        value is rejected by name.  New checkpoints carry none of them."""
         cfg = tiny_cfg()
         path = tmp_path / "model.ckpt"
         save_checkpoint(init_params(cfg.model, RngStream(26)), cfg, str(path))
         with np.load(path) as archive:
             arrays = dict(archive)
         meta = json.loads(str(arrays["__config__"]))
-        assert meta["model"]["use_causal_mask"] is True
-        assert meta["model"]["use_positional"] is True
-        assert meta["train"]["loss_positions"] == "all_y"
-        assert load_checkpoint(str(path))[1:] == (cfg.model, cfg)
-        meta[section][key] = value
-        arrays["__config__"] = np.array(json.dumps(meta))
-        with open(path, "wb") as f:
-            np.savez(f, **arrays)
-        with pytest.raises(CheckpointError, match=f"{key} must be"):
-            load_checkpoint(str(path))
+        variant = {"use_causal_mask": True, "use_positional": True}
+        assert not set(variant) & (set(meta["model"]) | set(meta["train"]["model"]))
+        assert "loss_positions" not in meta["train"]
 
+        def rewrite(section, settings):
+            meta[section].update(settings)
+            if section == "model":  # the training config holds the model's too
+                meta["train"]["model"].update(settings)
+            arrays["__config__"] = np.array(json.dumps(meta))
+            with open(path, "wb") as f:
+                np.savez(f, **arrays)
+
+        rewrite("model", variant)
+        rewrite("train", {"loss_positions": "all_y"})
+        assert load_checkpoint(str(path))[1:] == (cfg.model, cfg)
+        legacy = meta[section][key]
+        rewrite(section, {key: value})
+        message = f"{key} must be {legacy!r}, got {value!r}"
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(str(path))
 
     @pytest.mark.parametrize(
         "key, value",

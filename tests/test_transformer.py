@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -92,14 +92,20 @@ class TestModelConfig:
         "edit, message",
         [
             ({"n_layers": 0}, "n_layers must be >= 1, got 0"),
-            ({"use_causal_mask": False}, "use_causal_mask must be True, got False"),
-            ({"use_positional": False}, "use_positional must be True, got False"),
         ],
-        ids=["0-layers", "unmasked", "no-positions"],
+        ids=["0-layers"],
     )
     def test_other_variants_rejected(self, edit, message):
         with pytest.raises(ValueError, match=message):
             replace(TINY, **edit)
+
+    def test_causal_and_positional_are_constants(self):
+        """Causal attention and learned positions are class constants, not
+        fields a caller can set."""
+        assert ModelConfig.use_causal_mask is True and ModelConfig.use_positional is True
+        assert not {"use_causal_mask", "use_positional"} & {f.name for f in fields(ModelConfig)}
+        with pytest.raises(TypeError, match="use_causal_mask"):
+            ModelConfig(use_causal_mask=False)
 
 
 class TestRealify:
