@@ -352,6 +352,33 @@ def channel_log_posterior_weights(
     return _by_blocks(block, np.empty(m), channels, row_size=width)
 
 
+def _posterior_mean(
+    channels: np.ndarray,
+    sigma2: float,
+    q: Quantizer,
+    constellation: Constellation,
+    context: ContextSet,
+    y: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean of the input under the joint posterior over (channel
+    of the (M, n_r, n_t) stack, input) given the pilots and y, and the
+    channels' normalized log pilot weights.  Pilots, observations or a
+    constellation whose antenna counts do not fit the stack raise
+    ValueError."""
+    _, n_r, n_t = channels.shape
+    for name, shape, want in (
+        ("pilot inputs", context.xs.shape, n_t),
+        ("pilot observations", context.ys.shape, n_r),
+        ("observations", np.shape(y), n_r),
+        ("constellation inputs", constellation.joint.shape, n_t),
+    ):
+        if not shape or shape[-1] != want:
+            raise ValueError(f"{name} of shape {shape} do not fit the {channels.shape} channel stack")
+    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
+    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
+    return probs @ constellation.joint, lw
+
+
 def bayes_mmse_discrete(
     channels: np.ndarray,
     sigma2: float,
@@ -367,9 +394,7 @@ def bayes_mmse_discrete(
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 3 or channels.shape[0] == 0:
         raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
-    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
-    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
-    return probs @ constellation.joint
+    return _posterior_mean(channels, sigma2, q, constellation, context, y)[0]
 
 
 def bayes_mmse_continuous_mc(
@@ -394,10 +419,8 @@ def bayes_mmse_continuous_mc(
         raise ValueError("k must be >= 1")
     n_r = np.shape(y)[-1]
     channels = rng.complex_normal(size=(k, n_r, constellation.n_t))
-    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
-    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
-    ess = float(1.0 / np.sum(np.exp(lw) ** 2))
-    return probs @ constellation.joint, ess
+    est, lw = _posterior_mean(channels, sigma2, q, constellation, context, y)
+    return est, float(1.0 / np.sum(np.exp(lw) ** 2))
 
 
 # ---------------------------------------------------------------------------

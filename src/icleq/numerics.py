@@ -31,10 +31,12 @@ Its users: the likelihoods of a channel stack, which walk their block in
 cache-sized pieces (:func:`_by_blocks`); and each transformer layer's
 forward and hand-written VJP, which run its per-token work as one lane
 per core over blocks of batch rows, then its weight gradients as whole
-products, one lane per core (:mod:`icleq.transformer`).  Every other
-step of the model runs on the calling thread.  numpy, scipy and BLAS
-release the interpreter lock, and every split is bit-identical to one
-call.  A split call made from inside a block runs inline.
+products, one lane per core (:mod:`icleq.transformer`).  A lane
+allocates its own arrays and may keep them: each forward lane of a layer
+keeps its state until the VJP's lane of the same rows has read it.
+Every other step of the model runs on the calling thread.  numpy, scipy
+and BLAS release the interpreter lock, and every split is bit-identical
+to one call.  A split call made from inside a block runs inline.
 
 :func:`logsumexp` normalizes the Bayesian references' weights and
 posteriors.  It reproduces the rounding of scipy >= 1.15's
@@ -90,12 +92,12 @@ def _lanes(fn, rows: int, unit: int = 1) -> None:
     A call made from inside a block of another split call also runs
     inline: the pool's workers may all be busy with the outer blocks, so
     a nested block queued behind them would never start.
-    ``fn`` must write its results only into arrays, or blocks of arrays,
-    the calling thread allocated, and may allocate temporaries of at most
-    ``_BLOCK`` elements: a worker thread's malloc arena would keep larger
-    buffers under the raised trim threshold of :mod:`icleq._malloc`.  If a
-    block raises, the call still waits for every other block before it
-    re-raises the first block's exception.
+    ``fn`` may allocate, and may keep what it allocates for a later call
+    (a transformer layer's forward lanes keep their state for its VJP's
+    lanes).  Under the raised trim threshold of :mod:`icleq._malloc` a
+    worker thread's malloc arena keeps its high-water mark, and each step
+    reuses it.  If a block raises, the call still waits for every other
+    block before it re-raises the first block's exception.
     """
     global _pool
     parts = min(_N_CORES, rows // unit)
@@ -129,10 +131,11 @@ def _by_blocks(fn, out: np.ndarray, *args: np.ndarray, row_size: int) -> np.ndar
     """``out[i:j] = fn(*(a[i:j] for a in args))`` for blocks of rows
     (leading axis) of ``out`` and ``args``, each of ``_BLOCK // row_size``
     rows, where ``row_size`` is the elements per row of ``fn``'s widest
-    array: no temporary of a block exceeds ``_BLOCK`` elements, the rule
-    of :func:`_lanes`.  (A channel stack's likelihood passes channels as
-    rows and keeps them innermost in its own arrays; its ``fn`` returns
-    the block's results with the channels moved to the leading axis.)
+    array: no temporary of a block exceeds ``_BLOCK`` elements, so a
+    block's temporaries stay in cache.  (A channel stack's likelihood
+    passes channels as rows and keeps them innermost in its own arrays;
+    its ``fn`` returns the block's results with the channels moved to the
+    leading axis.)
 
     Inputs of one block or less run on the calling thread; larger ones are
     split over the cores by :func:`_lanes`, each core walking its share

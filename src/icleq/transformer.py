@@ -45,17 +45,13 @@ has one forward function and one VJP; inference runs the forward and
 drops the VJP.  Each VJP runs once, and frees each layer's saved state as
 soon as that layer's backward has run.
 
-The kernels of a layer are functions on arrays that write into outputs and
-scratch the caller allocated: the exact GELU, the layer norm and the fused
-attention, each with its VJP.  Beyond numpy's own iterator buffers (8192
-elements an operand, on strided or broadcast operands) they allocate
-nothing, so they may run on the pool's worker threads (the rule of
-:func:`icleq.numerics._lanes`).
+The kernels of a layer are functions on arrays that return what they
+compute: the exact GELU, the layer norm and the fused attention, each with
+its VJP.  They run on the pool's worker threads, inside a layer's lanes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -166,11 +162,16 @@ def build_tokens(
     holds the N pilot inputs in its first N slots; any later slot (such as
     training's test input) is a target, never a token.  Column layout:
     y_1, x_1, ..., y_N, x_N, y^(1), ..., y^(S).  Each column is [Re; Im]
-    of its vector, zero-padded to d_s.
+    of its vector, zero-padded to d_s.  ``xs`` of another batch size, or
+    with fewer than N slots, raises ValueError.
     """
     b, m, n_r = ys.shape
-    n_t = xs.shape[2]
     n = m - n_queries
+    if xs.ndim != 3 or len(xs) != b or xs.shape[1] < n:
+        raise ValueError(
+            f"xs of shape {xs.shape} does not hold the pilot inputs of ys of shape {ys.shape}"
+        )
+    n_t = xs.shape[2]
     if 2 * max(n_t, n_r) > config.d_s:
         raise ValueError("d_s too small for the antenna counts")
     pos = _positions(config, 2 * n + n_queries, n_queries)
@@ -189,79 +190,75 @@ def build_tokens(
 # ---------------------------------------------------------------------------
 
 
-def _gelu(out, phi, x):
-    """The exact GELU ``out = x * phi`` with ``phi = Phi(x)``, kept for the VJP."""
-    ndtr(x, out=phi)
-    np.multiply(x, phi, out=out)
+def _gelu(x):
+    """The exact GELU: returns ``(x * phi, phi)`` with ``phi = Phi(x)``,
+    kept for the VJP."""
+    phi = ndtr(x)
+    return x * phi, phi
 
 
-def _gelu_vjp(dx, g, x, phi):
-    """dx = g * (phi + x * pdf(x)), evaluated in place in the order of
+def _gelu_vjp(g, x, phi):
+    """g * (phi + x * pdf(x)), evaluated in place in the order of
     ``g * (phi + x * (np.exp(-0.5 * x * x) * _INV_SQRT_2PI))``."""
-    np.multiply(x, -0.5, out=dx)
+    dx = x * -0.5
     dx *= x
     np.exp(dx, out=dx)
     dx *= _INV_SQRT_2PI
     dx *= x
     dx += phi
     dx *= g
+    return dx
 
 
-def _layer_norm(out, xhat, inv, mu, x, gain, bias):
-    """``out = gain * xhat + bias`` with ``x`` normalized over axis 0 (per
-    token): ``xhat = (x - mean) * inv``, ``inv = 1 / sqrt(var + eps)``,
-    in the arithmetic of ``x.mean`` and ``x.var``.  ``xhat`` and ``inv``
-    (shape (1, ...)) are kept for the VJP; ``mu`` is scratch of inv's shape.
-    """
+def _layer_norm(x, gain, bias):
+    """``(gain * xhat + bias, xhat, inv)`` with ``x`` normalized over axis
+    0 (per token): ``xhat = (x - mean) * inv``, ``inv = 1 / sqrt(var +
+    eps)`` (shape (1, ...)), in the arithmetic of ``x.mean`` and ``x.var``.
+    ``xhat`` and ``inv`` are kept for the VJP."""
     d = len(x)
-    np.add.reduce(x, axis=0, keepdims=True, out=mu)
+    mu = np.add.reduce(x, axis=0, keepdims=True)
     mu /= d
-    np.subtract(x, mu, out=xhat)
-    np.square(xhat, out=out)
-    np.add.reduce(out, axis=0, keepdims=True, out=inv)
+    xhat = x - mu
+    inv = np.add.reduce(np.square(xhat), axis=0, keepdims=True)
     inv /= d
     inv += _LN_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xhat *= inv
-    np.multiply(gain, xhat, out=out)
+    out = gain * xhat
     out += bias
+    return out, xhat, inv
 
 
-def _layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain):
-    """The layer norm's input gradient ``dx`` for the output cotangent
-    ``g``, ``(dxhat - m1 - xhat * m2) * inv`` with ``dxhat = g * gain`` and
-    m1, m2 the means over axis 0 of dxhat and dxhat * xhat; also
-    ``gxhat = g * xhat``, whose sum over tokens is the gain's gradient.
-    ``t`` (x's shape), ``m1`` and ``m2`` (inv's shape) are scratch."""
+def _layer_norm_vjp(g, xhat, inv, gain):
+    """The layer norm's input gradient for the output cotangent ``g``,
+    ``(dxhat - m1 - xhat * m2) * inv`` with ``dxhat = g * gain`` and m1, m2
+    the means over axis 0 of dxhat and dxhat * xhat; returns it with
+    ``g * xhat``, whose sum over tokens is the gain's gradient."""
     d = len(g)
-    np.multiply(g, xhat, out=gxhat)
-    np.multiply(g, gain, out=dx)
-    np.add.reduce(dx, axis=0, keepdims=True, out=m1)
+    gxhat = g * xhat
+    dx = g * gain
+    m1 = np.add.reduce(dx, axis=0, keepdims=True)
     m1 /= d
-    np.multiply(dx, xhat, out=t)
-    np.add.reduce(t, axis=0, keepdims=True, out=m2)
+    m2 = np.add.reduce(dx * xhat, axis=0, keepdims=True)
     m2 /= d
-    np.multiply(xhat, m2, out=t)
     dx -= m1
-    dx -= t
+    dx -= xhat * m2
     dx *= inv
+    return dx, gxhat
 
 
-def _softmax_inplace(p: np.ndarray, axis: int, s: np.ndarray | None = None) -> np.ndarray:
-    """Softmax of ``p`` over ``axis``, in place; ``s`` is scratch of the
-    reduced shape (allocated when None)."""
-    s = np.max(p, axis=axis, keepdims=True, out=s)
-    np.subtract(p, s, out=p)
+def _softmax_inplace(p: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax of ``p`` over ``axis``, in place."""
+    np.subtract(p, np.max(p, axis=axis, keepdims=True), out=p)
     np.exp(p, out=p)
-    np.divide(p, np.sum(p, axis=axis, keepdims=True, out=s), out=p)
+    p /= np.sum(p, axis=axis, keepdims=True)
     return p
 
 
-def _attention(p, out, s, q, k, v, scale, mask_add):
-    """``out = softmax(q k^T * scale + mask_add) v`` over the last two axes,
-    keeping the probabilities ``p`` for the VJP; ``s`` is (..., Tq, 1)
-    scratch.
+def _attention(q, k, v, scale, mask_add):
+    """``softmax(q k^T * scale + mask_add) v`` over the last two axes:
+    returns the probabilities, kept for the VJP, and the output.
 
     ``q`` is (..., Tq, d) and ``k``, ``v`` are (..., Tk, d) with the same
     leading axes; Tq may be smaller than Tk.  ``mask_add`` (Tq, Tk) holds
@@ -269,25 +266,23 @@ def _attention(p, out, s, q, k, v, scale, mask_add):
     logits underflow to exactly 0 probability, which keeps masked keys
     exactly out of the mixture.
     """
-    np.matmul(q, np.swapaxes(k, -1, -2), out=p)
+    p = q @ np.swapaxes(k, -1, -2)
     p *= scale
     p += mask_add
-    _softmax_inplace(p, -1, s)
-    np.matmul(p, v, out=out)
+    _softmax_inplace(p, -1)
+    return p, p @ v
 
 
-def _attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale):
-    """Gradients ``dq``, ``dk``, ``dv`` of :func:`_attention` for the output
+def _attention_vjp(g, p, q, k, v, scale):
+    """Gradients ``(dq, dk, dv)`` of :func:`_attention` for the output
     cotangent ``g``, reusing the saved probabilities ``p``: the fused
-    backward of FlashAttention (Dao et al., 2022) without its tiling.
-    ``ds``, ``dsp`` (p's shape) and ``s`` are scratch."""
-    np.matmul(np.swapaxes(p, -1, -2), g, out=dv)
-    np.matmul(g, np.swapaxes(v, -1, -2), out=ds)
-    ds -= np.sum(np.multiply(ds, p, out=dsp), axis=-1, keepdims=True, out=s)
+    backward of FlashAttention (Dao et al., 2022) without its tiling."""
+    dv = np.swapaxes(p, -1, -2) @ g
+    ds = g @ np.swapaxes(v, -1, -2)
+    ds -= np.sum(ds * p, axis=-1, keepdims=True)
     ds *= p
     ds *= scale
-    np.matmul(ds, k, out=dq)
-    np.matmul(np.swapaxes(ds, -1, -2), q, out=dk)
+    return ds @ k, np.swapaxes(ds, -1, -2) @ q, dv
 
 
 # ---------------------------------------------------------------------------
@@ -302,83 +297,6 @@ def causal_mask(positions: np.ndarray) -> np.ndarray:
     pos = np.asarray(positions)
     visible = (pos[None, :] < pos[:, None]) | np.eye(pos.size, dtype=bool)
     return np.where(visible, 0.0, MASK_NEG)
-
-
-def _runs(columns: np.ndarray) -> list[tuple[slice, slice]]:
-    """Cut strictly increasing column indices into evenly spaced runs,
-    ``[(positions in the selection, columns)]`` as slices, so that a lane
-    gathers and scatters them through views and allocates nothing."""
-    idx = [int(c) for c in columns]
-    if any(b <= a for a, b in zip(idx, idx[1:])):
-        raise ValueError(f"columns must be strictly increasing, got {idx}")
-    runs, i = [], 0
-    while i < len(idx):
-        j = i + 1
-        step = idx[j] - idx[i] if j < len(idx) else 1
-        while j < len(idx) and idx[j] - idx[j - 1] == step:
-            j += 1
-        runs.append((slice(i, j), slice(idx[i], idx[j - 1] + 1, step)))
-        i = j
-    return runs
-
-
-# the stages of a layer's backward lane in their order, each with the scratch
-# buffers live in it; a buffer lives from its first stage to its last
-_VJP_STAGES = (
-    ("ghid", "gpre_l"),  # the GELU's VJP
-    ("gpre_l", "gln_l", "gr_l", "tmp", "m1", "m2"),  # w2's product, the layer norm's VJP
-    ("gr_l", "gheads", "ds", "dsp", "dq", "dk", "dv"),  # the attention's VJP
-    ("gr_l", "de_l", "gx", "geq"),  # the input's gradient
-)
-
-
-def _first_fit(sizes: dict, stages) -> tuple[dict, int]:
-    """Offsets of the buffers ``{name: size}`` in one workspace, placed
-    first fit in ``sizes`` order so that no two buffers that share a stage
-    overlap; returns ``({name: offset}, workspace size)``."""
-    live = {name: {i for i, stage in enumerate(stages) if name in stage} for name in sizes}
-    offsets = {}
-    for name, size in sizes.items():
-        if not live[name]:
-            raise ValueError(f"buffer {name} is live in no stage")
-        off = 0
-        for lo, hi in sorted((offsets[m], offsets[m] + sizes[m]) for m in offsets if live[m] & live[name]):
-            if off + size <= lo:
-                break
-            off = max(off, hi)
-        offsets[name] = off
-    return offsets, max(offsets[n] + sizes[n] for n in sizes)
-
-
-def _vjp_workspace(config: ModelConfig, t: int, tq: int, read_out: bool) -> tuple[dict, int]:
-    """The scratch of one batch row of a layer's backward lanes, for ``t``
-    columns of which ``tq`` are queries (a subset when ``read_out``):
-    ``({name: (shape, offset)}, elements a row)``, planned over
-    ``_VJP_STAGES``.  A lane of n rows holds buffer ``name`` at ``n *
-    offset`` of its block, as ``(n, *shape)`` for the attention's 3-D
-    shapes and as ``(d, n c)`` for a ``(d, c)`` shape."""
-    h, d_w, d_e, d_f = config.n_heads, config.d_w, config.d_e, config.d_f
-    shapes = {
-        "ghid": (d_f, tq),
-        "gpre_l": (d_f, tq),
-        "gln_l": (d_e, tq),
-        "gr_l": (d_e, tq),
-        "tmp": (d_e, tq),
-        "m1": (1, tq),
-        "m2": (1, tq),
-        "gheads": (h * d_w, tq),
-        "ds": (h, tq, t),
-        "dsp": (h, tq, t),
-        "dq": (h, tq, d_w),
-        "dk": (h, t, d_w),
-        "dv": (h, t, d_w),
-        "de_l": (d_e, t),
-        "gx": (d_e, t),
-    }
-    if read_out:
-        shapes["geq"] = (d_e, tq)
-    offsets, row = _first_fit({n: math.prod(shape) for n, shape in shapes.items()}, _VJP_STAGES)
-    return {n: (shape, offsets[n]) for n, shape in shapes.items()}, row
 
 
 def _layer(
@@ -396,8 +314,8 @@ def _layer(
 
     Keys and values span every column of ``e`` (d_e, B, T); ``mask`` is
     the additive (T, T) mask.  Queries, and everything after the attention,
-    are computed only at the columns ``rows`` (all columns when None), so
-    the output is (d_e, B, len(rows)).
+    are computed only at the strictly increasing columns ``rows`` (all
+    columns when None), so the output is (d_e, B, len(rows)).
 
     Forward and VJP run all per-token work as one lane per core over
     blocks of batch rows (:func:`icleq.numerics._lanes`, cut at multiples
@@ -412,19 +330,16 @@ def _layer(
     products on a block of columns (at multiples of 8 columns, blocks of
     an OpenBLAS product equal the unsplit product); the input's gradient
     adds its terms in the order the op-by-op graph added them.  A lane
-    keeps its intermediates in lane-major buffers, where its columns are
-    one contiguous matrix (numpy's elementwise loops run about twice as
-    fast there as on a block of columns), and copies into the full arrays
-    what the sums over tokens read.  Lanes write only into arrays
-    allocated here.
+    allocates its own intermediates, where its columns are one contiguous
+    matrix (numpy's elementwise loops run about twice as fast there as on
+    a block of columns), and copies into full arrays, allocated here, what
+    the sums over tokens read.
 
-    The VJP runs once (a second call raises RuntimeError).  Its lanes'
-    scratch is one workspace that the calling thread allocates, planned
-    per call by :func:`_vjp_workspace`: a buffer shares memory with every
-    buffer it is never live with over the backward's stages (GELU, layer
-    norm, attention, input gradient), and each lane carves contiguous
-    views of its block of rows.  At the default sizes this is ~13.6 MB at
-    layer 0 instead of ~29.8 MB of separate buffers.
+    Each forward lane keeps what its backward reads (Q/K/V, the attention
+    probabilities, the layer norm's ``xhat`` and ``inv``, the GELU's input
+    and Phi) under its first batch row; the backward lane of the same rows
+    takes it out, so the layer's state is freed lane by lane.  The VJP
+    runs once: a second call finds no state and raises RuntimeError.
     """
     d_e, b, t = e.shape
     h, d_w, d_f = config.n_heads, config.d_w, config.d_f
@@ -434,64 +349,50 @@ def _layer(
     wq, wk, wv = (w.reshape(hd, d_e) for w in (wq, wk, wv))
     wo_t = np.ascontiguousarray(wo.T)
     gain, bias = ln_g.reshape(d_e, 1), ln_b.reshape(d_e, 1)
-    runs = None if rows is None else _runs(rows)
     if rows is not None:
+        if np.any(np.diff(rows) <= 0):
+            raise ValueError(f"columns must be strictly increasing, got {[int(c) for c in rows]}")
         mask = mask[rows]
     tq = mask.shape[0]
     scale = 1.0 / np.sqrt(d_w)
-
-    def lane_major(d, n):
-        """A (d, B n) buffer whose lane of batch rows i..j is one
-        contiguous (d, (j - i) n) matrix: ``buf(i, j)``."""
-        buf = np.empty(d * b * n)
-        return lambda i, j: buf[d * n * i : d * n * j].reshape(d, (j - i) * n)
 
     x = e.reshape(d_e, b * t)
     # the query columns through numpy's own gather: its layout (a transposed
     # view for one sequence, a C-ordered copy otherwise) decides which of
     # OpenBLAS's small-matrix kernels computes a small query product
     xq = x if rows is None else e[..., rows].reshape(d_e, b * tq)
-    z = lane_major(hd, t), lane_major(hd, tq)  # the Q/K/V products, one at a time
-    q, k, v = np.empty((b, h, tq, d_w)), np.empty((b, h, t, d_w)), np.empty((b, h, t, d_w))
-    att, o, s = np.empty((b, h, tq, t)), np.empty((b, h, tq, d_w)), np.empty((b, h, tq, 1))
-    r, xhat, ln_l = lane_major(d_e, tq), lane_major(d_e, tq), lane_major(d_e, tq)
-    inv, mu = lane_major(1, tq), lane_major(1, tq)
-    pre, phi = lane_major(d_f, tq), lane_major(d_f, tq)
     # read by the sums over tokens; heads are stacked token by token
     heads, ln, hid = np.empty((hd, b * tq)), np.empty((d_e, b * tq)), np.empty((d_f, b * tq))
     out = np.empty((d_e, b, tq))
     out2 = out.reshape(d_e, b * tq)
+    state = {}  # first batch row of a lane -> what its backward reads
+
+    def heads_major(z, nb, n):
+        """A lane's (h d_w, nb n) product as contiguous (nb, h, n, d_w)."""
+        return np.ascontiguousarray(z.reshape(h, d_w, nb, n).transpose(2, 0, 3, 1))
 
     def forward(i, j):
         nb, c, ck = j - i, slice(i * tq, j * tq), slice(i * t, j * t)
-        for w, src, dst, zn, n, cn in ((wq, xq, q, z[1], tq, c), (wk, x, k, z[0], t, ck), (wv, x, v, z[0], t, ck)):
-            zb = zn(i, j)
-            np.matmul(w, src[:, cn], out=zb)
-            dst[i:j] = zb.reshape(h, d_w, nb, n).transpose(2, 0, 3, 1)
-        _attention(att[i:j], o[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
-        heads.reshape(h, d_w, b, tq)[:, :, i:j] = o[i:j].transpose(1, 3, 0, 2)
-        rb, lb = r(i, j), ln_l(i, j)
-        np.matmul(wo_t, heads[:, c], out=rb)
-        rb += xq[:, c]
-        _layer_norm(lb, xhat(i, j), inv(i, j), mu(i, j), rb, gain, bias)
+        q = heads_major(wq @ xq[:, c], nb, tq)
+        k = heads_major(wk @ x[:, ck], nb, t)
+        v = heads_major(wv @ x[:, ck], nb, t)
+        att, o = _attention(q, k, v, scale, mask)
+        heads.reshape(h, d_w, b, tq)[:, :, i:j] = o.transpose(1, 3, 0, 2)
+        r = wo_t @ heads[:, c]
+        r += xq[:, c]
+        lb, xhat, inv = _layer_norm(r, gain, bias)
         ln[:, c] = lb
-        np.matmul(w2, lb, out=pre(i, j))
-        _gelu(hid[:, c], phi(i, j), pre(i, j))
-        np.matmul(w1, hid[:, c], out=out2[:, c])
-        out2[:, c] += rb
+        pre = w2 @ lb
+        hid[:, c], phi = _gelu(pre)
+        out2[:, c] = w1 @ hid[:, c] + r
+        state[i] = q, k, v, att, xhat, inv, pre, phi
 
     _lanes(forward, b, _LANE_ROWS)
 
-    ran = False
-
     def vjp(g):
-        nonlocal ran
-        if ran:
+        if not state:
             raise RuntimeError(f"layer {l}'s VJP already ran: it runs once")
-        ran = True
         g = np.ascontiguousarray(g).reshape(d_e, b * tq)
-        plan, row = _vjp_workspace(config, t, tq, runs is not None)
-        ws = np.empty(b * row)  # every lane's scratch, ``row`` elements a batch row
         # read by the sums over tokens
         gpre, gr = np.empty((d_f, b * tq)), np.empty((d_e, b * tq))
         gln, gxhat = np.empty((d_e, b, tq)), np.empty((d_e, b, tq))
@@ -501,63 +402,45 @@ def _layer(
 
         def backward(i, j):
             nb, c, ck = j - i, slice(i * tq, j * tq), slice(i * t, j * t)
-            # the lane's scratch, contiguous views of its rows' block of the workspace:
-            # the attention's batch-major (nb, h, ., .), the rest lane-major (d, nb n)
-            block, w = ws[i * row : j * row], {}
-            for name, (shape, off) in plan.items():
-                a = block[off * nb : (off + math.prod(shape)) * nb]
-                w[name] = a.reshape(nb, *shape) if len(shape) == 3 else a.reshape(shape[0], -1)
-            gh, gp, gl, grb = w["ghid"], w["gpre_l"], w["gln_l"], w["gr_l"]
-            np.matmul(w1.T, g[:, c], out=gh)
-            _gelu_vjp(gp, gh, pre(i, j), phi(i, j))
+            q, k, v, att, xhat, inv, pre, phi = state.pop(i)
+            gp = _gelu_vjp(w1.T @ g[:, c], pre, phi)
             gpre[:, c] = gp
-            np.matmul(w2.T, gp, out=gl)
+            gl = w2.T @ gp
             gln2[:, c] = gl
-            _layer_norm_vjp(grb, gxhat2[:, c], w["tmp"], w["m1"], w["m2"], gl, xhat(i, j), inv(i, j), gain)
-            grb += g[:, c]  # the residual's gradient reaches r too
-            gr[:, c] = grb
-            ghb = w["gheads"]
-            np.matmul(wo_t.T, grb, out=ghb)
-            go = ghb.reshape(h, d_w, nb, tq).transpose(2, 0, 3, 1)
-            dq, dk, dv = w["dq"], w["dk"], w["dv"]
-            _attention_vjp(
-                w["ds"], dq, dk, dv, w["dsp"], s[i:j], go, att[i:j], q[i:j], k[i:j], v[i:j], scale
-            )
-            for dz, gz, n in ((dq, gq, tq), (dk, gk, t), (dv, gv, t)):
+            gr_l, gxhat2[:, c] = _layer_norm_vjp(gl, xhat, inv, gain)
+            gr_l += g[:, c]  # the residual's gradient reaches r too
+            gr[:, c] = gr_l
+            go = (wo_t.T @ gr_l).reshape(h, d_w, nb, tq).transpose(2, 0, 3, 1)
+            for dz, gz, n in zip(_attention_vjp(go, att, q, k, v, scale), (gq, gk, gv), (tq, t, t)):
                 gz.reshape(h, d_w, b, n)[:, :, i:j] = dz.transpose(1, 3, 0, 2)
             # the input's gradient, summed in the op-by-op graph's order: the value and
             # key products, then the query product and the residual
-            deb, gxb = w["de_l"], w["gx"]
-            np.matmul(wv.T, gv[:, ck], out=deb)
-            np.matmul(wk.T, gk[:, ck], out=gxb)
-            deb += gxb
-            if runs is None:
-                np.matmul(wq.T, gq[:, c], out=gxb)
-                deb += gxb
-                deb += grb
+            de_l = wv.T @ gv[:, ck]
+            de_l += wk.T @ gk[:, ck]
+            if rows is None:
+                de_l += wq.T @ gq[:, c]
+                de_l += gr_l
             else:
                 # the query columns' gradient, scattered onto zeros, is added
-                gqb = w["geq"]
-                np.matmul(wq.T, gq[:, c], out=gqb)
-                gqb += grb
-                d3, q3 = deb.reshape(d_e, nb, t), gqb.reshape(d_e, nb, tq)
-                for sel, src in runs:
-                    q3[:, :, sel] += d3[:, :, src]
-                deb += 0.0
-                for sel, src in runs:
-                    d3[:, :, src] = q3[:, :, sel]
-            de2[:, ck] = deb
+                gq_l = wq.T @ gq[:, c]
+                gq_l += gr_l
+                d3, q3 = de_l.reshape(d_e, nb, t), gq_l.reshape(d_e, nb, tq)
+                q3 += d3[:, :, rows]
+                de_l += 0.0
+                d3[:, :, rows] = q3
+            de2[:, ck] = de_l
 
         _lanes(backward, b, _LANE_ROWS)
         # the weight gradients, each one whole product, one lane per core;
         # in this order each half of the six carries the same multiply-adds
         # (w1 and w2, q and wo, k and v are products of equal sizes)
         products = ((g, hid.T), (gq, xq.T), (gk, x.T), (gpre, ln.T), (gv, x.T), (gr, heads.T))
-        gw = [np.empty((a.shape[0], w.shape[1])) for a, w in products]
+        gw = [None] * len(products)
 
         def weights(i, j):
-            for (a, w), o in zip(products[i:j], gw[i:j]):
-                np.matmul(a, w, out=o)
+            for n in range(i, j):
+                a, w = products[n]
+                gw[n] = a @ w
 
         _lanes(weights, len(products))
         gw1, gwq, gwk, gw2, gwv, gwo = gw
@@ -599,10 +482,9 @@ def forward_graph(
 
     The VJP runs once (a second call raises RuntimeError): it drops each
     layer's VJP, and with it the arrays that layer saved, as soon as it has
-    run, before the layer below runs its backward.  With the layers' planned
-    scratch (:func:`_layer`), a default step (d_e = 64, B = 64, N = 20)
-    peaks at ~67 MB of traced memory, against ~95 MB when every layer's
-    state lived until the whole backward returned.
+    run, before the layer below runs its backward.  A default step (d_e =
+    64, B = 64, N = 20) peaks at ~68 MB of traced memory, against ~95 MB
+    when every layer's state lived until the whole backward returned.
     """
     d_s, b, t = tokens.shape
     d_e, n_c = config.d_e, config.n_classes

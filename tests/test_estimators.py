@@ -802,6 +802,30 @@ class TestBayesMmseDiscrete:
         with pytest.raises(ValueError, match="non-empty"):
             bayes_mmse_discrete(np.zeros(shape), 0.1, Quantizer(bits=4), C2, ctx, ctx.ys[0])
 
+    @pytest.mark.parametrize("where", ["pilot inputs", "pilot observations", "observations"])
+    def test_rejects_antenna_counts_off_the_stack(self, where):
+        """Pilots or observations of another antenna count than the stack
+        raise ValueError naming both shapes, at both mixtures; 3-antenna
+        pilot inputs on a 2 x 2 stack once gave an estimate silently."""
+        q = Quantizer(bits=4)
+        ctx = pilots(rand_task(26), q, C2, 5, RngStream(27))
+        xs, ys, y = ctx.xs, ctx.ys, ctx.ys[0]
+        if where == "pilot inputs":
+            xs = qam4_constellation(3).joint[:5]
+        elif where == "pilot observations":
+            ys = np.concatenate([ys, ys[:, :1]], axis=1)
+        else:
+            y = np.append(y, y[0])
+        bad = ContextSet(xs, ys)
+        shape = {"pilot inputs": xs, "pilot observations": ys, "observations": y}[where].shape
+        channels = RngStream(28).complex_normal((8, 2, 2))
+        named = rf"{where} of shape \({shape[0]},( {shape[-1]})?\) do not fit the \(8, 2, 2\) channel stack"
+        with pytest.raises(ValueError, match=named):
+            bayes_mmse_discrete(channels, 0.1, q, C2, bad, y)
+        # the Monte-Carlo stack takes y's antenna count
+        with pytest.raises(ValueError, match=r"do not fit the \(16, [23], 2\) channel stack"):
+            bayes_mmse_continuous_mc(0.1, q, C2, bad, y, 16, RngStream(29))
+
     def test_empty_context_mixes_prior_evenly(self):
         t = rand_task(21)
         h2 = RngStream(22).complex_normal((2, 2))

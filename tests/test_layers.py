@@ -2,7 +2,6 @@
 against finite differences, the GELU and the fused attention split over
 rows, and what a training step keeps in memory."""
 
-import math
 import re
 import sys
 import threading
@@ -63,50 +62,29 @@ def kernel_fd_check(run, params, h=1e-6, rtol=1e-6, atol=1e-9):
 
 def gelu_kernel(ps):
     x = ps["a"]
-    out, phi = np.empty_like(x), np.empty_like(x)
-    transformer._gelu(out, phi, x)
-
-    def vjp(g):
-        dx = np.empty_like(x)
-        transformer._gelu_vjp(dx, g, x, phi)
-        return {"a": dx}
-
-    return out, vjp
+    out, phi = transformer._gelu(x)
+    return out, lambda g: {"a": transformer._gelu_vjp(g, x, phi)}
 
 
 def layer_norm_kernel(ps):
     """Layer norm over axis 0 of a (d, B, T) input with 1-D gain and bias."""
-    x = ps["a"]
     gain, bias = ps["g"].reshape(-1, 1, 1), ps["b"].reshape(-1, 1, 1)
-    out, xhat = np.empty_like(x), np.empty_like(x)
-    inv, mu = np.empty((1, *x.shape[1:])), np.empty((1, *x.shape[1:]))
-    transformer._layer_norm(out, xhat, inv, mu, x, gain, bias)
+    out, xhat, inv = transformer._layer_norm(ps["a"], gain, bias)
 
     def vjp(g):
-        dx, gxhat, t = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        m1, m2 = np.empty_like(inv), np.empty_like(inv)
-        transformer._layer_norm_vjp(dx, gxhat, t, m1, m2, g, xhat, inv, gain)
+        dx, gxhat = transformer._layer_norm_vjp(g, xhat, inv, gain)
         return {"a": dx, "g": gxhat.sum(axis=(1, 2)), "b": g.sum(axis=(1, 2))}
 
     return out, vjp
 
 
-def attention_arrays(q, k, v):
-    """Probabilities, output and row-sum scratch of an attention call."""
-    lead = q.shape[:-1]
-    return np.empty(lead + k.shape[-2:-1]), np.empty(lead + v.shape[-1:]), np.empty(lead + (1,))
-
-
 def attention_kernel(mask, scale=0.7):
     def run(ps):
         q, k, v = ps["q"], ps["k"], ps["v"]
-        p, out, s = attention_arrays(q, k, v)
-        transformer._attention(p, out, s, q, k, v, scale, mask)
+        p, out = transformer._attention(q, k, v, scale, mask)
 
         def vjp(g):
-            ds, dsp = np.empty_like(p), np.empty_like(p)
-            dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
-            transformer._attention_vjp(ds, dq, dk, dv, dsp, s, g, p, q, k, v, scale)
+            dq, dk, dv = transformer._attention_vjp(g, p, q, k, v, scale)
             return {"q": dq, "k": dk, "v": dv}
 
         return out, vjp
@@ -197,9 +175,17 @@ class TestGeluSplit:
         monkeypatch.setattr(numerics, "_N_CORES", cores)
         x = 3.0 * RngStream(182).normal(size=shape)
         out, phi, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        numerics._lanes(lambda i, j: transformer._gelu(out[i:j], phi[i:j], x[i:j]), len(x))
+
+        def forward(i, j):
+            out[i:j], phi[i:j] = transformer._gelu(x[i:j])
+
+        numerics._lanes(forward, len(x))
         g = 2.0 * out
-        numerics._lanes(lambda i, j: transformer._gelu_vjp(dx[i:j], g[i:j], x[i:j], phi[i:j]), len(x))
+
+        def backward(i, j):
+            dx[i:j] = transformer._gelu_vjp(g[i:j], x[i:j], phi[i:j])
+
+        numerics._lanes(backward, len(x))
         want_out, want_grad = gelu_reference(x, g)
         assert np.array_equal(out, want_out)
         assert np.array_equal(dx, want_grad)
@@ -214,10 +200,12 @@ class TestGeluSplit:
         def call(i):
             for _ in range(20):
                 x = xs[i]
-                out, phi = np.empty_like(x), np.empty_like(x)
-                numerics._lanes(
-                    lambda lo, hi: transformer._gelu(out[lo:hi], phi[lo:hi], x[lo:hi]), len(x)
-                )
+                out = np.empty_like(x)
+
+                def lane(lo, hi):
+                    out[lo:hi] = transformer._gelu(x[lo:hi])[0]
+
+                numerics._lanes(lane, len(x))
                 if not np.array_equal(out, want[i]):
                     bad.append(i)
 
@@ -257,21 +245,19 @@ def attention_reference(q, k, v, scale, mask, g):
 def split_attention(q, k, v, scale, mask):
     """The attention kernel and its VJP for the output cotangent 2 * out,
     each split over the batch axis by ``numerics._lanes``."""
-    p, out, s = attention_arrays(q, k, v)
+    lead = q.shape[:-1]
+    p, out = np.empty(lead + k.shape[-2:-1]), np.empty(lead + v.shape[-1:])
 
     def forward(i, j):
-        transformer._attention(p[i:j], out[i:j], s[i:j], q[i:j], k[i:j], v[i:j], scale, mask)
+        p[i:j], out[i:j] = transformer._attention(q[i:j], k[i:j], v[i:j], scale, mask)
 
     numerics._lanes(forward, len(q))
     g = 2.0 * out
-    ds, dsp = np.empty_like(p), np.empty_like(p)
     dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
 
     def backward(i, j):
         r = slice(i, j)
-        transformer._attention_vjp(
-            ds[r], dq[r], dk[r], dv[r], dsp[r], s[r], g[r], p[r], q[r], k[r], v[r], scale
-        )
+        dq[r], dk[r], dv[r] = transformer._attention_vjp(g[r], p[r], q[r], k[r], v[r], scale)
 
     numerics._lanes(backward, len(q))
     return out, dq, dk, dv
@@ -306,7 +292,7 @@ class TestAttentionSplit:
         assert np.all(p[..., mask == 0] > 0.0)
 
 
-class TestTapeMechanics:
+class TestModelGuarantees:
     """What the model's arrays guarantee beyond their derivatives."""
 
     def test_masked_attention_zeros_are_exact(self):
@@ -317,7 +303,7 @@ class TestTapeMechanics:
         assert np.all(p[..., 0, 1:] == 0.0)
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
 
-    def test_check_finite_names_the_node(self):
+    def test_check_finite_names_the_parameter(self):
         """A non-finite loss names the first non-finite parameter by name;
         with every parameter finite it names the forward pass."""
         cfg = TrainConfig(model=TINY, bits=4, m_tasks=2, n_context=3, batch_size=2, seed=5)
@@ -377,87 +363,32 @@ class TestVjpRunsOnce:
             vjp(out)
 
 
-DESK = ExperimentConfig(d_e=32).model_config()
-NARROW = ModelConfig(d_e=32, d_f=8)  # a feed-forward block narrower than the embedding
-
-
 class TestVjpMemory:
-    """A layer's backward lanes carve their scratch from one planned
-    workspace, and a step frees each layer's state once its VJP has run."""
-
-    @pytest.mark.parametrize("read_out", [False, True])
-    @pytest.mark.parametrize(
-        "model", [ModelConfig(), DESK, TINY, NARROW], ids=["default", "desk", "tiny", "narrow"]
-    )
-    def test_live_buffers_never_overlap(self, model, read_out):
-        """No two buffers live in one stage overlap, each lies inside the
-        workspace, and the workspace is smaller than the buffers laid end to
-        end; at d_f >= d_e it is the most that one stage holds."""
-        t = 2 * model.n_max + 1
-        tq = model.n_max + 1 if read_out else t
-        plan, row = transformer._vjp_workspace(model, t, tq, read_out)
-        extent = {name: (off, off + math.prod(shape)) for name, (shape, off) in plan.items()}
-        assert ("geq" in extent) == read_out
-        assert all(0 <= lo < hi <= row for lo, hi in extent.values())
-        held = []
-        for stage in transformer._VJP_STAGES:
-            live = sorted(extent[name] for name in stage if name in extent)
-            assert all(hi <= lo for (_, hi), (lo, _) in zip(live, live[1:])), stage
-            held.append(sum(hi - lo for lo, hi in live))
-        assert max(held) <= row < sum(hi - lo for lo, hi in extent.values())
-        if model.d_f >= model.d_e:
-            assert row == max(held)
-
-    def test_first_fit(self):
-        """Buffers that share no stage share memory; one in no stage is an error."""
-        stages = (("a", "b"), ("b", "c"))
-        assert transformer._first_fit({"a": 3, "b": 2, "c": 3}, stages) == ({"a": 0, "b": 3, "c": 0}, 5)
-        assert transformer._first_fit({"a": 3, "b": 2, "c": 4}, stages) == ({"a": 0, "b": 3, "c": 5}, 9)
-        with pytest.raises(ValueError, match="buffer d is live in no stage"):
-            transformer._first_fit({"a": 3, "d": 1}, stages)
+    """A step keeps its peak of live memory, and frees each layer's state
+    once its VJP has run."""
 
     def test_step_traced_peak(self, monkeypatch):
         """A default step's traced peak is at most 75 MB; it read ~94.7 MB
         while every layer's state lived until the whole backward returned
-        and each lane buffer of a VJP was an array of its own (66.9 MB
-        now)."""
+        (~68.0 MB now, with each lane allocating its own arrays)."""
         monkeypatch.setattr(numerics, "_N_CORES", 2)
         setup = default_step()
         assert traced_peak(lambda: gradient(*setup, C2)) <= 75e6
-
-    def test_lanes_allocate_nothing_large(self, monkeypatch):
-        """No lane of a default step, forward, backward or weight
-        gradients, allocates more than ``_BLOCK`` elements."""
-        monkeypatch.setattr(numerics, "_N_CORES", 1)  # every lane inline, one at a time
-        peaks = []
-
-        def measured(fn, rows, unit=1):
-            def lane(i, j):
-                tracemalloc.reset_peak()
-                before = tracemalloc.get_traced_memory()[0]
-                fn(i, j)
-                peaks.append(tracemalloc.get_traced_memory()[1] - before)
-
-            numerics._lanes(lane, rows, unit)
-
-        monkeypatch.setattr(transformer, "_lanes", measured)
-        setup = default_step()
-        traced_peak(lambda: gradient(*setup, C2))
-        assert len(peaks) == 3 * setup[1].model.n_layers
-        assert max(peaks) <= 8 * numerics._BLOCK
 
     def test_top_layer_freed_before_layer_zero_backward(self, monkeypatch):
         """The arrays the top layer saved for its VJP are gone when layer
         0's VJP starts."""
         model = replace(TINY, n_layers=2)
-        saved = ("att", "q", "k", "v", "hid", "heads", "ln")
         refs, alive = {}, {}
         layer = transformer._layer
 
         def spy(p, config, l, e, mask, rows=None):
             out, vjp = layer(p, config, l, e, mask, rows)
             cells = dict(zip(vjp.__code__.co_freevars, vjp.__closure__))
-            refs[l] = [weakref.ref(cells[name].cell_contents) for name in saved]
+            # every lane's state, and the full arrays the weight gradients read
+            saved = [a for lane in cells["state"].cell_contents.values() for a in lane]
+            saved += [cells[name].cell_contents for name in ("hid", "heads", "ln")]
+            refs[l] = [weakref.ref(a) for a in saved]
 
             def traced(g):
                 alive[l] = {m: sum(r() is not None for r in refs[m]) for m in refs}
@@ -469,4 +400,4 @@ class TestVjpMemory:
         params = init_params(model, RngStream(207), scale=0.5)
         _, est, vjp = forward_graph(params, model, rnd(208, model.d_s, 3, 9), C2)
         vjp(np.ones_like(est))
-        assert alive == {1: {0: 7, 1: 7}, 0: {0: 7, 1: 0}}
+        assert alive == {1: {0: 11, 1: 11}, 0: {0: 11, 1: 0}}

@@ -309,6 +309,14 @@ class TestSharedPrefix:
         with pytest.raises(ValueError, match="d_s"):
             shared_tokens(replace(TINY, d_s=2), ContextSet(ctx.xs[:2], ctx.ys[:2]), ctx.ys[:2])
 
+    @pytest.mark.parametrize("xs_shape", [(3, 20, 2), (2, 19, 2)], ids=["batch", "too-few-slots"])
+    def test_build_tokens_rejects_xs_that_do_not_fit_ys(self, xs_shape):
+        """Pilot inputs of another batch size, or fewer than N of them, are
+        named with both shapes, not left to numpy's broadcast."""
+        named = rf"xs of shape \({', '.join(map(str, xs_shape))}\) .* ys of shape \(2, 21, 2\)"
+        with pytest.raises(ValueError, match=named):
+            build_tokens(ModelConfig(), np.zeros(xs_shape), np.zeros((2, 21, 2)))
+
     @pytest.mark.parametrize(
         "t, n_queries, message",
         [
