@@ -21,6 +21,9 @@ Every estimator takes one observation ``y`` of shape (n_r,) or a stack of
 shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t); an
 empty stack gives an empty estimate.  A NaN pilot or observation raises
 ValueError at either receiver (except in the linear :func:`lmmse_known_task`).
+An antenna count off the channel raises ValueError naming the array and
+both shapes (:func:`_check_fit`, where each array is consumed); every
+input posterior is normalized by :func:`_input_probs`.
 
 All posterior arithmetic runs in the log domain; quantized pilot
 likelihoods at high SNR underflow otherwise.  At either receiver the
@@ -94,6 +97,29 @@ def _normalized(log_w: np.ndarray) -> np.ndarray:
     if np.isneginf(total):
         raise DegenerateEvidenceError("pilots have zero likelihood under every channel")
     return log_w - total
+
+
+def _input_probs(ll: np.ndarray) -> np.ndarray:
+    """The log-likelihoods ``ll`` of an observation's candidate inputs, on
+    the last axis, normalized to probabilities that sum to 1; an
+    observation with zero likelihood for every input raises
+    DegenerateEvidenceError."""
+    norm = logsumexp(ll, axis=-1)
+    if np.any(np.isneginf(norm)):
+        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
+    return np.exp(ll - np.asarray(norm)[..., None])
+
+
+def _check_fit(stack: tuple, **arrays) -> None:
+    """Raise ValueError naming the array and both shapes unless the last
+    axis of each array fits the (M, n_r, n_t) channel stack of shape
+    ``stack``: n_t for an array named ``*_inputs``, n_r for the others."""
+    _, n_r, n_t = stack
+    for name, a in arrays.items():
+        shape = np.shape(a)
+        if not shape or shape[-1] != (n_t if name.endswith("inputs") else n_r):
+            name = name.replace("_", " ")
+            raise ValueError(f"{name} of shape {shape} do not fit the {stack} channel stack")
 
 
 # (re, im) signs of j^k z, once the parts of z are swapped when k is odd
@@ -221,6 +247,7 @@ def _joint_input_posterior(
     turned to (S, Mk, C) before the normalization.
     """
     y = np.asarray(y, dtype=complex)
+    _check_fit(channels.shape, constellation_inputs=constellation.joint, observations=y)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
     if not np.any(keep):
         keep = log_w == log_w.max()
@@ -240,11 +267,7 @@ def _joint_input_posterior(
         row_size=width,
     )
     ll = (ll.transpose(0, 2, 1) + log_w[keep][:, None]).reshape(y.shape[:-1] + (-1,))
-    norm = logsumexp(ll, axis=-1)
-    if np.any(np.isneginf(norm)):
-        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
-    probs = np.exp(ll - np.asarray(norm)[..., None])
-    return probs.reshape(y.shape[:-1] + (mk, c)).sum(axis=-2)
+    return _input_probs(ll).reshape(y.shape[:-1] + (mk, c)).sum(axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +296,9 @@ def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
     x_hat = (sigma2 * n_t * I + H^H H)^{-1} H^H y, applied to y as received.
     """
     h, n_t = task.h, task.n_t
-    a = task.sigma2 * n_t * np.eye(n_t) + hermitian(h) @ h
     y = np.asarray(y, dtype=complex)
+    _check_fit(h[None].shape, observations=y)
+    a = task.sigma2 * n_t * np.eye(n_t) + hermitian(h) @ h
     rhs = hermitian(h) @ (y.T if y.ndim == 2 else y)
     x = solve_hpd(a, rhs)
     return x.T if y.ndim == 2 else x
@@ -336,6 +360,7 @@ def channel_log_posterior_weights(
     the pilots (N per channel) unless the means of the distinct inputs
     are wider, so they hold about 2 n_r times as many channels.
     """
+    _check_fit(channels.shape, pilot_inputs=context.xs, pilot_observations=context.ys)
     m = len(channels)
     if len(context) == 0:
         return np.zeros(m)
@@ -350,33 +375,6 @@ def channel_log_posterior_weights(
         return _pairwise_sum(loglik(_pilot_means(h, inputs)), len(context))
 
     return _by_blocks(block, np.empty(m), channels, row_size=width)
-
-
-def _posterior_mean(
-    channels: np.ndarray,
-    sigma2: float,
-    q: Quantizer,
-    constellation: Constellation,
-    context: ContextSet,
-    y: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean of the input under the joint posterior over (channel
-    of the (M, n_r, n_t) stack, input) given the pilots and y, and the
-    channels' normalized log pilot weights.  Pilots, observations or a
-    constellation whose antenna counts do not fit the stack raise
-    ValueError."""
-    _, n_r, n_t = channels.shape
-    for name, shape, want in (
-        ("pilot inputs", context.xs.shape, n_t),
-        ("pilot observations", context.ys.shape, n_r),
-        ("observations", np.shape(y), n_r),
-        ("constellation inputs", constellation.joint.shape, n_t),
-    ):
-        if not shape or shape[-1] != want:
-            raise ValueError(f"{name} of shape {shape} do not fit the {channels.shape} channel stack")
-    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
-    probs = _joint_input_posterior(channels, lw, sigma2, q, constellation, y)
-    return probs @ constellation.joint, lw
 
 
 def bayes_mmse_discrete(
@@ -394,7 +392,8 @@ def bayes_mmse_discrete(
     channels = np.asarray(channels, dtype=complex)
     if channels.ndim != 3 or channels.shape[0] == 0:
         raise ValueError("discrete prior needs a non-empty (M, n_r, n_t) stack")
-    return _posterior_mean(channels, sigma2, q, constellation, context, y)[0]
+    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
+    return _joint_input_posterior(channels, lw, sigma2, q, constellation, y) @ constellation.joint
 
 
 def bayes_mmse_continuous_mc(
@@ -417,9 +416,9 @@ def bayes_mmse_continuous_mc(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n_r = np.shape(y)[-1]
-    channels = rng.complex_normal(size=(k, n_r, constellation.n_t))
-    est, lw = _posterior_mean(channels, sigma2, q, constellation, context, y)
+    channels = rng.complex_normal(size=(k, context.ys.shape[1], constellation.n_t))
+    lw = _normalized(channel_log_posterior_weights(channels, sigma2, q, context))
+    est = _joint_input_posterior(channels, lw, sigma2, q, constellation, y) @ constellation.joint
     return est, float(1.0 / np.sum(np.exp(lw) ** 2))
 
 
@@ -467,6 +466,7 @@ def bayes_mmse_gaussian_exact(
     if quantizer is not None and quantizer.quantized:
         raise ValueError("conjugate oracle requires unquantized observations")
     y = np.asarray(y, dtype=complex)
+    _check_fit((1, context.ys.shape[1], constellation.n_t), pilot_inputs=context.xs, observations=y)
     if np.any(np.isnan(y)) or np.any(np.isnan(context.ys)):
         raise ValueError("observation is NaN")
     if np.any(np.isinf(context.ys)):
@@ -476,8 +476,4 @@ def bayes_mmse_gaussian_exact(
     pred_mean, pred_var = _gaussian_predictive_stats(sigma2, constellation, context)
     d2 = np.sum(np.abs(y[..., None, :] - pred_mean) ** 2, axis=-1)  # (..., n_joint)
     ll = -y.shape[-1] * np.log(np.pi * pred_var) - d2 / pred_var
-    norm = logsumexp(ll, axis=-1)
-    if np.any(np.isneginf(norm)):
-        raise DegenerateEvidenceError("observation has zero likelihood for all inputs")
-    probs = np.exp(ll - np.asarray(norm)[..., None])
-    return probs @ constellation.joint
+    return _input_probs(ll) @ constellation.joint

@@ -609,21 +609,8 @@ def _fmt(x) -> str:
 def results_to_csv(results: list[EvalResult]) -> str:
     lines = [CSV_HEADER]
     for r in results:
-        lines.append(
-            ",".join(
-                [
-                    r.sweep,
-                    r.estimator,
-                    _fmt(float(r.value)),
-                    _fmt(r.mse),
-                    _fmt(r.ci_low),
-                    _fmt(r.ci_high),
-                    str(r.n_samples),
-                    _fmt(r.ess),
-                    str(r.seed),
-                ]
-            )
-        )
+        row = dict(vars(r), value=float(r.value))  # a grid point may be an int
+        lines.append(",".join(_fmt(row[name]) for name in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 
@@ -651,7 +638,7 @@ def emit_plot_data(csv_text: str) -> str:
     for row in reader:
         if not row:
             continue
-        if len(row) != 9:
+        if len(row) != len(header):
             raise ValueError(f"malformed CSV row: {row!r}")
         est = row[1]
         if est not in order:

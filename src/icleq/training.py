@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("m_tasks and batch_size must be >= 1")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not np.isfinite(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
         if not (np.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be finite and > 0, got {self.init_scale}")
         Quantizer(self.bits)  # checks the resolution's range

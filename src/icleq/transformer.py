@@ -58,7 +58,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import ndtr
 
-from .channel import Constellation
+from .channel import Constellation, realify_obs
 from .numerics import _lanes
 from .rng import RngStream
 
@@ -175,13 +175,9 @@ def build_tokens(
     if 2 * max(n_t, n_r) > config.d_s:
         raise ValueError("d_s too small for the antenna counts")
     pos = _positions(config, 2 * n + n_queries, n_queries)
-    y_columns = np.flatnonzero(pos % 2 == 0)
     tok = np.zeros((config.d_s, b, pos.size))
-    tok[:n_r, :, y_columns] = np.moveaxis(ys.real, -1, 0)
-    tok[n_r : 2 * n_r, :, y_columns] = np.moveaxis(ys.imag, -1, 0)
-    if n:
-        tok[:n_t, :, 1 : 2 * n : 2] = np.moveaxis(xs[:, :n].real, -1, 0)
-        tok[n_t : 2 * n_t, :, 1 : 2 * n : 2] = np.moveaxis(xs[:, :n].imag, -1, 0)
+    tok[: 2 * n_r, :, pos % 2 == 0] = np.moveaxis(realify_obs(ys), -1, 0)
+    tok[: 2 * n_t, :, 1 : 2 * n : 2] = np.moveaxis(realify_obs(xs[:, :n]), -1, 0)
     return tok
 
 
@@ -482,19 +478,14 @@ def forward_graph(
 
     The VJP runs once (a second call raises RuntimeError): it drops each
     layer's VJP, and with it the arrays that layer saved, as soon as it has
-    run, before the layer below runs its backward.  A default step (d_e =
-    64, B = 64, N = 20) peaks at ~68 MB of traced memory, against ~95 MB
-    when every layer's state lived until the whole backward returned.
+    run, before the layer below runs its backward.
     """
     d_s, b, t = tokens.shape
     d_e, n_c = config.d_e, config.n_classes
     pos = _positions(config, t, n_queries)
     tok = tokens.reshape(d_s, b * t)
     e = (params["embed"] @ tok).reshape(d_e, b, t)
-    # gather the positional vectors by a one-hot matmul: exact, and
-    # repeated positions are fine
-    select = np.eye(params["pos"].shape[1])[:, pos]  # (2 n_max + 1, T)
-    e = e + (params["pos"] @ select).reshape(d_e, 1, t)
+    e = e + params["pos"][:, pos].reshape(d_e, 1, t)
     mask = causal_mask(pos)
     # the loss reads only the y columns, so the last layer computes only those
     y_columns = np.flatnonzero(pos % 2 == 0)
@@ -510,13 +501,9 @@ def forward_graph(
     xr = constellation.real_joint()  # (2 n_t, n_classes)
     est = (xr @ probs.reshape(n_c, b * np1)).reshape(2 * constellation.n_t, b, np1)
 
-    ran = False
-
     def vjp(g):
-        nonlocal ran
-        if ran:
+        if not layer_vjps:
             raise RuntimeError("forward_graph's VJP already ran: it runs once")
-        ran = True
         # the head: the estimate's product, the softmax over classes, the
         # bias and the weights
         gp = (xr.T @ g.reshape(-1, b * np1)).reshape(n_c, b, np1)
@@ -526,7 +513,8 @@ def forward_graph(
         while layer_vjps:  # each layer's state is freed once its VJP has run
             ge, layer_grads = layer_vjps.pop()(ge)
             grads.update(layer_grads)
-        grads["pos"] = ge.sum(axis=1) @ select.T
+        grads["pos"] = np.zeros_like(params["pos"])
+        np.add.at(grads["pos"], (slice(None), pos), ge.sum(axis=1))  # queries share 2N
         grads["embed"] = ge.reshape(d_e, b * t) @ tok.T
         return {name: grads[name] for name in params}
 

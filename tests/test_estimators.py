@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -76,6 +77,7 @@ def equalizer(kind, t, q, ctx):
             t.sigma2, q, C2, ctx, y, 64, RngStream(68)
         )[0],
         "bayes_exact": lambda y: bayes_mmse_gaussian_exact(t.sigma2, C2, ctx, y),
+        "input_posterior": lambda y: input_posterior(t, q, C2, y),
     }[kind]
 
 
@@ -90,7 +92,7 @@ class TestObservationShapes:
         ctx = pilots(t, q, C2, 6, RngStream(61))
         _, ys = sample_pairs(t.h, t.sigma2, q, C2, 5, RngStream(62))
         estimators = {kind: equalizer(kind, t, q, ctx) for kind, b in KIND_BITS if b == bits}
-        estimators["input_posterior"] = lambda y: input_posterior(t, q, C2, y)
+        estimators["input_posterior"] = equalizer("input_posterior", t, q, ctx)
         for name, est in estimators.items():
             stacked = est(ys)
             rows = np.array([est(y) for y in ys])
@@ -133,6 +135,47 @@ def test_nan_observation_raises(kind, bits, where):
         ys[1, 0] = complex(np.nan, ys[1, 0].imag)
     with pytest.raises(ValueError, match="NaN"):
         equalizer(kind, t, q, ctx)(ys)
+
+
+@pytest.mark.parametrize(
+    "kind, bits, shape",
+    [
+        ("mmse_known", 4, (3,)),
+        ("mmse_known", None, (3,)),
+        ("input_posterior", 4, (3,)),
+        ("input_posterior", None, (3,)),
+        ("lmmse", None, (1,)),
+        ("bayes_exact", None, (1,)),
+        ("bayes_mc", 4, ()),
+        ("bayes_mc", None, ()),
+    ],
+)
+def test_observations_off_the_channel_raise(kind, bits, shape):
+    """An observation whose antenna count is not the channel's n_r raises
+    ValueError naming its shape and the channel's; each of these cases once
+    failed inside numpy, or gave an estimate silently."""
+    q = Quantizer(bits=bits)
+    t = rand_task(72)
+    ctx = pilots(t, q, C2, 6, RngStream(73))
+    y = np.resize(ctx.ys[0], shape)
+    named = rf"observations of shape {re.escape(str(shape))} do not fit the \(\d+, 2, 2\) channel stack"
+    with pytest.raises(ValueError, match=named):
+        equalizer(kind, t, q, ctx)(y)
+
+
+@pytest.mark.parametrize("kind, bits", [("weights", 4), ("weights", None), ("bayes_exact", None)])
+def test_pilot_inputs_off_the_channel_raise(kind, bits):
+    """3-antenna pilot inputs on a 2 x 2 channel raise ValueError naming
+    both shapes; the pilot weights once returned finite values and the
+    conjugate oracle failed inside numpy."""
+    q = Quantizer(bits=bits)
+    ctx = pilots(rand_task(74), q, C2, 5, RngStream(75))
+    bad = ContextSet(qam4_constellation(3).joint[:5], ctx.ys)
+    with pytest.raises(ValueError, match=r"pilot inputs of shape \(5, 3\) do not fit the \([18], 2, 2\)"):
+        if kind == "weights":
+            channel_log_posterior_weights(RngStream(76).complex_normal((8, 2, 2)), 0.1, q, bad)
+        else:
+            bayes_mmse_gaussian_exact(0.1, C2, bad, ctx.ys[0])
 
 
 class TestInputPosterior:
@@ -822,7 +865,7 @@ class TestBayesMmseDiscrete:
         named = rf"{where} of shape \({shape[0]},( {shape[-1]})?\) do not fit the \(8, 2, 2\) channel stack"
         with pytest.raises(ValueError, match=named):
             bayes_mmse_discrete(channels, 0.1, q, C2, bad, y)
-        # the Monte-Carlo stack takes y's antenna count
+        # the Monte-Carlo stack takes the pilots' antenna count
         with pytest.raises(ValueError, match=r"do not fit the \(16, [23], 2\) channel stack"):
             bayes_mmse_continuous_mc(0.1, q, C2, bad, y, 16, RngStream(29))
 

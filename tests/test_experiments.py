@@ -392,6 +392,8 @@ class TestConfigFile:
             ("bits_grid = 4, 64", "bits_grid entry 64 must be <= 52"),
             ("lr = 0", "lr must be > 0, got 0.0"),
             ("lr = -1", "lr must be > 0, got -1.0"),
+            # an infinite lr passes lr > 0 and makes the first Adam step non-finite
+            ("lr = 1e999", "lr must be finite, got inf"),
             ("n_test_tasks = 0", "test counts must be >= 1"),
             ("n_test_symbols_per_task = 0", "test counts must be >= 1"),
             ("n_test_tasks = 1\nn_test_symbols_per_task = 1", "at least two draws"),
@@ -442,6 +444,7 @@ class TestConfigFile:
             "bits-grid-64",
             "lr-zero",
             "lr-negative",
+            "lr-infinite",
             "zero-test-tasks",
             "zero-test-symbols",
             "one-draw",

@@ -94,7 +94,7 @@ class TestTrainConfig:
             tiny_cfg(lr=lr)
 
     def test_infinite_init_scale_rejected(self):
-        """The config file cannot spell inf for a float; nan and 0 are parse-time cases."""
+        """nan and 0 are parse-time cases."""
         with pytest.raises(ValueError, match="init_scale must be finite and > 0, got inf"):
             tiny_cfg(init_scale=float("inf"))
 
