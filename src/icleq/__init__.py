@@ -19,7 +19,6 @@ from .channel import (
 )
 from .numerics import (
     hermitian,
-    log_gauss_cell_prob,
     logsumexp,
     solve_hpd,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "TaskDistributionSpec",
     "cell_bounds",
     "hermitian",
-    "log_gauss_cell_prob",
     "log_likelihood",
     "logsumexp",
     "qam4_constellation",

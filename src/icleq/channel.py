@@ -184,6 +184,14 @@ def qam4_constellation(n_t: int) -> Constellation:
 # ---------------------------------------------------------------------------
 
 
+def _noise_power(sigma2) -> float:
+    """``sigma2`` as a float; ValueError naming it unless it is finite and > 0."""
+    s = float(sigma2)
+    if not 0.0 < s < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"sigma2 must be finite and > 0, got {sigma2}")
+    return s
+
+
 @dataclass(frozen=True)
 class Task:
     """One equalization task: channel matrix plus noise power."""
@@ -192,14 +200,13 @@ class Task:
     sigma2: float
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h = np.ascontiguousarray(self.h, dtype=complex)
         object.__setattr__(self, "h", h)
         if h.ndim != 2:
             raise ValueError("channel matrix must be 2-D")
-        if not np.all(np.isfinite(h.view(float))):
+        if not np.all(np.isfinite(h)):
             raise ValueError("channel matrix must be finite")
-        if not self.sigma2 > 0:
-            raise ValueError("sigma2 must be positive")
+        object.__setattr__(self, "sigma2", _noise_power(self.sigma2))
 
     @property
     def n_r(self) -> int:

@@ -22,8 +22,9 @@ shape (n, n_r), and returns estimates of shape (n_t,) or (n, n_t); an
 empty stack gives an empty estimate.  A NaN pilot or observation raises
 ValueError at either receiver (except in the linear :func:`lmmse_known_task`).
 An antenna count off the channel raises ValueError naming the array and
-both shapes (:func:`_check_fit`, where each array is consumed); every
-input posterior is normalized by :func:`_input_probs`.
+both shapes (:func:`_check_fit`, where each array is consumed), and a noise
+power that is not finite and > 0 raises one naming ``sigma2``; every input
+posterior is normalized by :func:`_input_probs`.
 
 All posterior arithmetic runs in the log domain; quantized pilot
 likelihoods at high SNR underflow otherwise.  At either receiver the
@@ -52,6 +53,7 @@ from .channel import (
     Quantizer,
     Task,
     _level_index,
+    _noise_power,
     cell_bounds,
     gauss_logpdf,
     realify_obs,
@@ -238,7 +240,7 @@ def _joint_input_posterior(
     ``log_w`` holds the channels' normalized log weights (:func:`_normalized`).
     ``exp(log_w[m]) * p(y | x, h_m)`` is normalized jointly over channel and
     input, then summed over channels.  Channels of weight at most
-    ``MIN_CHANNEL_WEIGHT`` are skipped (the largest is kept if none passes).
+    ``MIN_CHANNEL_WEIGHT`` are skipped (the largest, at least 1/M, passes).
     The S x C (observation, input) pairs go through :func:`_pair_loglik`
     at turn 0 in blocks of kept channels, like the pilots, at either
     receiver; the S observations are realified (and checked, and their
@@ -249,8 +251,6 @@ def _joint_input_posterior(
     y = np.asarray(y, dtype=complex)
     _check_fit(channels.shape, constellation_inputs=constellation.joint, observations=y)
     keep = np.exp(log_w) > MIN_CHANNEL_WEIGHT
-    if not np.any(keep):
-        keep = log_w == log_w.max()
     # a matmul, not _pilot_means: about 30% of the means would round
     # differently, and the pinned rows and sweep digests rest on these
     means = realify_obs(constellation.joint @ np.swapaxes(channels[keep], -1, -2))
@@ -361,10 +361,10 @@ def channel_log_posterior_weights(
     are wider, so they hold about 2 n_r times as many channels.
     """
     _check_fit(channels.shape, pilot_inputs=context.xs, pilot_observations=context.ys)
+    sigma2 = _noise_power(sigma2)  # one noise power for the whole stack
     m = len(channels)
     if len(context) == 0:
         return np.zeros(m)
-    sigma2 = float(sigma2)  # one noise power for the whole stack
     xs, turn = _canonical_inputs(context.xs)
     rows = xs.view(np.dtype((np.void, xs.itemsize * xs.shape[1])))
     _, first, input_of = np.unique(rows.reshape(-1), return_index=True, return_inverse=True)
@@ -437,10 +437,7 @@ def _gaussian_predictive_stats(
     n_t = constellation.n_t
     prec = np.eye(n_t) + hermitian(a) @ a / sigma2
     cov = solve_hpd(prec, np.eye(n_t))
-    if len(context):
-        mu = cov @ (hermitian(a) @ context.ys) / sigma2  # (n_t, n_r)
-    else:
-        mu = np.zeros((n_t, context.ys.shape[1]), dtype=complex)
+    mu = cov @ (hermitian(a) @ context.ys) / sigma2  # (n_t, n_r); zeros with no pilots
     joint = constellation.joint
     pred_mean = joint @ mu  # (n_joint, n_r)
     quad = np.einsum("cj,jk,ck->c", joint, cov, joint.conj())
@@ -465,6 +462,7 @@ def bayes_mmse_gaussian_exact(
     """
     if quantizer is not None and quantizer.quantized:
         raise ValueError("conjugate oracle requires unquantized observations")
+    sigma2 = _noise_power(sigma2)
     y = np.asarray(y, dtype=complex)
     _check_fit((1, context.ys.shape[1], constellation.n_t), pilot_inputs=context.xs, observations=y)
     if np.any(np.isnan(y)) or np.any(np.isnan(context.ys)):

@@ -419,34 +419,18 @@ class ExperimentConfig:
         )
 
 
-def _parse_scalar(text: str):
-    t = text.strip()
-    low = t.lower()
-    if low in ("none", "unquantized", "inf"):
-        return None
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        return float(t)
-    except ValueError:
-        return t
-
-
 def _field_value(lineno: int, key: str, text: str, want: type):
-    """Parse one value and check it fits its field: ints widen to float, and
-    None is allowed only for the quantizer resolution."""
-    value = _parse_scalar(text)
-    if value is None and key in ("bits", "bits_grid"):
+    """Parse one value as its field's type, int or float (which also takes
+    integers); none, unquantized and inf give None for the quantizer only."""
+    t = text.strip()
+    if key in ("bits", "bits_grid") and t.lower() in ("none", "unquantized", "inf"):
         return None
-    if want is float and type(value) is int:
-        return float(value)
-    if type(value) is not want:
+    try:
+        return want(t)
+    except ValueError:
         raise ValueError(
-            f"config line {lineno}: {key} takes {want.__name__} values, got {text.strip()!r}"
-        )
-    return value
+            f"config line {lineno}: {key} takes {want.__name__} values, got {t!r}"
+        ) from None
 
 
 def parse_config_file(text: str) -> ExperimentConfig:

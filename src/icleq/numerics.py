@@ -4,8 +4,9 @@ All statistical computation in the package runs in binary64.  The Gaussian
 cell probabilities needed by the quantized observation likelihood are the
 numerically delicate part: at high SNR or fine quantization a cell can sit
 many standard deviations from the mean, where a naive CDF difference
-cancels catastrophically.  :func:`log_gauss_cell_prob` therefore reflects
-every cell right of the mean to the left, where the mass is a difference of
+cancels catastrophically.  The kernel :func:`_log_cell_prob_std`, on bounds
+standardized as ``(bound - mean) / std``, reflects every cell right of the
+mean to the left, where the mass is a difference of
 two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
 into the tail, and only uses a direct erf difference when the cell
 straddles the mean.  Each cell goes through one of the two formulas, so
@@ -57,7 +58,6 @@ from scipy.special import erf, log_ndtr
 __all__ = [
     "hermitian",
     "solve_hpd",
-    "log_gauss_cell_prob",
     "logsumexp",
 ]
 
@@ -253,34 +253,6 @@ def _log_cell_prob_std(a, b):
         np.put(out, side, _logdiffexp(log_ndtr(np.take(v, side)), log_ndtr(np.take(u, side))))
     s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
     np.put(out, mid, np.log(s))
-    return out
-
-
-def log_gauss_cell_prob(lo, hi, mean: float, std: float):
-    """log P(lo < X <= hi) for X ~ N(mean, std^2); bounds may be -inf/+inf,
-    ``mean`` and ``std`` must be finite (ValueError otherwise, as for NaN).
-
-    Stays finite in the far tail for any bounds representable in binary64
-    unless the true probability itself underflows.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    for name, v in (("lo", lo), ("hi", hi)):
-        if np.any(np.isnan(v)):
-            raise ValueError(f"{name} must not be NaN")
-    if not np.all(np.isfinite(mean)):
-        raise ValueError("mean must be finite")
-    if not np.all(np.isfinite(std)):
-        raise ValueError("std must be finite")
-    if np.any(lo >= hi):
-        raise ValueError("cell requires lo < hi")
-    if np.any(np.asarray(std) <= 0):
-        raise ValueError("std must be positive")
-    a = (lo - mean) / std
-    b = (hi - mean) / std
-    out = _log_cell_prob_std(a, b)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 

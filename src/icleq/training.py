@@ -309,7 +309,7 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
             loss, grads = gradient(params, cfg, batch, constellation)
         except GraphNumericsError as exc:
             raise TrainingDivergedError(f"step {step}: {exc}") from exc
-        if not np.isfinite(loss) or loss > 1e3:
+        if loss > 1e3:  # gradient raised on a non-finite loss
             raise TrainingDivergedError(f"loss {loss} at step {step}")
         params, state = adam_step(params, grads, state, cfg)
         curve.append((step, loss))

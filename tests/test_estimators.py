@@ -178,6 +178,47 @@ def test_pilot_inputs_off_the_channel_raise(kind, bits):
             bayes_mmse_gaussian_exact(0.1, C2, bad, ctx.ys[0])
 
 
+@pytest.mark.parametrize("sigma2", [0.0, -0.1, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "kind, bits",
+    [("task", None), ("weights", 4), ("weights", None)]
+    + [(kind, bits) for kind, bits in KIND_BITS if kind.startswith("bayes")],
+)
+def test_noise_power_off_range_raises(kind, bits, sigma2):
+    """A noise power that is not finite and > 0 raises ValueError naming
+    it; a task once took inf, and the stack references returned NaN,
+    failed inside numpy or found zero evidence."""
+    q = Quantizer(bits=bits)
+    t = rand_task(77)
+    ctx = pilots(t, q, C2, 5, RngStream(78))
+    channels = RngStream(79).complex_normal((4, 2, 2))
+    call = {
+        "task": lambda: Task(t.h, sigma2),
+        "weights": lambda: channel_log_posterior_weights(channels, sigma2, q, ctx),
+        "bayes_discrete": lambda: bayes_mmse_discrete(channels, sigma2, q, C2, ctx, ctx.ys[0]),
+        "bayes_mc": lambda: bayes_mmse_continuous_mc(
+            sigma2, q, C2, ctx, ctx.ys[0], 8, RngStream(80)
+        ),
+        "bayes_exact": lambda: bayes_mmse_gaussian_exact(sigma2, C2, ctx, ctx.ys[0]),
+    }[kind]
+    with pytest.raises(ValueError, match=f"sigma2 must be finite and > 0, got {sigma2}"):
+        call()
+
+
+@pytest.mark.parametrize("bits", [4, None])
+def test_transposed_channel_matches_its_copy(bits):
+    """A task takes its channel in any memory layout: a transposed view
+    gives the channel and the estimates of its C-contiguous copy."""
+    h = RngStream(81).complex_normal((2, 2)).T
+    view, copy = Task(h, 0.1), Task(h.copy(), 0.1)
+    assert view.h.flags.c_contiguous
+    np.testing.assert_array_equal(view.h, copy.h)
+    q = Quantizer(bits=bits)
+    _, ys = sample_pairs(copy.h, 0.1, q, C2, 6, RngStream(82))
+    for est in (lambda t: mmse_known_task(t, q, C2, ys), lambda t: lmmse_known_task(t, ys)):
+        np.testing.assert_array_equal(est(view), est(copy))
+
+
 class TestInputPosterior:
     def test_noiseless_identifiability(self):
         t = rand_task(1, sigma2=1e-9)

@@ -394,6 +394,12 @@ class TestConfigFile:
             ("lr = -1", "lr must be > 0, got -1.0"),
             # an infinite lr passes lr > 0 and makes the first Adam step non-finite
             ("lr = 1e999", "lr must be finite, got inf"),
+            # inf is read as a float in a real-valued field, caught by its range check
+            ("lr = inf", "lr must be finite, got inf"),
+            ("init_scale = inf", "init_scale must be finite and > 0, got inf"),
+            ("sigma2_db_min = inf", "noise bounds must be finite"),
+            ("sigma2_db_max = inf", "noise bounds must be finite"),
+            ("snr_db_grid = 10, inf", "snr_db_grid entry inf must be finite"),
             ("n_test_tasks = 0", "test counts must be >= 1"),
             ("n_test_symbols_per_task = 0", "test counts must be >= 1"),
             ("n_test_tasks = 1\nn_test_symbols_per_task = 1", "at least two draws"),
@@ -445,6 +451,11 @@ class TestConfigFile:
             "lr-zero",
             "lr-negative",
             "lr-infinite",
+            "lr-inf-word",
+            "init-scale-inf-word",
+            "noise-min-inf-word",
+            "noise-max-inf-word",
+            "snr-grid-inf-word",
             "zero-test-tasks",
             "zero-test-symbols",
             "one-draw",
