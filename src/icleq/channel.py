@@ -297,16 +297,19 @@ def sample_pairs(
     ``y = Q_b(H x + z)``; returns ``(xs, ys)``.
 
     ``h`` is one channel (n_r, n_t) or a stack (B, n_r, n_t), with ``sigma2``
-    a scalar or one noise power per channel.  Outputs gain the leading
-    axes of ``h``: xs (..., n, n_t), ys (..., n, n_r).
+    a scalar or one noise power per channel, each finite and >= 0.  Outputs
+    gain the leading axes of ``h``: xs (..., n, n_t), ys (..., n, n_r).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    s2 = np.asarray(sigma2, dtype=float)
+    if not np.all((s2 >= 0.0) & (s2 < np.inf)):  # NaN fails both comparisons
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
     h = np.asarray(h, dtype=complex)
     lead = h.shape[:-2]
     xs = constellation.joint[rng.integers(0, constellation.n_joint, size=lead + (n,))]
     z = rng.complex_normal(size=lead + (n, h.shape[-2]))
-    z = z * np.sqrt(np.asarray(sigma2, dtype=float))[..., None, None]
+    z = z * np.sqrt(s2)[..., None, None]
     ys = _quantize_complex(q, xs @ np.swapaxes(h, -1, -2) + z)
     return xs, ys
 

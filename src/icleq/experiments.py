@@ -10,10 +10,12 @@ over the individual draws.
 Three sweeps reproduce the study's headline experiments: error versus the
 number of pre-training tasks (threshold behavior), versus test SNR
 (adaptivity of range-trained models), and versus quantizer resolution.
-Each builds all its grid points, so every config check runs before one
-driver trains anything.  The driver trains each TrainConfig once, builds
-each EvalProtocol's draws once, and evaluates each (row, TrainConfig,
-EvalProtocol) once, copying the row to every point that repeats it.
+Each builds all its grid points from :class:`ExperimentConfig`, whose
+settings fill the run configs' fields of the same name, so every config
+check runs before one driver trains anything.  The driver trains each
+TrainConfig once, builds each EvalProtocol's draws once, and evaluates each
+(row, TrainConfig, EvalProtocol) once, copying the row to every point that
+repeats it.
 Results serialize to a fixed CSV schema; :func:`emit_plot_data` converts a
 CSV into gnuplot-ready columnar blocks.
 """
@@ -25,7 +27,7 @@ import hashlib
 import io
 import logging
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -320,7 +322,10 @@ def assert_test_isolation(evalset: EvalSet, taskset: PretrainTaskSet) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment settings; mirrors the config-file keys."""
+    """Flat experiment settings, one per config-file key.  Each run-config
+    field is the key of the same name unless its builder derives it (``d_s``,
+    ``n_max``, ``n_classes``) or is given it (``model``, ``tasks``, ``seed``);
+    a field that is neither fails when the config is constructed."""
 
     # architecture
     n_layers: int = 2
@@ -378,45 +383,24 @@ class ExperimentConfig:
                 )
             tenths[tenth] = entry
 
+    def _build(self, cls, **given):
+        """A ``cls`` whose every field not ``given`` is the setting of the same name."""
+        named = {f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}
+        return cls(**given, **named)
+
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            n_layers=self.n_layers,
-            n_heads=self.n_heads,
-            d_e=self.d_e,
-            d_f=self.d_f,
-            d_s=2 * max(self.n_t, self.n_r),
-            n_max=self.n_context,
-            n_classes=4**self.n_t,
-        )
+        d_s, n_classes = 2 * max(self.n_t, self.n_r), 4**self.n_t
+        return self._build(ModelConfig, d_s=d_s, n_max=self.n_context, n_classes=n_classes)
 
     def task_spec(self) -> TaskDistributionSpec:
-        return TaskDistributionSpec(self.n_t, self.n_r, self.sigma2_db_min, self.sigma2_db_max)
+        return self._build(TaskDistributionSpec)
 
     def train_config(self, *, seed: int) -> TrainConfig:
-        return TrainConfig(
-            model=self.model_config(),
-            tasks=self.task_spec(),
-            bits=self.bits,
-            m_tasks=self.m_tasks,
-            n_context=self.n_context,
-            batch_size=self.batch_size,
-            n_steps=self.n_steps,
-            lr=self.lr,
-            warmup_steps=self.warmup_steps,
-            init_scale=self.init_scale,
-            seed=seed,
-        )
+        model, tasks = self.model_config(), self.task_spec()
+        return self._build(TrainConfig, model=model, tasks=tasks, seed=seed)
 
     def protocol(self, *, seed: int) -> EvalProtocol:
-        return EvalProtocol(
-            n_test_tasks=self.n_test_tasks,
-            n_context=self.n_context,
-            n_test_symbols_per_task=self.n_test_symbols_per_task,
-            bits=self.bits,
-            tasks=self.task_spec(),
-            seed=seed,
-            mc_samples=self.mc_samples,
-        )
+        return self._build(EvalProtocol, tasks=self.task_spec(), seed=seed)
 
 
 def _field_value(lineno: int, key: str, text: str, want: type):
@@ -529,7 +513,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
     root = RngStream(cfg.seed)
     protocol = cfg.protocol(seed=_seed_int(root, 90))
     # the true-prior reference does not depend on M: evaluated once, one row per M
-    ref = Equalizer.bayes_exact() if cfg.bits is None else Equalizer.bayes_mc(cfg.mc_samples)
+    ref = Equalizer.bayes_exact() if cfg.bits is None else Equalizer.bayes_mc(protocol.mc_samples)
     true_prior = (ref.kind, None, lambda *_: ref)
     points = []
     for j, m in enumerate(cfg.m_grid):

@@ -249,6 +249,19 @@ class TestApplyChannel:
         power = np.mean(np.sum(np.abs(err) ** 2, axis=2), axis=1)
         np.testing.assert_allclose(power, 2 * s2, rtol=0.1)
 
+    @pytest.mark.parametrize("bits", [None, 4])
+    @pytest.mark.parametrize(
+        "sigma2", [-0.1, np.nan, np.inf, np.array([0.1, -0.1, 1.0])],
+        ids=["-0.1", "nan", "inf", "one_negative_entry"],
+    )
+    def test_noise_power_off_range_rejected(self, bits, sigma2):
+        """A negative, NaN or infinite noise power, also one entry of a
+        per-channel array, raises ValueError naming it; it once gave NaN or
+        saturated observations."""
+        hs = RngStream(22).complex_normal((3, 2, 2))
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, got"):
+            sample_pairs(hs, sigma2, Quantizer(bits=bits), qam4_constellation(2), 3, RngStream(23))
+
 
 class TestLogLikelihood:
     def test_total_probability_enumeration(self):

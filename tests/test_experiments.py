@@ -5,7 +5,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,6 +54,13 @@ MICRO = ExperimentConfig(
     mc_samples=128,
     m_grid=(1, 2),
     seed=7,
+)
+
+# another valid value of every config key that a run config reads
+OTHER_VALUES = dict(
+    n_layers=3, n_heads=8, d_e=32, d_f=128, n_t=1, n_r=3, bits=None, sigma2_db_min=-20.0,
+    sigma2_db_max=0.0, m_tasks=8, n_context=7, batch_size=8, n_steps=9, lr=3e-4, warmup_steps=5,
+    init_scale=0.5, n_test_tasks=6, n_test_symbols_per_task=5, mc_samples=64,
 )
 
 
@@ -347,6 +354,35 @@ class TestConfigFile:
 
     def test_model_positions_follow_n_context(self):
         assert parse_config_file("n_context = 7").model_config().n_max == 7
+
+    @pytest.mark.parametrize(
+        "key",
+        [f.name for f in fields(ExperimentConfig)
+         if f.name not in ("m_grid", "snr_db_grid", "bits_grid", "seed")],
+    )
+    def test_every_key_reaches_a_run_config(self, key):
+        """Another valid value of any key changes a run config, so no
+        builder drops a key for its sub-config's default."""
+
+        def run_configs(cfg):
+            return (cfg.model_config(), cfg.task_spec(), cfg.train_config(seed=0),
+                    cfg.protocol(seed=0))
+
+        base = ExperimentConfig()
+        other = replace(base, **{key: OTHER_VALUES[key]})
+        assert getattr(other, key) != getattr(base, key)
+        assert run_configs(other) != run_configs(base)
+
+    def test_run_config_field_without_a_key_fails_at_construction(self, monkeypatch):
+        """A run-config field that no key of its name fills fails loudly."""
+
+        @dataclass(frozen=True)
+        class Stray(EvalProtocol):
+            no_such_key: int = 0
+
+        monkeypatch.setattr(experiments, "EvalProtocol", Stray)
+        with pytest.raises(AttributeError, match="no_such_key"):
+            ExperimentConfig()
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ValueError, match="line 2: repeated key 'bits'"):

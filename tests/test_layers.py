@@ -525,6 +525,17 @@ class TestLayerLanes:
         assert (loss, step_digest(loss, grads)) == PINNED_STEPS[d_e, 64]
         assert (pool.submits > 0) == (cores > 1)
 
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 7, 9])
+    @pytest.mark.parametrize("d_e", [64, 32])
+    def test_lane_edges_bit_identical(self, monkeypatch, pool, d_e, batch, cores):
+        """Batches of fewer than two 8-row units run as one inline lane."""
+        setup = step_setup(d_e, batch)
+        monkeypatch.setattr(numerics, "_N_CORES", 1)
+        want = step_digest(*gradient(*setup, C2))
+        monkeypatch.setattr(numerics, "_N_CORES", cores)
+        assert step_digest(*gradient(*setup, C2)) == want
+
     def test_one_blas_thread_matches_every_pin(self):
         """Every pinned step, batches of 1, 7, 9 and 64, and every pinned
         one-sequence ICL forward, at 1, 2, 3 and 5 cores, in a process
