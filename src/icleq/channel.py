@@ -13,7 +13,7 @@ received sample is the Gaussian mass of its quantization cell, with the
 two extreme cells extending to infinity (the quantizer saturates).
 :func:`loglik_means` is its one-call form, quantized or not;
 :func:`icleq.estimators._pair_loglik` evaluates the same likelihood for
-both receivers over channel stacks in blocks, each distinct cell once.
+both receivers over channel stacks in blocks, each distinct bound once.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ def loglik_means(q: Quantizer, means: np.ndarray, sigma2: float, y: np.ndarray):
     means_ri = realify_obs(np.asarray(means, dtype=complex))
     if q.quantized:
         lo, hi = observation_cells(q, y)
-        std = np.sqrt(sigma2 / 2.0)
-        return np.sum(_log_cell_prob_std((lo - means_ri) / std, (hi - means_ri) / std), axis=-1)
+        z = np.stack([lo - means_ri, hi - means_ri]) / np.sqrt(sigma2 / 2.0)
+        return np.sum(_log_cell_prob_std(z, 0, 1), axis=-1)
     y_ri = realify_obs(np.asarray(y, dtype=complex))
     return np.sum(gauss_logpdf(y_ri, means_ri, sigma2), axis=-1)
 

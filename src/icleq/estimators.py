@@ -167,10 +167,13 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
     :func:`icleq.numerics._pairwise_sum`.  Unquantized, the densities are
     formed one dimension at a time, so the widest array is (*pairs,
     channels) or the means.  Quantized, a pair's cell on e is fixed by its
-    row (c, pi_k(e)) of the means and its lower bound (which names its
-    level), so the distinct cells are found once here; each is evaluated
-    once per channel, then gathered to every pair, and the blocks keep
-    2 n_r elements per pair and channel for the cell kernel's temporaries.
+    row (c, pi_k(e)) of the means and its level, so the distinct cells and
+    the distinct (row, bound) pairs that bound them are found once here
+    (:func:`_distinct_cells`).  A block standardizes each distinct bound
+    once per channel, as (bound - mean) / std; the kernel forms each cell
+    from its two bound rows, and each cell is gathered to every pair.  The
+    blocks keep 2 n_r elements per pair and channel for the cell kernel's
+    temporaries.
     """
     d = y_ri.shape[-1]
     k = np.arange(4)[:, None]  # per turn k (rows) and dimension e: pi_k(e) and s_k(e)
@@ -192,39 +195,54 @@ def _pair_loglik(q: Quantizer, sigma2: float, input_of: np.ndarray, turn, y_ri: 
             return _pairwise_sum(terms, d)
 
         return loglik, max(pairs, d * (int(np.max(input_of)) + 1))
-    rows, lo, hi, inv = _distinct_cells(q, col, y_ri)
-    std = np.sqrt(sigma2 / 2.0)
+    rows, bound, lo, hi, inv = _distinct_cells(q, col, y_ri)
+    bound, std = bound[:, None], np.sqrt(sigma2 / 2.0)
 
     def loglik(means):
-        means = np.take(means.reshape(-1, means.shape[-1]), rows, axis=0)
-        cells = _log_cell_prob_std((lo - means) / std, (hi - means) / std)
+        z = np.take(means.reshape(-1, means.shape[-1]), rows, axis=0)
+        np.subtract(bound, z, out=z)
+        z /= std
+        cells = _log_cell_prob_std(z, lo, hi)
         return _pairwise_sum((np.take(cells, i, axis=0) for i in inv), d)
 
     return loglik, pairs * d
 
 
 def _distinct_cells(q: Quantizer, col: np.ndarray, y_ri: np.ndarray):
-    """The distinct cells of the pairs of :func:`_pair_loglik`, quantized:
-    a pair's cell on e is read from row ``col[..., e]`` of the means and
-    bounded by the cell of ``y_ri[..., e]``, the two broadcast to (*pairs,
-    2 n_r).  Returns each distinct cell's row ``rows`` (n,) and bounds
-    ``lo``, ``hi`` (n, 1), sorted by (row, level), and the index ``inv``
-    (2 n_r, *pairs) of each pair's cell among them.
+    """The distinct cells of the pairs of :func:`_pair_loglik`, quantized,
+    and their distinct bounds: a pair's cell on e is read from row
+    ``col[..., e]`` of the means and bounded by the cell of ``y_ri[...,
+    e]``, the two broadcast to (*pairs, 2 n_r).  Returns each distinct
+    (row, bound) pair's row ``rows`` (nb,) and bound value ``bound`` (nb,),
+    sorted by (row, bound); each distinct cell's lower and upper bound
+    index ``lo``, ``hi`` (n,) among them, the cells sorted by (row,
+    level); and the index ``inv`` (2 n_r, *pairs) of each pair's cell
+    among the cells.
 
     A cell's key is row * levels + level, with the distinct quantizer
     level indices numbered in order.  Every row and level is taken, so the
     keys fill a dense range of (rows x levels) integers: flags over that
     range give the sorted distinct keys and their ranks, as ``np.unique``
-    would with ``return_inverse``, without its sort.
+    would with ``return_inverse``, without its sort.  The cells' bounds,
+    interleaved in that order, are then sorted by (row, bound), and a
+    (row, bound) pair repeats only as the upper bound of a cell and the
+    lower bound of the next cell on its row at the adjacent level: one
+    float, as the grid is dyadic.  Dropping the repeats leaves the
+    distinct pairs, each ranked by a running count.
     """
     levels, level = np.unique(_level_index(q, y_ri), return_inverse=True)
     keys = col * len(levels) + level.reshape(y_ri.shape)
     seen = np.zeros((int(np.max(col)) + 1) * len(levels), dtype=bool)
     seen[keys] = True
     rank = np.cumsum(seen) - 1
-    rows, level = np.divmod(np.flatnonzero(seen), len(levels))
-    lo, hi = (np.take(bound, level)[:, None] for bound in cell_bounds(q, levels))
-    return rows, lo, hi, np.moveaxis(np.take(rank, keys), -1, 0).copy()
+    row, level = np.divmod(np.flatnonzero(seen), len(levels))
+    level = np.take(levels, level)
+    new = np.ones((len(row), 2), dtype=bool)  # per cell: its lower, upper bound is no repeat
+    new[1:, 0] = (row[1:] != row[:-1]) | (level[1:] != level[:-1] + 1)
+    lo, hi = (np.cumsum(new) - 1).reshape(-1, 2).T.copy()
+    bound = np.stack(cell_bounds(q, level), axis=-1)[new]
+    rows = np.repeat(row, 2)[new.ravel()]
+    return rows, bound, lo, hi, np.moveaxis(np.take(rank, keys), -1, 0).copy()
 
 
 def _joint_input_posterior(
@@ -354,7 +372,8 @@ def channel_log_posterior_weights(
     and turn k (:func:`_canonical_inputs`); at either receiver a block
     forms the means of the distinct canonical inputs only, and
     :func:`_pair_loglik` expands them to every pilot (quantized, it
-    evaluates each distinct canonical cell once per channel).  Quantized
+    standardizes each distinct bound of the canonical cells once per
+    channel).  Quantized
     blocks are sized by the pilots' cell count (N x 2 n_r per channel), so
     the cuts do not depend on how many cells repeat; unquantized blocks by
     the pilots (N per channel) unless the means of the distinct inputs

@@ -4,20 +4,23 @@ All statistical computation in the package runs in binary64.  The Gaussian
 cell probabilities needed by the quantized observation likelihood are the
 numerically delicate part: at high SNR or fine quantization a cell can sit
 many standard deviations from the mean, where a naive CDF difference
-cancels catastrophically.  The kernel :func:`_log_cell_prob_std`, on bounds
-standardized as ``(bound - mean) / std``, reflects every cell right of the
-mean to the left, where the mass is a difference of
-two lower-tail log-CDFs (``scipy.special.log_ndtr``) that stays finite far
-into the tail, and only uses a direct erf difference when the cell
-straddles the mean.  Each cell goes through one of the two formulas, so
-every special-function value computed is used; the likelihoods of a
-channel stack call the kernel once per distinct cell (pilots or test
-observations that share an input and a level share their cell on every
-channel, see :func:`icleq.estimators._pair_loglik`).  The kernel is
-exactly symmetric: the mirrored cell ``(-b, -a)`` gets the value of
-``(a, b)`` bit for bit (the reflection maps both to the same lower-tail
-arguments, and erf is odd), which lets a pilot be evaluated on its
-quarter-turned 4-QAM input.
+cancels catastrophically.  The kernel :func:`_log_cell_prob_std` takes
+rows of bounds standardized as ``(bound - mean) / std`` and the two bound
+rows of each cell.  It evaluates ``log_ndtr(-|z|)``
+(``scipy.special.log_ndtr``) once per bound row: the lower-tail log-CDF
+of a bound left of the mean, and of the mirrored bound right of it.  A
+cell on one side of the mean has the mass of the difference of the larger
+and the smaller of its two values, which stays finite far into the tail
+(a cell right of the mean is evaluated as its mirror).  The cells that
+straddle the mean are then overwritten by a direct erf difference.  The
+likelihoods of a channel stack pass each distinct bound once (pilots or
+test observations that share an input and a level share their cell on
+every channel, and adjacent cells share a bound, see
+:func:`icleq.estimators._pair_loglik`).  The kernel is exactly
+symmetric: the mirrored cell ``(-b, -a)`` gets the value of ``(a, b)``
+bit for bit (``-|z|`` and the max/min pair do not see the sign, and erf
+is odd), which lets a pilot be evaluated on its quarter-turned 4-QAM
+input.
 
 The likelihoods of a channel stack keep the channels innermost: each
 array is a stack of whole rows of channels, and their sums over real
@@ -223,36 +226,41 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _logdiffexp(la, lb):
-    """log(exp(la) - exp(lb)) for la >= lb, elementwise."""
+    """log(exp(la) - exp(lb)) for la >= lb, elementwise, in one new array."""
     with np.errstate(invalid="ignore"):
-        d = np.where(np.isneginf(la), 0.0, lb - la)
-    return la + np.log1p(-np.exp(d))
+        d = np.asarray(np.subtract(lb, la))
+    np.copyto(d, 0.0, where=np.isneginf(la))
+    np.log1p(np.negative(np.exp(d, out=d), out=d), out=d)
+    return np.add(la, d, out=d)
 
 
-def _log_cell_prob_std(a, b):
-    """log(Phi(b) - Phi(a)) for standardized bounds a < b (entries may be inf).
+def _log_cell_prob_std(z, lo, hi):
+    """log(Phi(z[hi]) - Phi(z[lo])) for cells of standardized bounds:
+    ``z`` stacks bound rows on its leading axis (entries may be inf), and
+    each cell takes its lower bound from row ``lo`` and its upper bound
+    from row ``hi`` (index arrays, or scalars, of the cells' shape), with
+    z[lo] < z[hi].  Returns the cells' values, shape ``lo.shape +
+    z.shape[1:]``.
 
-    Same-side cells go through lower-tail log-CDFs so the result stays
-    finite far into the tails: a cell right of the mean is reflected to
-    ``(-b, -a)``, which has the same mass.  Cells straddling zero use a
-    cancellation-free erf difference of opposite signs instead.  Each cell
-    runs through one of the two formulas only; the two subsets are gathered
-    by integer indices.
+    Each bound row is evaluated once, as ``L = log_ndtr(-|z|)``, the
+    lower-tail log-CDF of the bound or of its mirror.  On a cell left of
+    the mean these are the log-CDFs of its two bounds; on a cell right of
+    the mean they are those of its mirrored cell ``(-z[hi], -z[lo])``,
+    which has the same mass; either way the mass is a difference of the
+    larger and the smaller value, which stays finite far into the tails.
+    The cells with z[lo] < 0 < z[hi] straddle the mean and are then
+    overwritten by a cancellation-free erf difference.
     """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    right = a >= 0.0
-    u = np.where(right, -b, a)
-    v = np.where(right, -a, b)
-    straddle = v > 0.0
-    mid = np.flatnonzero(straddle)
+    z = np.asarray(z, dtype=float)
+    lcdf = np.abs(z)
+    log_ndtr(np.negative(lcdf, out=lcdf), out=lcdf)
+    la, lb = np.take(lcdf, lo, axis=0), np.take(lcdf, hi, axis=0)
     with np.errstate(divide="ignore"):  # same-side cells of equal log-CDFs: log(0)
-        if not mid.size:
-            return np.asarray(_logdiffexp(log_ndtr(v), log_ndtr(u)))
-        side = np.flatnonzero(~straddle)  # not v <= 0: a NaN bound must land in one subset
-        out = np.empty(v.shape)
-        np.put(out, side, _logdiffexp(log_ndtr(np.take(v, side)), log_ndtr(np.take(u, side))))
-    s = 0.5 * (erf(np.take(v, mid) / np.sqrt(2.0)) - erf(np.take(u, mid) / np.sqrt(2.0)))
-    np.put(out, mid, np.log(s))
+        out = _logdiffexp(np.maximum(la, lb), np.minimum(la, lb))
+    zlo, zhi = np.take(z, lo, axis=0), np.take(z, hi, axis=0)
+    mid = np.flatnonzero((zlo < 0.0) & (zhi > 0.0))
+    u, v = np.take(zlo, mid), np.take(zhi, mid)
+    np.put(out, mid, np.log(0.5 * (erf(v / np.sqrt(2.0)) - erf(u / np.sqrt(2.0)))))
     return out
 
 

@@ -540,7 +540,9 @@ class TestDistinctPilotCells:
             estimators, "_pilot_means", lambda h, xs: inputs.append(xs) or pilot_means(h, xs)
         )
         monkeypatch.setattr(
-            estimators, "_log_cell_prob_std", lambda a, b: cells.append(a.shape) or kernel(a, b)
+            estimators,
+            "_log_cell_prob_std",
+            lambda z, lo, hi: cells.append((len(lo),) + z.shape[1:]) or kernel(z, lo, hi),
         )
         return inputs, cells
 
@@ -769,24 +771,31 @@ class TestJointPosteriorCells:
 
 def unique_cells(q, col, y_ri):
     """``estimators._distinct_cells`` in its ``np.unique`` form: the distinct
-    (row, level) keys sorted, each pair's cell their inverse index."""
+    (row, level) keys sorted, each pair's cell their inverse index; the
+    distinct (row, bound value) pairs of the cells' two bounds sorted, each
+    cell's lower and upper bound their inverse index."""
     shape = np.broadcast(col, y_ri).shape
     lo, hi = channel.cell_bounds(q, channel._level_index(q, y_ri))
     lo, first, level = np.unique(lo, return_index=True, return_inverse=True)
     key, inv = np.unique(col * len(lo) + level.reshape(y_ri.shape), return_inverse=True)
     rows, level = np.divmod(key, len(lo))
-    lo, hi = np.take(lo, level)[:, None], np.take(hi, np.take(first, level))[:, None]
-    return rows, lo, hi, np.moveaxis(inv.reshape(shape), -1, 0)
+    ends = [np.stack([rows, bound], axis=-1) for bound in (lo[level], hi.flat[first[level]])]
+    pairs, rank = np.unique(np.stack(ends, axis=1).reshape(-1, 2), axis=0, return_inverse=True)
+    lo, hi = rank.reshape(-1, 2).T
+    return pairs[:, 0].astype(int), pairs[:, 1], lo, hi, np.moveaxis(inv.reshape(shape), -1, 0)
 
 
 class TestDenseCellKeys:
-    """The quantized set-up of ``_pair_loglik`` ranks its (row, level) keys
-    over their dense range; its rows, bounds and inverse equal the sorted
-    ``np.unique`` form's, for the pilots and for the test pairs."""
+    """The quantized set-up of ``_pair_loglik`` ranks its (row, level) cell
+    keys over their dense range and its (row, bound) pairs by a running
+    count, without a sort; its bound rows and values, cell bounds and
+    inverse equal the sorted ``np.unique`` form's, for the pilots and for
+    the test pairs."""
 
-    @pytest.mark.parametrize("bits", [1, 4, 8])
-    def test_matches_unique(self, monkeypatch, bits):
-        q = Quantizer(bits=bits)
+    @staticmethod
+    def set_ups(monkeypatch, q):
+        """The arguments and results of each ``_distinct_cells`` call of a
+        ``bayes_mmse_discrete`` call: the pilots', then the test pairs'."""
         calls = []
         distinct = estimators._distinct_cells
 
@@ -801,13 +810,34 @@ class TestDenseCellKeys:
         channels, _, sigma2, y = TestJointPosteriorCells.case(q, "stack", "one")
         bayes_mmse_discrete(channels, sigma2, q, C2, ctx, y)
         assert [np.ndim(args[2]) for args, _ in calls] == [2, 3]  # pilots, then test pairs
-        for args, got in calls:
+        return calls
+
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    def test_matches_unique(self, monkeypatch, bits):
+        q = Quantizer(bits=bits)
+        shared = []
+        for args, got in self.set_ups(monkeypatch, q):
             want = unique_cells(q, *args[1:])
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
-            rows, lo, hi, inv = got
-            assert len(rows) < inv.size  # pairs share cells
-            assert np.isneginf(lo).any() and np.isposinf(hi).any()
+            rows, bound, lo, hi, inv = got
+            assert len(lo) < inv.size  # pairs share cells
+            shared.append(2 * len(lo) - len(bound))
+            assert np.isneginf(bound[lo]).any() and np.isposinf(bound[hi]).any()
+        assert shared[0] > 0  # the pilots' adjacent levels share a bound
+
+    @pytest.mark.parametrize("bits", [1, 4, 8, channel.MAX_BITS])
+    def test_bounds_are_the_cells(self, monkeypatch, bits):
+        """Each pair's cell has the row of its means and the bounds of its
+        level, bit for bit: a bound shared by two levels is one float."""
+        q = Quantizer(bits=bits)
+        for (_, col, y_ri), (rows, bound, lo, hi, inv) in self.set_ups(monkeypatch, q):
+            col, y_ri = np.broadcast_arrays(col, y_ri)
+            cell = np.moveaxis(inv, 0, -1)
+            assert np.array_equal(rows[lo][cell], col) and np.array_equal(rows[hi][cell], col)
+            for got, want in zip((bound[lo][cell], bound[hi][cell]),
+                                 channel.cell_bounds(q, channel._level_index(q, y_ri))):
+                assert got.tobytes() == want.tobytes()
 
 
 class TestHeadlineSizes:
@@ -840,6 +870,30 @@ class TestHeadlineSizes:
         assert np.array_equal(got, want)
         # an unquantized block holds 2^16 / 20 channels: M = 1024 is one block
         assert bool(blocks) == (bits is not None or m > 1024)
+
+    def test_kernel_sizes(self, monkeypatch):
+        """The pinned sizes of the cell kernel's input at the headline point:
+        the 20 pilots of the 4-bit context have 32 distinct cells on 48
+        distinct (row, bound) pairs, and 64 test observations of the task
+        368 cells on 432 pairs, where two bounds per cell would be 64 and
+        736.  Every block of channels passes the same rows and cells."""
+        q = Quantizer(bits=4)
+        t = rand_task(60, sigma2=0.1)
+        ctx = pilots(t, q, C2, 20, RngStream(61))
+        _, ys = sample_pairs(t.h, t.sigma2, q, C2, 64, RngStream(64))
+        channels = RngStream(62, 64).complex_normal((64, 2, 2))
+        sizes, kernel = [], estimators._log_cell_prob_std
+
+        def spy(z, lo, hi):
+            sizes.append((len(z), len(lo), len(hi)))
+            return kernel(z, lo, hi)
+
+        monkeypatch.setattr(estimators, "_log_cell_prob_std", spy)
+        channel_log_posterior_weights(channels, t.sigma2, q, ctx)
+        assert set(sizes) == {(48, 32, 32)}
+        sizes.clear()
+        _joint_input_posterior(channels, np.full(64, -np.log(64)), t.sigma2, q, C2, ys)
+        assert set(sizes) == {(432, 368, 368)}
 
     @pytest.mark.parametrize("bits", [4, None])
     @pytest.mark.parametrize("cores", [1, 2])

@@ -118,9 +118,16 @@ class TestSolveHpd:
             solve_hpd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.eye(2))
 
 
+def cells(a, b):
+    """The kernel on cells of their own bounds ``(a, b)``: the two
+    broadcast bound arrays stacked as bound rows 0 and 1."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return _log_cell_prob_std(np.stack([a, b]), 0, 1)
+
+
 def normal_cdf(x):
     """Standard normal CDF as the mass of the cell (-inf, x]."""
-    return np.exp(_log_cell_prob_std(-np.inf, x))
+    return np.exp(cells(-np.inf, x))
 
 
 class TestGaussCdf:
@@ -143,27 +150,27 @@ class TestLogGaussCellProb:
     """The cell kernel on standardized bounds (bound - mean) / std."""
 
     def test_total_probability(self):
-        assert _log_cell_prob_std(-np.inf, np.inf) == 0.0
+        assert cells(-np.inf, np.inf) == 0.0
 
     def test_median_cell(self):
-        assert abs(_log_cell_prob_std(-np.inf, 0.0) - np.log(0.5)) < 1e-15
+        assert abs(cells(-np.inf, 0.0) - np.log(0.5)) < 1e-15
 
     def test_far_tail_against_oracle(self):
-        got = _log_cell_prob_std(8.0, 9.0)
+        got = cells(8.0, 9.0)
         assert abs(got - LOG_CELL_8_9) <= 1e-8 * abs(LOG_CELL_8_9)
 
     def test_very_far_tail(self):
-        got = _log_cell_prob_std(30.0, 31.0)
+        got = cells(30.0, 31.0)
         assert abs(got - LOG_CELL_30_31) <= 1e-8 * abs(LOG_CELL_30_31)
 
     def test_near_underflow_stays_finite(self):
-        got = _log_cell_prob_std(37.5, 37.8)
+        got = cells(37.5, 37.8)
         assert np.isfinite(got)
         assert abs(got - LOG_CELL_NEAR_UNDERFLOW) <= 1e-8 * abs(LOG_CELL_NEAR_UNDERFLOW)
 
     def test_left_tail_mirrors_right(self):
-        r = _log_cell_prob_std(8.0, 9.0)
-        l = _log_cell_prob_std(-9.0, -8.0)
+        r = cells(8.0, 9.0)
+        l = cells(-9.0, -8.0)
         assert abs(r - l) < 1e-12 * abs(r)
 
     def test_adjacent_cells_sum_to_union(self):
@@ -175,13 +182,13 @@ class TestLogGaussCellProb:
             mid = lo + rng.uniform(1e-3, 2.0)
             hi = mid + rng.uniform(1e-3, 2.0)
             lo, mid, hi = ((v - mean) / std for v in (lo, mid, hi))
-            a = _log_cell_prob_std(lo, mid)
-            b = _log_cell_prob_std(mid, hi)
-            u = _log_cell_prob_std(lo, hi)
+            a = cells(lo, mid)
+            b = cells(mid, hi)
+            u = cells(lo, hi)
             assert abs(np.exp(a) + np.exp(b) - np.exp(u)) <= 1e-12
 
     def test_infinite_bounds_stay_legal(self):
-        got = _log_cell_prob_std([-np.inf, 0.0], [0.0, np.inf])
+        got = cells([-np.inf, 0.0], [0.0, np.inf])
         np.testing.assert_array_equal(got, [np.log(0.5), np.log(0.5)])
 
 
@@ -228,22 +235,39 @@ def recorded(fn, *args):
 
 
 class TestReflectedCellKernel:
-    """The reflected kernel equals the masked one bit for bit and warns
-    about nothing the masked one does not."""
+    """The kernel on shared bound rows equals the masked one bit for bit
+    and warns about nothing the masked one does not."""
+
+    def test_shared_bound_rows(self):
+        """Cells that share bound rows, as adjacent quantizer cells do, get
+        the values of their own two bounds, whatever the shape of the
+        cells' index arrays."""
+        rng = RngStream(11)
+        bounds = np.concatenate([[-np.inf], np.sort(rng.uniform(-4, 4, size=9)), [np.inf]])
+        means = np.concatenate([rng.uniform(-5, 5, size=200), bounds[1:-1], [0.0, -0.0]])
+        z = (bounds[:, None] - means) / 0.3  # means on a bound give z = 0
+        lo = np.array([0, 1, 2, 2, 5, 9, 0, 3])
+        hi = np.array([1, 2, 3, 4, 6, 10, 10, 9])
+        got, warned = recorded(_log_cell_prob_std, z, lo, hi)
+        want, want_warned = recorded(masked_log_cell_prob_std, z[lo], z[hi])
+        assert np.array_equal(got, want)
+        assert warned <= want_warned
+        got = _log_cell_prob_std(z, lo.reshape(2, 4), hi.reshape(2, 4))
+        assert np.array_equal(got, want.reshape(2, 4, -1))
 
     def test_random_bounds(self):
         rng = RngStream(8)
         centre = 20.0 * rng.normal(size=(50, 40))
         width = 10.0 ** rng.uniform(-3, 1, size=centre.shape)
         a, b = centre - width, centre + width
-        got, _ = recorded(_log_cell_prob_std, a, b)
+        got, _ = recorded(cells, a, b)
         assert got.shape == a.shape
         assert np.array_equal(got, masked_log_cell_prob_std(a, b))
 
     def test_edge_cases(self):
         a, b = edge_cells()
         want, want_warned = recorded(masked_log_cell_prob_std, a, b)
-        got, got_warned = recorded(_log_cell_prob_std, a, b)
+        got, got_warned = recorded(cells, a, b)
         assert np.array_equal(got, want)
         assert got_warned <= want_warned
         assert np.isneginf(want).any()  # underflowing cells are among the cases
@@ -252,16 +276,16 @@ class TestReflectedCellKernel:
         """The discarded log-CDF difference of a straddling cell 1e-300 wide
         divides by zero; the kernel must not warn about it."""
         a, b = np.array([-1e-300, -5e-301]), np.array([1e-300, 5e-301])
-        got, warned = recorded(_log_cell_prob_std, a, b)
+        got, warned = recorded(cells, a, b)
         assert warned == set()
         assert np.array_equal(got, masked_log_cell_prob_std(a, b))
 
     def test_scalar_and_broadcast_bounds(self):
-        assert np.array_equal(_log_cell_prob_std(-1.0, 2.0), masked_log_cell_prob_std(-1.0, 2.0))
+        assert np.array_equal(cells(-1.0, 2.0), masked_log_cell_prob_std(-1.0, 2.0))
         b = np.array([[0.5, 3.0], [-0.0, np.inf]])
-        assert np.array_equal(_log_cell_prob_std(-np.inf, b), masked_log_cell_prob_std(-np.inf, b))
+        assert np.array_equal(cells(-np.inf, b), masked_log_cell_prob_std(-np.inf, b))
         a = np.asfortranarray(np.array([[-2.0, 1.0, 0.5], [-0.1, 3.0, -4.0]]))
-        assert np.array_equal(_log_cell_prob_std(a, a + 1.0), masked_log_cell_prob_std(a, a + 1.0))
+        assert np.array_equal(cells(a, a + 1.0), masked_log_cell_prob_std(a, a + 1.0))
 
 
 class TestMirroredCells:
@@ -286,13 +310,13 @@ class TestMirroredCells:
             "tail": (30.0 + lo, 30.0 + hi),
             "edge": edge_cells(),
         }[side]
-        assert np.array_equal(_log_cell_prob_std(-b, -a), _log_cell_prob_std(a, b))
+        assert np.array_equal(cells(-b, -a), cells(a, b))
 
 
 def overwriting_log_cell_prob_std(a, b):
-    """The reflected kernel with both formulas on one array: log-CDFs for
-    every cell, then the straddling cells overwritten by the erf
-    difference; the oracle of the kernel that runs each cell through one."""
+    """The cell kernel as it was before the bounds were shared: each cell
+    right of the mean reflected to (-b, -a), log-CDFs for every cell, then
+    the straddling cells overwritten by the erf difference."""
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     right = a >= 0.0
     u = np.where(right, -b, a)
@@ -307,14 +331,15 @@ def overwriting_log_cell_prob_std(a, b):
 
 
 class TestCellKernelSubsets:
-    """Running each cell through only its own formula equals evaluating
-    the log-CDFs everywhere and overwriting the straddling cells, bit for
-    bit and without a warning the overwriting kernel does not give."""
+    """The max/min pair of each cell's ``log_ndtr(-|z|)`` values equals the
+    reflection's pair, so the kernel equals the reflected kernel that
+    overwrites the straddling cells, bit for bit and without a warning the
+    reflected kernel does not give."""
 
     @staticmethod
     def check(a, b):
         want, want_warned = recorded(overwriting_log_cell_prob_std, a, b)
-        got, got_warned = recorded(_log_cell_prob_std, a, b)
+        got, got_warned = recorded(cells, a, b)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got_warned <= want_warned
@@ -346,7 +371,7 @@ class TestCellKernelSubsets:
     def test_nan_bounds_give_nan(self):
         a = np.array([-1.0, np.nan, 0.5, -1.0, np.nan, -2.0])
         b = np.array([1.0, 1.0, np.nan, np.nan, np.nan, -1.0])
-        got = _log_cell_prob_std(a, b)
+        got = cells(a, b)
         assert np.array_equal(got, overwriting_log_cell_prob_std(a, b), equal_nan=True)
         assert np.isnan(got[1:5]).all()
 
