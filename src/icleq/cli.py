@@ -13,9 +13,11 @@ Config files are flat ``key = value`` text; every key of
 :class:`icleq.experiments.ExperimentConfig` is accepted.  ``--seed``
 overrides the config seed, which makes reruns byte-identical for identical
 (config, seed) pairs at the same BLAS thread count (it changes the last
-bits of a product).  The BLAS thread count is set through the environment,
-e.g. ``OPENBLAS_NUM_THREADS=1``; left unset on a machine of several cores,
-a warning says so.
+bits of a product).  ``eval`` draws from a seed derived from the config
+seed, as every sweep does, and checks them against the checkpoint's tasks.
+The BLAS thread count is set through the environment, e.g.
+``OPENBLAS_NUM_THREADS=1``; left unset on a machine of several cores, a
+warning says so.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ from dataclasses import replace
 
 from . import numerics
 from .experiments import (
-    Equalizer,
-    EvalSet,
     ExperimentConfig,
     emit_plot_data,
-    evaluate,
     parse_config_file,
+    run_checkpoint_eval,
     run_quantization_sweep,
     run_snr_sweep,
     run_threshold_sweep,
@@ -55,12 +55,10 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _add_common(p: argparse.ArgumentParser, checkpoint=False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", required=True, help="output path")
-    if checkpoint:
-        p.add_argument("--checkpoint", required=True, help="model checkpoint path")
 
 
 def cmd_train(args) -> int:
@@ -97,17 +95,12 @@ def _checkpoint_mismatch(cfg: ExperimentConfig, train) -> str | None:
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
-    params, model, train = load_checkpoint(args.checkpoint)
+    params, _, train = load_checkpoint(args.checkpoint)
     mismatch = _checkpoint_mismatch(cfg, train)
     if mismatch is not None:
         log.error("%s %s", args.checkpoint, mismatch)
         return 1
-    evalset = EvalSet.build(cfg.protocol(seed=cfg.seed))
-    snr_mid = -0.5 * (cfg.sigma2_db_min + cfg.sigma2_db_max)
-    results = [
-        evaluate(eq, evalset=evalset, sweep="eval", value=snr_mid)
-        for eq in (Equalizer.icl(params, model), Equalizer.mmse(), Equalizer.lmmse())
-    ]
+    results = run_checkpoint_eval(cfg, params, train)
     write_results(results, args.out)
     for r in results:
         log.info("%s: mse %.5f [%.5f, %.5f]", r.estimator, r.mse, r.ci_low, r.ci_high)
@@ -148,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint against the references")
-    _add_common(p, checkpoint=True)
+    _add_common(p)
+    p.add_argument("--checkpoint", required=True, help="model checkpoint path")
     p.set_defaults(fn=cmd_eval)
 
     for command, (runner, help_text) in _SWEEPS.items():

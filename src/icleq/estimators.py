@@ -317,9 +317,7 @@ def lmmse_known_task(task: Task, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     _check_fit(h[None].shape, observations=y)
     a = task.sigma2 * n_t * np.eye(n_t) + hermitian(h) @ h
-    rhs = hermitian(h) @ (y.T if y.ndim == 2 else y)
-    x = solve_hpd(a, rhs)
-    return x.T if y.ndim == 2 else x
+    return solve_hpd(a, hermitian(h) @ y.T).T
 
 
 # ---------------------------------------------------------------------------

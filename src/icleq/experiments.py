@@ -13,9 +13,10 @@ number of pre-training tasks (threshold behavior), versus test SNR
 Each builds all its grid points from :class:`ExperimentConfig`, whose
 settings fill the run configs' fields of the same name, so every config
 check runs before one driver trains anything.  The driver trains each
-TrainConfig once, builds each EvalProtocol's draws once, and evaluates each
-(row, TrainConfig, EvalProtocol) once, copying the row to every point that
-repeats it.
+TrainConfig it is not given, builds each EvalProtocol's draws once, checks
+them against every model's pre-training tasks, and evaluates each (row,
+TrainConfig, EvalProtocol) once, copying the row to every point that repeats
+it.  :func:`run_checkpoint_eval` scores a trained model as a one-point sweep.
 Results serialize to a fixed CSV schema; :func:`emit_plot_data` converts a
 CSV into gnuplot-ready columnar blocks.
 """
@@ -470,15 +471,17 @@ _KNOWN_TASK = [
 ]
 
 
-def _sweep(title: str, sweep: str, points: list, label: Callable) -> list[EvalResult]:
+def _sweep(
+    title: str, sweep: str, points: list, label: Callable, models: dict
+) -> list[EvalResult]:
     """Run a sweep's grid points ``(value, protocol, rows)``, in order.
 
     A row is ``(name, train, make)``: the TrainConfig of the model it needs
     (None for a known-task or true-prior reference), and ``make(params,
-    model, taskset)``, which builds its Equalizer.  ``label(name, train)``
-    names a training in the log.
+    model, taskset)``, which builds its Equalizer.  ``models`` maps each
+    TrainConfig to its ``(params, model, taskset)``; the driver trains and
+    adds the ones it lacks.  ``label(name, train)`` names a training in the log.
     """
-    models: dict[TrainConfig, tuple] = {}
     evalsets: dict[EvalProtocol, EvalSet] = {}
     results: dict[tuple, EvalResult] = {}  # by (name, TrainConfig, EvalProtocol)
     out: list[EvalResult] = []
@@ -520,7 +523,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
         train = replace(cfg, m_tasks=int(m)).train_config(seed=_seed_int(root, 10, j))
         discrete = ("bayes_discrete", train, lambda p, model, ts: Equalizer.bayes_discrete(ts.hs))
         points.append((float(m), protocol, [("icl", train, _icl), discrete, true_prior]))
-    return _sweep("threshold sweep", "m_tasks", points, lambda _, tc: f"M={tc.m_tasks}")
+    return _sweep("threshold sweep", "m_tasks", points, lambda _, tc: f"M={tc.m_tasks}", {})
 
 
 def run_snr_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
@@ -545,7 +548,7 @@ def run_snr_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
         point = replace(cfg, sigma2_db_min=-float(snr_db), sigma2_db_max=-float(snr_db))
         protocol = point.protocol(seed=_seed_int(root, 91, _snr_tenths(snr_db)))
         points.append((float(snr_db), protocol, trained + _KNOWN_TASK))
-    return _sweep("snr sweep", "snr_db", points, lambda name, _: name)
+    return _sweep("snr sweep", "snr_db", points, lambda name, _: name, {})
 
 
 def run_quantization_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
@@ -558,7 +561,18 @@ def run_quantization_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
         value = float("inf") if bits is None else float(bits)
         rows = [("icl", train, _icl), *_KNOWN_TASK]
         points.append((value, point.protocol(seed=_seed_int(root, 92, j)), rows))
-    return _sweep("quantization sweep", "bits", points, lambda _, tc: f"b={tc.bits}")
+    return _sweep("quantization sweep", "bits", points, lambda _, tc: f"b={tc.bits}", {})
+
+
+def run_checkpoint_eval(
+    cfg: ExperimentConfig, params: dict, train: TrainConfig
+) -> list[EvalResult]:
+    """Score a trained model and the known-task references at the SNR midpoint."""
+    protocol = cfg.protocol(seed=_seed_int(RngStream(cfg.seed), 93))
+    snr_mid = -0.5 * (cfg.sigma2_db_min + cfg.sigma2_db_max)
+    points = [(snr_mid, protocol, [("icl", train, _icl), *_KNOWN_TASK])]
+    models = {train: (params, train.model, PretrainTaskSet.of(train))}
+    return _sweep("eval", "eval", points, lambda name, _: name, models)
 
 
 # ---------------------------------------------------------------------------
@@ -566,19 +580,11 @@ def run_quantization_sweep(cfg: ExperimentConfig) -> list[EvalResult]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
-
-
 def results_to_csv(results: list[EvalResult]) -> str:
     lines = [CSV_HEADER]
     for r in results:
         row = dict(vars(r), value=float(r.value))  # a grid point may be an int
-        lines.append(",".join(_fmt(row[name]) for name in CSV_HEADER.split(",")))
+        lines.append(",".join("" if row[n] is None else str(row[n]) for n in CSV_HEADER.split(",")))
     return "\n".join(lines) + "\n"
 
 

@@ -140,6 +140,11 @@ class PretrainTaskSet:
         u = np.atleast_1d(rng.uniform(spec.sigma2_db_min, spec.sigma2_db_max, size=m))
         return cls(hs=hs, sigma2s=10.0 ** (u / 10.0))
 
+    @classmethod
+    def of(cls, cfg: TrainConfig) -> "PretrainTaskSet":
+        """The task set that ``pretrain(cfg)`` trains on."""
+        return cls.sample(cfg.tasks, cfg.m_tasks, RngStream(cfg.seed).derive(0))
+
     def __len__(self) -> int:
         return self.hs.shape[0]
 
@@ -160,10 +165,6 @@ class TrainBatch:
         tokens = build_tokens(config, xs, ys)
         targets = np.moveaxis(realify_obs(xs), -1, 0)
         return cls(tokens=tokens, targets=targets)
-
-    @property
-    def size(self) -> int:
-        return self.tokens.shape[1]
 
 
 def sample_train_batch(
@@ -191,7 +192,7 @@ def _loss(params: dict, cfg: TrainConfig, batch: TrainBatch, constellation):
     positions, and the model's VJP."""
     _, est, vjp = forward_graph(params, cfg.model, batch.tokens, constellation)
     diff = est - batch.targets
-    c = 1.0 / (batch.size * est.shape[2])
+    c = 1.0 / (batch.tokens.shape[1] * est.shape[2])
     return (diff * diff).sum() * c, diff, c, vjp
 
 
@@ -297,7 +298,7 @@ def pretrain(cfg: TrainConfig) -> tuple[dict, list[tuple[int, float]], PretrainT
     peak resident set size so far.
     """
     root = RngStream(cfg.seed)
-    taskset = PretrainTaskSet.sample(cfg.tasks, cfg.m_tasks, root.derive(0))
+    taskset = PretrainTaskSet.of(cfg)
     constellation = qam4_constellation(cfg.tasks.n_t)
     params = init_params(cfg.model, root.derive(1), scale=cfg.init_scale)
     state = AdamState.init(params)

@@ -2,10 +2,10 @@ import logging
 
 import pytest
 
-from icleq import numerics
+from icleq import experiments, numerics
 from icleq.cli import main
 from icleq.experiments import CSV_HEADER
-from icleq.training import load_checkpoint
+from icleq.training import PretrainTaskSet, load_checkpoint
 
 MICRO_CFG = """
 n_layers = 1
@@ -48,6 +48,43 @@ def test_train_eval_round_trip(tmp_path, cfg_file):
     assert rows[0] == CSV_HEADER
     assert len(rows) == 4  # icl + exact + linear references
     assert {r.split(",")[1] for r in rows[1:]} == {"icl", "mmse_known", "lmmse"}
+
+
+def test_eval_checks_its_draws_against_the_checkpoint_tasks(tmp_path, cfg_file, monkeypatch):
+    """`eval` runs the sweeps' isolation check once, on the task set the
+    checkpoint's model was trained on, and trains nothing."""
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", cfg_file, "--out", ckpt]) == 0
+    _, _, train = load_checkpoint(ckpt)
+    checked, trained = [], []
+    isolation = experiments.assert_test_isolation
+
+    def record_isolation(evalset, taskset):
+        checked.append(taskset)
+        return isolation(evalset, taskset)
+
+    monkeypatch.setattr(experiments, "assert_test_isolation", record_isolation)
+    monkeypatch.setattr(experiments, "pretrain", lambda cfg: trained.append(cfg))
+    out = tmp_path / "eval.csv"
+    assert main(["eval", "--config", cfg_file, "--checkpoint", ckpt, "--out", str(out)]) == 0
+    assert len(checked) == 1 and not trained
+    want = PretrainTaskSet.of(train)
+    assert checked[0].hs.tobytes() == want.hs.tobytes()
+    assert checked[0].sigma2s.tobytes() == want.sigma2s.tobytes()
+
+
+def test_eval_on_the_config_seed_collides_with_a_training_channel(
+    tmp_path, cfg_file, monkeypatch
+):
+    """Draws on the config seed itself would score pre-training channel 0 as
+    evaluation task 0; the isolation check stops such an `eval`."""
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["train", "--config", cfg_file, "--out", ckpt]) == 0
+    monkeypatch.setattr(experiments, "_seed_int", lambda root, *idx: root.seed)
+    out = tmp_path / "eval.csv"
+    with pytest.raises(AssertionError, match="collides with a pre-training channel"):
+        main(["eval", "--config", cfg_file, "--checkpoint", ckpt, "--out", str(out)])
+    assert not out.exists()
 
 
 def test_train_and_sweep_log_progress(tmp_path, cfg_file, caplog):

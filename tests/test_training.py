@@ -257,6 +257,21 @@ class TestPretrain:
         _, c_long, _ = pretrain(cfg_long)
         assert c_long[:10] == c_short
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{}, {"m_tasks": 9, "seed": 7, "tasks": TaskDistributionSpec(2, 2, -20.0, 0.0)}],
+        ids=["fixed-noise", "noise-range"],
+    )
+    def test_task_set_of_config_is_the_one_pretrain_trains_on(self, edit):
+        """``PretrainTaskSet.of(cfg)`` rebuilds the task set of ``pretrain(cfg)``
+        without training, bit for bit."""
+        cfg = tiny_cfg(**edit)
+        ts = PretrainTaskSet.of(cfg)
+        _, _, trained = pretrain(replace(cfg, n_steps=0))
+        assert ts.hs.tobytes() == trained.hs.tobytes()
+        assert ts.sigma2s.tobytes() == trained.sigma2s.tobytes()
+        assert len(ts) == cfg.m_tasks
+
     def test_progress_lines_give_step_time(self, caplog):
         """Each progress line ends with the mean wall-clock ms per step since
         the previous line and the process's peak RSS so far; with 40 steps
